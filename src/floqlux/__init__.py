@@ -6,6 +6,7 @@ Submodules:
     decoherence: flux/dielectric noise rates, sweet-spot location.
     polariton: cavity sideband couplings, rotating-wave model, manifold fits.
     spectroscopy: steady-state probe maps and windowed Ramsey estimation.
+    tasks: one record per sweep task and the per-cell job bodies.
     config, sweeps, cli: run configuration, grid orchestration, exports.
 """
 from __future__ import annotations

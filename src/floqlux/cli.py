@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import TASKS, emit_config, parse_config
+from .config import FORMATS, TASKS, emit_config, parse_config
 from .errors import ConfigError, ExportError, FloqluxError
 from .sweeps import export, run_sweep
 
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the config)")
         p.add_argument("--workers", type=int, metavar="N",
                        help="worker processes (default: config value, or FF_WORKERS)")
-        p.add_argument("--format", choices=("csv", "json", "plotdata"),
+        p.add_argument("--format", choices=FORMATS,
                        help="export format (overrides the config)")
         p.add_argument("--overwrite", action="store_true",
                        help="replace existing export files")

@@ -26,6 +26,7 @@ from .decoherence import NoiseModel
 from .errors import ConfigError
 from .floquet import SambeConfig
 from .polariton import CavityParams
+from .tasks import REGISTRY
 
 __all__ = [
     "GridSpec",
@@ -35,22 +36,14 @@ __all__ = [
     "SweetSpotSpec",
     "RunConfig",
     "TASKS",
+    "FORMATS",
     "parse_config",
     "emit_config",
 ]
 
-TASKS = (
-    "static-spectrum",
-    "floquet",
-    "spectral-function",
-    "polariton",
-    "spectroscopy",
-    "coherence",
-    "sweetspot",
-    "ramsey",
-)
+TASKS = tuple(REGISTRY)
 
-_FORMATS = ("csv", "json", "plotdata")
+FORMATS = ("csv", "json", "plotdata")
 
 
 @dataclass(frozen=True)
@@ -139,8 +132,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; choose from {', '.join(TASKS)}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; choose from {', '.join(_FORMATS)}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}; choose from {', '.join(FORMATS)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -179,8 +172,8 @@ _SCHEMA = {
     "sweetspot": {"tol_d": "float", "refine": "bool"},
 }
 
-_SECTION_ORDER = ("circuit", "grid", "floquet", "noise", "cavity", "probe",
-                  "polariton", "ramsey", "sweetspot")
+# named sections in emission order; each is also the RunConfig attribute
+_SECTIONS = tuple(sec for sec in _SCHEMA if sec)
 
 
 def _suggest(name: str, options) -> str:
@@ -299,7 +292,7 @@ def parse_config(text: str) -> RunConfig:
             name = body[1:-1].strip()
             if name not in _SCHEMA or name == "":
                 raise ConfigError(
-                    f"unknown section [{name}]" + _suggest(name, [s for s in _SCHEMA if s]),
+                    f"unknown section [{name}]" + _suggest(name, _SECTIONS),
                     lineno, indent + 1)
             section = name
             continue
@@ -325,30 +318,15 @@ def parse_config(text: str) -> RunConfig:
     if "task" not in values[""]:
         raise ConfigError("missing required key 'task'")
 
-    def build(cls, sec: str, **extra):
+    def build(sec: str):
+        # a section's type is the type of its RunConfig default
         try:
-            return cls(**values[sec], **extra)
+            return type(getattr(RunConfig, sec))(**values[sec])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid [{sec}] settings: {exc}") from None
 
-    top = values[""]
     try:
-        return RunConfig(
-            task=top["task"],
-            circuit=build(CircuitParams, "circuit"),
-            grid=build(GridSpec, "grid"),
-            floquet=build(SambeConfig, "floquet"),
-            noise=build(NoiseModel, "noise"),
-            cavity=build(CavityParams, "cavity"),
-            probe=build(ProbeSpec, "probe"),
-            polariton=build(PolaritonSpec, "polariton"),
-            ramsey=build(RamseySpec, "ramsey"),
-            sweetspot=build(SweetSpotSpec, "sweetspot"),
-            output=top.get("output", "out"),
-            workers=top.get("workers", 1),
-            format=top.get("format", "csv"),
-            overwrite=top.get("overwrite", False),
-        )
+        return RunConfig(**values[""], **{sec: build(sec) for sec in _SECTIONS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -374,19 +352,6 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot format {value!r}")
 
 
-_SECTION_SOURCES = {
-    "circuit": "circuit",
-    "grid": "grid",
-    "floquet": "floquet",
-    "noise": "noise",
-    "cavity": "cavity",
-    "probe": "probe",
-    "polariton": "polariton",
-    "ramsey": "ramsey",
-    "sweetspot": "sweetspot",
-}
-
-
 def emit_config(config: RunConfig, physics_only: bool = False) -> str:
     """Canonical text form of a config; reparses to an equal RunConfig.
 
@@ -394,14 +359,10 @@ def emit_config(config: RunConfig, physics_only: bool = False) -> str:
     overwrite) are omitted; the remaining text is the identity a sweep's
     cache and result hash are keyed on.
     """
-    lines = [f"task = {_fmt(config.task)}"]
-    if not physics_only:
-        lines.append(f"output = {_fmt(config.output)}")
-        lines.append(f"workers = {_fmt(config.workers)}")
-        lines.append(f"format = {_fmt(config.format)}")
-        lines.append(f"overwrite = {_fmt(config.overwrite)}")
-    for sec in _SECTION_ORDER:
-        obj = getattr(config, _SECTION_SOURCES[sec])
+    lines = [f"{key} = {_fmt(getattr(config, key))}" for key in _SCHEMA[""]
+             if key == "task" or not physics_only]
+    for sec in _SECTIONS:
+        obj = getattr(config, sec)
         lines.append("")
         lines.append(f"[{sec}]")
         for key in _SCHEMA[sec]:

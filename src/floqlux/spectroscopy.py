@@ -21,7 +21,7 @@ and an exponential to the per-window amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import curve_fit, minimize_scalar
@@ -36,7 +36,7 @@ from .decoherence import (
 )
 from .errors import AliasingError, DiagnosticError, FitError
 from .floquet import DriveParams, SambeConfig, solve_floquet
-from .units import GHZ_TO_ANGULAR, TWO_PI, ghz_to_angular
+from .units import GHZ_TO_ANGULAR, HZ_PER_GHZ, TWO_PI, ghz_to_angular
 
 __all__ = [
     "ProbeParams",
@@ -89,6 +89,32 @@ class ProbeRates:
         return float(np.sum(self.rates))
 
 
+def _probe_terms(sol, elems: FourierMatrixElements, probe: ProbeParams, probe_freqs):
+    """Sidebands k, resonances eps_01 + k*Omega, Lorentzians L (n_probe, n_k)
+    and amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2, so Gamma_k = 0.5*amp2_k*L."""
+    kmax = int(elems.k_values[-1])
+    ks = np.arange(-kmax, kmax + 1)
+    n01 = np.array([abs(elems.get(0, 1, int(k))) for k in ks])
+    peaks = sol.splitting(1, 0, branch="natural") + ks * sol.drive.omega
+    hw = 0.5 * ghz_to_angular(probe.linewidth)
+    delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
+    lor = hw / math.pi / (delta * delta + hw * hw)
+    amp2 = (ghz_to_angular(probe.rabi) * n01) ** 2
+    return ks, peaks, lor, amp2
+
+
+def _balance(g_up, g_down, total):
+    """Two-state steady state P1 for probe rate ``total`` (scalar or array).
+
+    Raises:
+        DiagnosticError: every rate vanishes, the balance is undefined.
+    """
+    denom = g_up + g_down + 2.0 * total
+    if np.any(denom == 0.0):
+        raise DiagnosticError("steady state undefined: all rates are zero")
+    return (g_up + total) / denom
+
+
 def probe_transition_rates(sol, elems: FourierMatrixElements, probe: ProbeParams) -> ProbeRates:
     """Golden-rule rates for probe-driven 0 -> 1 sideband transitions.
 
@@ -96,20 +122,8 @@ def probe_transition_rates(sol, elems: FourierMatrixElements, probe: ProbeParams
     L is a unit-area Lorentzian (angular frequency) of FWHM ``linewidth``
     centered at the natural-branch resonance eps_01 + k*Omega.
     """
-    eps01 = sol.splitting(1, 0, branch="natural")
-    kmax = int(elems.k_values[-1])
-    ks = np.arange(-kmax, kmax + 1)
-    hw = 0.5 * ghz_to_angular(probe.linewidth)
-    rates = np.empty(ks.size)
-    peaks = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        n01 = abs(elems.get(0, 1, int(k)))
-        peaks[i] = eps01 + k * sol.drive.omega
-        delta = ghz_to_angular(probe.omega_p - peaks[i])
-        lor = hw / math.pi / (delta * delta + hw * hw)
-        amp = ghz_to_angular(probe.rabi) * n01
-        rates[i] = 0.5 * amp * amp * lor
-    return ProbeRates(k_values=ks, rates=rates, peak_freqs=peaks)
+    ks, peaks, lor, amp2 = _probe_terms(sol, elems, probe, [probe.omega_p])
+    return ProbeRates(k_values=ks, rates=0.5 * lor[0] * amp2, peak_freqs=peaks)
 
 
 def steady_state_population(rates: ProbeRates, coherence) -> float:
@@ -121,13 +135,7 @@ def steady_state_population(rates: ProbeRates, coherence) -> float:
     Raises:
         DiagnosticError: every rate vanishes, the balance is undefined.
     """
-    g_up = coherence.gamma_up
-    g_down = coherence.gamma_down
-    total = rates.total
-    denom = g_up + g_down + 2.0 * total
-    if denom == 0.0:
-        raise DiagnosticError("steady state undefined: all rates are zero")
-    return (g_up + total) / denom
+    return _balance(coherence.gamma_up, coherence.gamma_down, rates.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,30 +198,15 @@ def spectroscopy_map(
             # invalid sweep values (rejected by the dataclass validators)
             # mask the cell like any other per-point failure
             if sweep_name == "phi_dc":
-                drive = DriveParams(
-                    bias=type(drive_template.bias)(phi_dc=float(val)),
-                    xi=drive_template.xi,
-                    omega=drive_template.omega,
-                )
+                bias = replace(drive_template.bias, phi_dc=float(val))
+                drive = replace(drive_template, bias=bias)
             else:
-                drive = DriveParams(
-                    bias=drive_template.bias, xi=float(val), omega=drive_template.omega
-                )
+                drive = replace(drive_template, xi=float(val))
             sol = solve_floquet(params, drive, config, check_convergence=False)
-            elems = charge_fourier_elements(sol)
-            eps01 = sol.splitting(1, 0, branch="natural")
             pol = depolarization_rates(fourier_matrix_elements(sol), sol, noise, params)
-            branches[i] = eps01 + ks * drive.omega
-            # vectorized golden-rule balance over all probe frequencies
-            kk = np.arange(-int(elems.k_values[-1]), int(elems.k_values[-1]) + 1)
-            n01 = np.array([abs(elems.get(0, 1, int(k))) for k in kk])
-            peaks = eps01 + kk * drive.omega
-            hw = 0.5 * ghz_to_angular(probe.linewidth)
-            delta = GHZ_TO_ANGULAR * (probe_freqs[:, None] - peaks[None, :])
-            lor = hw / math.pi / (delta * delta + hw * hw)
-            amp2 = (ghz_to_angular(probe.rabi) * n01) ** 2
-            tot = 0.5 * lor @ amp2
-            pop[i] = (pol.gamma_up + tot) / (pol.gamma_up + pol.gamma_down + 2.0 * tot)
+            branches[i] = sol.splitting(1, 0, branch="natural") + ks * drive.omega
+            _, _, lor, amp2 = _probe_terms(sol, charge_fourier_elements(sol), probe, probe_freqs)
+            pop[i] = _balance(pol.gamma_up, pol.gamma_down, 0.5 * lor @ amp2)
         except Exception as exc:  # masked cell, not a crash: maps keep going
             mask[i] = True
             failures[int(i)] = f"{type(exc).__name__}: {exc}"
@@ -314,7 +307,7 @@ def synth_ramsey_signal(sol, config: RamseyConfig, weights=None, offset: float =
     else:
         ns = np.asarray(sorted(weights), dtype=int)
         w = np.array([weights[int(n)] for n in ns], dtype=float)
-    freqs_hz = (eps01 + ns * sol.drive.omega - config.omega0) * 1e9
+    freqs_hz = (eps01 + ns * sol.drive.omega - config.omega0) * HZ_PER_GHZ
     dom = float(abs(freqs_hz[np.argmax(w)]))
 
     offs = np.asarray(config.delays, dtype=float)

@@ -1,12 +1,12 @@
 """Grid-sweep orchestration: run a task per grid cell, cache, export.
 
-Every task is decomposed into independent jobs (usually one per grid cell,
-one per sweep column for spectroscopy).  Jobs are pure functions of the
-physics part of the config plus their coordinates, so completed cells are
-cached on disk under ``<output>/.cells/<config_hash>/`` and reruns only
-recompute what is missing or failed.  Aggregation is order-independent and
-float formatting is fixed, which makes exports byte-identical regardless of
-worker count.
+Each task's record in ``floqlux.tasks`` decomposes it into independent jobs
+(one per grid cell or per spectroscopy sweep column, plus an optional
+whole-grid job).  Jobs are pure functions of the physics part of the config
+plus their coordinates, so completed cells are cached on disk under
+``<output>/.cells/<config_hash>/`` and reruns only recompute what is
+missing or failed.  Aggregation is order-independent and float formatting
+is fixed, which makes exports byte-identical regardless of worker count.
 
 Wall-clock timings are kept on the result object for profiling but excluded
 from both equality and exports; everything else round-trips through the JSON
@@ -16,45 +16,24 @@ export losslessly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .circuit import CircuitParams, FluxBias, diagonalize_static, transition_spline
 from .config import RunConfig, emit_config
-from .decoherence import (
-    coherence_rates,
-    find_sweet_spots,
-    fourier_matrix_elements,
-    quasienergy_derivatives,
-)
-from .errors import ConfigError, ExportError, FloqluxError
-from .floquet import DriveParams, solve_floquet
-from .polariton import (
-    fit_polariton,
-    floquet_dipole_coupling,
-    rwa_coupling,
-    rwa_params_from_circuit,
-    rwa_phase_coefficients,
-)
-from .spectroscopy import (
-    ProbeParams,
-    RamseyConfig,
-    extract_t2r,
-    spectroscopy_map,
-    synth_ramsey_signal,
-)
+from .errors import ExportError
+from .tasks import REGISTRY, Task
 
 SCHEMA_VERSION = 1
 
 _AXIS_UNITS = {"phi_dc": "Phi0", "xi": "Phi0", "omega": "GHz", "omega_p": "GHz"}
-_SPECTRAL_N = 8  # sideband window exported by the spectral-function task
 
 
 def config_hash(config: RunConfig) -> str:
@@ -135,415 +114,42 @@ class SweepResult:
     __hash__ = None
 
 
-def _plain(obj):
-    """Recursively coerce to JSON-plain types (lists, str keys, floats)."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (str, bool, int, float)) or obj is None:
-        return obj
-    return str(obj)
-
-
 # ---------------------------------------------------------------------------
-# job bodies (module-level so they pickle into worker processes)
-# ---------------------------------------------------------------------------
-
-# static spectra are reused heavily within a process; keyed by (params, phi)
-_SPEC_MEMO: dict = {}
-
-
-def _static(params: CircuitParams, phi: float):
-    key = (params, float(phi))
-    spec = _SPEC_MEMO.get(key)
-    if spec is None:
-        spec = diagonalize_static(params, FluxBias(float(phi)))
-        if len(_SPEC_MEMO) < 4096:
-            _SPEC_MEMO[key] = spec
-    return spec
-
-
-def _solved(config: RunConfig, coords, check_convergence: bool = True):
-    spec = _static(config.circuit, coords["phi"])
-    drive = DriveParams(FluxBias(float(coords["phi"])), float(coords["xi"]), float(coords["omega"]))
-    sol = solve_floquet(config.circuit, drive, config.floquet, spectrum=spec,
-                        check_convergence=check_convergence)
-    return spec, drive, sol
-
-
-def _job_static(config: RunConfig, coords):
-    spec = _static(config.circuit, coords["phi"])
-    e = spec.energies
-    vals = [
-        float(e[1] - e[0]),
-        float(e[2] - e[0]),
-        float(e[3] - e[0]),
-        abs(spec.n_elements[0, 1]),
-        abs(spec.n_elements[0, 3]),
-        abs(spec.phi_elements[0, 1]),
-    ]
-    return {"rows": [vals]}
-
-
-def _job_floquet(config: RunConfig, coords):
-    _, _, sol = _solved(config, coords)
-    vals = [
-        sol.splitting(1, 0, "natural"),
-        sol.splitting(1, 0, "folded"),
-        float(sol.quasienergies[0]),
-        float(sol.quasienergies[1]),
-        float(np.max(sol.sideband_weights(0))),
-        float(np.max(sol.sideband_weights(1))),
-        float(bool(sol.converged)),
-    ]
-    return {"rows": [vals]}
-
-
-def _job_spectral(config: RunConfig, coords):
-    _, _, sol = _solved(config, coords)
-    cutoff = sol.config.sideband_cutoff
-    vals = [float(sol.rep_energies[0]), float(sol.rep_energies[1])]
-    for level in (0, 1):
-        w = sol.sideband_weights(level)
-        for n in range(-_SPECTRAL_N, _SPECTRAL_N + 1):
-            vals.append(float(w[cutoff + n]) if abs(n) <= cutoff else 0.0)
-    return {"rows": [vals]}
-
-
-def _job_polariton(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    vals = [abs(floquet_dipole_coupling(sol, spec, config.cavity, m)) for m in range(-2, 4)]
-    rwa = rwa_params_from_circuit(
-        config.circuit, float(coords["phi"]), config.cavity, drive.xi,
-        span=config.polariton.span,
-    )
-    co = rwa_phase_coefficients(rwa, drive)
-    vals += [abs(rwa_coupling(rwa, co, m)) for m in range(-2, 4)]
-    return {"rows": [vals]}
-
-
-def _job_polariton_fit(config: RunConfig, coords):
-    data = np.loadtxt(config.polariton.data_file, ndmin=2)
-    if data.ndim != 2 or data.shape[1] not in (2, 3):
-        raise ConfigError(
-            f"polariton data file {config.polariton.data_file!r} must have "
-            f"columns phi_dc, freq_ghz[, sigma_ghz]; got shape {data.shape}"
-        )
-    lo, hi = float(np.min(data[:, 0])), float(np.max(data[:, 0]))
-    pad = max(0.01, 0.05 * (hi - lo))
-    curve = transition_spline(config.circuit, 0, 3, lo - pad, hi + pad)
-    fit = fit_polariton(
-        data, config.cavity, curve, float(config.grid.omega[0]),
-        capture_window=config.polariton.capture_window,
-    )
-    return {
-        "rows": [],
-        "extra": {
-            "fit": _plain({
-                "g_m": fit.g_m,
-                "delta_m": fit.delta_m,
-                "g_err": fit.g_err,
-                "residual": fit.residual,
-                "unidentifiable": list(fit.unidentifiable),
-                "n_evaluations": fit.n_evaluations,
-                "success": fit.success,
-            })
-        },
-    }
-
-
-def _job_spectroscopy(config: RunConfig, coords):
-    g = config.grid
-    template = DriveParams(FluxBias(float(g.phi_dc[0])), float(g.xi[0]), float(g.omega[0]))
-    probe = ProbeParams(
-        omega_p=float(config.probe.omega_p[0]),
-        rabi=config.probe.rabi,
-        linewidth=config.probe.linewidth,
-    )
-    m = spectroscopy_map(
-        config.circuit, config.noise, template,
-        config.probe.sweep, [float(coords["value"])], coords["probe_freqs"],
-        probe=probe, config=config.floquet,
-    )
-    if m.mask[0]:
-        raise FloqluxError(m.failures.get(0, "spectroscopy point failed"))
-    return {
-        "rows": [[float(p)] for p in m.population[0]],
-        "extra": {
-            "value": float(coords["value"]),
-            "branch_k": _plain(m.branch_k),
-            "branch_freqs": _plain(m.branches[0]),
-        },
-    }
-
-
-def _job_coherence(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    rates = coherence_rates(config.circuit, drive, config.noise, config.floquet, sol=sol)
-    vals = [
-        rates.gamma_up,
-        rates.gamma_down,
-        rates.gamma_phi,
-        rates.t1,
-        rates.tphi,
-        rates.t2r,
-        rates.derivatives.flux_me,
-        rates.derivatives.xi_me,
-    ]
-    return {"rows": [vals]}
-
-
-def _job_sweetspot(config: RunConfig, coords):
-    # field evaluation matches find_sweet_spots' own scan (unchecked solve)
-    spec, _, sol = _solved(config, coords, check_convergence=False)
-    elems = fourier_matrix_elements(sol, spec)
-    derivs = quasienergy_derivatives(sol, elems, config.circuit)
-    return {"rows": [[derivs.flux_me, derivs.xi_me]]}
-
-
-def _job_sweetspot_scan(config: RunConfig, coords):
-    scan = find_sweet_spots(
-        config.circuit, config.noise, config.grid, config.floquet,
-        tol_d=config.sweetspot.tol_d, refine=config.sweetspot.refine,
-    )
-    spots = []
-    for s in sorted(scan.spots, key=lambda s: (s.phi_dc, s.xi, s.omega, s.kind)):
-        row = {
-            "kind": s.kind,
-            "phi_dc": s.phi_dc,
-            "xi": s.xi,
-            "omega": s.omega,
-            "d_flux": s.d_flux,
-            "d_xi": s.d_xi,
-        }
-        if s.rates is not None:
-            row.update(t1=s.rates.t1, tphi=s.rates.tphi, t2r=s.rates.t2r)
-        spots.append(row)
-    return {"rows": [], "extra": _plain({"spots": spots, "diagnostics": scan.diagnostics})}
-
-
-def _job_ramsey(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    r = config.ramsey
-    omega0 = r.omega0 if r.omega0 > 0 else spec.transition(0, 1)
-    rcfg = RamseyConfig(omega0=omega0, delays=r.delays, window=r.window,
-                        step=r.step, t2r_true=r.t2r_true)
-    sig = synth_ramsey_signal(sol, rcfg)
-    est = extract_t2r(sig)
-    vals = [
-        omega0,
-        sol.splitting(1, 0, "natural"),
-        sig.dominant_beat / 1e9,
-        r.t2r_true,
-        est.t2r,
-        est.t2r_stderr,
-        est.frequency / 1e9,
-    ]
-    extra = {
-        "ramsey": _plain({
-            "window_offsets_s": est.window_offsets,
-            "window_amplitudes": est.window_amplitudes,
-            "component_freqs_hz": sig.component_freqs,
-            "component_weights": sig.component_weights,
-        })
-    }
-    return {"rows": [vals], "extra": extra}
-
-
-_JOB_FNS = {
-    "static": _job_static,
-    "floquet": _job_floquet,
-    "spectral": _job_spectral,
-    "polariton": _job_polariton,
-    "polariton-fit": _job_polariton_fit,
-    "spectroscopy": _job_spectroscopy,
-    "coherence": _job_coherence,
-    "sweetspot": _job_sweetspot,
-    "sweetspot-scan": _job_sweetspot_scan,
-    "ramsey": _job_ramsey,
-}
-
-
-def _execute(config: RunConfig, kind: str, coords: dict) -> dict:
-    """Run one job; solver failures become data, not aborts."""
-    start = time.perf_counter()
-    try:
-        out = _JOB_FNS[kind](config, coords)
-    except Exception as exc:  # noqa: BLE001, per-cell failures are masked
-        out = {"error": f"{type(exc).__name__}: {exc}"}
-    out["seconds"] = time.perf_counter() - start
-    return out
-
-
-def _execute_star(args) -> dict:
-    return _execute(*args)
-
-
-# ---------------------------------------------------------------------------
-# planning
+# planning and execution
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Job:
     jid: int
-    kind: str
+    fn: Callable
     coords: dict
     row_indices: tuple
 
 
-_TASK_COLUMNS = {
-    "static-spectrum": (
-        ("f01", "f02", "f03", "n01_abs", "n03_abs", "phi01_abs"),
-        ("GHz", "GHz", "GHz", "1", "1", "rad"),
-    ),
-    "floquet": (
-        ("eps01_natural", "eps01_folded", "eps0_folded", "eps1_folded",
-         "weight0_max", "weight1_max", "converged"),
-        ("GHz", "GHz", "GHz", "GHz", "1", "1", "bool"),
-    ),
-    "polariton": (
-        tuple(f"gF_abs_{m}" for m in range(-2, 4))
-        + tuple(f"gR_abs_{m}" for m in range(-2, 4)),
-        ("GHz",) * 12,
-    ),
-    "spectroscopy": (("p1",), ("1",)),
-    "coherence": (
-        ("gamma_up", "gamma_down", "gamma_phi", "t1", "tphi", "t2r", "d_flux", "d_xi"),
-        ("1/s", "1/s", "1/s", "s", "s", "s", "GHz/Phi0", "GHz/Phi0"),
-    ),
-    "sweetspot": (("d_flux", "d_xi"), ("GHz/Phi0", "GHz/Phi0")),
-    "ramsey": (
-        ("omega0", "eps01_natural", "dominant_beat", "t2r_true", "t2r_est",
-         "t2r_stderr", "beat_fit"),
-        ("GHz", "GHz", "GHz", "s", "s", "s", "GHz"),
-    ),
-}
-_TASK_COLUMNS["spectral-function"] = (
-    ("eps0", "eps1")
-    + tuple(f"weight{lvl}_{n}" for lvl in (0, 1) for n in range(-_SPECTRAL_N, _SPECTRAL_N + 1)),
-    ("GHz", "GHz") + ("1",) * (2 * (2 * _SPECTRAL_N + 1)),
-)
+def _execute(config: RunConfig, job: _Job) -> dict:
+    """Run one job; solver failures become data, not aborts."""
+    start = time.perf_counter()
+    try:
+        out = job.fn(config, job.coords)
+    except Exception as exc:  # noqa: BLE001, per-cell failures are masked
+        out = {"error": f"{type(exc).__name__}: {exc}"}
+    out["seconds"] = time.perf_counter() - start
+    return out
 
 
-def _validate(config: RunConfig) -> None:
-    """Task-specific grid/section checks with actionable messages."""
-    g = config.grid
-    if config.task in ("static-spectrum", "polariton"):
-        need = 4
-        if config.circuit.n_levels < need:
-            raise ConfigError(
-                f"task {config.task!r} reads levels up to 3; set circuit "
-                f"n_levels >= {need} (got {config.circuit.n_levels})"
-            )
-    if config.task == "polariton":
-        if config.floquet.n_levels < 4:
-            raise ConfigError(
-                "polariton couplings address level 3; set floquet n_levels >= 4 "
-                f"(got {config.floquet.n_levels})"
-            )
-        if config.polariton.data_file:
-            if len(g.omega) != 1:
-                raise ConfigError(
-                    "the polariton fit uses a single drive frequency; grid omega "
-                    f"must have one value when data_file is set (got {len(g.omega)})"
-                )
-            if not os.path.exists(config.polariton.data_file):
-                raise ConfigError(
-                    f"polariton data_file {config.polariton.data_file!r} not found"
-                )
-    if config.task == "spectroscopy":
-        fixed = ("xi", "omega") if config.probe.sweep == "phi_dc" else ("phi_dc", "omega")
-        for name in fixed:
-            if len(getattr(g, name)) != 1:
-                raise ConfigError(
-                    f"spectroscopy sweeps {config.probe.sweep}; grid {name} must "
-                    f"have one value (got {len(getattr(g, name))})"
-                )
-    if config.task == "ramsey" and g.size != 1:
-        raise ConfigError(
-            "ramsey runs at a single drive point; grid must be 1x1x1 "
-            f"(got {len(g.phi_dc)} phi_dc x {len(g.xi)} xi x {len(g.omega)} omega)"
-        )
-
-
-def _plan(config: RunConfig):
-    """Axes, column schema, and job list for one task."""
-    g = config.grid
-    phi = tuple(sorted(float(v) for v in g.phi_dc))
-    xi = tuple(sorted(float(v) for v in g.xi))
-    om = tuple(sorted(float(v) for v in g.omega))
-    columns, col_units = _TASK_COLUMNS[config.task]
-    jobs: list[_Job] = []
-
-    if config.task == "static-spectrum":
-        axes = {"phi_dc": phi}
-        for i, p in enumerate(phi):
-            jobs.append(_Job(i, "static", {"phi": p}, (i,)))
-    elif config.task == "spectroscopy":
-        sweep = config.probe.sweep
-        svals = phi if sweep == "phi_dc" else xi
-        pvals = tuple(sorted(float(v) for v in config.probe.omega_p))
-        axes = {sweep: svals, "omega_p": pvals}
-        n_p = len(pvals)
-        for i, v in enumerate(svals):
-            rows = tuple(range(i * n_p, (i + 1) * n_p))
-            jobs.append(_Job(i, "spectroscopy", {"value": v, "probe_freqs": pvals}, rows))
+def _plan(task: Task, config: RunConfig):
+    """Axes and job list for one task; the grid job, if any, comes last."""
+    if task.plan is not None:
+        axes, cells = task.plan(config)
     else:
-        axes = {"phi_dc": phi, "xi": xi, "omega": om}
-        kind = {
-            "floquet": "floquet",
-            "spectral-function": "spectral",
-            "polariton": "polariton",
-            "coherence": "coherence",
-            "sweetspot": "sweetspot",
-            "ramsey": "ramsey",
-        }[config.task]
-        flat = 0
-        for i, j, k in np.ndindex(len(phi), len(xi), len(om)):
-            coords = {"phi": phi[i], "xi": xi[j], "omega": om[k]}
-            jobs.append(_Job(flat, kind, coords, (flat,)))
-            flat += 1
-        if config.task == "polariton" and config.polariton.data_file:
-            jobs.append(_Job(flat, "polariton-fit", {}, ()))
-        elif config.task == "sweetspot":
-            jobs.append(_Job(flat, "sweetspot-scan", {}, ()))
-
-    units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(col_units)
-    return axes, tuple(columns), units, jobs
-
-
-def _finalize_extra(config: RunConfig, jobs, job_extras: dict) -> dict:
-    """Assemble the task-level extra payload from per-job pieces."""
-    extra: dict = {}
-    if config.task == "spectroscopy":
-        g = config.grid
-        fixed = {"phi_dc": g.phi_dc[0], "xi": g.xi[0], "omega": g.omega[0]}
-        fixed.pop(config.probe.sweep)
-        points = []
-        branch_k = None
-        for job in jobs:
-            piece = job_extras.get(job.jid)
-            if piece is None or "error" in piece:
-                continue
-            branch_k = piece["branch_k"]
-            points.append({"value": piece["value"], "freqs": piece["branch_freqs"]})
-        extra["fixed"] = _plain(fixed)
-        extra["branches"] = {"k": branch_k or [], "points": points}
-    else:
-        for job in jobs:
-            piece = job_extras.get(job.jid)
-            if piece is None:
-                continue
-            if "error" in piece and job.kind in ("polariton-fit", "sweetspot-scan"):
-                key = "fit" if job.kind == "polariton-fit" else "scan"
-                extra[key] = {"error": piece["error"]}
-            else:
-                extra.update(piece)
-    return extra
+        axes = {a: tuple(sorted(float(v) for v in getattr(config.grid, a))) for a in task.axes}
+        cells = [(dict(zip(axes, point)), (i,))
+                 for i, point in enumerate(itertools.product(*axes.values()))]
+    jobs = [_Job(i, task.job, coords, rows) for i, (coords, rows) in enumerate(cells)]
+    if task.grid_job is not None and task.wants_grid_job(config):
+        jobs.append(_Job(len(jobs), task.grid_job, {}, ()))
+    return axes, jobs
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +199,18 @@ def run_sweep(config: RunConfig) -> SweepResult:
     Raises:
         ConfigError: the grid or sections do not fit the task.
     """
-    _validate(config)
-    axes, columns, units, jobs = _plan(config)
+    task = REGISTRY[config.task]
+    if task.check is not None:
+        task.check(config)
+    axes, jobs = _plan(task, config)
+    columns = tuple(name for name, _ in task.columns)
+    units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(unit for _, unit in task.columns)
     chash = config_hash(config)
     cache_dir = Path(config.output) / ".cells" / chash
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    lens = [len(v) for v in axes.values()]
-    n_rows = math.prod(lens)
-    axis_vals = [np.asarray(v) for v in axes.values()]
-    mesh = np.meshgrid(*axis_vals, indexing="ij")
-    coords_mat = np.column_stack([m.reshape(-1) for m in mesh])
+    coords_mat = np.array(list(itertools.product(*axes.values())), dtype=float)
+    n_rows = coords_mat.shape[0]
 
     data = np.full((n_rows, len(columns)), np.nan)
     mask = np.zeros(n_rows, dtype=bool)
@@ -623,15 +230,15 @@ def run_sweep(config: RunConfig) -> SweepResult:
         n_workers = min(config.workers, len(pending))
         if n_workers <= 1:
             for job in pending:
-                results[job.jid] = (_execute(config, job.kind, job.coords), True)
+                results[job.jid] = (_execute(config, job), True)
         else:
-            args = [(config, job.kind, job.coords) for job in pending]
             chunk = max(1, len(pending) // (4 * n_workers))
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                for job, out in zip(pending, pool.map(_execute_star, args, chunksize=chunk)):
+                outs = pool.map(_execute, itertools.repeat(config), pending, chunksize=chunk)
+                for job, out in zip(pending, outs):
                     results[job.jid] = (out, True)
 
-    job_extras: dict[int, dict] = {}
+    extras: list[dict] = []  # in job order
     for job in jobs:
         out, fresh = results[job.jid]
         secs = float(out.get("seconds", 0.0))
@@ -641,14 +248,14 @@ def run_sweep(config: RunConfig) -> SweepResult:
                 mask[r] = True
                 reasons[r] = out["error"]
                 timings[r] = per_row
-            if not job.row_indices:
-                job_extras[job.jid] = {"error": out["error"]}
+            if not job.row_indices:  # the grid job
+                extras.append({task.grid_key: {"error": out["error"]}})
             continue
         for r, vals in zip(job.row_indices, out["rows"]):
             data[r] = vals
             timings[r] = per_row
         if out.get("extra") is not None:
-            job_extras[job.jid] = out["extra"]
+            extras.append(out["extra"])
         if fresh:
             _write_cache(_cache_path(cache_dir, job), out)
 
@@ -660,7 +267,8 @@ def run_sweep(config: RunConfig) -> SweepResult:
         rows=np.hstack([coords_mat, data]) if n_rows else np.empty((0, len(columns))),
         mask=mask,
         reasons=reasons,
-        extra=_finalize_extra(config, jobs, job_extras),
+        extra=(task.finalize(config, extras) if task.finalize is not None
+               else {k: v for piece in extras for k, v in piece.items()}),
         config_hash=chash,
         timings=timings,
     )
@@ -728,8 +336,12 @@ def _render_plotdata(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"csv": _render_csv, "json": _render_json, "plotdata": _render_plotdata}
-_FILENAMES = {"csv": "{task}.csv", "json": "{task}.json", "plotdata": "{task}_plot.csv"}
+# format -> (renderer, file name)
+_EXPORTERS = {
+    "csv": (_render_csv, "{task}.csv"),
+    "json": (_render_json, "{task}.json"),
+    "plotdata": (_render_plotdata, "{task}_plot.csv"),
+}
 
 
 def export(result: SweepResult, directory, fmt: str = "csv",
@@ -743,14 +355,15 @@ def export(result: SweepResult, directory, fmt: str = "csv",
     Raises:
         ExportError: the target exists and ``overwrite`` is not set.
     """
-    if fmt not in _RENDERERS:
-        raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(_RENDERERS)}")
+    if fmt not in _EXPORTERS:
+        raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(_EXPORTERS)}")
+    render, filename = _EXPORTERS[fmt]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / _FILENAMES[fmt].format(task=result.task)
+    path = directory / filename.format(task=result.task)
     if path.exists() and not overwrite:
         raise ExportError(f"{path} exists; pass overwrite to replace it")
-    path.write_text(_RENDERERS[fmt](result), encoding="utf-8")
+    path.write_text(render(result), encoding="utf-8")
     return (path,)
 
 

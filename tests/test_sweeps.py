@@ -26,6 +26,8 @@ from floqlux import (
     parse_config,
     run_sweep,
 )
+from floqlux.cli import main
+from floqlux.tasks import REGISTRY
 
 
 @pytest.fixture()
@@ -207,20 +209,31 @@ def test_spectroscopy_axes_and_extra(tmp_path):
 
 
 def test_every_task_runs_with_defaults(tmp_path):
-    # validation completeness: all-defaults config plus required sections
-    for task in ("static-spectrum", "floquet", "spectral-function", "polariton",
-                 "coherence", "sweetspot", "ramsey"):
-        cfg = parse_config(f'task = "{task}"\n')
+    # validation completeness: all-defaults config, a small probe axis for
+    # spectroscopy; every registered task is covered
+    small = {"spectroscopy": '[probe]\nomega_p = "0.6:0.9:4"\n'}
+    for task in REGISTRY:
+        cfg = parse_config(f'task = "{task}"\n' + small.get(task, ""))
         cfg = dataclasses.replace(cfg, output=str(tmp_path / task))
         res = run_sweep(cfg)
-        assert res.rows.shape[0] >= 1
+        assert res.rows.shape == (4 if task in small else 1, len(res.header)), task
         assert not res.mask.any(), (task, res.reasons)
 
 
-def test_spectroscopy_runs_with_defaults_small_probe(tmp_path):
-    cfg = parse_config(
-        'task = "spectroscopy"\n[probe]\nomega_p = "0.6:0.9:4"\n')
-    cfg = dataclasses.replace(cfg, output=str(tmp_path / "sp"))
+def test_spectroscopy_undefined_balance_masked(tmp_path, capsys):
+    # no noise and no probe: every rate is zero and P1 = 0/0; the columns are
+    # masked with the reason, left out of the cache, and ff exits 2
+    text = (
+        'task = "spectroscopy"\n[grid]\nphi_dc = [0.45, 0.46]\n'
+        "[noise]\na_dc = 0.0\na_ac = 0.0\ntan_delta_c = 0.0\n"
+        '[probe]\nrabi = 0.0\nomega_p = "0.6:0.9:4"\n'
+    )
+    cfg = dataclasses.replace(parse_config(text), output=str(tmp_path / "o"))
     res = run_sweep(cfg)
-    assert res.rows.shape == (4, 3)
-    assert not res.mask.any()
+    assert res.mask.all()
+    assert all("DiagnosticError" in res.reasons[r] for r in range(8))
+    assert not list((tmp_path / "o" / ".cells").rglob("*.json"))
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["spectroscopy", "--config", str(path), "--out", str(tmp_path / "cli")]) == 2
+    assert "DiagnosticError" in capsys.readouterr().err
