@@ -220,6 +220,15 @@ def test_every_task_runs_with_defaults(tmp_path):
         assert not res.mask.any(), (task, res.reasons)
 
 
+def test_spectroscopy_runs_with_defaults_small_probe(tmp_path):
+    cfg = parse_config(
+        'task = "spectroscopy"\n[probe]\nomega_p = "0.6:0.9:4"\n')
+    cfg = dataclasses.replace(cfg, output=str(tmp_path / "sp"))
+    res = run_sweep(cfg)
+    assert res.rows.shape == (4, 3)
+    assert not res.mask.any()
+
+
 def test_spectroscopy_undefined_balance_masked(tmp_path, capsys):
     # no noise and no probe: every rate is zero and P1 = 0/0; the columns are
     # masked with the reason, left out of the cache, and ff exits 2
