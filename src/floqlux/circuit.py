@@ -15,7 +15,7 @@ variationally from above as ``basis_dim`` grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

@@ -37,9 +37,10 @@ differences of the tracked splitting with Richardson step control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import hbar, k as k_boltzmann
 from scipy.optimize import brentq, root
 
@@ -54,7 +55,6 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
-    _shifted_overlap,
     solve_floquet,
 )
 from .units import ghz_to_angular
@@ -126,63 +126,57 @@ class NoiseModel:
         return math.sqrt(abs(math.log(ghz_to_angular(self.omega_ir) * self.t_m)))
 
 
-def s_dc(omega: float, model: NoiseModel, reduced: bool = False) -> float:
+def _one_over_f(omega, amp: float, reduced: bool):
+    """2*pi*amp^2/|omega_angular| at ordinary frequency omega (GHz)."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega == 0.0):
+        raise InfraredDivergenceError(
+            "1/f spectral density sampled at zero frequency; the divergent "
+            "low-frequency content belongs to the ir-cutoff dephasing term"
+        )
+    val = 2.0 * math.pi * amp**2 / np.abs(ghz_to_angular(omega))
+    return val * (2.0 * math.pi) ** 2 if reduced else val
+
+
+def s_dc(omega, model: NoiseModel, reduced: bool = False):
     """1/f flux-noise spectral density 2*pi*A_dc^2/|omega_angular| (units s).
 
-    ``omega`` is an ordinary frequency in GHz; ``reduced=True`` multiplies by
-    (2*pi)^2, absorbing the flux-to-phase conversion at Phi_0 = 1.
+    ``omega`` is an ordinary frequency in GHz, scalar or array;
+    ``reduced=True`` multiplies by (2*pi)^2, absorbing the flux-to-phase
+    conversion at Phi_0 = 1.
 
     Raises:
         InfraredDivergenceError: at omega == 0 (the 1/f divergence there is
             handled by the dedicated low-frequency dephasing term).
     """
-    if omega == 0.0:
-        raise InfraredDivergenceError(
-            "1/f spectral density sampled at zero frequency; the divergent "
-            "low-frequency content belongs to the ir-cutoff dephasing term"
-        )
-    val = 2.0 * math.pi * model.a_dc**2 / abs(ghz_to_angular(omega))
-    return val * (2.0 * math.pi) ** 2 if reduced else val
+    return _one_over_f(omega, model.a_dc, reduced)
 
 
-def s_ac(omega: float, model: NoiseModel, reduced: bool = False) -> float:
-    """1/f drive-amplitude-noise spectral density 2*pi*A_ac^2/|omega_angular|."""
-    if omega == 0.0:
-        raise InfraredDivergenceError(
-            "1/f spectral density sampled at zero frequency; the divergent "
-            "low-frequency content belongs to the ir-cutoff dephasing term"
-        )
-    val = 2.0 * math.pi * model.a_ac**2 / abs(ghz_to_angular(omega))
-    return val * (2.0 * math.pi) ** 2 if reduced else val
+def s_ac(omega, model: NoiseModel, reduced: bool = False):
+    """1/f drive-amplitude-noise spectral density 2*pi*A_ac^2/|omega_angular|,
+    ``omega`` scalar or array, as in ``s_dc``."""
+    return _one_over_f(omega, model.a_ac, reduced)
 
 
-def _thermal_bracket(w_ang: float, temperature: float) -> float:
-    """|coth(hbar*w/2kT) + 1| with the detailed-balance continuation.
-
-    For w > 0 this is coth + 1 = 2/(1 - e^{-x}); for w < 0 the magnitude
-    2/(e^{|x|} - 1) = 2*n_bose, so S(-w)/S(w) = e^{-hbar*w/kT} holds with a
-    positive density on both sides.
-    """
-    if temperature == 0.0:
-        return 2.0 if w_ang > 0 else 0.0
-    x = hbar * w_ang / (k_boltzmann * temperature)
-    if x > 0:
-        return 2.0 / (-math.expm1(-x))
-    return 2.0 * math.exp(x) / (-math.expm1(x))
-
-
-def s_diel(omega: float, params: CircuitParams, model: NoiseModel) -> float:
-    """Dielectric-loss spectral density (1/s) at ordinary frequency omega (GHz).
+def s_diel(omega, params: CircuitParams, model: NoiseModel):
+    """Dielectric-loss spectral density (1/s) at ordinary frequency omega (GHz),
+    scalar or array.
 
     S(omega) = omega_ang^2 * tan_delta_c / (8 * E_C_ang) * |coth(x) + 1|,
-    x = hbar*omega_ang / (2 k_B T).  omega = 0 returns the finite limit 0
-    (the omega^2 * coth product scales as 2 k_B T * omega / hbar there).
+    x = hbar*omega_ang / (2 k_B T).  The bracket is coth + 1 = 2/(1 - e^{-x})
+    for omega > 0; for omega < 0 its magnitude 2/(e^{|x|} - 1) = 2*n_bose,
+    so S(-w)/S(w) = e^{-hbar*w/kT} holds with a positive density on both
+    sides.  omega = 0 gives the finite limit 0 (the omega^2 * coth product
+    scales as 2 k_B T * omega / hbar there).
     """
-    if omega == 0.0:
-        return 0.0
-    w = ghz_to_angular(omega)
-    ec = ghz_to_angular(params.e_c)
-    return w * w * model.tan_delta_c / (8.0 * ec) * _thermal_bracket(w, model.temperature)
+    w = ghz_to_angular(np.asarray(omega, dtype=float))
+    if model.temperature == 0.0:
+        bracket = np.where(w > 0, 2.0, 0.0)
+    else:
+        x = hbar * w / (k_boltzmann * model.temperature)
+        bracket = np.divide(2.0 * np.exp(np.minimum(x, 0.0)), -np.expm1(-np.abs(x)),
+                            out=np.zeros_like(x), where=x != 0.0)
+    return w * w * model.tan_delta_c / (8.0 * ghz_to_angular(params.e_c)) * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +189,18 @@ class FourierMatrixElements:
     """Harmonic-resolved operator elements O_ab^(k) between Floquet states.
 
     O_ab^(k) = sum_n <phi_a^(n)| O |phi_b^(n-k)>, the coefficient of
-    e^{i k Omega t} in <Phi_a(t)| O |Phi_b(t)>.  Conjugation symmetry
-    O_ab^(k) = conj(O_ba^(-k)) holds by construction.
+    e^{i k Omega t} in <Phi_a(t)| O |Phi_b(t)>, for the qubit pair a, b in
+    (0, 1).  Conjugation symmetry O_ab^(k) = conj(O_ba^(-k)) holds by
+    construction.
     """
 
-    levels: tuple[int, ...]
     k_values: np.ndarray
-    table: np.ndarray  # (n_lev, n_lev, n_k) complex, indexed by level position
+    table: np.ndarray  # (2, 2, n_k) complex, table[a, b, k + kmax]
     omega: float
 
     def __post_init__(self) -> None:
         self.k_values.setflags(write=False)
         self.table.setflags(write=False)
-
-    def _pos(self, a: int) -> int:
-        try:
-            return self.levels.index(a)
-        except ValueError:
-            raise KeyError(f"level {a} not tabulated (have {self.levels})") from None
 
     def get(self, a: int, b: int, k: int) -> complex:
         """O_ab^(k); raises OutOfWindowError beyond the tabulated harmonics."""
@@ -221,44 +209,31 @@ class FourierMatrixElements:
             raise OutOfWindowError(
                 f"harmonic k={k} beyond the tabulated window |k| <= {kmax}"
             )
-        return complex(self.table[self._pos(a), self._pos(b), k + kmax])
-
-    def get_or_zero(self, a: int, b: int, k: int) -> complex:
-        """Like ``get`` but out-of-window harmonics count as zero.
-
-        Used for the k +/- 1 neighbors in amplitude-noise sums, whose
-        edge-of-window content is below truncation error anyway.
-        """
-        kmax = int(self.k_values[-1])
-        if abs(k) > kmax:
-            return 0.0 + 0.0j
-        return complex(self.table[self._pos(a), self._pos(b), k + kmax])
+        return complex(self.table[a, b, k + kmax])
 
 
-def fourier_operator_elements(
-    sol: FloquetSolution, op: np.ndarray, levels: tuple[int, ...] = (0, 1)
-) -> FourierMatrixElements:
-    """Tabulate O_ab^(k) for the given operator (static-eigenbasis matrix)."""
+def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarray:
+    """sum_n <bra_a^(n)|ket_b^(n-k)> for |k| <= kmax, shape (a, b, 2*kmax+1).
+
+    One contraction over harmonic n and static level s: the kets are
+    zero-padded by kmax blocks on both sides, so the window of nb blocks
+    starting at kmax - k holds ket^(n-k) for every n at once, and blocks
+    shifted out of the window count as zero.
+    """
+    nb = kets.shape[1]
+    padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
+    shifted = sliding_window_view(padded, nb, axis=1)[:, ::-1]  # (b, k, s, n)
+    return np.einsum("ans,bksn->abk", bras.conj(), shifted)
+
+
+def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
+    """Tabulate O_ab^(k) of the qubit pair for an operator (static-eigenbasis matrix)."""
     d = sol.n_levels
-    op = np.asarray(op)[:d, :d]
-    nb = sol.fourier_blocks.shape[1]
-    kmax = nb - 1
-    nk = 2 * kmax + 1
-    table = np.zeros((len(levels), len(levels), nk), dtype=complex)
-    transformed = {b: sol.fourier_blocks[b] @ op.T for b in levels}
-    for ia, a in enumerate(levels):
-        blocks_a = sol.fourier_blocks[a].conj()
-        for ib, b in enumerate(levels):
-            ob = transformed[b]
-            for j, k in enumerate(range(-kmax, kmax + 1)):
-                if k >= 0:
-                    table[ia, ib, j] = np.sum(blocks_a[k:] * ob[: nb - k])
-                else:
-                    table[ia, ib, j] = np.sum(blocks_a[: nb + k] * ob[-k:])
+    bras = sol.fourier_blocks[:2]
+    kmax = bras.shape[1] - 1
     return FourierMatrixElements(
-        levels=tuple(levels),
         k_values=np.arange(-kmax, kmax + 1),
-        table=table,
+        table=_shifted_products(bras, bras @ np.asarray(op)[:d, :d].T, kmax),
         omega=sol.drive.omega,
     )
 
@@ -268,7 +243,7 @@ def fourier_matrix_elements(
 ) -> FourierMatrixElements:
     """Phase-operator elements phi_ab^(k) for the qubit pair (0, 1)."""
     spectrum = spectrum if spectrum is not None else sol.spectrum
-    return fourier_operator_elements(sol, spectrum.phi_elements, (0, 1))
+    return fourier_operator_elements(sol, spectrum.phi_elements)
 
 
 def charge_fourier_elements(
@@ -276,7 +251,7 @@ def charge_fourier_elements(
 ) -> FourierMatrixElements:
     """Charge-operator elements n_ab^(k) for the qubit pair (0, 1)."""
     spectrum = spectrum if spectrum is not None else sol.spectrum
-    return fourier_operator_elements(sol, spectrum.n_elements, (0, 1))
+    return fourier_operator_elements(sol, spectrum.n_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +259,31 @@ def charge_fourier_elements(
 # ---------------------------------------------------------------------------
 
 
-def _check_sampling(freq: float, coeff: float) -> bool:
-    """True when the term contributes; exact zero-frequency sampling with a
-    nonzero coefficient is an infrared divergence of the 1/f spectra."""
-    if coeff == 0.0:
-        return False
-    if freq == 0.0:
+def _neighbour_sum(row: np.ndarray) -> np.ndarray:
+    """row^(k+1) + row^(k-1) along the harmonic axis.
+
+    Out-of-window neighbours count as zero: used for the k +/- 1 terms in
+    amplitude-noise sums, whose edge-of-window content is below truncation
+    error anyway.
+    """
+    padded = np.pad(row, [(0, 0)] * (row.ndim - 1) + [(1, 1)])
+    return padded[..., 2:] + padded[..., :-2]
+
+
+def _rate_sum(weight: np.ndarray, freq: np.ndarray, density) -> np.ndarray:
+    """sum_k weight_k * density(freq_k) over the last axis.
+
+    Zero-weight terms are skipped (sampled at a placeholder frequency and
+    weighted zero); a weighted term at exactly zero frequency is an infrared
+    divergence of the 1/f spectra.
+    """
+    live = np.broadcast_to(weight != 0.0, np.shape(freq))
+    if np.any(live & (freq == 0.0)):
         raise InfraredDivergenceError(
             "rate sum hit a 1/f spectral density at exactly zero frequency "
             "(quasienergy resonant with a drive harmonic)"
         )
-    return True
+    return np.sum(weight * density(np.where(live, freq, 1.0)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -319,27 +308,21 @@ def depolarization_rates(
 ) -> DepolarizationRates:
     """Sideband-summed depolarization rates of the Floquet qubit."""
     eps01 = sol.splitting(1, 0, branch="natural")
-    omega = sol.drive.omega
-    el_ang = ghz_to_angular(params.e_l)
-    chans = {"dielectric": [0.0, 0.0], "dc_flux": [0.0, 0.0], "ac_amplitude": [0.0, 0.0]}
-    for k in elems.k_values:
-        k = int(k)
-        w01 = abs(elems.get(0, 1, k)) ** 2
-        pair = elems.get_or_zero(0, 1, k + 1) + elems.get_or_zero(0, 1, k - 1)
-        wac = 0.25 * abs(pair) ** 2
-        # index 0: excitation (gamma_+, spectra at k*Om - eps01)
-        # index 1: relaxation (gamma_-, spectra at k*Om + eps01)
-        for idx, freq in ((0, k * omega - eps01), (1, k * omega + eps01)):
-            if _check_sampling(freq, w01):
-                chans["dielectric"][idx] += w01 * s_diel(freq, params, model)
-                chans["dc_flux"][idx] += w01 * el_ang**2 * s_dc(freq, model, reduced=True)
-            if _check_sampling(freq, wac):
-                chans["ac_amplitude"][idx] += (
-                    wac * el_ang**2 * s_ac(freq, model, reduced=True)
-                )
-    gamma_up = sum(v[0] for v in chans.values())
-    gamma_down = sum(v[1] for v in chans.values())
-    breakdown = {name: {"up": v[0], "down": v[1]} for name, v in chans.items()}
+    el2 = ghz_to_angular(params.e_l) ** 2
+    phi01 = elems.table[0, 1]
+    w01 = np.abs(phi01) ** 2
+    wac = 0.25 * np.abs(_neighbour_sum(phi01)) ** 2
+    # row 0: excitation (gamma_+, spectra at k*Om - eps01)
+    # row 1: relaxation (gamma_-, spectra at k*Om + eps01)
+    freq = elems.k_values * sol.drive.omega + np.array([[-eps01], [eps01]])
+    chans = {
+        "dielectric": _rate_sum(w01, freq, lambda f: s_diel(f, params, model)),
+        "dc_flux": _rate_sum(w01 * el2, freq, lambda f: s_dc(f, model, reduced=True)),
+        "ac_amplitude": _rate_sum(wac * el2, freq, lambda f: s_ac(f, model, reduced=True)),
+    }
+    gamma_up = sum(float(v[0]) for v in chans.values())
+    gamma_down = sum(float(v[1]) for v in chans.values())
+    breakdown = {name: {"up": float(v[0]), "down": float(v[1])} for name, v in chans.items()}
     return DepolarizationRates(gamma_up=gamma_up, gamma_down=gamma_down, breakdown=breakdown)
 
 
@@ -384,27 +367,16 @@ def pure_dephasing_rate(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
         + model.a_ac**2 * ghz_to_angular(d_xi) ** 2
     )
-    omega = sol.drive.omega
-    el_ang = ghz_to_angular(params.e_l)
-    diel_sum = dc_sum = ac_sum = 0.0
-    for k in elems.k_values:
-        k = int(k)
-        if k == 0:
-            continue
-        wz = 0.5 * abs(elems.get(1, 1, k) - elems.get(0, 0, k)) ** 2
-        pair = (
-            elems.get_or_zero(0, 0, k + 1)
-            + elems.get_or_zero(0, 0, k - 1)
-            - elems.get_or_zero(1, 1, k + 1)
-            - elems.get_or_zero(1, 1, k - 1)
-        )
-        wac = abs(pair) ** 2 / 8.0
-        freq = k * omega
-        if _check_sampling(freq, wz):
-            diel_sum += wz * s_diel(freq, params, model)
-            dc_sum += wz * el_ang**2 * s_dc(freq, model, reduced=True)
-        if _check_sampling(freq, wac):
-            ac_sum += wac * el_ang**2 * s_ac(freq, model, reduced=True)
+    el2 = ghz_to_angular(params.e_l) ** 2
+    off_zero = elems.k_values != 0  # the k = 0 content is the low-frequency term
+    diag = elems.table[[0, 1], [0, 1]]  # phi_00^(k), phi_11^(k)
+    wz = 0.5 * np.abs(diag[1] - diag[0]) ** 2 * off_zero
+    pair = _neighbour_sum(diag)
+    wac = np.abs(pair[0] - pair[1]) ** 2 / 8.0 * off_zero
+    freq = elems.k_values * sol.drive.omega
+    diel_sum = float(_rate_sum(wz, freq, lambda f: s_diel(f, params, model)))
+    dc_sum = float(_rate_sum(wz * el2, freq, lambda f: s_dc(f, model, reduced=True)))
+    ac_sum = float(_rate_sum(wac * el2, freq, lambda f: s_ac(f, model, reduced=True)))
     total = first + diel_sum + dc_sum + ac_sum
     return DephasingRate(
         gamma_phi=total,
@@ -441,13 +413,13 @@ class QuasienergyDerivatives:
 
 
 def _matrix_element_derivatives(elems: FourierMatrixElements, params: CircuitParams):
-    d00 = elems.get(0, 0, 0).real
-    d11 = elems.get(1, 1, 0).real
-    flux = -2.0 * math.pi * params.e_l * (d11 - d00)
-    x11 = (elems.get(1, 1, 1) + elems.get(1, 1, -1)).real
-    x00 = (elems.get(0, 0, 1) + elems.get(0, 0, -1)).real
-    xi = -math.pi * params.e_l * (x11 - x00)
-    return flux, xi
+    kmax = int(elems.k_values[-1])
+    diag = elems.table[[0, 1], [0, 1]]
+    d = diag[:, kmax].real
+    x = (diag[:, kmax + 1] + diag[:, kmax - 1]).real
+    flux = -2.0 * math.pi * params.e_l * (d[1] - d[0])
+    xi = -math.pi * params.e_l * (x[1] - x[0])
+    return float(flux), float(xi)
 
 
 def _matched_eps01(
@@ -467,20 +439,18 @@ def _matched_eps01(
     rot = ref.spectrum.eigenvectors[:, : config.n_levels].T @ sol.spectrum.eigenvectors[
         :, : config.n_levels
     ]
-    matched = []
-    for a in (0, 1):
-        ref_blocks = ref.fourier_blocks[a] @ rot
-        best, best_k, best_b = 0.0, 0, -1
-        for b in range(sol.n_levels):
-            for k in range(-3, 4):
-                o = abs(_shifted_overlap(ref_blocks, sol.fourier_blocks[b], k))
-                if o > best:
-                    best, best_k, best_b = o, k, b
-        if best <= 0.5:
-            raise TrackingBreakError(
-                f"branch tracking lost level {a} at drive={drive!r} (best overlap {best:.3f})"
-            )
-        matched.append(sol.rep_energies[best_b] - best_k * drive.omega)
+    # overlap[a, b, j] = |sum_n <ref_a^(n)|b^(n+k)>| for harmonic shifts k = j - 3
+    ref_blocks = ref.fourier_blocks[:2] @ rot
+    overlap = np.abs(_shifted_products(ref_blocks, sol.fourier_blocks, 3))[..., ::-1]
+    flat = overlap.reshape(2, -1)
+    best = flat.max(axis=1)
+    if np.any(best <= 0.5):
+        a = int(np.argmax(best <= 0.5))  # first lost level
+        raise TrackingBreakError(
+            f"branch tracking lost level {a} at drive={drive!r} (best overlap {best[a]:.3f})"
+        )
+    b, j = np.divmod(flat.argmax(axis=1), overlap.shape[2])
+    matched = sol.rep_energies[b] - (j - 3) * drive.omega
     return float(matched[1] - matched[0])
 
 
@@ -654,23 +624,6 @@ class SweetSpotScan:
     diagnostics: dict
 
 
-def _derivative_field(params, grid_phi, grid_xi, grid_omega, config):
-    """Matrix-element derivative tables over the cartesian grid."""
-    spectra: dict[float, StaticSpectrum] = {}
-    shape = (len(grid_phi), len(grid_xi), len(grid_omega))
-    d1 = np.empty(shape)
-    d2 = np.empty(shape)
-    for i, phi in enumerate(grid_phi):
-        spec = spectra.setdefault(phi, diagonalize_static(params, FluxBias(phi)))
-        for j, xi in enumerate(grid_xi):
-            for l, om in enumerate(grid_omega):
-                drive = DriveParams(FluxBias(phi), xi, om)
-                sol = solve_floquet(params, drive, config, spectrum=spec, check_convergence=False)
-                elems = fourier_matrix_elements(sol, spec)
-                d1[i, j, l], d2[i, j, l] = _matrix_element_derivatives(elems, params)
-    return d1, d2
-
-
 def find_sweet_spots(
     params: CircuitParams,
     noise: NoiseModel | None,
@@ -694,23 +647,28 @@ def find_sweet_spots(
     say what was scanned.  When ``noise`` is given, full coherence rates are
     attached to each refined spot.
     """
-    grid_phi = tuple(np.atleast_1d(np.asarray(grid.phi_dc, dtype=float)))
-    grid_xi = tuple(np.atleast_1d(np.asarray(grid.xi, dtype=float)))
-    grid_om = tuple(np.atleast_1d(np.asarray(grid.omega, dtype=float)))
-    d1, d2 = _derivative_field(params, grid_phi, grid_xi, grid_om, config)
+    axes = tuple(
+        tuple(np.atleast_1d(np.asarray(v, dtype=float))) for v in (grid.phi_dc, grid.xi, grid.omega)
+    )
+    grid_phi, grid_xi, grid_om = axes
     spectra: dict[float, StaticSpectrum] = {}
 
+    def solved(phi: float, xi: float, om: float) -> FloquetSolution:
+        if phi not in spectra:
+            spectra[phi] = diagonalize_static(params, FluxBias(phi))
+        drive = DriveParams(FluxBias(phi), xi, om)
+        return solve_floquet(params, drive, config, spectrum=spectra[phi], check_convergence=False)
+
     def derivs_at(phi: float, xi: float, om: float):
-        spec = spectra.setdefault(phi, diagonalize_static(params, FluxBias(phi)))
-        sol = solve_floquet(
-            params, DriveParams(FluxBias(phi), xi, om), config, spectrum=spec, check_convergence=False
-        )
-        elems = fourier_matrix_elements(sol, spec)
-        return _matrix_element_derivatives(elems, params)
+        return _matrix_element_derivatives(fourier_matrix_elements(solved(phi, xi, om)), params)
+
+    # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
+    d = np.array([[[derivs_at(p, x, o) for o in grid_om] for x in grid_xi] for p in grid_phi])
+    d1, d2 = d[..., 0], d[..., 1]
 
     spots: list[SweetSpot] = []
     diags = {
-        "grid_shape": (len(grid_phi), len(grid_xi), len(grid_om)),
+        "grid_shape": tuple(len(a) for a in axes),
         "flux_brackets": 0,
         "amplitude_brackets": 0,
         "double_seeds": 0,
@@ -718,7 +676,8 @@ def find_sweet_spots(
     }
 
     def classify(phi, xi, om):
-        df, dx = derivs_at(phi, xi, om)
+        sol = solved(phi, xi, om)
+        df, dx = _matrix_element_derivatives(fourier_matrix_elements(sol), params)
         both = abs(df) < tol_d and abs(dx) < tol_d and xi > 0
         if both:
             kind = "double"
@@ -728,59 +687,32 @@ def find_sweet_spots(
             kind = "amplitude"
         else:
             return None
-        rates = None
-        if noise is not None:
-            spec = spectra.setdefault(phi, diagonalize_static(params, FluxBias(phi)))
-            drv = DriveParams(FluxBias(phi), xi, om)
-            sol = solve_floquet(params, drv, config, spectrum=spec, check_convergence=False)
-            rates = coherence_rates(params, drv, noise, config, sol=sol)
+        rates = None if noise is None else coherence_rates(params, sol.drive, noise, config, sol=sol)
         return SweetSpot(kind=kind, phi_dc=phi, xi=xi, omega=om, d_flux=df, d_xi=dx, rates=rates)
 
-    # 1D flux scans
-    if len(grid_phi) > 1:
-        for j, xi in enumerate(grid_xi):
-            for l, om in enumerate(grid_om):
-                col = d1[:, j, l]
-                for i in range(len(grid_phi) - 1):
-                    if col[i] == 0.0 or col[i] * col[i + 1] >= 0:
-                        continue
-                    diags["flux_brackets"] += 1
-                    if not refine:
-                        continue
-                    phi_star = brentq(
-                        lambda x: derivs_at(x, xi, om)[0],
-                        grid_phi[i],
-                        grid_phi[i + 1],
-                        xtol=1e-12,
-                    )
-                    spot = classify(float(phi_star), float(xi), float(om))
-                    if spot is not None:
-                        spots.append(spot)
-                    else:
-                        diags["refine_failures"] += 1
+    # 1D scans: flux-sweet spots along phi_dc, amplitude-sweet spots along xi
+    for axis, name in ((0, "flux"), (1, "amplitude")):
+        vals = axes[axis]
+        others = [a for a in range(3) if a != axis]
+        cols = np.moveaxis(d[..., axis], axis, -1)  # scanned axis last
+        for *idx, i in np.ndindex(*cols.shape[:-1], len(vals) - 1):
+            col = cols[tuple(idx)]
+            if col[i] == 0.0 or col[i] * col[i + 1] >= 0:
+                continue
+            diags[f"{name}_brackets"] += 1
+            if not refine:
+                continue
+            fixed = [axes[a][n] for a, n in zip(others, idx)]
 
-    # 1D amplitude scans
-    if len(grid_xi) > 1:
-        for i, phi in enumerate(grid_phi):
-            for l, om in enumerate(grid_om):
-                col = d2[i, :, l]
-                for j in range(len(grid_xi) - 1):
-                    if col[j] == 0.0 or col[j] * col[j + 1] >= 0:
-                        continue
-                    diags["amplitude_brackets"] += 1
-                    if not refine:
-                        continue
-                    xi_star = brentq(
-                        lambda x: derivs_at(phi, x, om)[1],
-                        grid_xi[j],
-                        grid_xi[j + 1],
-                        xtol=1e-12,
-                    )
-                    spot = classify(float(phi), float(xi_star), float(om))
-                    if spot is not None:
-                        spots.append(spot)
-                    else:
-                        diags["refine_failures"] += 1
+            def at(x):
+                return fixed[:axis] + [x] + fixed[axis:]
+
+            x_star = brentq(lambda x: derivs_at(*at(x))[axis], vals[i], vals[i + 1], xtol=1e-12)
+            spot = classify(*(float(v) for v in at(x_star)))
+            if spot is not None:
+                spots.append(spot)
+            else:
+                diags["refine_failures"] += 1
 
     # joint refinement over (xi, omega) cells
     if len(grid_xi) > 1 and len(grid_om) > 1:
@@ -886,7 +818,7 @@ def two_level_reduction(
             f"two-level Floquet frame not unitary to 1e-10 (defect {defect:.3e}); "
             "increase sideband_cutoff"
         )
-    elems = fourier_operator_elements(sol, phi_bar, (0, 1))
+    elems = fourier_operator_elements(sol, phi_bar)
     return TwoLevelReduction(
         solution=sol,
         phi_bar=phi_bar,
@@ -923,12 +855,8 @@ def filter_weights(obj) -> FilterWeights:
         phi_bar = obj.spectrum.phi_elements[:2, :2]
     else:
         raise TypeError("filter_weights expects a TwoLevelReduction or FloquetSolution")
-    kmax = int(elems.k_values[-1])
-    depol = sum(abs(elems.get(0, 1, k)) ** 2 for k in range(-kmax, kmax + 1))
-    deph = sum(
-        0.5 * abs(elems.get(1, 1, k) - elems.get(0, 0, k)) ** 2
-        for k in range(-kmax, kmax + 1)
-    )
+    depol = float(np.sum(np.abs(elems.table[0, 1]) ** 2))
+    deph = float(np.sum(0.5 * np.abs(elems.table[1, 1] - elems.table[0, 0]) ** 2))
     total = 2.0 * depol + deph
     ref = 2.0 * abs(phi_bar[0, 1]) ** 2 + 0.5 * abs(phi_bar[1, 1] - phi_bar[0, 0]) ** 2
     return FilterWeights(

@@ -31,7 +31,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .circuit import CircuitParams, FluxBias, StaticSpectrum, diagonalize_static
-from .errors import ConvergenceError, DiagnosticError, FloqluxError, OutOfWindowError
+from .errors import ConvergenceError, DiagnosticError, OutOfWindowError
 
 __all__ = [
     "DriveParams",

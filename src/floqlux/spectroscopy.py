@@ -92,14 +92,12 @@ class ProbeRates:
 def _probe_terms(sol, elems: FourierMatrixElements, probe: ProbeParams, probe_freqs):
     """Sidebands k, resonances eps_01 + k*Omega, Lorentzians L (n_probe, n_k)
     and amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2, so Gamma_k = 0.5*amp2_k*L."""
-    kmax = int(elems.k_values[-1])
-    ks = np.arange(-kmax, kmax + 1)
-    n01 = np.array([abs(elems.get(0, 1, int(k))) for k in ks])
+    ks = elems.k_values
     peaks = sol.splitting(1, 0, branch="natural") + ks * sol.drive.omega
     hw = 0.5 * ghz_to_angular(probe.linewidth)
     delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
     lor = hw / math.pi / (delta * delta + hw * hw)
-    amp2 = (ghz_to_angular(probe.rabi) * n01) ** 2
+    amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
     return ks, peaks, lor, amp2
 
 

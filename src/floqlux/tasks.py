@@ -2,8 +2,8 @@
 job bodies behind them.  The sweep runner plans, executes, caches and exports
 a task from its record alone, so adding a task means adding one record and
 its job.  A job maps ``(config, coords)`` to ``{"rows": [...]}`` plus an
-optional ``"extra"`` payload; jobs are module-level so they pickle into
-worker processes.
+optional ``"extra"`` payload, or to ``{"error": reason}`` for a cell it
+masks; jobs are module-level so they pickle into worker processes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .decoherence import (
     fourier_matrix_elements,
     quasienergy_derivatives,
 )
-from .errors import ConfigError, FloqluxError
+from .errors import ConfigError
 from .floquet import DriveParams, solve_floquet
 from .polariton import (
     fit_polariton,
@@ -252,7 +252,7 @@ def _job_spectroscopy(config: RunConfig, coords):
         probe=probe, config=config.floquet,
     )
     if m.mask[0]:
-        raise FloqluxError(m.failures.get(0, "spectroscopy point failed"))
+        return {"error": m.failures[0]}
     return {
         "rows": [[float(p)] for p in m.population[0]],
         "extra": {

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import floqlux.decoherence
 from floqlux import (
     CircuitParams,
     DriveParams,
@@ -33,7 +35,7 @@ HBAR = 1.054571817e-34
 KB = 1.380649e-23
 
 
-def test_one_over_f_scaling(noise):
+def test_one_over_f_scaling(params, noise):
     assert s_dc(0.8, noise) == pytest.approx(0.5 * s_dc(0.4, noise), rel=1e-12)
     assert s_dc(-0.4, noise) == pytest.approx(s_dc(0.4, noise), rel=1e-12)
     assert s_ac(0.8, noise) == pytest.approx(0.5 * s_ac(0.4, noise), rel=1e-12)
@@ -44,6 +46,15 @@ def test_one_over_f_scaling(noise):
         s_dc(0.0, noise)
     with pytest.raises(InfraredDivergenceError):
         s_ac(0.0, noise)
+    # array arguments equal the scalar calls elementwise
+    w = np.array([-1.3, -0.4, 0.25, 0.9])
+    for density in (lambda f: s_dc(f, noise, reduced=True), lambda f: s_ac(f, noise),
+                    lambda f: s_diel(f, params, noise)):
+        assert np.array_equal(density(w), [density(float(f)) for f in w])
+    assert np.array_equal(s_diel(np.array([0.0, 0.9]), params, noise),
+                          [0.0, s_diel(0.9, params, noise)])
+    with pytest.raises(InfraredDivergenceError):
+        s_dc(np.array([0.4, 0.0]), noise)
 
 
 def test_dielectric_detailed_balance(params, noise):
@@ -87,6 +98,25 @@ def test_undriven_t1_reference(params, noise, spec_451):
     assert depol.gamma_up < depol.gamma_down  # thermal asymmetry at 85 mK
     up = sum(v["up"] for v in depol.breakdown.values())
     assert up == pytest.approx(depol.gamma_up, rel=1e-12)
+
+
+def _resonant(sol, eps01):
+    """``sol`` with its natural splitting replaced by exactly ``eps01``."""
+    return dataclasses.replace(sol, rep_energies=np.array([0.0, eps01, *sol.rep_energies[2:]]))
+
+
+def test_infrared_rule_of_rate_sums(params, noise, spec_451):
+    # undriven, only phi_01^(0) is nonzero: at eps01 = 2*Om the k = -2 terms
+    # sample zero frequency with zero weight and are skipped; at eps01 = Om the
+    # k = -1 amplitude-noise term has weight |phi_01^(0)|^2/4 and diverges
+    om = 0.5
+    sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, om), SambeConfig(),
+                        spectrum=spec_451)
+    elems = fourier_matrix_elements(sol)
+    depol = depolarization_rates(elems, _resonant(sol, 2 * om), noise, params)
+    assert math.isfinite(depol.t1) and depol.t1 == pytest.approx(2.771e-5, rel=1e-3)
+    with pytest.raises(InfraredDivergenceError):
+        depolarization_rates(elems, _resonant(sol, om), noise, params)
 
 
 def test_coherence_rates_composition(params, noise, spot_drive, spot_solution):
@@ -134,9 +164,15 @@ def test_flux_sweet_spot_at_symmetry_point(params):
     assert abs(flux_spots[0].d_flux) < 1e-4
 
 
-def test_double_sweet_spot_location(params, noise):
+def test_double_sweet_spot_location(params, noise, monkeypatch):
+    # the scan diagonalizes the static circuit once per flux bias
+    biases = []
+    diagonalize = floqlux.decoherence.diagonalize_static
+    monkeypatch.setattr(floqlux.decoherence, "diagonalize_static",
+                        lambda p, bias: biases.append(bias.phi_dc) or diagonalize(p, bias))
     grid = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
     scan = find_sweet_spots(params, noise, grid)
+    assert len(biases) == len(set(grid.phi_dc))
     doubles = [s for s in scan.spots if s.kind == "double"]
     assert doubles
     spot = doubles[0]

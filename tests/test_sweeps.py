@@ -240,7 +240,7 @@ def test_spectroscopy_undefined_balance_masked(tmp_path, capsys):
     cfg = dataclasses.replace(parse_config(text), output=str(tmp_path / "o"))
     res = run_sweep(cfg)
     assert res.mask.all()
-    assert all("DiagnosticError" in res.reasons[r] for r in range(8))
+    assert all(res.reasons[r].startswith("DiagnosticError: ") for r in range(8))
     assert not list((tmp_path / "o" / ".cells").rglob("*.json"))
     path = tmp_path / "run.cfg"
     path.write_text(text)
