@@ -15,6 +15,7 @@ variationally from above as ``basis_dim`` grows.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +114,35 @@ def _cos_phi_matrix(dim: int, lam: float) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=4)
+def _basis_matrices(params: CircuitParams) -> tuple:
+    """Flux-independent matrices of the circuit, built once and read-only.
+
+    Returns the harmonic diagonal, phi, n and (None when E_J = 0) cos(phi).
+    """
+    dim = params.basis_dim
+    phi_off = params.phi_zpf * np.sqrt(np.arange(1, dim))
+    n_off = params.n_zpf * np.sqrt(np.arange(1, dim))
+    mats = (
+        np.diag(params.plasma_frequency * (np.arange(dim) + 0.5)),
+        np.diag(phi_off, 1) + np.diag(phi_off, -1),
+        1j * (np.diag(n_off, -1) - np.diag(n_off, 1)),
+        _cos_phi_matrix(dim, params.phi_zpf) if params.e_j != 0.0 else None,
+    )
+    for mat in mats:
+        if mat is not None:
+            mat.setflags(write=False)
+    return mats
+
+
 def phase_operator(params: CircuitParams) -> np.ndarray:
     """phi = phi_zpf (a + a†) in the oscillator basis (real symmetric)."""
-    dim = params.basis_dim
-    off = params.phi_zpf * np.sqrt(np.arange(1, dim))
-    return np.diag(off, 1) + np.diag(off, -1)
+    return _basis_matrices(params)[1].copy()
 
 
 def charge_operator(params: CircuitParams) -> np.ndarray:
     """n = i n_zpf (a† - a) in the oscillator basis (Hermitian, imaginary)."""
-    dim = params.basis_dim
-    off = params.n_zpf * np.sqrt(np.arange(1, dim))
-    return 1j * (np.diag(off, -1) - np.diag(off, 1))
+    return _basis_matrices(params)[2].copy()
 
 
 def build_hamiltonian(params: CircuitParams, bias: FluxBias) -> np.ndarray:
@@ -135,14 +153,13 @@ def build_hamiltonian(params: CircuitParams, bias: FluxBias) -> np.ndarray:
     scalar offset E_L*(2 pi phi_dc)^2 / 2, and the junction through the
     exact cos(phi) matrix.  The result is real symmetric.
     """
-    dim = params.basis_dim
-    wp = params.plasma_frequency
-    h = np.diag(wp * (np.arange(dim) + 0.5))
+    harmonic, phi_op, _, cos_phi = _basis_matrices(params)
+    h = harmonic.copy()
     delta = 2.0 * np.pi * bias.phi_dc
-    h -= params.e_l * delta * phase_operator(params)
-    h += 0.5 * params.e_l * delta * delta * np.eye(dim)
+    h -= params.e_l * delta * phi_op
+    h += 0.5 * params.e_l * delta * delta * np.eye(params.basis_dim)
     if params.e_j != 0.0:
-        h -= params.e_j * _cos_phi_matrix(dim, params.phi_zpf)
+        h -= params.e_j * cos_phi
     return h
 
 
@@ -178,8 +195,12 @@ class StaticSpectrum:
         return float(self.energies[b] - self.energies[a])
 
 
+@functools.lru_cache(maxsize=64)
 def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     """Diagonalize the static circuit and return the lowest ``n_levels`` states.
+
+    Spectra are memoised per ``(params, bias)`` in a bounded, per-process
+    LRU memo shared by every caller; the returned spectrum is read-only.
 
     Raises:
         DiagnosticError: if the eigensolver fails or returns non-finite data.
@@ -200,9 +221,10 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
     signs[signs == 0] = 1.0
     vecs = vecs * signs
-    phi_el = vecs.T @ phase_operator(params) @ vecs
+    _, phi_op, n_op, _ = _basis_matrices(params)
+    phi_el = vecs.T @ phi_op @ vecs
     phi_el = 0.5 * (phi_el + phi_el.T)
-    n_el = vecs.conj().T @ charge_operator(params) @ vecs
+    n_el = vecs.conj().T @ n_op @ vecs
     n_el = 0.5 * (n_el + n_el.conj().T)
     gaps = np.diff(energies)
     tol = 1e-9

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import hbar, k as k_boltzmann
 from scipy.optimize import brentq, root
 
-from .circuit import CircuitParams, FluxBias, StaticSpectrum, diagonalize_static
+from .circuit import CircuitParams, FluxBias, StaticSpectrum
 from .errors import (
     ConvergenceError,
     InfraredDivergenceError,
@@ -651,13 +651,10 @@ def find_sweet_spots(
         tuple(np.atleast_1d(np.asarray(v, dtype=float))) for v in (grid.phi_dc, grid.xi, grid.omega)
     )
     grid_phi, grid_xi, grid_om = axes
-    spectra: dict[float, StaticSpectrum] = {}
 
     def solved(phi: float, xi: float, om: float) -> FloquetSolution:
-        if phi not in spectra:
-            spectra[phi] = diagonalize_static(params, FluxBias(phi))
         drive = DriveParams(FluxBias(phi), xi, om)
-        return solve_floquet(params, drive, config, spectrum=spectra[phi], check_convergence=False)
+        return solve_floquet(params, drive, config, check_convergence=False)
 
     def derivs_at(phi: float, xi: float, om: float):
         return _matrix_element_derivatives(fourier_matrix_elements(solved(phi, xi, om)), params)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .circuit import CircuitParams, FluxBias, diagonalize_static, transition_spline
+from .circuit import FluxBias, diagonalize_static, transition_spline
 from .decoherence import (
     coherence_rates,
     find_sweet_spots,
@@ -86,23 +86,9 @@ def _plain(obj):
     return str(obj)
 
 
-# static spectra are reused heavily within a process; keyed by (params, phi)
-_SPEC_MEMO: dict = {}
-
-
-def _static(params: CircuitParams, phi: float):
-    key = (params, float(phi))
-    spec = _SPEC_MEMO.get(key)
-    if spec is None:
-        spec = diagonalize_static(params, FluxBias(float(phi)))
-        if len(_SPEC_MEMO) < 4096:
-            _SPEC_MEMO[key] = spec
-    return spec
-
-
 def _solved(config: RunConfig, coords, check_convergence: bool = True):
     phi = float(coords["phi_dc"])
-    spec = _static(config.circuit, phi)
+    spec = diagonalize_static(config.circuit, FluxBias(phi))
     drive = DriveParams(FluxBias(phi), float(coords["xi"]), float(coords["omega"]))
     sol = solve_floquet(config.circuit, drive, config.floquet, spectrum=spec,
                         check_convergence=check_convergence)
@@ -118,7 +104,7 @@ def _check_levels(config: RunConfig) -> None:
 
 
 def _job_static(config: RunConfig, coords):
-    spec = _static(config.circuit, coords["phi_dc"])
+    spec = diagonalize_static(config.circuit, FluxBias(float(coords["phi_dc"])))
     e = spec.energies
     vals = [
         float(e[1] - e[0]),

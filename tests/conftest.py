@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import floqlux.circuit
 from floqlux import (
     CircuitParams,
     DriveParams,
@@ -55,3 +56,15 @@ def spot_solution(params, spot_drive, spec_451):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260818)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Biases of the static eigensolves run below the spectrum memo, which
+    starts cold so earlier tests cannot have warmed it."""
+    biases = []
+    build = floqlux.circuit.build_hamiltonian
+    monkeypatch.setattr(floqlux.circuit, "build_hamiltonian",
+                        lambda p, bias: biases.append(bias.phi_dc) or build(p, bias))
+    diagonalize_static.cache_clear()
+    return biases

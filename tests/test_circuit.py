@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import floqlux.circuit
 from floqlux import (
     CircuitParams,
     DiagnosticError,
@@ -129,3 +130,39 @@ def test_spectrum_properties_random_circuits(e_c, e_l, e_j, phi):
 def test_diagonalize_rejects_bad_input(params):
     with pytest.raises((DiagnosticError, ValueError, TypeError)):
         diagonalize_static(params, FluxBias(float("nan")))
+
+
+def _cold(params, bias):
+    floqlux.circuit._basis_matrices.cache_clear()
+    diagonalize_static.cache_clear()
+    return diagonalize_static(params, bias).energies
+
+
+def test_spectrum_memo_keys_on_the_whole_circuit():
+    # circuits differing only in e_j, or only in basis_dim, never share a
+    # memo entry: each gets the energies of a cold computation
+    bias = FluxBias(0.451)
+    circuits = [CircuitParams(), CircuitParams(e_j=2.7), CircuitParams(basis_dim=40)]
+    cold = [_cold(p, bias) for p in circuits]
+    assert not np.array_equal(cold[0], cold[1])
+    assert not np.array_equal(cold[0], cold[2])
+    for i in (0, 1, 2, 0, 2, 1):
+        np.testing.assert_array_equal(diagonalize_static(circuits[i], bias).energies, cold[i])
+
+
+def test_public_operators_are_writable_copies(params):
+    bias = FluxBias(0.42)
+    ref = diagonalize_static(params, bias)
+    for arr in (phase_operator(params), charge_operator(params), build_hamiltonian(params, bias)):
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    diagonalize_static.cache_clear()
+    again = diagonalize_static(params, bias)
+    assert again is not ref
+    for name in ("energies", "eigenvectors", "phi_elements", "n_elements"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(ref, name))
+
+
+def test_spectrum_memos_are_bounded():
+    for memo in (diagonalize_static, floqlux.circuit._basis_matrices):
+        assert memo.cache_parameters()["maxsize"] is not None

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-import floqlux.decoherence
 from floqlux import (
     CircuitParams,
     DriveParams,
@@ -164,15 +163,11 @@ def test_flux_sweet_spot_at_symmetry_point(params):
     assert abs(flux_spots[0].d_flux) < 1e-4
 
 
-def test_double_sweet_spot_location(params, noise, monkeypatch):
+def test_double_sweet_spot_location(params, noise, eigensolves):
     # the scan diagonalizes the static circuit once per flux bias
-    biases = []
-    diagonalize = floqlux.decoherence.diagonalize_static
-    monkeypatch.setattr(floqlux.decoherence, "diagonalize_static",
-                        lambda p, bias: biases.append(bias.phi_dc) or diagonalize(p, bias))
     grid = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
     scan = find_sweet_spots(params, noise, grid)
-    assert len(biases) == len(set(grid.phi_dc))
+    assert len(eigensolves) == len(set(grid.phi_dc))
     doubles = [s for s in scan.spots if s.kind == "double"]
     assert doubles
     spot = doubles[0]
@@ -180,3 +175,12 @@ def test_double_sweet_spot_location(params, noise, monkeypatch):
     assert spot.omega == pytest.approx(0.7743211, abs=2e-4)
     assert abs(spot.d_flux) < 1e-4 and abs(spot.d_xi) < 1e-4
     assert spot.rates is not None and spot.rates.tphi > 0
+
+
+def test_fd_derivatives_solve_each_bias_once(params, noise, spot_drive, eigensolves):
+    # the xi stencil keeps the bias, so it reuses the reference spectrum; the
+    # flux stencil needs one eigensolve per distinct bias
+    rates = coherence_rates(params, spot_drive, noise, fd=True)
+    assert rates.derivatives.flux_fd is not None and rates.derivatives.xi_fd is not None
+    assert len(set(eigensolves)) > 1
+    assert len(eigensolves) == len(set(eigensolves))

@@ -206,3 +206,15 @@ def test_fit_rejects_malformed_data():
         fit_polariton(np.ones((4, 5)), cavity, lambda p: 7.3, 0.2)
     with pytest.raises((ValueError, FitError)):
         fit_polariton(np.ones((2, 2)), cavity, lambda p: 7.3, 0.2)
+
+
+def test_rwa_params_reuse_static_spectra(params, eigensolves):
+    # 41 spline biases plus 5 stencil biases (the centre one shared here),
+    # all functions of the bias only, so a second drive amplitude at the
+    # same bias solves nothing new
+    cavity = CavityParams()
+    rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
+    first = len(eigensolves)
+    assert first == len(set(eigensolves)) == 45
+    rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.1)
+    assert len(eigensolves) == first
