@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .decoherence import NoiseModel
 from .errors import ConfigError
 from .floquet import SambeConfig
 from .polariton import CavityParams
+from .spectroscopy import ProbeParams, RamseyConfig
 from .tasks import REGISTRY
 
 __all__ = [
@@ -79,6 +80,8 @@ class ProbeSpec:
             raise ValueError("probe omega_p must be non-empty")
         if self.sweep not in ("phi_dc", "xi"):
             raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
+        # the lineshape rules live on the record this section feeds
+        ProbeParams(omega_p=float(self.omega_p[0]), rabi=self.rabi, linewidth=self.linewidth)
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,10 @@ class RamseySpec:
     window: float = 20e-9
     step: float = 1e-9
     t2r_true: float = 23e-6
+
+    def __post_init__(self) -> None:
+        # the sampling-plan rules live on the record this section feeds
+        RamseyConfig(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -142,38 +149,24 @@ class RunConfig:
 # parsing
 # ---------------------------------------------------------------------------
 
-# section -> key -> value kind; kind in {float, int, bool, str, grid}
-# ("grid" = scalar, list, or "start:stop:num" range, normalized to a tuple)
-_SCHEMA = {
-    "": {
-        "task": "str",
-        "output": "str",
-        "workers": "int",
-        "format": "str",
-        "overwrite": "bool",
-    },
-    "circuit": {
-        "e_c": "float", "e_j": "float", "e_l": "float",
-        "basis_dim": "int", "n_levels": "int",
-    },
-    "grid": {"phi_dc": "grid", "xi": "grid", "omega": "grid"},
-    "floquet": {"n_levels": "int", "sideband_cutoff": "int"},
-    "noise": {
-        "a_dc": "float", "a_ac": "float", "tan_delta_c": "float",
-        "temperature": "float", "omega_ir": "float", "t_m": "float",
-    },
-    "cavity": {"omega_c": "float", "g_cap": "float"},
-    "probe": {"omega_p": "grid", "rabi": "float", "linewidth": "float", "sweep": "str"},
-    "polariton": {"data_file": "str", "capture_window": "float", "span": "float"},
-    "ramsey": {
-        "omega0": "float", "delays": "grid", "window": "float",
-        "step": "float", "t2r_true": "float",
-    },
-    "sweetspot": {"tol_d": "float", "refine": "bool"},
-}
+def _keys(record) -> dict:
+    """key -> value kind of a record's fields, section-valued fields excluded.
 
-# named sections in emission order; each is also the RunConfig attribute
-_SECTIONS = tuple(sec for sec in _SCHEMA if sec)
+    The kind is the annotation ("float", "int", "bool", "str"; the record
+    modules postpone annotations, so they are strings), except that
+    ``tuple`` is "grid": a scalar, list, or "start:stop:num" range,
+    normalized to a tuple of floats.
+    """
+    return {f.name: "grid" if f.type == "tuple" else f.type
+            for f in fields(record) if not is_dataclass(f.default)}
+
+
+# named sections in emission order: the RunConfig fields whose default is a
+# record; each section's keys are the fields of that record
+_SECTIONS = tuple(f.name for f in fields(RunConfig) if is_dataclass(f.default))
+
+# section -> key -> value kind; "" holds the top-level keys
+_SCHEMA = {"": _keys(RunConfig), **{sec: _keys(getattr(RunConfig, sec)) for sec in _SECTIONS}}
 
 
 def _suggest(name: str, options) -> str:

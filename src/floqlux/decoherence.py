@@ -55,6 +55,7 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
+    _TRACKING_BREAK,
     solve_floquet,
 )
 from .units import ghz_to_angular
@@ -344,25 +345,16 @@ def pure_dephasing_rate(
     model: NoiseModel,
     params: CircuitParams,
     derivatives: "QuasienergyDerivatives | None" = None,
-    derivative_method: str = "matrix_element",
 ) -> DephasingRate:
     """Pure dephasing from 1/f flux and amplitude noise plus sideband terms.
 
-    The low-frequency term needs the quasienergy derivatives; by default the
-    closed matrix-element forms are evaluated from ``elems`` directly.  Pass
-    a ``QuasienergyDerivatives`` and ``derivative_method="finite_difference"``
-    to use the tracked finite-difference values instead.
+    The low-frequency term uses the closed matrix-element forms of the
+    quasienergy derivatives: those of ``derivatives`` when given, otherwise
+    evaluated from ``elems`` directly.
     """
-    if derivative_method == "matrix_element":
-        if derivatives is None:
-            derivatives = quasienergy_derivatives(sol, elems, params, fd=False)
-        d_flux, d_xi = derivatives.flux_me, derivatives.xi_me
-    elif derivative_method == "finite_difference":
-        if derivatives is None or derivatives.flux_fd is None or derivatives.xi_fd is None:
-            raise ValueError("finite-difference derivatives not available")
-        d_flux, d_xi = derivatives.flux_fd, derivatives.xi_fd
-    else:
-        raise ValueError(f"unknown derivative_method {derivative_method!r}")
+    if derivatives is None:
+        derivatives = quasienergy_derivatives(sol, elems, params, fd=False)
+    d_flux, d_xi = derivatives.flux_me, derivatives.xi_me
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
         + model.a_ac**2 * ghz_to_angular(d_xi) ** 2
@@ -444,14 +436,18 @@ def _matched_eps01(
     overlap = np.abs(_shifted_products(ref_blocks, sol.fourier_blocks, 3))[..., ::-1]
     flat = overlap.reshape(2, -1)
     best = flat.max(axis=1)
-    if np.any(best <= 0.5):
-        a = int(np.argmax(best <= 0.5))  # first lost level
+    if np.any(best <= _TRACKING_BREAK):
+        a = int(np.argmax(best <= _TRACKING_BREAK))  # first lost level
         raise TrackingBreakError(
             f"branch tracking lost level {a} at drive={drive!r} (best overlap {best[a]:.3f})"
         )
     b, j = np.divmod(flat.argmax(axis=1), overlap.shape[2])
     matched = sol.rep_energies[b] - (j - 3) * drive.omega
     return float(matched[1] - matched[0])
+
+
+# initial finite-difference step in phi_dc and xi (flux quanta), before halving
+_FD_STEP = 1e-4
 
 
 def _five_point(f, x0: float, h: float) -> float:
@@ -494,14 +490,14 @@ def quasienergy_derivatives(
     elems: FourierMatrixElements | None = None,
     params: CircuitParams | None = None,
     fd: bool = False,
-    fd_step: float = 1e-4,
 ) -> QuasienergyDerivatives:
     """Quasienergy-splitting derivatives at the solution's drive point.
 
     The matrix-element forms are always computed.  With ``fd=True`` the
-    five-point central differences are evaluated at steps h and h/2 and
-    Richardson-combined; a branch-tracking break inside either stencil
-    leaves the finite-difference fields None and sets ``tracking_break``.
+    five-point central differences start from a step of 1e-4 flux quanta
+    and are halved and Richardson-combined; a branch-tracking break inside
+    either stencil leaves the finite-difference fields None and sets
+    ``tracking_break``.
     """
     if params is None:
         params = sol.spectrum.params
@@ -528,14 +524,14 @@ def quasienergy_derivatives(
     flux_fd = flux_err = xi_fd = xi_err = None
     broke = False
     try:
-        flux_fd, flux_err = _adaptive_fd(eps_flux, drive.bias.phi_dc, fd_step)
+        flux_fd, flux_err = _adaptive_fd(eps_flux, drive.bias.phi_dc, _FD_STEP)
     except TrackingBreakError:
         broke = True
     try:
         if drive.xi == 0.0:
             xi_fd, xi_err = 0.0, 0.0  # even function: exact at xi = 0
         else:
-            h = min(fd_step, 0.45 * drive.xi)  # keep the stencil at xi > 0
+            h = min(_FD_STEP, 0.45 * drive.xi)  # keep the stencil at xi > 0
             xi_fd, xi_err = _adaptive_fd(eps_xi, drive.xi, h)
     except TrackingBreakError:
         broke = True
@@ -634,12 +630,13 @@ def find_sweet_spots(
 ) -> SweetSpotScan:
     """Locate sweet spots of the driven qubit on a (phi_dc, xi, omega) grid.
 
-    ``grid`` provides the three axes (each a scalar or 1D sequence).  Axes of
-    length > 1 are scanned for sign changes of the matrix-element derivative
-    field; 1D scans are refined by bracketing (flux-sweet spots along phi_dc,
-    amplitude-sweet spots along xi), and when both xi and omega vary, cells
-    where both derivatives change sign seed a joint two-dimensional root
-    refinement (double sweet spots).  A refined spot is classified "double"
+    ``grid`` provides the three axes (each a scalar or 1D sequence in any
+    order; axes are sorted before the scan).  Axes of length > 1 are scanned
+    for sign changes of the matrix-element derivative field; 1D scans are
+    refined by bracketing (flux-sweet spots along phi_dc, amplitude-sweet
+    spots along xi), and when both xi and omega vary, cells where both
+    derivatives change sign seed a joint two-dimensional root refinement
+    (double sweet spots).  A refined spot is classified "double"
     only if the drive is actually on (xi > 0) and both residual derivatives
     are below ``tol_d`` (GHz per flux quantum).
 
@@ -648,7 +645,8 @@ def find_sweet_spots(
     attached to each refined spot.
     """
     axes = tuple(
-        tuple(np.atleast_1d(np.asarray(v, dtype=float))) for v in (grid.phi_dc, grid.xi, grid.omega)
+        tuple(np.sort(np.atleast_1d(np.asarray(v, dtype=float))))
+        for v in (grid.phi_dc, grid.xi, grid.omega)
     )
     grid_phi, grid_xi, grid_om = axes
 
@@ -790,25 +788,28 @@ class TwoLevelReduction:
         self.u.setflags(write=False)
 
 
+# Sambe truncation and time grid of the two-level reduction
+_TWO_LEVEL_CONFIG = SambeConfig(n_levels=2, sideband_cutoff=40)
+_TWO_LEVEL_TIMES = 256
+
+
 def two_level_reduction(
     params: CircuitParams,
     drive: DriveParams,
-    sideband_cutoff: int = 40,
-    n_times: int = 256,
     spectrum: StaticSpectrum | None = None,
 ) -> TwoLevelReduction:
     """Solve the two-level projected model and tabulate its Floquet frame."""
-    cfg = SambeConfig(n_levels=2, sideband_cutoff=sideband_cutoff)
-    sol = solve_floquet(params, drive, cfg, spectrum=spectrum, check_convergence=False)
+    sol = solve_floquet(params, drive, _TWO_LEVEL_CONFIG, spectrum=spectrum,
+                        check_convergence=False)
     phi_bar = sol.spectrum.phi_elements[:2, :2].copy()
-    ns = cfg.sideband_cutoff
-    times = np.linspace(0.0, drive.period, n_times, endpoint=False)
+    ns = _TWO_LEVEL_CONFIG.sideband_cutoff
+    times = np.linspace(0.0, drive.period, _TWO_LEVEL_TIMES, endpoint=False)
     harmonics = np.arange(-ns, ns + 1)
     phases = np.exp(2j * math.pi * drive.omega * np.outer(times, harmonics))
     u = np.einsum("tn,jns->tjs", phases, sol.fourier_blocks)
     eye = np.eye(2)
     defect = max(
-        float(np.max(np.abs(u[t].conj().T @ u[t] - eye))) for t in range(n_times)
+        float(np.max(np.abs(u[t].conj().T @ u[t] - eye))) for t in range(_TWO_LEVEL_TIMES)
     )
     if defect > 1e-10:
         raise ConvergenceError(

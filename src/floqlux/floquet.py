@@ -50,6 +50,9 @@ __all__ = [
 # Sambe matrices beyond this size indicate a runaway configuration
 _MAX_SAMBE_DIM = 20000
 
+# a branch whose best overlap with its predecessor is at or below this is lost
+_TRACKING_BREAK = 0.5
+
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -194,8 +197,6 @@ class FloquetSolution:
     quasienergies: np.ndarray
     rep_energies: np.ndarray
     fourier_blocks: np.ndarray
-    labels: np.ndarray
-    static_energies: np.ndarray
     spectrum: StaticSpectrum
     dominant_weights: np.ndarray
     centroids: np.ndarray
@@ -208,8 +209,6 @@ class FloquetSolution:
             self.quasienergies,
             self.rep_energies,
             self.fourier_blocks,
-            self.labels,
-            self.static_energies,
             self.dominant_weights,
             self.centroids,
         ):
@@ -377,8 +376,6 @@ def solve_floquet(
         quasienergies=np.asarray(fold_quasienergy(rep_e, drive.omega)),
         rep_energies=rep_e,
         fourier_blocks=blocks,
-        labels=np.arange(d),
-        static_energies=energies.copy(),
         spectrum=spectrum,
         dominant_weights=dom_w,
         centroids=cents,
@@ -461,13 +458,16 @@ def _propagate_period(energies, phi_op, e_l, drive, n_steps):
     return u
 
 
+# oracle truncation: circuit levels, initial CF4 steps per period, doublings
+_ORACLE_LEVELS = 5
+_ORACLE_STEPS = 2048
+_ORACLE_DOUBLINGS = 3
+
+
 def monodromy_oracle(
     params: CircuitParams,
     drive: DriveParams,
-    n_steps: int = 2048,
-    n_levels: int = 5,
     spectrum: StaticSpectrum | None = None,
-    max_refinements: int = 3,
 ) -> np.ndarray:
     """Quasienergies from time integration over one period (sorted, folded).
 
@@ -476,22 +476,22 @@ def monodromy_oracle(
     is dropped here too): this pits the two numerical routes against each
     other without a modeling difference.  The integrator is a fourth-order
     commutator-free exponential scheme; results are accepted only once
-    doubling the step count moves the quasienergies by < 1e-9 GHz.
+    doubling the step count (from 2048 per period, at most three times)
+    moves the quasienergies of the lowest 5 levels by < 1e-9 GHz.
 
     Raises:
         DiagnosticError: if the propagator drifts from unitarity beyond 1e-8.
         ConvergenceError: if step doubling fails to stabilize the result.
     """
-    if n_steps < 16:
-        raise ValueError("n_steps too small for the integrator to mean anything")
-    cfg = SambeConfig(n_levels=n_levels, sideband_cutoff=1)
+    d = _ORACLE_LEVELS
+    cfg = SambeConfig(n_levels=d, sideband_cutoff=1)
     spectrum = _resolve_spectrum(params, drive, spectrum, cfg)
-    energies = spectrum.energies[:n_levels]
-    phi_op = spectrum.phi_elements[:n_levels, :n_levels]
+    energies = spectrum.energies[:d]
+    phi_op = spectrum.phi_elements[:d, :d]
 
     def quasi(steps):
         u = _propagate_period(energies, phi_op, params.e_l, drive, steps)
-        drift = np.linalg.norm(u.conj().T @ u - np.eye(n_levels), 2)
+        drift = np.linalg.norm(u.conj().T @ u - np.eye(d), 2)
         if drift > 1e-8:
             raise DiagnosticError(
                 f"monodromy propagator non-unitary (drift {drift:.3e}) at n_steps={steps}"
@@ -500,8 +500,9 @@ def monodromy_oracle(
         eps = -np.angle(lam) / (2.0 * math.pi * drive.period)
         return np.sort(fold_quasienergy(eps, drive.omega))
 
+    n_steps = _ORACLE_STEPS
     prev = quasi(n_steps)
-    for _ in range(max_refinements):
+    for _ in range(_ORACLE_DOUBLINGS):
         n_steps *= 2
         cur = quasi(n_steps)
         if float(np.max(_zone_distance(prev, cur, drive.omega))) < 1e-9:
@@ -539,17 +540,15 @@ def _translate_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def track_states(
-    solutions, shift_range: int = 2, break_threshold: float = 0.5
-) -> TrackingResult:
+def track_states(solutions) -> TrackingResult:
     """Relabel a sweep of solutions so each branch follows by max overlap.
 
     Consecutive solutions are compared through the translated Fourier-block
-    overlap max_k |sum_n <a^(n)|b^(n+k)>| with |k| <= shift_range; labels are
+    overlap max_k |sum_n <a^(n)|b^(n+k)>| with |k| <= 2; labels are
     reassigned by maximum-weight matching and blocks re-translated so branch
     quantities (representative energies in particular) vary continuously.
-    A best overlap at or below ``break_threshold`` flags a tracking break at
-    that grid index; labels there are still the best available matching.
+    A best overlap at or below 0.5 flags a tracking break at that grid
+    index; labels there are still the best available matching.
     """
     sols = list(solutions)
     if not sols:
@@ -558,7 +557,7 @@ def track_states(
     tracked = [sols[0]]
     min_overlaps: list[float] = []
     breaks: list[int] = []
-    shifts = range(-shift_range, shift_range + 1)
+    shifts = range(-2, 3)
     for i in range(1, len(sols)):
         prev, cur = tracked[-1], sols[i]
         omega = cur.drive.omega
@@ -579,7 +578,7 @@ def track_states(
         matched = best[rows, cols]
         step_min = float(np.min(matched))
         min_overlaps.append(step_min)
-        if step_min <= break_threshold:
+        if step_min <= _TRACKING_BREAK:
             breaks.append(i)
         new_blocks = np.stack(
             [_translate_blocks(cur.fourier_blocks[perm[a]], int(kshift[a])) for a in range(d)]

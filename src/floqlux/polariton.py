@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .circuit import CircuitParams, FluxBias, diagonalize_static, transition_spline
+from .decoherence import _five_point
 from .errors import ConvergenceError, FitError, OutOfWindowError
 from .floquet import FloquetSolution
 from .units import TWO_PI
@@ -66,9 +67,9 @@ class CavityParams:
 
 
 def floquet_dipole_coupling(
-    sol: FloquetSolution, spectrum, cavity: CavityParams, m: int, level: int = 3
+    sol: FloquetSolution, spectrum, cavity: CavityParams, m: int
 ) -> complex:
-    """Sideband coupling g_m = g_cap * <phi_level^(m)| n |phi_0^(0)>.
+    """Sideband coupling g_m = g_cap * <phi_3^(m)| n |phi_0^(0)>.
 
     ``spectrum`` supplies the charge matrix elements (pass None to reuse the
     one the solution was built from).  The modulus is gauge independent; the
@@ -76,15 +77,15 @@ def floquet_dipole_coupling(
 
     Raises:
         OutOfWindowError: when |m| exceeds the solution's sideband window.
-        ValueError: when the solution does not hold ``level``.
+        ValueError: when the solution does not hold level 3.
     """
-    if level >= sol.n_levels:
-        raise ValueError(f"solution holds levels < {sol.n_levels}, asked for {level}")
+    if sol.n_levels <= 3:
+        raise ValueError(f"solution holds levels < {sol.n_levels}, asked for 3")
     if spectrum is None:
         spectrum = sol.spectrum
     d = sol.n_levels
     n_op = spectrum.n_elements[:d, :d]
-    bra = sol.block(level, m)
+    bra = sol.block(3, m)
     ket = sol.block(0, 0)
     return complex(cavity.g_cap * (bra.conj() @ n_op @ ket))
 
@@ -123,7 +124,7 @@ class RWAParams:
 class PhaseCoefficients:
     """Harmonic coefficients A_n of the accumulated-phase factor e^{i eta(t)}.
 
-    The stored window is at least the requested range and wide enough to hold
+    The stored window is at least |n| <= 10 and wide enough to hold
     all non-negligible weight; ``completeness`` is sum |A_n|^2 over it.
     ``mean_detuning`` is the period average of zeta removed before
     integration (an effective static shift of the transition).
@@ -153,7 +154,7 @@ def _zeta_samples(zeta, dphi: np.ndarray) -> np.ndarray:
     return vals
 
 
-def rwa_phase_coefficients(rwa: RWAParams, drive, n_range: int = 10) -> PhaseCoefficients:
+def rwa_phase_coefficients(rwa: RWAParams, drive) -> PhaseCoefficients:
     """Phase-factor harmonics A_n by spectrally accurate periodic quadrature.
 
     zeta is sampled on a uniform grid over one drive period and integrated
@@ -194,10 +195,10 @@ def rwa_phase_coefficients(rwa: RWAParams, drive, n_range: int = 10) -> PhaseCoe
     else:
         raise ConvergenceError("phase-coefficient quadrature did not stabilize")
 
-    # choose the stored window: requested range, widened until the missing
-    # weight drops below 1e-12 (capped well inside the alias-free region)
+    # choose the stored window: |n| <= 10, widened until the missing weight
+    # drops below 1e-12 (capped well inside the alias-free region)
     mm = a.size
-    kmax = n_range
+    kmax = 10
     cap = mm // 4
     def window_weight(kk):
         idx = np.r_[0 : kk + 1, mm - kk : mm] if kk > 0 else np.array([0])
@@ -232,15 +233,15 @@ def rwa_params_from_circuit(
     cavity: CavityParams,
     xi: float,
     span: float = 0.04,
-    num: int = 41,
 ) -> RWAParams:
     """Build the rotating-wave model of the 0 -> 3 transition at ``bias0``.
 
-    omega3 and zeta come from a cubic-spline dispersion of the transition
-    over ``bias0 +/- span``; g = g_cap * |n_03| at the bias point, and
-    g' is the flux derivative of that coupling times the drive amplitude.
+    omega3 and zeta come from a 41-point cubic-spline dispersion of the
+    transition over ``bias0 +/- span``; g = g_cap * |n_03| at the bias point,
+    and g' is the flux derivative of that coupling (five-point stencil, step
+    1e-4) times the drive amplitude.
     """
-    spline = transition_spline(params, 0, 3, bias0 - span, bias0 + span, num)
+    spline = transition_spline(params, 0, 3, bias0 - span, bias0 + span, 41)
     omega3 = float(spline(bias0))
 
     def zeta(dphi):
@@ -250,10 +251,8 @@ def rwa_params_from_circuit(
         spec = diagonalize_static(params, FluxBias(phi))
         return cavity.g_cap * abs(spec.n_elements[0, 3])
 
-    h = 1e-4
-    g0 = g_of(bias0)
-    dg = (g_of(bias0 - 2 * h) - 8 * g_of(bias0 - h) + 8 * g_of(bias0 + h) - g_of(bias0 + 2 * h)) / (12 * h)
-    return RWAParams(omega3=omega3, g=g0, g_prime=xi * dg, zeta=zeta)
+    return RWAParams(omega3=omega3, g=g_of(bias0),
+                     g_prime=xi * _five_point(g_of, bias0, 1e-4), zeta=zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +320,18 @@ def synth_polariton_data(
     phis,
     sigma: float = 0.0,
     rng: np.random.Generator | None = None,
-    branch_window: float = 0.25,
 ):
     """Simulated transmission-peak data (phi, freq[, sigma]) near the cavity.
 
-    For each flux the manifold eigenvalues within ``branch_window`` of the
-    cavity are emitted, optionally jittered by gaussian noise of scale
-    ``sigma`` (GHz).
+    For each flux the manifold eigenvalues within 0.25 GHz of the cavity
+    are emitted, optionally jittered by gaussian noise of scale ``sigma``
+    (GHz).
     """
     rows = []
     for phi in np.atleast_1d(phis):
         eigs = polariton_manifold_eigs(cavity, float(omega3_curve(phi)), drive_omega, g_m, delta_m)
         for e in eigs:
-            if abs(e - cavity.omega_c) <= branch_window:
+            if abs(e - cavity.omega_c) <= 0.25:
                 rows.append((float(phi), float(e)))
     data = np.array(rows)
     if sigma > 0:
@@ -350,7 +348,6 @@ def fit_polariton(
     omega3_curve,
     drive_omega: float,
     capture_window: float = 0.12,
-    max_restarts: int = 4,
 ) -> PolaritonFit:
     """Fit sideband couplings g_m (m = -2..3) and detunings to peak data.
 
@@ -411,9 +408,8 @@ def fit_polariton(
         eigs = np.linalg.eigvalsh(h)
         return np.min(np.abs(eigs - freqs[:, None]), axis=1) / sigmas
 
-    starts = []
-    for g0 in (0.005, 0.02, 0.05, 0.1)[: max_restarts + 1]:
-        starts.append(np.concatenate([np.full(n_act, g0), np.zeros(n_act)]))
+    starts = [np.concatenate([np.full(n_act, g0), np.zeros(n_act)])
+              for g0 in (0.005, 0.02, 0.05, 0.1)]
 
     best = None
     n_eval = 0

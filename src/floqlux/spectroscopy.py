@@ -168,13 +168,12 @@ def spectroscopy_map(
     probe_freqs,
     probe: ProbeParams | None = None,
     config: SambeConfig | None = None,
-    branch_k: int = 4,
 ) -> SpectroscopyMap:
     """Steady-state population map over phi_dc or xi versus probe frequency.
 
     ``sweep_name`` is "phi_dc" or "xi"; the other drive parameters come from
-    ``drive_template``.  Solver failures at a sweep point mask its column
-    and record the reason.
+    ``drive_template``.  Branch overlays cover sidebands |k| <= 4.  Solver
+    failures at a sweep point mask its column and record the reason.
     """
     if sweep_name not in ("phi_dc", "xi"):
         raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
@@ -186,7 +185,7 @@ def spectroscopy_map(
     probe_freqs = np.asarray(probe_freqs, dtype=float)
     n_s, n_p = sweep_values.size, probe_freqs.size
     pop = np.full((n_s, n_p), np.nan)
-    ks = np.arange(-branch_k, branch_k + 1)
+    ks = np.arange(-4, 5)
     branches = np.full((n_s, ks.size), np.nan)
     mask = np.zeros(n_s, dtype=bool)
     failures: dict = {}
@@ -274,11 +273,11 @@ class RamseySignal:
             arr.setflags(write=False)
 
 
-def synth_ramsey_signal(sol, config: RamseyConfig, weights=None, offset: float = 0.0) -> RamseySignal:
+def synth_ramsey_signal(sol, config: RamseyConfig, weights=None) -> RamseySignal:
     """Deterministic Ramsey signal from the solved quasienergy ladder.
 
     V(dt) = exp(-dt/t2r_true) * sum_n c_n cos(2*pi*(eps01 + n*Omega -
-    omega0)*1e9*dt) + offset, with c_n defaulting to the excited-branch
+    omega0)*1e9*dt), with c_n defaulting to the excited-branch
     sideband weights.  The weight ladder is aligned so the peak weight sits
     on the ladder point nearest omega0: the demodulated measurement keeps
     the beats relative to the reference, and the adiabatically prepared
@@ -315,7 +314,7 @@ def synth_ramsey_signal(sol, config: RamseyConfig, weights=None, offset: float =
     v = decay * np.sum(w[None, None, :] * np.cos(TWO_PI * freqs_hz[None, None, :] * t[:, :, None]), axis=2)
     return RamseySignal(
         times=t,
-        values=v + offset,
+        values=v,
         window_offsets=offs,
         step=config.step,
         dominant_beat=dom,
@@ -349,24 +348,20 @@ def _window_lsq(t: np.ndarray, v: np.ndarray, f: float):
     return coef, float(resid @ resid)
 
 
-def extract_t2r(signal: RamseySignal, f_beat: float | None = None) -> T2REstimate:
+def extract_t2r(signal: RamseySignal) -> T2REstimate:
     """Shared-frequency windowed amplitude fit, then exponential decay fit.
 
     The beat frequency is refined once over all windows (per-window fits are
     linear at fixed frequency), each window then contributes an oscillation
     amplitude, and the amplitudes versus offset are fit with A0*exp(-r*t).
-
-    Args:
-        signal: windowed samples.
-        f_beat: expected dominant beat in Hz; defaults to the signal's own.
+    The search starts at the signal's dominant beat f_beat (Hz).
 
     Raises:
         AliasingError: sampling step too coarse for the beat (step must be
             at most 1/(4*f_beat)).
         FitError: the amplitude decay fit failed.
     """
-    if f_beat is None:
-        f_beat = signal.dominant_beat
+    f_beat = signal.dominant_beat
     if signal.times.shape[0] < 3:
         raise ValueError("need at least 3 windows")
     if f_beat > 0:

@@ -36,6 +36,14 @@ def test_config_error_exit_one(tmp_path, capsys):
     assert "did you mean 'grid'" in capsys.readouterr().err
 
 
+def test_invalid_section_exit_one(tmp_path, capsys):
+    # rejected at parse time, before any cell is masked for it
+    cfg = _write(tmp_path, 'task = "ramsey"\n[ramsey]\nstep = 1e-7\n')
+    assert main(["ramsey", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "invalid [ramsey] settings: step must be smaller than window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_task_mismatch_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path)
     assert main(["floquet", "--config", str(cfg)]) == 1

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqlux import ConfigError, GridSpec, RunConfig, emit_config, parse_config
+from floqlux import ConfigError, GridSpec, RunConfig, config_hash, emit_config, parse_config
+from floqlux.tasks import REGISTRY
 
 MINIMAL = 'task = "static-spectrum"\n'
 
@@ -145,3 +148,63 @@ def test_emit_parse_roundtrip_random(workers, xi, fmt):
     cfg = RunConfig(task="floquet", grid=GridSpec(xi=tuple(xi)),
                     workers=workers, format=fmt)
     assert parse_config(emit_config(cfg)) == cfg
+
+
+# config_hash of each task's default config at the time the schema became
+# derived from the records; a change here orphans every existing cell cache
+DEFAULT_HASHES = {
+    "static-spectrum": "d0a1fb0eae33f2e3abef2d0698a2e87518db0bcf63857faf60ad99b179fc1c6a",
+    "floquet": "2c174797222580ed108c2e54d4f4704f7322a86c480e88c0901e3f949a9d3c2d",
+    "spectral-function": "9f71e24a5e8e2fb6f819408296f602d3bb79e65a3b3552c54ef9ed2a059d9d51",
+    "polariton": "3becb873bce8dac21636a62b4731ac486054517be4f35835fe0e14b9ec5b9f56",
+    "spectroscopy": "0234977b73922a7c0a1226b6438a6585f4bc13a165f9622f8e324918cc6059ed",
+    "coherence": "595f73c53f9a20f302a4c62b7342ba6d8b7aec17304834a368c50560cb0fa2b5",
+    "sweetspot": "9e57c331fdc2707c0c81b9f9ef9da816d9252e8d905278d0c4235bd97f6452ee",
+    "ramsey": "5653bd56c724c0fb16898532ab93fcd253b7f0c6524f5eb742cd48916267a9d9",
+}
+
+
+def test_default_config_hashes_are_stable():
+    assert set(DEFAULT_HASHES) == set(REGISTRY)
+    for task, digest in DEFAULT_HASHES.items():
+        assert config_hash(RunConfig(task=task)) == digest, task
+
+
+def _perturbed(value):
+    """A valid non-default value of the same kind (strings stay as they are)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 1.01 if value else 1e-3
+    if isinstance(value, tuple):
+        return tuple(v * 1.01 for v in value)
+    return value
+
+
+SECTION_FIELDS = [(sec.name, f.name) for sec in dataclasses.fields(RunConfig)
+                  if dataclasses.is_dataclass(sec.default)
+                  for f in dataclasses.fields(sec.default)]
+
+
+@pytest.mark.parametrize("section,key", SECTION_FIELDS,
+                         ids=[f"{s}.{k}" for s, k in SECTION_FIELDS])
+def test_every_record_field_is_a_config_key(section, key):
+    record = getattr(RunConfig, section)
+    value = _perturbed(getattr(record, key))
+    cfg = RunConfig(task="floquet", **{section: dataclasses.replace(record, **{key: value})})
+    text = emit_config(cfg)
+    assert f"\n[{section}]\n" in text
+    assert parse_config(text) == cfg
+
+
+@pytest.mark.parametrize("section,line,reason", [
+    ("ramsey", "step = 1e-7", "step must be smaller than window"),
+    ("ramsey", "delays = [2e-6, 1e-6]", "delays must be non-empty and strictly ascending"),
+    ("probe", "linewidth = 0.0", "linewidth must be positive"),
+    ("probe", "rabi = -1e-4", "rabi must be non-negative"),
+])
+def test_section_rejected_by_the_record_it_feeds(section, line, reason):
+    with pytest.raises(ConfigError, match=rf"^invalid \[{section}\] settings: {reason}$"):
+        parse_config(f'task = "ramsey"\n[{section}]\n{line}\n')

@@ -177,6 +177,17 @@ def test_double_sweet_spot_location(params, noise, eigensolves):
     assert spot.rates is not None and spot.rates.tphi > 0
 
 
+def test_sweet_spot_scan_ignores_axis_order(params):
+    # brackets pair neighbouring grid values, so an unsorted axis hides spots
+    ordered = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
+    permuted = GridSpec(phi_dc=(0.451,), xi=(0.12, 0.0, 0.06), omega=(0.8, 0.7))
+    want = find_sweet_spots(params, None, ordered)
+    got = find_sweet_spots(params, None, permuted)
+    assert "double" in [s.kind for s in want.spots]
+    assert got.spots == want.spots
+    assert got.diagnostics == want.diagnostics
+
+
 def test_fd_derivatives_solve_each_bias_once(params, noise, spot_drive, eigensolves):
     # the xi stencil keeps the bias, so it reuses the reference spectrum; the
     # flux stencil needs one eigensolve per distinct bias

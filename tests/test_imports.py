@@ -1,9 +1,14 @@
-"""Import lint: every name a package module imports is used or exported.
+"""Lints over the package source, parsed with ``ast`` (no pyflakes or ruff
+is assumed).
 
-No pyflakes or ruff is assumed; the check parses each module with ``ast``.
-A name counts as used when it appears as a load anywhere in the module
+Import lint: every name a package module imports is used or exported.  A
+name counts as used when it appears as a load anywhere in the module
 (string annotations included) or is listed in ``__all__``.  The package
 ``__init__`` is exempt, since its imports are the public re-exports.
+
+Dead-definition lint: every module-level private function, class or
+constant (a name with one leading underscore) is referenced somewhere in
+the package, by name or as a module attribute.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "floqlux"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -63,3 +69,48 @@ def test_no_unused_imports(path):
 def test_lint_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n\nx: 'Sequence' = pi\n")
     assert sorted(set(_imported(tree)) - _used(tree)) == ["os", "tau"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _references(trees) -> set[str]:
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_definitions(path):
+    refs = _references(PACKAGE.values())
+    dead = sorted(f"{name} (line {line})"
+                  for name, line in _private_definitions(PACKAGE[path.name]).items()
+                  if name not in refs)
+    assert not dead, f"{path.name}: private definitions referenced nowhere {dead}"
+
+
+def test_lint_flags_a_dead_definition():
+    a = ast.parse("_LIMIT = 3\n_DEAD: int = 4\n\ndef _used():\n    return _LIMIT\n\n"
+                  "def _unused():\n    return 1\n\nclass _Gone:\n    pass\n")
+    b = ast.parse("import a\nfrom a import _used\n\nx = a._LIMIT + _used()\n")
+    refs = _references([a, b])
+    assert sorted(set(_private_definitions(a)) - refs) == ["_DEAD", "_Gone", "_unused"]

@@ -147,8 +147,7 @@ def test_manifold_eigs_limits():
 def test_synth_data_within_branch_window():
     cavity = CavityParams()
     data = synth_polariton_data(cavity, lambda p: 7.3 + 5.0 * (p - 0.3), 0.2,
-                                {0: 0.02}, None, np.linspace(0.29, 0.31, 21),
-                                branch_window=0.25)
+                                {0: 0.02}, None, np.linspace(0.29, 0.31, 21))
     assert data.shape[1] == 2
     assert np.all(np.abs(data[:, 1] - cavity.omega_c) <= 0.25)
     jittered = synth_polariton_data(cavity, lambda p: 7.3 + 5.0 * (p - 0.3), 0.2,
