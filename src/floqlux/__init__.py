@@ -75,13 +75,11 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
-    SpectralFunction,
     TrackingResult,
     build_sambe,
     fold_quasienergy,
     monodromy_oracle,
     solve_floquet,
-    spectral_function,
     track_states,
 )
 from .polariton import (

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import hbar, k as k_boltzmann
 from scipy.optimize import brentq, root
 
@@ -56,6 +55,8 @@ from .floquet import (
     FloquetSolution,
     SambeConfig,
     _TRACKING_BREAK,
+    _match_branches,
+    _shifted_products,
     solve_floquet,
 )
 from .units import ghz_to_angular
@@ -211,20 +212,6 @@ class FourierMatrixElements:
                 f"harmonic k={k} beyond the tabulated window |k| <= {kmax}"
             )
         return complex(self.table[a, b, k + kmax])
-
-
-def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarray:
-    """sum_n <bra_a^(n)|ket_b^(n-k)> for |k| <= kmax, shape (a, b, 2*kmax+1).
-
-    One contraction over harmonic n and static level s: the kets are
-    zero-padded by kmax blocks on both sides, so the window of nb blocks
-    starting at kmax - k holds ket^(n-k) for every n at once, and blocks
-    shifted out of the window count as zero.
-    """
-    nb = kets.shape[1]
-    padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
-    shifted = sliding_window_view(padded, nb, axis=1)[:, ::-1]  # (b, k, s, n)
-    return np.einsum("ans,bksn->abk", bras.conj(), shifted)
 
 
 def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
@@ -428,21 +415,13 @@ def _matched_eps01(
     splitting continues the reference branch instead of jumping zones.
     """
     sol = solve_floquet(params, drive, config, check_convergence=False)
-    rot = ref.spectrum.eigenvectors[:, : config.n_levels].T @ sol.spectrum.eigenvectors[
-        :, : config.n_levels
-    ]
-    # overlap[a, b, j] = |sum_n <ref_a^(n)|b^(n+k)>| for harmonic shifts k = j - 3
-    ref_blocks = ref.fourier_blocks[:2] @ rot
-    overlap = np.abs(_shifted_products(ref_blocks, sol.fourier_blocks, 3))[..., ::-1]
-    flat = overlap.reshape(2, -1)
-    best = flat.max(axis=1)
-    if np.any(best <= _TRACKING_BREAK):
-        a = int(np.argmax(best <= _TRACKING_BREAK))  # first lost level
+    labels, shifts, overlaps = _match_branches(ref, sol, 2)
+    if np.any(overlaps <= _TRACKING_BREAK):
+        a = int(np.argmax(overlaps <= _TRACKING_BREAK))  # first lost level
         raise TrackingBreakError(
-            f"branch tracking lost level {a} at drive={drive!r} (best overlap {best[a]:.3f})"
+            f"branch tracking lost level {a} at drive={drive!r} (best overlap {overlaps[a]:.3f})"
         )
-    b, j = np.divmod(flat.argmax(axis=1), overlap.shape[2])
-    matched = sol.rep_energies[b] - (j - 3) * drive.omega
+    matched = sol.rep_energies[labels] - shifts * drive.omega
     return float(matched[1] - matched[0])
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from .circuit import CircuitParams, FluxBias, StaticSpectrum, diagonalize_static
@@ -37,12 +38,10 @@ __all__ = [
     "DriveParams",
     "SambeConfig",
     "FloquetSolution",
-    "SpectralFunction",
     "TrackingResult",
     "fold_quasienergy",
     "build_sambe",
     "solve_floquet",
-    "spectral_function",
     "monodromy_oracle",
     "track_states",
 ]
@@ -52,6 +51,9 @@ _MAX_SAMBE_DIM = 20000
 
 # a branch whose best overlap with its predecessor is at or below this is lost
 _TRACKING_BREAK = 0.5
+
+# branch matching tries harmonic translations |k| <= this between parameter steps
+_MATCH_SHIFTS = 3
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,15 @@ def _zone_distance(a, b, omega: float):
     return np.abs(fold_quasienergy(np.asarray(a) - np.asarray(b), omega))
 
 
+def _drive_terms(e_l: float, xi: float) -> tuple[float, float]:
+    """(shift, amp) of the projected drive model, in GHz.
+
+    H(t) = diag(E_a) + shift + amp*cos(2*pi*Omega*t)*PHI, so the Sambe
+    blocks carry the shift on the diagonal and 0.5*amp*PHI off it.
+    """
+    return 0.25 * e_l * (2.0 * math.pi * xi) ** 2, -e_l * (2.0 * math.pi * xi)
+
+
 def _assemble_sambe(
     energies: np.ndarray, phi_op: np.ndarray, e_l: float, xi: float, omega: float, n_side: int
 ) -> np.ndarray:
@@ -122,8 +133,8 @@ def _assemble_sambe(
             f"Sambe dimension {dim} exceeds the safety cap {_MAX_SAMBE_DIM}; "
             "reduce n_levels or sideband_cutoff"
         )
-    coupling = -0.5 * e_l * (2.0 * math.pi * xi) * phi_op
-    shift = 0.25 * e_l * (2.0 * math.pi * xi) ** 2
+    shift, amp = _drive_terms(e_l, xi)
+    coupling = 0.5 * amp * phi_op
     h = np.zeros((dim, dim))
     for j, n in enumerate(range(-n_side, n_side + 1)):
         rows = slice(j * d, (j + 1) * d)
@@ -277,7 +288,9 @@ def _select_representatives(evals, blocks_all, weights_all, omega, n_side, n_sta
             k = int(round((evals[idx] - evals[acc]) / omega))
             if abs(evals[idx] - evals[acc] - k * omega) > shifts_tol:
                 continue
-            if abs(_shifted_overlap(blocks_all[acc], blocks_all[idx], k)) > 0.5:
+            # sum_n <acc^(n)|idx^(n+k)> is entry kmax - k of a window kmax = |k|
+            pair = _shifted_products(blocks_all[acc][None], blocks_all[idx][None], abs(k))
+            if abs(pair[0, 0, abs(k) - k]) > 0.5:
                 is_copy = True
                 break
         if not is_copy:
@@ -292,14 +305,18 @@ def _select_representatives(evals, blocks_all, weights_all, omega, n_side, n_sta
     return accepted, centroids, dominant
 
 
-def _shifted_overlap(blocks_a: np.ndarray, blocks_b: np.ndarray, k: int) -> complex:
-    """sum_n <a^(n)|b^(n+k)> with out-of-window blocks treated as zero."""
-    nb = blocks_a.shape[0]
-    if k >= 0:
-        if k >= nb:
-            return 0.0
-        return complex(np.sum(blocks_a[: nb - k].conj() * blocks_b[k:]))
-    return complex(np.sum(blocks_a[-k:].conj() * blocks_b[: nb + k]))
+def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarray:
+    """sum_n <bra_a^(n)|ket_b^(n-k)> for |k| <= kmax, shape (a, b, 2*kmax+1).
+
+    One contraction over harmonic n and static level s: the kets are
+    zero-padded by kmax blocks on both sides, so the window of nb blocks
+    starting at kmax - k holds ket^(n-k) for every n at once, and blocks
+    shifted out of the window count as zero.
+    """
+    nb = kets.shape[1]
+    padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
+    shifted = sliding_window_view(padded, nb, axis=1)[:, ::-1]  # (b, k, s, n)
+    return np.einsum("ans,bksn->abk", bras.conj(), shifted)
 
 
 def _solve_sambe(energies, phi_op, e_l, drive, n_side, n_states):
@@ -385,37 +402,6 @@ def solve_floquet(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralFunction:
-    """Sideband-resolved spectral weights of the Floquet states.
-
-    Peak alpha, harmonic n carries weight <phi_a^(n)|phi_a^(n)> at frequency
-    rep_energies[alpha] + n*Omega (GHz).
-    """
-
-    frequencies: np.ndarray  # (n_levels, 2*N_s+1)
-    weights: np.ndarray
-    omega: float
-
-    def __post_init__(self) -> None:
-        self.frequencies.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def peaks(self, alpha: int, threshold: float = 0.0):
-        """(frequency, weight) arrays for level alpha above the threshold."""
-        keep = self.weights[alpha] > threshold
-        return self.frequencies[alpha, keep], self.weights[alpha, keep]
-
-
-def spectral_function(sol: FloquetSolution) -> SpectralFunction:
-    """Spectral weights of each representative over its sideband ladder."""
-    ns = sol.config.sideband_cutoff
-    harmonics = np.arange(-ns, ns + 1)
-    freqs = sol.rep_energies[:, None] + harmonics[None, :] * sol.drive.omega
-    weights = np.stack([sol.sideband_weights(a) for a in range(sol.n_levels)])
-    return SpectralFunction(frequencies=freqs, weights=weights, omega=sol.drive.omega)
-
-
 # ---------------------------------------------------------------------------
 # time-domain oracle: quasienergies from the monodromy matrix
 # ---------------------------------------------------------------------------
@@ -437,9 +423,8 @@ def _expm_herm(mat: np.ndarray, scale: float) -> np.ndarray:
 def _propagate_period(energies, phi_op, e_l, drive, n_steps):
     """Monodromy matrix U(T) of the projected model via the CF4 integrator."""
     d = energies.size
-    shift = 0.25 * e_l * (2.0 * math.pi * drive.xi) ** 2
+    shift, amp = _drive_terms(e_l, drive.xi)
     h_static = np.diag(energies + shift)
-    amp = -e_l * (2.0 * math.pi * drive.xi)
 
     def h_of(t):
         return h_static + (amp * math.cos(2.0 * math.pi * drive.omega * t)) * phi_op
@@ -527,28 +512,35 @@ class TrackingResult:
     break_indices: tuple[int, ...]
 
 
-def _translate_blocks(blocks: np.ndarray, k: int) -> np.ndarray:
-    """New blocks b'[n] = b[n+k]; content leaving the window is dropped."""
-    if k == 0:
-        return blocks.copy()
-    out = np.zeros_like(blocks)
-    nb = blocks.shape[0]
-    if k > 0:
-        out[: nb - k] = blocks[k:]
-    else:
-        out[-k:] = blocks[: nb + k]
-    return out
+def _match_branches(ref: FloquetSolution, sol: FloquetSolution, levels: int):
+    """Match the first ``levels`` branches of ``ref`` to the states of ``sol``.
+
+    ref's Fourier blocks are rotated into sol's static eigenbasis and compared
+    through |sum_n <ref_a^(n)|sol_b^(n+k)>| for |k| <= 3; each pair keeps its
+    best k, and labels come from maximum-weight matching.  Returns
+    (labels, shifts, overlaps): branch a continues as sol state labels[a]
+    translated by shifts[a] harmonics, with that overlap.
+    """
+    d = sol.n_levels
+    rot = ref.spectrum.eigenvectors[:, :d].T @ sol.spectrum.eigenvectors[:, :d]
+    bras = ref.fourier_blocks[:levels] @ rot
+    # overlap[a, b, j] for harmonic shift k = j - _MATCH_SHIFTS
+    overlap = np.abs(_shifted_products(bras, sol.fourier_blocks, _MATCH_SHIFTS))[..., ::-1]
+    best_j = np.argmax(overlap, axis=2)
+    best = np.take_along_axis(overlap, best_j[..., None], axis=2)[..., 0]
+    rows, labels = linear_sum_assignment(-best)
+    return labels, best_j[rows, labels] - _MATCH_SHIFTS, best[rows, labels]
 
 
 def track_states(solutions) -> TrackingResult:
     """Relabel a sweep of solutions so each branch follows by max overlap.
 
-    Consecutive solutions are compared through the translated Fourier-block
-    overlap max_k |sum_n <a^(n)|b^(n+k)>| with |k| <= 2; labels are
-    reassigned by maximum-weight matching and blocks re-translated so branch
-    quantities (representative energies in particular) vary continuously.
-    A best overlap at or below 0.5 flags a tracking break at that grid
-    index; labels there are still the best available matching.
+    Consecutive solutions are matched by ``_match_branches``: blocks rotated
+    between the two static eigenbases, harmonic translations |k| <= 3, and
+    maximum-weight assignment.  Blocks are re-translated so branch quantities
+    (representative energies in particular) vary continuously.  A matched
+    overlap at or below 0.5 flags a tracking break at that grid index;
+    labels there are still the best available matching.
     """
     sols = list(solutions)
     if not sols:
@@ -557,35 +549,20 @@ def track_states(solutions) -> TrackingResult:
     tracked = [sols[0]]
     min_overlaps: list[float] = []
     breaks: list[int] = []
-    shifts = range(-2, 3)
-    for i in range(1, len(sols)):
-        prev, cur = tracked[-1], sols[i]
-        omega = cur.drive.omega
-        best = np.zeros((d, d))
-        best_k = np.zeros((d, d), dtype=int)
-        for a in range(d):
-            for b in range(d):
-                vals = [abs(_shifted_overlap(prev.fourier_blocks[a], cur.fourier_blocks[b], k)) for k in shifts]
-                j = int(np.argmax(vals))
-                best[a, b] = vals[j]
-                best_k[a, b] = shifts[j]
-        rows, cols = linear_sum_assignment(-best)
-        perm = np.empty(d, dtype=int)
-        kshift = np.empty(d, dtype=int)
-        for a, b in zip(rows, cols):
-            perm[a] = b
-            kshift[a] = best_k[a, b]
-        matched = best[rows, cols]
+    for i, cur in enumerate(sols[1:], start=1):
+        perm, kshift, matched = _match_branches(tracked[-1], cur, d)
         step_min = float(np.min(matched))
         min_overlaps.append(step_min)
         if step_min <= _TRACKING_BREAK:
             breaks.append(i)
+        # new blocks b'[n] = b[n+k], content leaving the window dropped
+        nb = cur.fourier_blocks.shape[1]
+        padded = np.pad(cur.fourier_blocks, ((0, 0), (_MATCH_SHIFTS, _MATCH_SHIFTS), (0, 0)))
         new_blocks = np.stack(
-            [_translate_blocks(cur.fourier_blocks[perm[a]], int(kshift[a])) for a in range(d)]
+            [padded[b, _MATCH_SHIFTS + k: _MATCH_SHIFTS + k + nb] for b, k in zip(perm, kshift)]
         )
-        new_rep = np.array(
-            [cur.rep_energies[perm[a]] - kshift[a] * omega for a in range(d)]
-        )
+        omega = cur.drive.omega
+        new_rep = cur.rep_energies[perm] - kshift * omega
         tracked.append(
             replace(
                 cur,

@@ -228,10 +228,11 @@ def spectroscopy_map(
 class RamseyConfig:
     """Windowed Ramsey sampling plan (times in seconds, frequencies GHz).
 
-    ``delays`` are the window offsets; within each window the delay is swept
-    densely with ``step`` over ``window``.  ``omega0`` is the demodulation
-    reference (the bare qubit frequency set by the pulse carrier);
-    ``t2r_true`` is the decay constant used for synthesis.
+    ``delays`` are the window offsets, at least 3 and ascending; within each
+    window the delay is swept densely with ``step`` over ``window``.
+    ``omega0`` is the demodulation reference (the bare qubit frequency set
+    by the pulse carrier); ``t2r_true`` is the decay constant used for
+    synthesis.
     """
 
     omega0: float
@@ -246,6 +247,8 @@ class RamseyConfig:
         d = np.asarray(self.delays, dtype=float)
         if d.size < 1 or np.any(np.diff(d) <= 0):
             raise ValueError("delays must be non-empty and strictly ascending")
+        if d.size < 3:
+            raise ValueError("delays must hold at least 3 windows")
         if not self.t2r_true > 0:
             raise ValueError("t2r_true must be positive")
 

@@ -202,6 +202,7 @@ def test_every_record_field_is_a_config_key(section, key):
 @pytest.mark.parametrize("section,line,reason", [
     ("ramsey", "step = 1e-7", "step must be smaller than window"),
     ("ramsey", "delays = [2e-6, 1e-6]", "delays must be non-empty and strictly ascending"),
+    ("ramsey", "delays = [0.0, 2e-6]", "delays must hold at least 3 windows"),
     ("probe", "linewidth = 0.0", "linewidth must be positive"),
     ("probe", "rabi = -1e-4", "rabi must be non-negative"),
 ])

@@ -16,10 +16,10 @@ from floqlux import (
     fold_quasienergy,
     monodromy_oracle,
     solve_floquet,
-    spectral_function,
     track_states,
     two_level_reduction,
 )
+from floqlux.floquet import _select_representatives
 
 
 @settings(max_examples=50, deadline=None)
@@ -98,19 +98,6 @@ def test_convergence_flag(params, spec_451):
     assert unchecked.converged is None
 
 
-def test_spectral_function_layout(spot_solution):
-    sf = spectral_function(spot_solution)
-    ns = spot_solution.config.sideband_cutoff
-    om = spot_solution.drive.omega
-    # peak frequencies are the representative energy plus integer harmonics
-    assert sf.frequencies[1, ns] == pytest.approx(float(spot_solution.rep_energies[1]), abs=1e-12)
-    assert sf.frequencies[1, ns + 3] - sf.frequencies[1, ns] == pytest.approx(3 * om, abs=1e-12)
-    freqs, weights = sf.peaks(1, threshold=1e-6)
-    assert freqs.size == weights.size
-    assert np.all(weights > 1e-6)
-    assert float(np.sum(sf.weights[1])) == pytest.approx(1.0, abs=1e-10)
-
-
 def test_drive_params_validation():
     with pytest.raises(ValueError):
         DriveParams(FluxBias(0.5), -0.01, 0.5)
@@ -122,6 +109,15 @@ def test_drive_params_validation():
         SambeConfig(sideband_cutoff=-1)
 
 
+def _tracked_eps01(sols, min_overlap, max_step):
+    tracked = track_states(sols)
+    assert tracked.break_indices == ()
+    assert all(m > min_overlap for m in tracked.min_overlaps)
+    eps01 = np.array([s.splitting(1, 0, "natural") for s in tracked.solutions])
+    assert np.all(np.abs(np.diff(eps01)) < max_step)
+    return eps01
+
+
 def test_track_states_continuity(params, spec_451):
     xis = np.linspace(0.0, 0.08, 17)
     sols = [
@@ -129,13 +125,39 @@ def test_track_states_continuity(params, spec_451):
                       SambeConfig(), spectrum=spec_451, check_convergence=False)
         for x in xis
     ]
-    tracked = track_states(sols)
-    assert tracked.break_indices == ()
-    assert all(m > 0.9 for m in tracked.min_overlaps)
-    eps01 = np.array([s.splitting(1, 0, "natural") for s in tracked.solutions])
     # the tracked splitting starts at the static transition and moves smoothly
+    eps01 = _tracked_eps01(sols, 0.9, 0.1)
     assert eps01[0] == pytest.approx(spec_451.transition(0, 1), abs=1e-10)
-    assert np.all(np.abs(np.diff(eps01)) < 0.1)
+
+
+def test_track_states_continuity_across_flux(params):
+    # each step changes the static eigenbasis, which the matcher rotates away
+    sols = [
+        solve_floquet(params, DriveParams(FluxBias(float(phi)), 0.05, 0.7743211),
+                      SambeConfig(), check_convergence=False)
+        for phi in np.linspace(0.44, 0.47, 13)
+    ]
+    _tracked_eps01(sols, 0.7, 0.03)
+
+
+def test_select_representatives_rejects_copies_only():
+    n_side, omega = 4, 0.5
+
+    def select(states, evals):
+        # each state: all weight on one static level in one harmonic n
+        blocks = np.zeros((len(states), 2 * n_side + 1, 2))
+        for i, (level, n) in enumerate(states):
+            blocks[i, n + n_side, level] = 1.0
+        accepted, _, _ = _select_representatives(
+            np.array(evals), blocks, np.sum(blocks**2, axis=2), omega, n_side, 2)
+        return accepted
+
+    # a state, its copy translated by one harmonic (eigenvalue + Omega), and a
+    # second state further out in centroid: the copy is rejected
+    assert select([(0, 0), (0, 1), (1, -2)], [0.1, 0.1 + omega, 0.3]) == [0, 2]
+    # a distinct state whose quasienergy coincides with the first modulo Omega
+    # has zero shifted overlap with it and is kept
+    assert select([(0, 0), (1, 1)], [0.1, 0.1 + omega]) == [0, 1]
 
 
 def test_two_level_conservation_single_point(params, spec_451):

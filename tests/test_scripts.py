@@ -14,10 +14,11 @@ CASES = {
     "quasienergy_spectrum": (["--phi-num", "2", "--xi", "0.0", "0.05", "--cutoff", "8",
                               "-o", "{out}/spectra.csv"], "spectra.csv"),
     "sideband_couplings": (["--xi", "0.01", "--m", "-1", "1"], None),
-    "spectroscopy_map": (["--phi-num", "2", "--probe-num", "4", "--out", "{out}"],
-                         "spectroscopy.csv"),
-    "coherence_map": (["--xi-num", "2", "--omega-num", "2", "--out", "{out}"], "coherence.csv"),
 }
+
+
+def test_every_script_has_a_case():
+    assert set(CASES) == {p.stem for p in SCRIPTS.glob("*.py")}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

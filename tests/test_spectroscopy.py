@@ -164,11 +164,11 @@ def test_aliasing_guard(spot_solution):
 
 def test_ramsey_config_validation():
     with pytest.raises(ValueError):
-        RamseyConfig(omega0=1.0, delays=(0.0, 2e-6), step=3e-8, window=2e-8)
+        RamseyConfig(omega0=1.0, delays=(0.0, 2e-6, 4e-6), step=3e-8, window=2e-8)
     with pytest.raises(ValueError):
         RamseyConfig(omega0=1.0, delays=(2e-6, 0.0))
     with pytest.raises(ValueError):
-        RamseyConfig(omega0=1.0, delays=(0.0, 2e-6), t2r_true=0.0)
+        RamseyConfig(omega0=1.0, delays=(0.0, 2e-6, 4e-6), t2r_true=0.0)
 
 
 def test_explicit_weights_bypass_alignment(spot_solution):
