@@ -46,8 +46,9 @@ __all__ = [
     "track_states",
 ]
 
-# Sambe matrices beyond this size indicate a runaway configuration
-_MAX_SAMBE_DIM = 20000
+# Sambe matrices beyond this size indicate a runaway configuration; the dense
+# solve holds about three dim x dim float64 arrays, some 0.9 GB at the cap
+_MAX_SAMBE_DIM = 6000
 
 # a branch whose best overlap with its predecessor is at or below this is lost
 _TRACKING_BREAK = 0.5
@@ -130,7 +131,8 @@ def _assemble_sambe(
     dim = d * nb
     if dim > _MAX_SAMBE_DIM:
         raise DiagnosticError(
-            f"Sambe dimension {dim} exceeds the safety cap {_MAX_SAMBE_DIM}; "
+            f"Sambe dimension {dim} exceeds the safety cap {_MAX_SAMBE_DIM} "
+            f"(a dense solve would need about {3 * 8 * dim**2 / 1e9:.1f} GB); "
             "reduce n_levels or sideband_cutoff"
         )
     shift, amp = _drive_terms(e_l, xi)
@@ -413,33 +415,38 @@ _CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 _GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 
-
-def _expm_herm(mat: np.ndarray, scale: float) -> np.ndarray:
-    """exp(1j*scale*mat) for real-symmetric mat via eigendecomposition."""
-    w, q = np.linalg.eigh(mat)
-    return (q * np.exp(1j * scale * w)) @ q.T
+# CF4 steps per batch of _propagate_period; its 2*256 stage matrices keep
+# the extra memory of a call near 1 MB at any step count
+_PROPAGATE_CHUNK = 256
 
 
 def _propagate_period(energies, phi_op, e_l, drive, n_steps):
-    """Monodromy matrix U(T) of the projected model via the CF4 integrator."""
-    d = energies.size
+    """Monodromy matrix U(T) of the projected model via the CF4 integrator.
+
+    Each chunk of steps builds its Gauss-node stage Hamiltonians at once,
+    exponentiates them through one batched eigendecomposition and reduces
+    them to stage[-1] @ ... @ stage[0] with a pairwise tree of batched
+    matmuls; an odd count carries its last factor up one level.
+    """
     shift, amp = _drive_terms(e_l, drive.xi)
     h_static = np.diag(energies + shift)
-
-    def h_of(t):
-        return h_static + (amp * math.cos(2.0 * math.pi * drive.omega * t)) * phi_op
-
-    period = drive.period
-    dt = period / n_steps
-    u = np.eye(d, dtype=complex)
-    for j in range(n_steps):
-        t0 = j * dt
-        h1 = h_of(t0 + _GAUSS_C1 * dt)
-        h2 = h_of(t0 + _GAUSS_C2 * dt)
-        # -i * 2*pi converts GHz*ns phase; right factor acts first
-        first = _expm_herm(_CF4_A2 * h1 + _CF4_A1 * h2, -2.0 * math.pi * dt)
-        second = _expm_herm(_CF4_A1 * h1 + _CF4_A2 * h2, -2.0 * math.pi * dt)
-        u = second @ (first @ u)
+    dt = drive.period / n_steps
+    u = np.eye(energies.size, dtype=complex)
+    for start in range(0, n_steps, _PROPAGATE_CHUNK):
+        t0 = np.arange(start, min(start + _PROPAGATE_CHUNK, n_steps)) * dt
+        h1, h2 = (
+            h_static + (amp * np.cos(2.0 * math.pi * drive.omega * t))[:, None, None] * phi_op
+            for t in (t0 + _GAUSS_C1 * dt, t0 + _GAUSS_C2 * dt)
+        )
+        # stages in time order, step by step: A2*h1 + A1*h2 acts before A1*h1 + A2*h2
+        stages = np.stack((_CF4_A2 * h1 + _CF4_A1 * h2, _CF4_A1 * h1 + _CF4_A2 * h2), axis=1)
+        w, q = np.linalg.eigh(stages.reshape(-1, *h_static.shape))
+        # -i * 2*pi converts GHz*ns phase
+        expo = (q * np.exp(-2j * math.pi * dt * w)[:, None, :]) @ q.swapaxes(1, 2)
+        while expo.shape[0] > 1:
+            even = expo.shape[0] // 2 * 2
+            expo = np.concatenate((expo[1:even:2] @ expo[0:even:2], expo[even:]))
+        u = expo[0] @ u
     return u
 
 

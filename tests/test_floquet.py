@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,9 @@ from floqlux import (
     track_states,
     two_level_reduction,
 )
-from floqlux.floquet import _select_representatives
+from floqlux import floquet
+from floqlux.errors import ConvergenceError, DiagnosticError
+from floqlux.floquet import _propagate_period, _select_representatives
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,6 +90,77 @@ def test_monodromy_oracle_agreement(params, spec_451):
     mine = np.sort(sol.quasienergies)
     diff = np.abs(fold_quasienergy(mine - oracle, drive.omega))
     assert float(np.max(diff)) / drive.omega < 1e-8
+
+
+def _cf4_loop(energies, phi_op, e_l, drive, n_steps):
+    """Reference CF4 monodromy matrix: one step at a time, two eigh per step."""
+    shift, amp = floquet._drive_terms(e_l, drive.xi)
+    h_static = np.diag(energies + shift)
+    dt = drive.period / n_steps
+
+    def h_of(t):
+        return h_static + (amp * math.cos(2.0 * math.pi * drive.omega * t)) * phi_op
+
+    def expm(mat):
+        w, q = np.linalg.eigh(mat)
+        return (q * np.exp(-2j * math.pi * dt * w)) @ q.T
+
+    u = np.eye(energies.size, dtype=complex)
+    for j in range(n_steps):
+        h1 = h_of(j * dt + floquet._GAUSS_C1 * dt)
+        h2 = h_of(j * dt + floquet._GAUSS_C2 * dt)
+        u = expm(floquet._CF4_A1 * h1 + floquet._CF4_A2 * h2) @ (
+            expm(floquet._CF4_A2 * h1 + floquet._CF4_A1 * h2) @ u)
+    return u
+
+
+@pytest.mark.parametrize("undriven", [False, True], ids=["double_spot", "undriven"])
+def test_propagate_period_matches_per_step_loop(params, spec_451, spot_drive, undriven):
+    # 600 steps: the last chunk is partial and the product tree meets odd counts
+    drive = replace(spot_drive, xi=0.0) if undriven else spot_drive
+    args = (spec_451.energies[:5], spec_451.phi_elements[:5, :5], params.e_l, drive, 600)
+    assert np.max(np.abs(_propagate_period(*args) - _cf4_loop(*args))) < 1e-12
+
+
+def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
+    args = (spec_451.energies[:5], spec_451.phi_elements[:5, :5], params.e_l, spot_drive)
+    tracemalloc.start()
+    try:
+        _propagate_period(*args, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
+    # dimension 5 * 1201 = 6005 is just over the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(DiagnosticError, match="GB"):
+            build_sambe(params, spot_drive, SambeConfig(n_levels=5, sideband_cutoff=600),
+                        spectrum=spec_451)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_monodromy_oracle_unconverged_steps_raise(params, spec_451, monkeypatch):
+    # 4 and 8 steps per period cannot agree to 1e-9 GHz under a strong drive
+    monkeypatch.setattr(floquet, "_ORACLE_STEPS", 4)
+    monkeypatch.setattr(floquet, "_ORACLE_DOUBLINGS", 1)
+    strong = DriveParams(FluxBias(0.451), 0.12, 0.25)
+    with pytest.raises(ConvergenceError, match="n_steps=8"):
+        monodromy_oracle(params, strong, spectrum=spec_451)
+
+
+def test_monodromy_oracle_non_unitary_propagator_raises(params, spec_451, spot_drive,
+                                                         monkeypatch):
+    propagate = floquet._propagate_period
+    monkeypatch.setattr(floquet, "_propagate_period", lambda *a: 1.001 * propagate(*a))
+    with pytest.raises(DiagnosticError, match="non-unitary"):
+        monodromy_oracle(params, spot_drive, spectrum=spec_451)
 
 
 def test_convergence_flag(params, spec_451):
