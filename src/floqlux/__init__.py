@@ -11,6 +11,9 @@ Submodules:
 """
 from __future__ import annotations
 
+# set before the submodule imports: sweeps keys its cell cache on it
+__version__ = "0.1.0"
+
 from .circuit import (
     CircuitParams,
     DispersionTable,
@@ -111,4 +114,3 @@ from .spectroscopy import (
 from .sweeps import SweepResult, config_hash, export, import_result, run_sweep
 from .units import GHZ_TO_ANGULAR, ghz_to_angular
 
-__version__ = "0.1.0"

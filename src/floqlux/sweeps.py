@@ -2,11 +2,16 @@
 
 Each task's record in ``floqlux.tasks`` decomposes it into independent jobs
 (one per grid cell or per spectroscopy sweep column, plus an optional
-whole-grid job).  Jobs are pure functions of the physics part of the config
-plus their coordinates, so completed cells are cached on disk under
-``<output>/.cells/<config_hash>/`` and reruns only recompute what is
-missing or failed.  Aggregation is order-independent and float formatting
-is fixed, which makes exports byte-identical regardless of worker count.
+whole-grid job).  A cell job is a pure function of the physics part of the
+config without its grid plus the job's coordinates, and is cached on disk
+as ``<output>/.cells/<key>.json``, where the key hashes exactly those (and
+the schema and package versions).  The whole-grid job's key takes the full
+config hash and the bytes of any data file it reads.  Finished jobs are
+written at least once a second and when the sweep stops for any reason,
+so reruns, refined or extended grids and interrupted sweeps recompute
+only what is missing or failed.  Aggregation
+is by row index and float formatting is fixed, which makes exports
+byte-identical regardless of worker count.
 
 Wall-clock timings are kept on the result object for profiling but excluded
 from both equality and exports; everything else round-trips through the JSON
@@ -20,20 +25,26 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig, emit_config
+from . import __version__
+from .config import GridSpec, RunConfig, emit_config
 from .errors import ExportError
 from .tasks import REGISTRY, Task
 
 SCHEMA_VERSION = 1
 
 _AXIS_UNITS = {"phi_dc": "Phi0", "xi": "Phi0", "omega": "GHz", "omega_p": "GHz"}
+
+# finished cells are written in batches at most this far apart: on a 2-core
+# VM a file written between two solves took about 1 ms against 0.1-0.4 ms in
+# a batch, and a hard kill of the sweep loses at most this much finished work
+_SAVE_INTERVAL_S = 1.0
 
 
 def config_hash(config: RunConfig) -> str:
@@ -125,6 +136,7 @@ class _Job:
     fn: Callable
     coords: dict
     row_indices: tuple
+    key: str
 
 
 def _execute(config: RunConfig, job: _Job) -> dict:
@@ -138,17 +150,52 @@ def _execute(config: RunConfig, job: _Job) -> dict:
     return out
 
 
+# the RunConfig of a pool worker, sent once by the pool initializer
+_worker_config: RunConfig | None = None
+
+
+def _init_worker(config: RunConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _execute_in_worker(job: _Job) -> dict:
+    return _execute(_worker_config, job)
+
+
+def _job_key(identity: str, coords: dict) -> str:
+    """sha256 of a job's inputs; json writes each float coordinate as its exact repr."""
+    text = json.dumps([identity, SCHEMA_VERSION, __version__, coords])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _grid_job_identity(config: RunConfig) -> str:
+    """The grid job reads the whole grid, and the data file the config names."""
+    identity = config_hash(config)
+    path = config.polariton.data_file
+    if path and os.path.isfile(path):
+        identity += " " + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return identity
+
+
 def _plan(task: Task, config: RunConfig):
-    """Axes and job list for one task; the grid job, if any, comes last."""
+    """Axes and job list for one task; the grid job, if any, comes last.
+
+    A cell job is keyed by the physics config without its grid plus its
+    coordinates, so every grid holding the cell shares its cache entry.
+    """
     if task.plan is not None:
         axes, cells = task.plan(config)
     else:
         axes = {a: tuple(sorted(float(v) for v in getattr(config.grid, a))) for a in task.axes}
         cells = [(dict(zip(axes, point)), (i,))
                  for i, point in enumerate(itertools.product(*axes.values()))]
-    jobs = [_Job(i, task.job, coords, rows) for i, (coords, rows) in enumerate(cells)]
+    cell_identity = config_hash(replace(config, grid=GridSpec()))
+    jobs = [_Job(i, task.job, coords, rows, _job_key(cell_identity, coords))
+            for i, (coords, rows) in enumerate(cells)]
     if task.grid_job is not None and task.wants_grid_job(config):
-        jobs.append(_Job(len(jobs), task.grid_job, {}, ()))
+        jobs.append(_Job(len(jobs), task.grid_job, {}, (),
+                         _job_key(_grid_job_identity(config), {})))
     return axes, jobs
 
 
@@ -158,25 +205,30 @@ def _plan(task: Task, config: RunConfig):
 
 
 def _cache_path(cache_dir: Path, job: _Job) -> Path:
-    return cache_dir / f"{job.jid:06d}.json"
+    return cache_dir / f"{job.key}.json"
 
 
 def _load_cache(path: Path, job: _Job, n_cols: int):
+    """The cached output of ``job``, or None if absent, unreadable or not its cell."""
     try:
         with open(path, encoding="utf-8") as fh:
             out = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
+        return None
+    if not isinstance(out, dict) or out.get("coords") != job.coords:
         return None
     rows = out.get("rows")
     if not isinstance(rows, list) or len(rows) != len(job.row_indices):
         return None
     if any(not isinstance(r, list) or len(r) != n_cols for r in rows):
         return None
+    if not {type(v) for r in rows for v in r} <= {int, float}:  # no strings, bools or nulls
+        return None
     return out
 
 
-def _write_cache(path: Path, out: dict) -> None:
-    payload = {"rows": out["rows"]}
+def _write_cache(path: Path, job: _Job, out: dict) -> None:
+    payload = {"coords": job.coords, "rows": out["rows"]}
     if out.get("extra") is not None:
         payload["extra"] = out["extra"]
     tmp = path.with_suffix(".tmp")
@@ -192,9 +244,12 @@ def _write_cache(path: Path, out: dict) -> None:
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured task over its grid.
 
-    Jobs already present in the cell cache are loaded instead of recomputed;
-    per-cell solver failures mask the affected rows with a reason and never
-    abort the sweep.  Output directory I/O errors do abort.
+    Jobs already present in the cell cache are loaded instead of recomputed,
+    and computed jobs are cached within a second and whenever the sweep
+    stops, so a sweep cut by Ctrl-C or a dead worker keeps its finished
+    cells.  Per-cell solver failures mask the
+    affected rows with a reason and never abort the sweep.  Output directory
+    I/O errors do abort.
 
     Raises:
         ConfigError: the grid or sections do not fit the task.
@@ -205,8 +260,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
     axes, jobs = _plan(task, config)
     columns = tuple(name for name, _ in task.columns)
     units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(unit for _, unit in task.columns)
-    chash = config_hash(config)
-    cache_dir = Path(config.output) / ".cells" / chash
+    cache_dir = Path(config.output) / ".cells"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     coords_mat = np.array(list(itertools.product(*axes.values())), dtype=float)
@@ -217,30 +271,53 @@ def run_sweep(config: RunConfig) -> SweepResult:
     reasons: dict = {}
     timings = np.zeros(n_rows)
 
-    results: dict[int, tuple[dict, bool]] = {}
+    results: dict[int, dict] = {}  # jid -> output; cached outputs carry no seconds
     pending: list[_Job] = []
     for job in jobs:
         cached = _load_cache(_cache_path(cache_dir, job), job, len(columns))
         if cached is not None:
-            results[job.jid] = (cached, False)
+            results[job.jid] = cached
         else:
             pending.append(job)
 
-    if pending:
+    unsaved: list[_Job] = []  # finished cells not yet on disk
+    saved_at = time.monotonic()
+
+    def save() -> None:
+        nonlocal saved_at
+        for job in unsaved:
+            _write_cache(_cache_path(cache_dir, job), job, results[job.jid])
+        unsaved.clear()
+        saved_at = time.monotonic()
+
+    def finish(job: _Job, out: dict) -> None:
+        results[job.jid] = out
+        if "error" not in out:
+            unsaved.append(job)
+        if time.monotonic() - saved_at >= _SAVE_INTERVAL_S:
+            save()
+
+    try:
         n_workers = min(config.workers, len(pending))
         if n_workers <= 1:
             for job in pending:
-                results[job.jid] = (_execute(config, job), True)
+                finish(job, _execute(config, job))
         else:
-            chunk = max(1, len(pending) // (4 * n_workers))
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                outs = pool.map(_execute, itertools.repeat(config), pending, chunksize=chunk)
-                for job, out in zip(pending, outs):
-                    results[job.jid] = (out, True)
+            with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
+                                     initargs=(config,)) as pool:
+                futures = {pool.submit(_execute_in_worker, job): job for job in pending}
+                try:
+                    for fut in as_completed(futures):
+                        finish(futures[fut], fut.result())
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    finally:  # also on Ctrl-C or a dead worker: finished cells are kept
+        save()
 
     extras: list[dict] = []  # in job order
     for job in jobs:
-        out, fresh = results[job.jid]
+        out = results[job.jid]
         secs = float(out.get("seconds", 0.0))
         per_row = secs / max(len(job.row_indices), 1)
         if "error" in out:
@@ -256,8 +333,6 @@ def run_sweep(config: RunConfig) -> SweepResult:
             timings[r] = per_row
         if out.get("extra") is not None:
             extras.append(out["extra"])
-        if fresh:
-            _write_cache(_cache_path(cache_dir, job), out)
 
     return SweepResult(
         task=config.task,
@@ -269,7 +344,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
         reasons=reasons,
         extra=(task.finalize(config, extras) if task.finalize is not None
                else {k: v for piece in extras for k, v in piece.items()}),
-        config_hash=chash,
+        config_hash=config_hash(config),
         timings=timings,
     )
 

@@ -52,6 +52,8 @@ class Task:
     Attributes:
         columns: ``(name, unit)`` per exported data column.
         job: per-cell job; ``coords`` maps each axis name to the cell value.
+            It may read any config section but the grid: the cell cache is
+            keyed on the grid-free config and the coords alone.
         axes: grid axes whose product gives the cells, one row per cell.
         grid_job: job run once after the cells, when ``wants_grid_job``
             holds; it has no rows, and its failure goes to ``extra[grid_key]``.
@@ -214,19 +216,26 @@ def _check_spectroscopy(config: RunConfig) -> None:
             )
 
 
+def _probe_freqs(config: RunConfig) -> tuple:
+    return tuple(sorted(float(v) for v in config.probe.omega_p))
+
+
 def _plan_spectroscopy(config: RunConfig):
+    # a column's coords are its whole drive point, so its job never reads the grid
+    g = config.grid
     sweep = config.probe.sweep
-    svals = tuple(sorted(float(v) for v in getattr(config.grid, sweep)))
-    pvals = tuple(sorted(float(v) for v in config.probe.omega_p))
+    fixed = {"phi_dc": float(g.phi_dc[0]), "xi": float(g.xi[0]), "omega": float(g.omega[0])}
+    svals = tuple(sorted(float(v) for v in getattr(g, sweep)))
+    pvals = _probe_freqs(config)
     n_p = len(pvals)
-    cells = [({"value": v, "probe_freqs": pvals}, tuple(range(i * n_p, (i + 1) * n_p)))
+    cells = [({**fixed, sweep: v}, tuple(range(i * n_p, (i + 1) * n_p)))
              for i, v in enumerate(svals)]
     return {sweep: svals, "omega_p": pvals}, cells
 
 
 def _job_spectroscopy(config: RunConfig, coords):
-    g = config.grid
-    template = DriveParams(FluxBias(float(g.phi_dc[0])), float(g.xi[0]), float(g.omega[0]))
+    value = coords[config.probe.sweep]
+    template = DriveParams(FluxBias(coords["phi_dc"]), coords["xi"], coords["omega"])
     probe = ProbeParams(
         omega_p=float(config.probe.omega_p[0]),
         rabi=config.probe.rabi,
@@ -234,7 +243,7 @@ def _job_spectroscopy(config: RunConfig, coords):
     )
     m = spectroscopy_map(
         config.circuit, config.noise, template,
-        config.probe.sweep, [float(coords["value"])], coords["probe_freqs"],
+        config.probe.sweep, [value], _probe_freqs(config),
         probe=probe, config=config.floquet,
     )
     if m.mask[0]:
@@ -242,7 +251,7 @@ def _job_spectroscopy(config: RunConfig, coords):
     return {
         "rows": [[float(p)] for p in m.population[0]],
         "extra": {
-            "value": float(coords["value"]),
+            "value": value,
             "branch_k": _plain(m.branch_k),
             "branch_freqs": _plain(m.branches[0]),
         },

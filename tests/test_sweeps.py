@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from floqlux import (
+    CavityParams,
     CircuitParams,
     ConfigError,
     ExportError,
@@ -25,8 +30,11 @@ from floqlux import (
     import_result,
     parse_config,
     run_sweep,
+    synth_polariton_data,
+    transition_spline,
 )
 from floqlux.cli import main
+from floqlux import sweeps
 from floqlux.tasks import REGISTRY
 
 
@@ -94,6 +102,161 @@ def test_corrupt_cache_recomputed(small_cfg):
     cells[0].write_text("{not json")
     again = run_sweep(small_cfg)
     assert again == first
+
+
+def _cell_files(cfg) -> list:
+    return sorted((Path(cfg.output) / ".cells").glob("*.json"))
+
+
+def _computed(result) -> int:
+    return int(np.count_nonzero(result.timings))
+
+
+def _string_in_row(cells):
+    doc = json.loads(cells[0].read_text())
+    doc["rows"][0][0] = "x"
+    cells[0].write_text(json.dumps(doc))
+
+
+def _other_cells_content(cells):
+    cells[0].write_text(cells[1].read_text())  # well-formed, filed under the wrong key
+
+
+@pytest.mark.parametrize("corrupt", [_string_in_row, _other_cells_content],
+                         ids=["type", "coords"])
+def test_invalid_cell_recomputed(small_cfg, corrupt):
+    first = run_sweep(small_cfg)
+    corrupt(_cell_files(small_cfg))
+    again = run_sweep(small_cfg)
+    assert again == first
+    assert _computed(again) == 1
+
+
+def test_extended_axes_compute_only_new_cells(tmp_path):
+    # the refinement pattern: 4 -> 7 xi, then 2 -> 4 omega on shared linspaces
+    def cfg(n_xi, n_om, out="out"):
+        text = (f'task = "floquet"\n[grid]\nphi_dc = 0.48\nxi = "0:0.06:{n_xi}"\n'
+                f'omega = "0.4:0.7:{n_om}"\n')
+        return dataclasses.replace(parse_config(text), output=str(tmp_path / out))
+
+    assert _computed(run_sweep(cfg(4, 2))) == 8
+    assert _computed(run_sweep(cfg(7, 2))) == 14 - 8
+    refined = run_sweep(cfg(7, 4))
+    assert _computed(refined) == 28 - 14
+    assert _computed(run_sweep(cfg(7, 4))) == 0
+    assert refined == run_sweep(cfg(7, 4, out="fresh"))
+
+
+@pytest.mark.parametrize("task", list(REGISTRY))
+def test_cell_jobs_ignore_the_grid(task, tmp_path):
+    # a cell's output is a function of its coords and the grid-free config,
+    # which is all its cache key holds
+    probe = ProbeSpec(omega_p=(0.6, 0.7, 0.8))
+    cfg = RunConfig(task=task, probe=probe, output=str(tmp_path / "o"))
+    other = dataclasses.replace(
+        cfg, grid=GridSpec(phi_dc=(0.45, 0.5), xi=(0.05, 0.0), omega=(0.6, 0.5)))
+    _, jobs = sweeps._plan(REGISTRY[task], cfg)
+    job = jobs[0]
+    a, b = job.fn(cfg, job.coords), job.fn(other, job.coords)
+    assert "error" not in a
+    assert json.dumps(a) == json.dumps(b)
+
+
+def test_spectroscopy_fixed_axis_change_recomputes(tmp_path):
+    cfg = RunConfig(
+        task="spectroscopy",
+        grid=GridSpec(phi_dc=(0.45, 0.46), xi=(0.0,), omega=(0.5,)),
+        probe=ProbeSpec(omega_p=(0.70, 0.72, 0.74)),
+        output=str(tmp_path / "o"),
+    )
+    first = run_sweep(cfg)
+    moved = run_sweep(dataclasses.replace(cfg, grid=GridSpec(phi_dc=(0.45, 0.46), xi=(0.05,),
+                                                             omega=(0.5,))))
+    assert _computed(moved) == 6
+    assert moved.extra["fixed"] == {"xi": 0.05, "omega": 0.5}
+    assert not np.array_equal(moved.column("p1"), first.column("p1"))
+    # a longer sweep at the first drive point reuses its two columns
+    longer = run_sweep(dataclasses.replace(cfg, grid=GridSpec(phi_dc=(0.45, 0.455, 0.46),
+                                                              xi=(0.0,), omega=(0.5,))))
+    assert _computed(longer) == 3
+    assert np.array_equal(longer.column("p1")[[0, 1, 2, 6, 7, 8]], first.column("p1"))
+
+
+def _interrupt_on_third_cell(job):
+    calls = []
+
+    def flaky(config, coords):
+        calls.append(coords)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return job(config, coords)
+
+    return flaky
+
+
+def test_interrupted_sweep_keeps_finished_cells(small_cfg, monkeypatch):
+    task = REGISTRY["floquet"]
+    with monkeypatch.context() as m:
+        m.setitem(REGISTRY, "floquet",
+                  dataclasses.replace(task, job=_interrupt_on_third_cell(task.job)))
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(small_cfg)
+    assert len(_cell_files(small_cfg)) == 2
+    again = run_sweep(small_cfg)
+    assert _computed(again) == small_cfg.grid.size - 2
+    assert again == run_sweep(dataclasses.replace(small_cfg, output=small_cfg.output + "-fresh"))
+
+
+_FLOQUET_JOB = REGISTRY["floquet"].job
+
+
+def _die_after_the_others(config, coords):
+    # the last cell kills its worker, but only once every other cell is on
+    # disk; if they never get there while the pool runs, no worker dies
+    if coords["xi"] == 0.04 and coords["phi_dc"] == 0.5:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if len(list((Path(config.output) / ".cells").glob("*.json"))) == 3:
+                os._exit(1)
+            time.sleep(0.01)
+    return _FLOQUET_JOB(config, coords)
+
+
+def test_dead_worker_keeps_finished_cells(small_cfg, monkeypatch):
+    monkeypatch.setattr(sweeps, "_SAVE_INTERVAL_S", 0.0)  # save each cell as it returns
+    cfg = dataclasses.replace(small_cfg, workers=2)
+    with monkeypatch.context() as m:
+        m.setitem(REGISTRY, "floquet",
+                  dataclasses.replace(REGISTRY["floquet"], job=_die_after_the_others))
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(cfg)
+    assert len(_cell_files(cfg)) == 3
+    assert _computed(run_sweep(cfg)) == 1
+
+
+def _peak_file(path: Path, g0: float) -> str:
+    # transmission peaks around the m = 0 crossing of the 0 -> 3 line
+    cavity = CavityParams()
+    curve = transition_spline(CircuitParams(), 0, 3, 0.28, 0.33, 61)
+    star = brentq(lambda p: float(curve(p)) - cavity.omega_c, 0.281, 0.329)
+    phis = np.linspace(star - 3e-3, star + 3e-3, 15)
+    np.savetxt(path, synth_polariton_data(cavity, curve, 0.2, {0: g0}, None, phis))
+    return str(path)
+
+
+def test_polariton_fit_follows_data_file_contents(tmp_path):
+    data = tmp_path / "peaks.txt"
+    cfg = RunConfig(
+        task="polariton",
+        grid=GridSpec(phi_dc=(0.3,), xi=(0.05,), omega=(0.2,)),
+        polariton=PolaritonSpec(data_file=_peak_file(data, 0.02)),
+        output=str(tmp_path / "o"),
+    )
+    first = run_sweep(cfg).extra["fit"]
+    _peak_file(data, 0.04)  # same path, new contents
+    second = run_sweep(cfg).extra["fit"]
+    assert first["g_m"]["0"] == pytest.approx(0.02, rel=1e-2)
+    assert second["g_m"]["0"] == pytest.approx(0.04, rel=1e-2)
 
 
 def test_config_hash_ignores_execution_keys(small_cfg):
