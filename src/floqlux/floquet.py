@@ -46,9 +46,11 @@ __all__ = [
     "track_states",
 ]
 
-# Sambe matrices beyond this size indicate a runaway configuration; the dense
-# solve holds about three dim x dim float64 arrays, some 0.9 GB at the cap
-_MAX_SAMBE_DIM = 6000
+# a Sambe solve peaks at this many dim x dim float64 arrays of the assembled
+# matrix (tracemalloc, evd driver: 4.01 at dim 1005, 4.00 at 2005; a checked
+# solve 3.9); beyond the size cap (0.89 GB) a configuration is a runaway
+_SAMBE_PEAK_ARRAYS = 4.1
+_MAX_SAMBE_DIM = 5200
 
 # a branch whose best overlap with its predecessor is at or below this is lost
 _TRACKING_BREAK = 0.5
@@ -92,8 +94,9 @@ class SambeConfig:
     def __post_init__(self) -> None:
         if self.n_levels < 2:
             raise ValueError("need at least two circuit levels")
-        if self.sideband_cutoff < 1:
-            raise ValueError("sideband_cutoff must be at least 1")
+        # representatives need |dominant harmonic| < N_s - 1, which N_s = 1 never admits
+        if self.sideband_cutoff < 2:
+            raise ValueError("sideband_cutoff must be at least 2")
 
     @property
     def n_blocks(self) -> int:
@@ -132,19 +135,18 @@ def _assemble_sambe(
     if dim > _MAX_SAMBE_DIM:
         raise DiagnosticError(
             f"Sambe dimension {dim} exceeds the safety cap {_MAX_SAMBE_DIM} "
-            f"(a dense solve would need about {3 * 8 * dim**2 / 1e9:.1f} GB); "
+            f"(a dense solve would need about {_SAMBE_PEAK_ARRAYS * 8 * dim**2 / 1e9:.1f} GB); "
             "reduce n_levels or sideband_cutoff"
         )
     shift, amp = _drive_terms(e_l, xi)
     coupling = 0.5 * amp * phi_op
     h = np.zeros((dim, dim))
-    for j, n in enumerate(range(-n_side, n_side + 1)):
-        rows = slice(j * d, (j + 1) * d)
-        h[rows, rows] = np.diag(energies + n * omega + shift)
-        if j + 1 < nb:
-            nxt = slice((j + 1) * d, (j + 2) * d)
-            h[rows, nxt] = coupling
-            h[nxt, rows] = coupling.T
+    harmonics = np.arange(-n_side, n_side + 1)[:, None]
+    np.fill_diagonal(h, (energies + harmonics * omega + shift).ravel())
+    # (nb, d, nb, d) view: block (j, j+1) holds the coupling, (j+1, j) its transpose
+    blocks, j = h.reshape(nb, d, nb, d), np.arange(nb - 1)
+    blocks[j, :, j + 1] = coupling
+    blocks[j + 1, :, j] = coupling.T
     if not np.array_equal(h, h.T):
         raise DiagnosticError("Sambe assembly produced a non-symmetric matrix")
     return h
@@ -200,9 +202,10 @@ class FloquetSolution:
         dominant_weights: per label, the assignment weight onto its static
             level (1 at xi=0; smaller as sidebands mix levels).
         centroids: Fourier-weight centroid of each representative.
-        converged: True when doubling-checked against N_s + 2 (see
+        converged: True when ``convergence_delta`` < 1e-8 GHz (see
             ``solve_floquet(check_convergence=...)``); None when unchecked.
-        convergence_delta: max zone-distance change under N_s -> N_s + 2.
+        convergence_delta: largest zone distance from a representative
+            energy to the nearest eigenvalue of the N_s + 2 Sambe matrix.
     """
 
     drive: DriveParams
@@ -321,38 +324,29 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
     return np.einsum("ans,bksn->abk", bras.conj(), shifted)
 
 
-def _solve_sambe(energies, phi_op, e_l, drive, n_side, n_states):
-    """Core Sambe diagonalization; returns representative data in label order."""
-    h = _assemble_sambe(energies, phi_op, e_l, drive.xi, drive.omega, n_side)
-    try:
-        evals, evecs = scipy.linalg.eigh(h)
-    except scipy.linalg.LinAlgError as exc:
-        raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
-    d = energies.size
+def _solve_sambe(h, omega, n_side, n_states):
+    """Representatives of the Sambe matrix ``h`` (harmonic blocks -n_side..n_side),
+    in label order: raw eigenvalues, gauged Fourier blocks, dominant weights
+    and centroids."""
+    evals, evecs = scipy.linalg.eigh(h, driver="evd")
     nb = 2 * n_side + 1
-    blocks_all = evecs.T.reshape(evals.size, nb, d)
+    blocks_all = evecs.T.reshape(evals.size, nb, h.shape[0] // nb)
     weights_all = np.sum(blocks_all * blocks_all, axis=2)
     accepted, centroids, dominant = _select_representatives(
-        evals, blocks_all, weights_all, drive.omega, n_side, n_states
+        evals, blocks_all, weights_all, omega, n_side, n_states
     )
     # label against static levels by total weight per circuit level
-    level_w = np.zeros((n_states, d))
-    for row, idx in enumerate(accepted):
-        level_w[row] = np.sum(blocks_all[idx] * blocks_all[idx], axis=0)
+    level_w = np.sum(blocks_all[accepted] ** 2, axis=1)
     rows, cols = linear_sum_assignment(-level_w[:, :n_states])
-    by_label = np.empty(n_states, dtype=int)
-    for r, c in zip(rows, cols):
-        by_label[c] = accepted[r]
-    rep_energies = evals[by_label]
+    rows = rows[np.argsort(cols)]  # assignment row of each label
+    by_label = np.asarray(accepted)[rows]
     blocks = blocks_all[by_label].astype(complex)
     # gauge: largest-|.| component of each representative made real positive
-    for a in range(n_states):
-        flat = blocks[a].ravel()
-        lead = np.argmax(np.abs(flat))
-        phase = flat[lead] / abs(flat[lead])
-        blocks[a] = blocks[a] / phase
-    dom_w = np.array([level_w[accepted.index(i), lab] for lab, i in enumerate(by_label)])
-    return rep_energies, blocks, dom_w, centroids[by_label]
+    flat = blocks.reshape(n_states, -1)
+    lead = flat[np.arange(n_states), np.argmax(np.abs(flat), axis=1)]
+    blocks /= (lead / np.abs(lead))[:, None, None]
+    dom_w = level_w[rows, np.arange(n_states)]
+    return evals[by_label], blocks, dom_w, centroids[by_label]
 
 
 def solve_floquet(
@@ -364,25 +358,31 @@ def solve_floquet(
 ) -> FloquetSolution:
     """Solve the driven problem and return labeled representative states.
 
-    When ``check_convergence`` is set the solve is repeated with the sideband
-    window widened by 2 and the folded quasienergies compared (zone distance);
-    the flag and the observed delta land on the returned solution.
+    When ``check_convergence`` is set the Sambe matrix is assembled once with
+    the sideband window widened by 2: its central 2*N_s + 1 blocks are the
+    solved problem, and of the wide matrix only the eigenvalues are computed.
+    The flag and the largest zone distance from a representative energy to
+    its nearest wide eigenvalue land on the returned solution.
     """
     spectrum = _resolve_spectrum(params, drive, spectrum, config)
-    d = config.n_levels
-    energies = spectrum.energies[:d]
-    phi_op = spectrum.phi_elements[:d, :d]
-    rep_e, blocks, dom_w, cents = _solve_sambe(
-        energies, phi_op, params.e_l, drive, config.sideband_cutoff, d
-    )
-    converged = None
-    delta = None
+    d, n_side = config.n_levels, config.sideband_cutoff
+    margin = 2 if check_convergence else 0
+    h = _assemble_sambe(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
+                        drive.xi, drive.omega, n_side + margin)
+    core = slice(margin * d, h.shape[0] - margin * d)
+    try:
+        rep_e, blocks, dom_w, cents = _solve_sambe(h[core, core], drive.omega, n_side, d)
+        wide_e = scipy.linalg.eigh(h, eigvals_only=True, driver="evd") if margin else None
+    except scipy.linalg.LinAlgError as exc:
+        raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
+    converged = delta = None
     warnings: tuple[str, ...] = ()
     if check_convergence:
-        rep_e2, _, _, _ = _solve_sambe(
-            energies, phi_op, params.e_l, drive, config.sideband_cutoff + 2, d
-        )
-        delta = float(np.max(_zone_distance(rep_e, rep_e2, drive.omega)))
+        # nearest wide eigenvalue to each representative, unfolded
+        pos = np.clip(np.searchsorted(wide_e, rep_e), 1, wide_e.size - 1)
+        below, above = wide_e[pos - 1], wide_e[pos]
+        near = np.where(rep_e - below <= above - rep_e, below, above)
+        delta = float(np.max(_zone_distance(rep_e, near, drive.omega)))
         converged = delta < 1e-8
         if not converged:
             warnings = (
@@ -476,7 +476,7 @@ def monodromy_oracle(
         ConvergenceError: if step doubling fails to stabilize the result.
     """
     d = _ORACLE_LEVELS
-    cfg = SambeConfig(n_levels=d, sideband_cutoff=1)
+    cfg = SambeConfig(n_levels=d, sideband_cutoff=2)
     spectrum = _resolve_spectrum(params, drive, spectrum, cfg)
     energies = spectrum.energies[:d]
     phi_op = spectrum.phi_elements[:d, :d]

@@ -205,6 +205,7 @@ def test_every_record_field_is_a_config_key(section, key):
     ("ramsey", "delays = [0.0, 2e-6]", "delays must hold at least 3 windows"),
     ("probe", "linewidth = 0.0", "linewidth must be positive"),
     ("probe", "rabi = -1e-4", "rabi must be non-negative"),
+    ("floquet", "sideband_cutoff = 1", "sideband_cutoff must be at least 2"),
 ])
 def test_section_rejected_by_the_record_it_feeds(section, line, reason):
     with pytest.raises(ConfigError, match=rf"^invalid \[{section}\] settings: {reason}$"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -83,6 +84,94 @@ def test_sambe_matrix_structure(params, spec_half):
     assert np.allclose(far, 0.0)
 
 
+def _loop_sambe(energies, phi_op, e_l, xi, omega, n_side):
+    """Reference Sambe matrix: one diagonal and two coupling blocks per harmonic."""
+    d, nb = energies.size, 2 * n_side + 1
+    shift, amp = floquet._drive_terms(e_l, xi)
+    coupling = 0.5 * amp * phi_op
+    h = np.zeros((d * nb, d * nb))
+    for j, n in enumerate(range(-n_side, n_side + 1)):
+        rows = slice(j * d, (j + 1) * d)
+        h[rows, rows] = np.diag(energies + n * omega + shift)
+        if j + 1 < nb:
+            nxt = slice((j + 1) * d, (j + 2) * d)
+            h[rows, nxt] = coupling
+            h[nxt, rows] = coupling.T
+    return h
+
+
+@pytest.mark.parametrize("d,n_side", [(2, 1), (3, 2), (5, 20), (9, 7)])
+def test_assemble_sambe_matches_block_loop(params, spec_451, spot_drive, d, n_side):
+    args = (spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
+            spot_drive.xi, spot_drive.omega, n_side)
+    assert np.array_equal(floquet._assemble_sambe(*args), _loop_sambe(*args))
+
+
+@pytest.mark.parametrize("n_side", [2, 20])
+def test_checked_matrix_center_is_the_kept_matrix(params, spec_451, spot_drive, n_side):
+    d = 5
+    args = (spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
+            spot_drive.xi, spot_drive.omega)
+    wide = floquet._assemble_sambe(*args, n_side + 2)
+    assert np.array_equal(wide[2 * d:-2 * d, 2 * d:-2 * d], floquet._assemble_sambe(*args, n_side))
+
+
+def test_checked_solve_assembles_and_diagonalizes_once(params, spec_451, spot_drive,
+                                                       monkeypatch):
+    assembled, eigh_calls = [], []
+    assemble, eigh = floquet._assemble_sambe, floquet.scipy.linalg.eigh
+    monkeypatch.setattr(floquet, "_assemble_sambe",
+                        lambda *a: assembled.append(a[-1]) or assemble(*a))
+    monkeypatch.setattr(floquet.scipy.linalg, "eigh",
+                        lambda h, **kw: eigh_calls.append(kw.get("eigvals_only", False))
+                        or eigh(h, **kw))
+    sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
+    assert sol.converged is True
+    # one matrix at N_s + 2; eigenvectors once, eigenvalues only once
+    assert assembled == [SambeConfig().sideband_cutoff + 2]
+    assert sorted(eigh_calls) == [False, True]
+
+
+def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
+    d = 5
+    energies, phi_op = spec_451.energies[:d], spec_451.phi_elements[:d, :d]
+    # under-truncated cells, then cells near the 1e-8 threshold
+    under = itertools.product((2, 4, 6, 8), (0.12, 0.16, 0.2), (0.5, 0.7743211, 1.2))
+    near = itertools.product((10, 12, 14, 16, 18), (0.086, 0.12, 0.16), (0.5, 0.7743211, 1.2))
+    flags, in_band = [], 0
+    for n_side, xi, omega in itertools.chain(under, near):
+        drive = DriveParams(FluxBias(0.451), xi, omega)
+        try:
+            sol = solve_floquet(params, drive, SambeConfig(sideband_cutoff=n_side),
+                                spectrum=spec_451)
+        except ConvergenceError:
+            continue  # too few interior representatives at this cutoff, checked or not
+        # the labelled re-solve at N_s + 2 that the check replaces
+        wide = floquet._assemble_sambe(energies, phi_op, params.e_l, xi, omega, n_side + 2)
+        ref_e = floquet._solve_sambe(wide, omega, n_side + 2, d)[0]
+        ref_delta = float(np.max(floquet._zone_distance(sol.rep_energies, ref_e, omega)))
+        assert sol.converged == (ref_delta < 1e-8), (n_side, xi, omega)
+        if 1e-12 <= ref_delta < 1e-8:
+            in_band += 1
+            assert sol.convergence_delta == pytest.approx(ref_delta, rel=0.01)
+        flags.append(sol.converged)
+    assert in_band >= 10
+    assert flags.count(False) >= 20 and flags.count(True) >= 10
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+def test_sambe_solve_peak_within_stated_factor(params, spec_451, spot_drive, checked):
+    # the assembled matrix has dimension 5 * 201 = 1005 either way
+    cfg = SambeConfig(sideband_cutoff=98 if checked else 100)
+    tracemalloc.start()
+    try:
+        solve_floquet(params, spot_drive, cfg, spectrum=spec_451, check_convergence=checked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= floquet._SAMBE_PEAK_ARRAYS * 8 * 1005**2
+
+
 def test_monodromy_oracle_agreement(params, spec_451):
     drive = DriveParams(FluxBias(0.451), 0.05, 0.4)
     sol = solve_floquet(params, drive, SambeConfig(), spectrum=spec_451)
@@ -134,7 +223,7 @@ def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
 
 
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
-    # dimension 5 * 1201 = 6005 is just over the cap
+    # dimension 5 * 1201 = 6005 is over the cap
     tracemalloc.start()
     try:
         with pytest.raises(DiagnosticError, match="GB"):
