@@ -16,7 +16,6 @@ from floqlux import (
     CircuitParams,
     DriveParams,
     FluxBias,
-    diagonalize_static,
     floquet_dipole_coupling,
     rwa_coupling,
     rwa_params_from_circuit,
@@ -38,13 +37,12 @@ def main(argv=None):
 
     params = CircuitParams()
     cavity = CavityParams()
-    spec = diagonalize_static(params, FluxBias(args.phi))
     ms = range(args.m[0], args.m[1] + 1)
 
     # static anchors for the normalized columns
     tiny = DriveParams(FluxBias(args.phi), 1e-9, args.omega)
-    sol0 = solve_floquet(params, tiny, spectrum=spec)
-    f_ref = abs(floquet_dipole_coupling(sol0, spec, cavity, 0))
+    sol0 = solve_floquet(params, tiny)
+    f_ref = abs(floquet_dipole_coupling(sol0, cavity, 0))
     rwa0 = rwa_params_from_circuit(params, args.phi, cavity, 1e-9)
     r_ref = abs(rwa_coupling(rwa0, rwa_phase_coefficients(rwa0, tiny), 0))
 
@@ -54,11 +52,11 @@ def main(argv=None):
           f"{'norm floquet':>13} {'norm rwa':>10}")
     for xi in args.xi:
         drive = DriveParams(FluxBias(args.phi), xi, args.omega)
-        sol = solve_floquet(params, drive, spectrum=spec)
+        sol = solve_floquet(params, drive)
         rwa = rwa_params_from_circuit(params, args.phi, cavity, xi)
         co = rwa_phase_coefficients(rwa, drive)
         for m in ms:
-            gf = abs(floquet_dipole_coupling(sol, spec, cavity, m))
+            gf = abs(floquet_dipole_coupling(sol, cavity, m))
             gr = abs(rwa_coupling(rwa, co, m))
             print(f"{xi:7.4f} {m:3d} {gf:14.6f} {gr:12.6f} "
                   f"{gf / f_ref:13.4f} {gr / r_ref:10.4f}")

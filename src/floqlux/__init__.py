@@ -30,7 +30,6 @@ from .config import (
     GridSpec,
     PolaritonSpec,
     ProbeSpec,
-    RamseySpec,
     RunConfig,
     SweetSpotSpec,
     TASKS,

@@ -173,8 +173,6 @@ class StaticSpectrum:
             largest-magnitude component of each column is made positive.
         phi_elements: <a|phi|b> in radians (real symmetric).
         n_elements: <a|n|b> (Hermitian, purely imaginary off-diagonals).
-        degenerate_pairs: adjacent level pairs closer than ``degeneracy_tol``;
-            matrix elements within such pairs have gauge-arbitrary mixing.
     """
 
     params: CircuitParams
@@ -183,8 +181,6 @@ class StaticSpectrum:
     eigenvectors: np.ndarray
     phi_elements: np.ndarray
     n_elements: np.ndarray
-    degenerate_pairs: tuple[tuple[int, int], ...] = ()
-    degeneracy_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         for arr in (self.energies, self.eigenvectors, self.phi_elements, self.n_elements):
@@ -226,9 +222,6 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     phi_el = 0.5 * (phi_el + phi_el.T)
     n_el = vecs.conj().T @ n_op @ vecs
     n_el = 0.5 * (n_el + n_el.conj().T)
-    gaps = np.diff(energies)
-    tol = 1e-9
-    pairs = tuple((int(i), int(i + 1)) for i in np.nonzero(gaps < tol)[0])
     return StaticSpectrum(
         params=params,
         bias=bias,
@@ -236,8 +229,6 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
         eigenvectors=vecs,
         phi_elements=phi_el,
         n_elements=n_el,
-        degenerate_pairs=pairs,
-        degeneracy_tol=tol,
     )
 
 

@@ -123,9 +123,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

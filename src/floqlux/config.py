@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "GridSpec",
     "ProbeSpec",
     "PolaritonSpec",
-    "RamseySpec",
     "SweetSpotSpec",
     "RunConfig",
     "TASKS",
@@ -94,22 +93,6 @@ class PolaritonSpec:
 
 
 @dataclass(frozen=True)
-class RamseySpec:
-    """Ramsey synthesis/extraction plan; omega0 = 0 means the static
-    transition frequency at the cell bias."""
-
-    omega0: float = 0.0
-    delays: tuple = tuple(float(i) * 2e-6 for i in range(26))
-    window: float = 20e-9
-    step: float = 1e-9
-    t2r_true: float = 23e-6
-
-    def __post_init__(self) -> None:
-        # the sampling-plan rules live on the record this section feeds
-        RamseyConfig(**asdict(self))
-
-
-@dataclass(frozen=True)
 class SweetSpotSpec:
     """Sweet-spot scan settings."""
 
@@ -129,7 +112,7 @@ class RunConfig:
     cavity: CavityParams = CavityParams()
     probe: ProbeSpec = ProbeSpec()
     polariton: PolaritonSpec = PolaritonSpec()
-    ramsey: RamseySpec = RamseySpec()
+    ramsey: RamseyConfig = RamseyConfig()
     sweetspot: SweetSpotSpec = SweetSpotSpec()
     output: str = "out"
     workers: int = 1

@@ -226,20 +226,16 @@ def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMa
     )
 
 
-def fourier_matrix_elements(
-    sol: FloquetSolution, spectrum: StaticSpectrum | None = None
-) -> FourierMatrixElements:
-    """Phase-operator elements phi_ab^(k) for the qubit pair (0, 1)."""
-    spectrum = spectrum if spectrum is not None else sol.spectrum
-    return fourier_operator_elements(sol, spectrum.phi_elements)
+def fourier_matrix_elements(sol: FloquetSolution) -> FourierMatrixElements:
+    """Phase-operator elements phi_ab^(k) for the qubit pair (0, 1), from the
+    phase matrix of the static spectrum the solution was built on."""
+    return fourier_operator_elements(sol, sol.spectrum.phi_elements)
 
 
-def charge_fourier_elements(
-    sol: FloquetSolution, spectrum: StaticSpectrum | None = None
-) -> FourierMatrixElements:
-    """Charge-operator elements n_ab^(k) for the qubit pair (0, 1)."""
-    spectrum = spectrum if spectrum is not None else sol.spectrum
-    return fourier_operator_elements(sol, spectrum.n_elements)
+def charge_fourier_elements(sol: FloquetSolution) -> FourierMatrixElements:
+    """Charge-operator elements n_ab^(k) for the qubit pair (0, 1), from the
+    charge matrix of the static spectrum the solution was built on."""
+    return fourier_operator_elements(sol, sol.spectrum.n_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +288,13 @@ def depolarization_rates(
     elems: FourierMatrixElements,
     sol: FloquetSolution,
     model: NoiseModel,
-    params: CircuitParams,
 ) -> DepolarizationRates:
-    """Sideband-summed depolarization rates of the Floquet qubit."""
+    """Sideband-summed depolarization rates of the Floquet qubit.
+
+    ``elems`` are the phase elements of ``sol``; the circuit (E_L, E_C) is
+    the one the solution was built from.
+    """
+    params = sol.spectrum.params
     eps01 = sol.splitting(1, 0, branch="natural")
     el2 = ghz_to_angular(params.e_l) ** 2
     phi01 = elems.table[0, 1]
@@ -330,17 +330,19 @@ def pure_dephasing_rate(
     elems: FourierMatrixElements,
     sol: FloquetSolution,
     model: NoiseModel,
-    params: CircuitParams,
+    *,
     derivatives: "QuasienergyDerivatives | None" = None,
 ) -> DephasingRate:
     """Pure dephasing from 1/f flux and amplitude noise plus sideband terms.
 
-    The low-frequency term uses the closed matrix-element forms of the
-    quasienergy derivatives: those of ``derivatives`` when given, otherwise
-    evaluated from ``elems`` directly.
+    ``elems`` are the phase elements of ``sol``; the circuit is the one the
+    solution was built from.  The low-frequency term uses the closed
+    matrix-element forms of the quasienergy derivatives: those of
+    ``derivatives`` when given, otherwise evaluated from ``elems`` directly.
     """
+    params = sol.spectrum.params
     if derivatives is None:
-        derivatives = quasienergy_derivatives(sol, elems, params, fd=False)
+        derivatives = quasienergy_derivatives(sol, elems)
     d_flux, d_xi = derivatives.flux_me, derivatives.xi_me
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
@@ -391,30 +393,32 @@ class QuasienergyDerivatives:
     tracking_break: bool = False
 
 
-def _matrix_element_derivatives(elems: FourierMatrixElements, params: CircuitParams):
+def _matrix_element_derivatives(
+    sol: FloquetSolution, elems: FourierMatrixElements | None = None
+) -> tuple[float, float]:
+    """(d eps01/d phi_dc, d eps01/d xi) in closed form from the phase elements
+    of ``sol`` (computed when not given)."""
+    if elems is None:
+        elems = fourier_matrix_elements(sol)
+    e_l = sol.spectrum.params.e_l
     kmax = int(elems.k_values[-1])
     diag = elems.table[[0, 1], [0, 1]]
     d = diag[:, kmax].real
     x = (diag[:, kmax + 1] + diag[:, kmax - 1]).real
-    flux = -2.0 * math.pi * params.e_l * (d[1] - d[0])
-    xi = -math.pi * params.e_l * (x[1] - x[0])
+    flux = -2.0 * math.pi * e_l * (d[1] - d[0])
+    xi = -math.pi * e_l * (x[1] - x[0])
     return float(flux), float(xi)
 
 
-def _matched_eps01(
-    params: CircuitParams,
-    drive: DriveParams,
-    config: SambeConfig,
-    ref: FloquetSolution,
-) -> float:
-    """eps01 at a shifted parameter point, branch-matched to ``ref``.
+def _matched_eps01(drive: DriveParams, ref: FloquetSolution) -> float:
+    """eps01 at a shifted drive point of ``ref``'s circuit, branch-matched to ``ref``.
 
     Floquet representatives at the shifted point are matched to the
     reference levels 0 and 1 through block overlaps (including harmonic
     translations and the change of static eigenbasis), so the returned
     splitting continues the reference branch instead of jumping zones.
     """
-    sol = solve_floquet(params, drive, config, check_convergence=False)
+    sol = solve_floquet(ref.spectrum.params, drive, ref.config, check_convergence=False)
     labels, shifts, overlaps = _match_branches(ref, sol, 2)
     if np.any(overlaps <= _TRACKING_BREAK):
         a = int(np.argmax(overlaps <= _TRACKING_BREAK))  # first lost level
@@ -467,38 +471,29 @@ def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1
 def quasienergy_derivatives(
     sol: FloquetSolution,
     elems: FourierMatrixElements | None = None,
-    params: CircuitParams | None = None,
     fd: bool = False,
 ) -> QuasienergyDerivatives:
     """Quasienergy-splitting derivatives at the solution's drive point.
 
-    The matrix-element forms are always computed.  With ``fd=True`` the
-    five-point central differences start from a step of 1e-4 flux quanta
-    and are halved and Richardson-combined; a branch-tracking break inside
-    either stencil leaves the finite-difference fields None and sets
-    ``tracking_break``.
+    The matrix-element forms are always computed, from ``elems`` (the phase
+    elements of ``sol``, computed when not given).  With ``fd=True`` the
+    five-point central differences of the solution's circuit and truncation
+    start from a step of 1e-4 flux quanta and are halved and
+    Richardson-combined; a branch-tracking break inside either stencil
+    leaves the finite-difference fields None and sets ``tracking_break``.
     """
-    if params is None:
-        params = sol.spectrum.params
-    if elems is None:
-        elems = fourier_matrix_elements(sol, sol.spectrum)
-    flux_me, xi_me = _matrix_element_derivatives(elems, params)
+    flux_me, xi_me = _matrix_element_derivatives(sol, elems)
     if not fd:
         return QuasienergyDerivatives(flux_me=flux_me, xi_me=xi_me)
 
     drive = sol.drive
-    cfg = sol.config
 
     def eps_flux(x: float) -> float:
-        return _matched_eps01(
-            params, DriveParams(FluxBias(x), drive.xi, drive.omega), cfg, sol
-        )
+        return _matched_eps01(DriveParams(FluxBias(x), drive.xi, drive.omega), sol)
 
     def eps_xi(x: float) -> float:
         # eps01 is even in xi; reflect so DriveParams stays in its domain
-        return _matched_eps01(
-            params, DriveParams(drive.bias, abs(x), drive.omega), cfg, sol
-        )
+        return _matched_eps01(DriveParams(drive.bias, abs(x), drive.omega), sol)
 
     flux_fd = flux_err = xi_fd = xi_err = None
     broke = False
@@ -552,13 +547,27 @@ def coherence_rates(
     sol: FloquetSolution | None = None,
     fd: bool = False,
 ) -> CoherenceRates:
-    """Solve (or reuse) the Floquet problem and assemble all rates."""
+    """Solve (or reuse) the Floquet problem and assemble all rates.
+
+    A given ``sol`` must be the solution of ``params``, ``drive`` and
+    ``config``: the rates are those of ``sol``, so any other arguments
+    would silently be ignored.
+
+    Raises:
+        ValueError: when ``sol`` was solved for another drive, truncation
+            or circuit.
+    """
     if sol is None:
         sol = solve_floquet(params, drive, config)
-    elems = fourier_matrix_elements(sol, sol.spectrum)
-    derivs = quasienergy_derivatives(sol, elems, params, fd=fd)
-    depol = depolarization_rates(elems, sol, model, params)
-    deph = pure_dephasing_rate(elems, sol, model, params, derivatives=derivs)
+    elif sol.drive != drive or sol.config != config or sol.spectrum.params != params:
+        raise ValueError(
+            f"sol was solved for {sol.spectrum.params!r}, {sol.drive!r}, {sol.config!r}; "
+            f"coherence_rates was given {params!r}, {drive!r}, {config!r}"
+        )
+    elems = fourier_matrix_elements(sol)
+    derivs = quasienergy_derivatives(sol, elems, fd=fd)
+    depol = depolarization_rates(elems, sol, model)
+    deph = pure_dephasing_rate(elems, sol, model, derivatives=derivs)
     t1 = depol.t1
     inv_t2r = (0.0 if t1 == math.inf else 0.5 / t1) + deph.gamma_phi
     return CoherenceRates(
@@ -634,7 +643,7 @@ def find_sweet_spots(
         return solve_floquet(params, drive, config, check_convergence=False)
 
     def derivs_at(phi: float, xi: float, om: float):
-        return _matrix_element_derivatives(fourier_matrix_elements(solved(phi, xi, om)), params)
+        return _matrix_element_derivatives(solved(phi, xi, om))
 
     # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
     d = np.array([[[derivs_at(p, x, o) for o in grid_om] for x in grid_xi] for p in grid_phi])
@@ -651,7 +660,7 @@ def find_sweet_spots(
 
     def classify(phi, xi, om):
         sol = solved(phi, xi, om)
-        df, dx = _matrix_element_derivatives(fourier_matrix_elements(sol), params)
+        df, dx = _matrix_element_derivatives(sol)
         both = abs(df) < tol_d and abs(dx) < tol_d and xi > 0
         if both:
             kind = "double"
@@ -759,7 +768,6 @@ class TwoLevelReduction:
     times: np.ndarray
     u: np.ndarray
     elems: FourierMatrixElements
-    max_unitarity_defect: float
 
     def __post_init__(self) -> None:
         self.phi_bar.setflags(write=False)
@@ -777,7 +785,14 @@ def two_level_reduction(
     drive: DriveParams,
     spectrum: StaticSpectrum | None = None,
 ) -> TwoLevelReduction:
-    """Solve the two-level projected model and tabulate its Floquet frame."""
+    """Solve the two-level projected model and tabulate its Floquet frame.
+
+    A given ``spectrum`` must be that of ``params`` at ``drive.bias``.
+
+    Raises:
+        ValueError: when ``spectrum`` is of another circuit or bias.
+        ConvergenceError: when the frame is not unitary to 1e-10.
+    """
     sol = solve_floquet(params, drive, _TWO_LEVEL_CONFIG, spectrum=spectrum,
                         check_convergence=False)
     phi_bar = sol.spectrum.phi_elements[:2, :2].copy()
@@ -802,7 +817,6 @@ def two_level_reduction(
         times=times,
         u=u,
         elems=elems,
-        max_unitarity_defect=defect,
     )
 
 
@@ -828,7 +842,7 @@ def filter_weights(obj) -> FilterWeights:
         elems = obj.elems
         phi_bar = obj.phi_bar
     elif isinstance(obj, FloquetSolution):
-        elems = fourier_matrix_elements(obj, obj.spectrum)
+        elems = fourier_matrix_elements(obj)
         phi_bar = obj.spectrum.phi_elements[:2, :2]
     else:
         raise TypeError("filter_weights expects a TwoLevelReduction or FloquetSolution")

@@ -161,6 +161,10 @@ def build_sambe(
     """Assemble the Sambe-space matrix (GHz) in the static eigenbasis.
 
     Block order runs n = -N_s..N_s, each block of size ``config.n_levels``.
+    A given ``spectrum`` must be that of ``params`` at ``drive.bias``.
+
+    Raises:
+        ValueError: when ``spectrum`` is of another circuit or bias.
     """
     spectrum = _resolve_spectrum(params, drive, spectrum, config)
     d = config.n_levels
@@ -175,14 +179,22 @@ def build_sambe(
 
 
 def _resolve_spectrum(params, drive, spectrum, config) -> StaticSpectrum:
+    """The static spectrum of ``params`` at the drive's bias, with enough levels.
+
+    A given ``spectrum`` must be that spectrum: a second copy of the circuit
+    or the bias would otherwise build the Sambe matrix in a foreign basis.
+    """
     if spectrum is None:
-        if params.n_levels < config.n_levels:
-            raise ValueError(
-                f"CircuitParams.n_levels={params.n_levels} < SambeConfig.n_levels={config.n_levels}"
-            )
         spectrum = diagonalize_static(params, drive.bias)
+    elif spectrum.params != params or spectrum.bias != drive.bias:
+        raise ValueError(
+            f"static spectrum of {spectrum.params!r} at {spectrum.bias!r} does not belong "
+            f"to {params!r} at the drive bias {drive.bias!r}"
+        )
     if spectrum.energies.size < config.n_levels:
-        raise ValueError("static spectrum holds fewer levels than the Sambe config needs")
+        raise ValueError(
+            f"CircuitParams.n_levels={params.n_levels} < SambeConfig.n_levels={config.n_levels}"
+        )
     return spectrum
 
 
@@ -199,9 +211,9 @@ class FloquetSolution:
             [a, j, :] is the Fourier component |phi_a^(n)> with n = j - N_s,
             expressed in the static eigenbasis.  Blocks of one state are
             jointly normalized to 1.
-        dominant_weights: per label, the assignment weight onto its static
-            level (1 at xi=0; smaller as sidebands mix levels).
-        centroids: Fourier-weight centroid of each representative.
+        spectrum: the static spectrum of the circuit at ``drive.bias`` whose
+            eigenbasis the blocks are expressed in; derived quantities read
+            the circuit and its matrix elements from here.
         converged: True when ``convergence_delta`` < 1e-8 GHz (see
             ``solve_floquet(check_convergence=...)``); None when unchecked.
         convergence_delta: largest zone distance from a representative
@@ -214,20 +226,12 @@ class FloquetSolution:
     rep_energies: np.ndarray
     fourier_blocks: np.ndarray
     spectrum: StaticSpectrum
-    dominant_weights: np.ndarray
-    centroids: np.ndarray
     converged: bool | None = None
     convergence_delta: float | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for arr in (
-            self.quasienergies,
-            self.rep_energies,
-            self.fourier_blocks,
-            self.dominant_weights,
-            self.centroids,
-        ):
+        for arr in (self.quasienergies, self.rep_energies, self.fourier_blocks):
             arr.setflags(write=False)
 
     @property
@@ -307,7 +311,7 @@ def _select_representatives(evals, blocks_all, weights_all, omega, n_side, n_sta
             f"found only {len(accepted)} of {n_states} interior Floquet representatives; "
             "increase sideband_cutoff"
         )
-    return accepted, centroids, dominant
+    return accepted
 
 
 def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarray:
@@ -326,13 +330,12 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
 
 def _solve_sambe(h, omega, n_side, n_states):
     """Representatives of the Sambe matrix ``h`` (harmonic blocks -n_side..n_side),
-    in label order: raw eigenvalues, gauged Fourier blocks, dominant weights
-    and centroids."""
+    in label order: raw eigenvalues and gauged Fourier blocks."""
     evals, evecs = scipy.linalg.eigh(h, driver="evd")
     nb = 2 * n_side + 1
     blocks_all = evecs.T.reshape(evals.size, nb, h.shape[0] // nb)
     weights_all = np.sum(blocks_all * blocks_all, axis=2)
-    accepted, centroids, dominant = _select_representatives(
+    accepted = _select_representatives(
         evals, blocks_all, weights_all, omega, n_side, n_states
     )
     # label against static levels by total weight per circuit level
@@ -345,8 +348,7 @@ def _solve_sambe(h, omega, n_side, n_states):
     flat = blocks.reshape(n_states, -1)
     lead = flat[np.arange(n_states), np.argmax(np.abs(flat), axis=1)]
     blocks /= (lead / np.abs(lead))[:, None, None]
-    dom_w = level_w[rows, np.arange(n_states)]
-    return evals[by_label], blocks, dom_w, centroids[by_label]
+    return evals[by_label], blocks
 
 
 def solve_floquet(
@@ -363,6 +365,13 @@ def solve_floquet(
     solved problem, and of the wide matrix only the eigenvalues are computed.
     The flag and the largest zone distance from a representative energy to
     its nearest wide eigenvalue land on the returned solution.
+
+    ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``; a
+    given one must be that spectrum, since the solution carries it as the
+    basis of its Fourier blocks.
+
+    Raises:
+        ValueError: when ``spectrum`` is of another circuit or bias.
     """
     spectrum = _resolve_spectrum(params, drive, spectrum, config)
     d, n_side = config.n_levels, config.sideband_cutoff
@@ -371,7 +380,7 @@ def solve_floquet(
                         drive.xi, drive.omega, n_side + margin)
     core = slice(margin * d, h.shape[0] - margin * d)
     try:
-        rep_e, blocks, dom_w, cents = _solve_sambe(h[core, core], drive.omega, n_side, d)
+        rep_e, blocks = _solve_sambe(h[core, core], drive.omega, n_side, d)
         wide_e = scipy.linalg.eigh(h, eigvals_only=True, driver="evd") if margin else None
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
@@ -396,8 +405,6 @@ def solve_floquet(
         rep_energies=rep_e,
         fourier_blocks=blocks,
         spectrum=spectrum,
-        dominant_weights=dom_w,
-        centroids=cents,
         converged=converged,
         convergence_delta=delta,
         warnings=warnings,
@@ -469,9 +476,11 @@ def monodromy_oracle(
     other without a modeling difference.  The integrator is a fourth-order
     commutator-free exponential scheme; results are accepted only once
     doubling the step count (from 2048 per period, at most three times)
-    moves the quasienergies of the lowest 5 levels by < 1e-9 GHz.
+    moves the quasienergies of the lowest 5 levels by < 1e-9 GHz.  A given
+    ``spectrum`` must be that of ``params`` at ``drive.bias``.
 
     Raises:
+        ValueError: when ``spectrum`` is of another circuit or bias.
         DiagnosticError: if the propagator drifts from unitarity beyond 1e-8.
         ConvergenceError: if step doubling fails to stabilize the result.
     """
@@ -576,8 +585,6 @@ def track_states(solutions) -> TrackingResult:
                 quasienergies=np.asarray(fold_quasienergy(new_rep, omega)),
                 rep_energies=new_rep,
                 fourier_blocks=new_blocks,
-                dominant_weights=cur.dominant_weights[perm],
-                centroids=cur.centroids[perm] - kshift,
             )
         )
     return TrackingResult(tuple(tracked), tuple(min_overlaps), tuple(breaks))

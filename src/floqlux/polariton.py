@@ -66,14 +66,12 @@ class CavityParams:
             raise ValueError("omega_c must be positive and g_cap non-negative")
 
 
-def floquet_dipole_coupling(
-    sol: FloquetSolution, spectrum, cavity: CavityParams, m: int
-) -> complex:
+def floquet_dipole_coupling(sol: FloquetSolution, cavity: CavityParams, m: int) -> complex:
     """Sideband coupling g_m = g_cap * <phi_3^(m)| n |phi_0^(0)>.
 
-    ``spectrum`` supplies the charge matrix elements (pass None to reuse the
-    one the solution was built from).  The modulus is gauge independent; the
-    phase depends on the eigenvector gauge.
+    The charge matrix elements are those of the static spectrum the solution
+    was built on.  The modulus is gauge independent; the phase depends on
+    the eigenvector gauge.
 
     Raises:
         OutOfWindowError: when |m| exceeds the solution's sideband window.
@@ -81,10 +79,8 @@ def floquet_dipole_coupling(
     """
     if sol.n_levels <= 3:
         raise ValueError(f"solution holds levels < {sol.n_levels}, asked for 3")
-    if spectrum is None:
-        spectrum = sol.spectrum
     d = sol.n_levels
-    n_op = spectrum.n_elements[:d, :d]
+    n_op = sol.spectrum.n_elements[:d, :d]
     bra = sol.block(3, m)
     ket = sol.block(0, 0)
     return complex(cavity.g_cap * (bra.conj() @ n_op @ ket))
@@ -262,6 +258,28 @@ def rwa_params_from_circuit(
 _FIT_M_VALUES = tuple(range(-2, 4))
 
 
+def _by_m(values) -> dict:
+    """m -> float over m = -2..3 from a mapping (None or a missing m reads 0)."""
+    return {m: float((values or {}).get(m, 0.0)) for m in _FIT_M_VALUES}
+
+
+def _manifold(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
+              g_m: dict, delta_m: dict) -> np.ndarray:
+    """One-excitation manifold matrices, one 7x7 per transition frequency.
+
+    Row 0 is the bare cavity at omega_c; row j holds sideband image
+    m = j - 3 of the 0 -> 3 transition at omega3 + m*Omega + delta_m, coupled
+    to the cavity by |g_m|.
+    """
+    size = 1 + len(_FIT_M_VALUES)
+    h = np.zeros((omega3s.size, size, size))
+    h[:, 0, 0] = cavity.omega_c
+    for j, m in enumerate(_FIT_M_VALUES, start=1):
+        h[:, j, j] = omega3s + m * drive_omega + delta_m[m]
+        h[:, 0, j] = h[:, j, 0] = abs(g_m[m])
+    return h
+
+
 def polariton_manifold_eigs(
     cavity: CavityParams,
     omega3: float,
@@ -280,17 +298,8 @@ def polariton_manifold_eigs(
         g_m, delta_m = fit.g_m, fit.delta_m
     else:
         g_m = fit
-    size = 1 + len(_FIT_M_VALUES)
-    h = np.zeros((size, size))
-    h[0, 0] = cavity.omega_c
-    for i, m in enumerate(_FIT_M_VALUES, start=1):
-        gm = abs(g_m.get(m, 0.0)) if hasattr(g_m, "get") else abs(g_m[m])
-        dm = 0.0
-        if delta_m is not None:
-            dm = float(delta_m.get(m, 0.0)) if hasattr(delta_m, "get") else float(delta_m[m])
-        h[i, i] = omega3 + m * drive_omega + dm
-        h[0, i] = h[i, 0] = gm
-    return np.linalg.eigvalsh(h)
+    h = _manifold(cavity, np.array([float(omega3)]), drive_omega, _by_m(g_m), _by_m(delta_m))
+    return np.linalg.eigvalsh(h)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,16 +333,15 @@ def synth_polariton_data(
     """Simulated transmission-peak data (phi, freq[, sigma]) near the cavity.
 
     For each flux the manifold eigenvalues within 0.25 GHz of the cavity
-    are emitted, optionally jittered by gaussian noise of scale ``sigma``
-    (GHz).
+    are emitted in ascending order, optionally jittered by gaussian noise of
+    scale ``sigma`` (GHz).  ``g_m`` and ``delta_m`` are read as in
+    ``polariton_manifold_eigs``.
     """
-    rows = []
-    for phi in np.atleast_1d(phis):
-        eigs = polariton_manifold_eigs(cavity, float(omega3_curve(phi)), drive_omega, g_m, delta_m)
-        for e in eigs:
-            if abs(e - cavity.omega_c) <= 0.25:
-                rows.append((float(phi), float(e)))
-    data = np.array(rows)
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    omega3s = np.array([float(omega3_curve(phi)) for phi in phis])
+    eigs = np.linalg.eigvalsh(_manifold(cavity, omega3s, drive_omega, _by_m(g_m), _by_m(delta_m)))
+    near = np.abs(eigs - cavity.omega_c) <= 0.25
+    data = np.column_stack([np.broadcast_to(phis[:, None], eigs.shape)[near], eigs[near]])
     if sigma > 0:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -392,20 +400,9 @@ def fit_polariton(
             d[m] = x[n_act + i]
         return g, d
 
-    # batched manifold: one 7x7 per data point, eigendecomposed together
-    size = 1 + len(_FIT_M_VALUES)
-    base = np.zeros((freqs.size, size, size))
-    base[:, 0, 0] = cavity.omega_c
-    for j, m in enumerate(_FIT_M_VALUES, start=1):
-        base[:, j, j] = omega3s + m * drive_omega
-
     def residuals(x):
-        g, d = unpack(x)
-        h = base.copy()
-        for j, m in enumerate(_FIT_M_VALUES, start=1):
-            h[:, j, j] += d[m]
-            h[:, 0, j] = h[:, j, 0] = g[m]
-        eigs = np.linalg.eigvalsh(h)
+        # one manifold per data point, eigendecomposed together
+        eigs = np.linalg.eigvalsh(_manifold(cavity, omega3s, drive_omega, *unpack(x)))
         return np.min(np.abs(eigs - freqs[:, None]), axis=1) / sigmas
 
     starts = [np.concatenate([np.full(n_act, g0), np.zeros(n_act)])

@@ -200,7 +200,7 @@ def spectroscopy_map(
             else:
                 drive = replace(drive_template, xi=float(val))
             sol = solve_floquet(params, drive, config, check_convergence=False)
-            pol = depolarization_rates(fourier_matrix_elements(sol), sol, noise, params)
+            pol = depolarization_rates(fourier_matrix_elements(sol), sol, noise)
             branches[i] = sol.splitting(1, 0, branch="natural") + ks * drive.omega
             _, _, lor, amp2 = _probe_terms(sol, charge_fourier_elements(sol), probe, probe_freqs)
             pop[i] = _balance(pol.gamma_up, pol.gamma_down, 0.5 * lor @ amp2)
@@ -226,17 +226,19 @@ def spectroscopy_map(
 
 @dataclass(frozen=True)
 class RamseyConfig:
-    """Windowed Ramsey sampling plan (times in seconds, frequencies GHz).
+    """Windowed Ramsey sampling plan (times in seconds, frequencies GHz); also
+    the ``[ramsey]`` section of a run configuration.
 
-    ``delays`` are the window offsets, at least 3 and ascending; within each
-    window the delay is swept densely with ``step`` over ``window``.
-    ``omega0`` is the demodulation reference (the bare qubit frequency set
-    by the pulse carrier); ``t2r_true`` is the decay constant used for
-    synthesis.
+    ``delays`` are the window offsets, at least 3 and ascending (default 26
+    windows 2 us apart); within each window the delay is swept densely with
+    ``step`` over ``window``.  ``omega0`` is the demodulation reference (the
+    bare qubit frequency set by the pulse carrier); the ramsey task reads
+    ``omega0 = 0`` as the static 0 -> 1 transition at the cell bias.
+    ``t2r_true`` is the decay constant used for synthesis.
     """
 
-    omega0: float
-    delays: tuple
+    omega0: float = 0.0
+    delays: tuple = tuple(float(i) * 2e-6 for i in range(26))
     window: float = 20e-9
     step: float = 1e-9
     t2r_true: float = 23e-6

@@ -9,20 +9,15 @@ masks; jobs are module-level so they pickle into worker processes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .circuit import FluxBias, diagonalize_static, transition_spline
-from .decoherence import (
-    coherence_rates,
-    find_sweet_spots,
-    fourier_matrix_elements,
-    quasienergy_derivatives,
-)
+from .decoherence import coherence_rates, find_sweet_spots, quasienergy_derivatives
 from .errors import ConfigError
-from .floquet import DriveParams, solve_floquet
+from .floquet import DriveParams, FloquetSolution, solve_floquet
 from .polariton import (
     fit_polariton,
     floquet_dipole_coupling,
@@ -30,13 +25,7 @@ from .polariton import (
     rwa_params_from_circuit,
     rwa_phase_coefficients,
 )
-from .spectroscopy import (
-    ProbeParams,
-    RamseyConfig,
-    extract_t2r,
-    spectroscopy_map,
-    synth_ramsey_signal,
-)
+from .spectroscopy import ProbeParams, extract_t2r, spectroscopy_map, synth_ramsey_signal
 from .units import HZ_PER_GHZ
 
 if TYPE_CHECKING:
@@ -88,13 +77,13 @@ def _plain(obj):
     return str(obj)
 
 
-def _solved(config: RunConfig, coords, check_convergence: bool = True):
-    phi = float(coords["phi_dc"])
-    spec = diagonalize_static(config.circuit, FluxBias(phi))
-    drive = DriveParams(FluxBias(phi), float(coords["xi"]), float(coords["omega"]))
-    sol = solve_floquet(config.circuit, drive, config.floquet, spectrum=spec,
-                        check_convergence=check_convergence)
-    return spec, drive, sol
+def _solved(config: RunConfig, coords, check_convergence: bool = True) -> FloquetSolution:
+    """The cell's Floquet solution; jobs read its drive and static spectrum
+    (the ``diagonalize_static`` memo entry) from it."""
+    drive = DriveParams(FluxBias(float(coords["phi_dc"])), float(coords["xi"]),
+                        float(coords["omega"]))
+    return solve_floquet(config.circuit, drive, config.floquet,
+                         check_convergence=check_convergence)
 
 
 def _check_levels(config: RunConfig) -> None:
@@ -120,7 +109,7 @@ def _job_static(config: RunConfig, coords):
 
 
 def _job_floquet(config: RunConfig, coords):
-    _, _, sol = _solved(config, coords)
+    sol = _solved(config, coords)
     vals = [
         sol.splitting(1, 0, "natural"),
         sol.splitting(1, 0, "folded"),
@@ -134,7 +123,7 @@ def _job_floquet(config: RunConfig, coords):
 
 
 def _job_spectral(config: RunConfig, coords):
-    _, _, sol = _solved(config, coords)
+    sol = _solved(config, coords)
     cutoff = sol.config.sideband_cutoff
     vals = [float(sol.rep_energies[0]), float(sol.rep_energies[1])]
     for level in (0, 1):
@@ -164,13 +153,13 @@ def _check_polariton(config: RunConfig) -> None:
 
 
 def _job_polariton(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    vals = [abs(floquet_dipole_coupling(sol, spec, config.cavity, m)) for m in range(-2, 4)]
+    sol = _solved(config, coords)
+    vals = [abs(floquet_dipole_coupling(sol, config.cavity, m)) for m in range(-2, 4)]
     rwa = rwa_params_from_circuit(
-        config.circuit, float(coords["phi_dc"]), config.cavity, drive.xi,
+        sol.spectrum.params, sol.drive.bias.phi_dc, config.cavity, sol.drive.xi,
         span=config.polariton.span,
     )
-    co = rwa_phase_coefficients(rwa, drive)
+    co = rwa_phase_coefficients(rwa, sol.drive)
     vals += [abs(rwa_coupling(rwa, co, m)) for m in range(-2, 4)]
     return {"rows": [vals]}
 
@@ -268,8 +257,8 @@ def _finalize_spectroscopy(config: RunConfig, extras) -> dict:
 
 
 def _job_coherence(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    rates = coherence_rates(config.circuit, drive, config.noise, config.floquet, sol=sol)
+    sol = _solved(config, coords)
+    rates = coherence_rates(config.circuit, sol.drive, config.noise, config.floquet, sol=sol)
     vals = [
         rates.gamma_up,
         rates.gamma_down,
@@ -285,9 +274,7 @@ def _job_coherence(config: RunConfig, coords):
 
 def _job_sweetspot(config: RunConfig, coords):
     # field evaluation matches find_sweet_spots' own scan (unchecked solve)
-    spec, _, sol = _solved(config, coords, check_convergence=False)
-    elems = fourier_matrix_elements(sol, spec)
-    derivs = quasienergy_derivatives(sol, elems, config.circuit)
+    derivs = quasienergy_derivatives(_solved(config, coords, check_convergence=False))
     return {"rows": [[derivs.flux_me, derivs.xi_me]]}
 
 
@@ -322,18 +309,17 @@ def _check_ramsey(config: RunConfig) -> None:
 
 
 def _job_ramsey(config: RunConfig, coords):
-    spec, drive, sol = _solved(config, coords)
-    r = config.ramsey
-    omega0 = r.omega0 if r.omega0 > 0 else spec.transition(0, 1)
-    rcfg = RamseyConfig(omega0=omega0, delays=r.delays, window=r.window,
-                        step=r.step, t2r_true=r.t2r_true)
+    sol = _solved(config, coords)
+    rcfg = config.ramsey
+    if not rcfg.omega0 > 0:  # 0 stands for the static 0 -> 1 transition
+        rcfg = replace(rcfg, omega0=sol.spectrum.transition(0, 1))
     sig = synth_ramsey_signal(sol, rcfg)
     est = extract_t2r(sig)
     vals = [
-        omega0,
+        rcfg.omega0,
         sol.splitting(1, 0, "natural"),
         sig.dominant_beat / HZ_PER_GHZ,
-        r.t2r_true,
+        rcfg.t2r_true,
         est.t2r,
         est.t2r_stderr,
         est.frequency / HZ_PER_GHZ,

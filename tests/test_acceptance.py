@@ -117,7 +117,7 @@ def test_03_derivative_relations(capsys):
         drive = DriveParams(FluxBias(phi), rng.uniform(0.01, 0.09),
                             rng.uniform(0.35, 0.85))
         sol = solve_floquet(params, drive, config)
-        d = quasienergy_derivatives(sol, params=params, fd=True)
+        d = quasienergy_derivatives(sol, fd=True)
         if d.tracking_break or min(abs(d.flux_fd), abs(d.xi_fd)) < 1e-3:
             continue  # degenerate or near-stationary point, resample
         worst = max(worst,
@@ -194,7 +194,7 @@ def test_07_rwa_floquet_consistency(params, capsys):
     for xi in ladder:
         drive = DriveParams(FluxBias(phi), xi, 0.2)
         sol = solve_floquet(params, drive, spectrum=spec)
-        fl[xi] = {m: abs(floquet_dipole_coupling(sol, spec, cavity, m))
+        fl[xi] = {m: abs(floquet_dipole_coupling(sol, cavity, m))
                   for m in range(-2, 3)}
         rwa = rwa_params_from_circuit(params, phi, cavity, xi)
         co = rwa_phase_coefficients(rwa, drive)

@@ -92,7 +92,7 @@ def test_undriven_t1_reference(params, noise, spec_451):
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, 0.7743211),
                         SambeConfig(), spectrum=spec_451)
     elems = fourier_matrix_elements(sol)
-    depol = depolarization_rates(elems, sol, noise, params)
+    depol = depolarization_rates(elems, sol, noise)
     assert depol.t1 == pytest.approx(2.728117e-05, rel=1e-5)
     assert depol.gamma_up < depol.gamma_down  # thermal asymmetry at 85 mK
     up = sum(v["up"] for v in depol.breakdown.values())
@@ -112,10 +112,10 @@ def test_infrared_rule_of_rate_sums(params, noise, spec_451):
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, om), SambeConfig(),
                         spectrum=spec_451)
     elems = fourier_matrix_elements(sol)
-    depol = depolarization_rates(elems, _resonant(sol, 2 * om), noise, params)
+    depol = depolarization_rates(elems, _resonant(sol, 2 * om), noise)
     assert math.isfinite(depol.t1) and depol.t1 == pytest.approx(2.771e-5, rel=1e-3)
     with pytest.raises(InfraredDivergenceError):
-        depolarization_rates(elems, _resonant(sol, om), noise, params)
+        depolarization_rates(elems, _resonant(sol, om), noise)
 
 
 def test_coherence_rates_composition(params, noise, spot_drive, spot_solution):
@@ -125,11 +125,23 @@ def test_coherence_rates_composition(params, noise, spot_drive, spot_solution):
     assert rates.gamma_up > 0 and rates.gamma_down > 0 and rates.gamma_phi > 0
 
 
+@pytest.mark.parametrize("name, other", [
+    ("drive", DriveParams(FluxBias(0.451), 0.05, 0.7743211)),
+    ("config", SambeConfig(sideband_cutoff=12)),
+    ("params", CircuitParams(e_j=2.6)),
+], ids=["drive", "config", "circuit"])
+def test_coherence_rates_rejects_a_foreign_solution(params, noise, spot_drive, spot_solution,
+                                                   name, other):
+    args = {"params": params, "drive": spot_drive, "config": SambeConfig(), name: other}
+    with pytest.raises(ValueError, match="sol was solved for"):
+        coherence_rates(model=noise, sol=spot_solution, **args)
+
+
 def test_dephasing_positive_when_detuned(params, noise):
     # away from any sweet spot the 1/f first-order term dominates dephasing
     sol = solve_floquet(params, DriveParams(FluxBias(0.43), 0.0, 0.5), SambeConfig())
     elems = fourier_matrix_elements(sol)
-    deph = pure_dephasing_rate(elems, sol, noise, params)
+    deph = pure_dephasing_rate(elems, sol, noise)
     assert deph.gamma_phi > 0
     assert deph.tphi == pytest.approx(1.0 / deph.gamma_phi, rel=1e-12)
 
@@ -140,7 +152,7 @@ def test_derivative_forms_agree_at_one_point():
     drive = DriveParams(FluxBias(0.451), 0.05, 0.6)
     sol = solve_floquet(deep, drive, SambeConfig(n_levels=9), check_convergence=False)
     elems = fourier_matrix_elements(sol)
-    d = quasienergy_derivatives(sol, elems, deep, fd=True)
+    d = quasienergy_derivatives(sol, elems, fd=True)
     assert not d.tracking_break
     assert d.flux_fd == pytest.approx(d.flux_me, rel=1e-6, abs=1e-9)
     assert d.xi_fd == pytest.approx(d.xi_me, rel=1e-6, abs=1e-9)

@@ -222,6 +222,35 @@ def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
     assert peak < 4e6
 
 
+_ENTRY_POINTS = {
+    "solve_floquet": solve_floquet,
+    "monodromy_oracle": monodromy_oracle,
+    "build_sambe": build_sambe,
+    "two_level_reduction": two_level_reduction,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("foreign", [
+    (None, 0.5),  # the circuit at another bias
+    (2.6, 0.451),  # another circuit at the drive's bias
+], ids=["other_bias", "other_circuit"])
+def test_foreign_spectrum_is_rejected(params, spot_drive, entry, foreign):
+    e_j, phi = foreign
+    circuit = params if e_j is None else replace(params, e_j=e_j)
+    spectrum = diagonalize_static(circuit, FluxBias(phi))
+    with pytest.raises(ValueError, match="does not belong"):
+        _ENTRY_POINTS[entry](params, spot_drive, spectrum=spectrum)
+
+
+def test_equal_spectrum_is_accepted(params, spot_drive, spot_solution):
+    # the check compares circuit and bias by value, not by memo identity
+    fresh = diagonalize_static.__wrapped__(params, FluxBias(spot_drive.bias.phi_dc))
+    sol = solve_floquet(params, spot_drive, spectrum=fresh)
+    assert sol.spectrum is fresh
+    assert np.array_equal(sol.rep_energies, spot_solution.rep_energies)
+
+
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
     # dimension 5 * 1201 = 6005 is over the cap
     tracemalloc.start()
@@ -314,7 +343,7 @@ def test_select_representatives_rejects_copies_only():
         blocks = np.zeros((len(states), 2 * n_side + 1, 2))
         for i, (level, n) in enumerate(states):
             blocks[i, n + n_side, level] = 1.0
-        accepted, _, _ = _select_representatives(
+        accepted = _select_representatives(
             np.array(evals), blocks, np.sum(blocks**2, axis=2), omega, n_side, 2)
         return accepted
 

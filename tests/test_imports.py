@@ -9,11 +9,17 @@ name counts as used when it appears as a load anywhere in the module
 Dead-definition lint: every module-level private function, class or
 constant (a name with one leading underscore) is referenced somewhere in
 the package, by name or as a module attribute.
+
+Solution lint: a public function that takes a Floquet solution takes no
+circuit, static spectrum or drive beside it, since the solution carries
+the ones its Fourier blocks were built from.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -114,3 +120,26 @@ def test_lint_flags_a_dead_definition():
     b = ast.parse("import a\nfrom a import _used\n\nx = a._LIMIT + _used()\n")
     refs = _references([a, b])
     assert sorted(set(_private_definitions(a)) - refs) == ["_DEAD", "_Gone", "_unused"]
+
+
+# coherence_rates may also solve, so it keeps its inputs and checks a given
+# solution against them
+_SOLVES_OR_CHECKS = {"coherence_rates"}
+
+
+def test_no_second_copy_beside_a_solution():
+    offenders = []
+    for path in MODULES:
+        module = importlib.import_module(f"floqlux.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn) or name in _SOLVES_OR_CHECKS:
+                continue
+            args = inspect.signature(fn).parameters.values()
+            if not any(a.name == "sol" or "FloquetSolution" in str(a.annotation) for a in args):
+                continue
+            offenders += [f"{name}({a.name})" for a in args
+                          if a.name in ("params", "spectrum", "drive")
+                          or any(t in str(a.annotation)
+                                 for t in ("CircuitParams", "StaticSpectrum", "DriveParams"))]
+    assert not offenders, f"second copies beside a solution: {offenders}"

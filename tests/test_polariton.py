@@ -123,7 +123,7 @@ def test_model_conventions_cancel_under_normalization(params):
     cavity = CavityParams()
     drive0 = DriveParams(FluxBias(CROSSING_PHI), 1e-9, 0.2)
     sol = solve_floquet(params, drive0, SambeConfig())
-    g_f = abs(floquet_dipole_coupling(sol, None, cavity, 0))
+    g_f = abs(floquet_dipole_coupling(sol, cavity, 0))
     rwa = rwa_params_from_circuit(params, CROSSING_PHI, cavity, drive0.xi)
     co = rwa_phase_coefficients(rwa, drive0)
     g_r = abs(rwa_coupling(rwa, co, 0))
@@ -155,6 +155,35 @@ def test_synth_data_within_branch_window():
                                     sigma=1e-3, rng=np.random.default_rng(7))
     assert jittered.shape[1] == 3
     assert np.all(jittered[:, 2] == 1e-3)
+
+
+def _per_bias_reference(cavity, curve, drive_omega, g_m, delta_m, phis):
+    """synth_polariton_data as one 7x7 eigensolve per bias (the reference)."""
+    rows = []
+    for phi in phis:
+        h = np.zeros((7, 7))
+        h[0, 0] = cavity.omega_c
+        for i, m in enumerate(range(-2, 4), start=1):
+            h[i, i] = float(curve(phi)) + m * drive_omega + float(delta_m.get(m, 0.0))
+            h[0, i] = h[i, 0] = abs(g_m.get(m, 0.0))
+        rows += [(float(phi), float(e)) for e in np.linalg.eigvalsh(h)
+                 if abs(e - cavity.omega_c) <= 0.25]
+    return np.array(rows)
+
+
+def test_batched_manifold_matches_per_bias_loop(params):
+    cavity = CavityParams()
+    curve = transition_spline(params, 0, 3, 0.22, 0.41, 61)
+    g = {-2: 0.005, -1: 0.010, 0: 0.0199, 1: 0.010, 2: 0.005, 3: 0.0025}
+    delta = {0: 1e-3, 1: -2e-3}
+    phis = np.linspace(0.25, 0.40, 301)
+    want = _per_bias_reference(cavity, curve, 0.2, g, delta, phis)
+    assert want.shape[0] > phis.size  # crossings hold several peaks per bias
+    assert np.array_equal(synth_polariton_data(cavity, curve, 0.2, g, delta, phis), want)
+    for phi in phis[::60]:
+        eigs = polariton_manifold_eigs(cavity, float(curve(phi)), 0.2, g, delta)
+        near = eigs[np.abs(eigs - cavity.omega_c) <= 0.25]
+        assert np.array_equal(near, want[want[:, 0] == phi, 1])
 
 
 def _crossing_data(params, cavity, g_true, omega, n_each=15, span=3e-3):

@@ -27,10 +27,10 @@ from floqlux import (
 
 
 @pytest.fixture(scope="module")
-def spot_pieces(params, noise, spot_solution):
+def spot_pieces(noise, spot_solution):
     elems = fourier_matrix_elements(spot_solution)
     charge = charge_fourier_elements(spot_solution)
-    depol = depolarization_rates(elems, spot_solution, noise, params)
+    depol = depolarization_rates(elems, spot_solution, noise)
     return charge, depol
 
 

@@ -22,7 +22,7 @@ from floqlux import (
     GridSpec,
     PolaritonSpec,
     ProbeSpec,
-    RamseySpec,
+    RamseyConfig,
     RunConfig,
     config_hash,
     diagonalize_static,
@@ -312,7 +312,7 @@ def test_masked_failure_rows(tmp_path):
     cfg = RunConfig(
         task="ramsey",
         grid=GridSpec(phi_dc=(0.451,), xi=(0.0855831,), omega=(0.7743211,)),
-        ramsey=RamseySpec(omega0=1.013950289332, step=2e-9),
+        ramsey=RamseyConfig(omega0=1.013950289332, step=2e-9),
         output=str(tmp_path / "o"),
     )
     res = run_sweep(cfg)
