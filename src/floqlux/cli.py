@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR",
                        help="output directory (overrides the config)")
         p.add_argument("--workers", type=int, metavar="N",
-                       help="worker processes (default: config value, or FF_WORKERS)")
+                       help="worker processes, at most one per usable core "
+                            "(default: config value, or FF_WORKERS)")
         p.add_argument("--format", choices=FORMATS,
                        help="export format (overrides the config)")
         p.add_argument("--overwrite", action="store_true",

@@ -37,6 +37,7 @@ differences of the tracked splitting with Richardson step control.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,16 +227,31 @@ def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMa
     )
 
 
+# tables per solution object and static-spectrum operator: the rates, the
+# derivatives and the coherence summary of one solution share one table, and
+# an entry goes with its solution
+_SOLUTION_ELEMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _solution_elements(sol: FloquetSolution, operator: str) -> FourierMatrixElements:
+    tables = _SOLUTION_ELEMENTS.setdefault(sol, {})
+    if operator not in tables:
+        tables[operator] = fourier_operator_elements(sol, getattr(sol.spectrum, operator))
+    return tables[operator]
+
+
 def fourier_matrix_elements(sol: FloquetSolution) -> FourierMatrixElements:
     """Phase-operator elements phi_ab^(k) for the qubit pair (0, 1), from the
-    phase matrix of the static spectrum the solution was built on."""
-    return fourier_operator_elements(sol, sol.spectrum.phi_elements)
+    phase matrix of the static spectrum the solution was built on; built
+    once per solution object."""
+    return _solution_elements(sol, "phi_elements")
 
 
 def charge_fourier_elements(sol: FloquetSolution) -> FourierMatrixElements:
     """Charge-operator elements n_ab^(k) for the qubit pair (0, 1), from the
-    charge matrix of the static spectrum the solution was built on."""
-    return fourier_operator_elements(sol, sol.spectrum.n_elements)
+    charge matrix of the static spectrum the solution was built on; built
+    once per solution object."""
+    return _solution_elements(sol, "n_elements")
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +300,13 @@ class DepolarizationRates:
         return math.inf if tot == 0 else 1.0 / tot
 
 
-def depolarization_rates(
-    elems: FourierMatrixElements,
-    sol: FloquetSolution,
-    model: NoiseModel,
-) -> DepolarizationRates:
+def depolarization_rates(sol: FloquetSolution, model: NoiseModel) -> DepolarizationRates:
     """Sideband-summed depolarization rates of the Floquet qubit.
 
-    ``elems`` are the phase elements of ``sol``; the circuit (E_L, E_C) is
-    the one the solution was built from.
+    The phase elements and the circuit (E_L, E_C) are those of ``sol``.
     """
     params = sol.spectrum.params
+    elems = fourier_matrix_elements(sol)
     eps01 = sol.splitting(1, 0, branch="natural")
     el2 = ghz_to_angular(params.e_l) ** 2
     phi01 = elems.table[0, 1]
@@ -327,7 +339,6 @@ class DephasingRate:
 
 
 def pure_dephasing_rate(
-    elems: FourierMatrixElements,
     sol: FloquetSolution,
     model: NoiseModel,
     *,
@@ -335,14 +346,15 @@ def pure_dephasing_rate(
 ) -> DephasingRate:
     """Pure dephasing from 1/f flux and amplitude noise plus sideband terms.
 
-    ``elems`` are the phase elements of ``sol``; the circuit is the one the
-    solution was built from.  The low-frequency term uses the closed
-    matrix-element forms of the quasienergy derivatives: those of
-    ``derivatives`` when given, otherwise evaluated from ``elems`` directly.
+    The phase elements and the circuit are those of ``sol``.  The
+    low-frequency term uses the closed matrix-element forms of the
+    quasienergy derivatives: those of ``derivatives`` when given, otherwise
+    evaluated from the elements directly.
     """
     params = sol.spectrum.params
+    elems = fourier_matrix_elements(sol)
     if derivatives is None:
-        derivatives = quasienergy_derivatives(sol, elems)
+        derivatives = quasienergy_derivatives(sol)
     d_flux, d_xi = derivatives.flux_me, derivatives.xi_me
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
@@ -393,13 +405,10 @@ class QuasienergyDerivatives:
     tracking_break: bool = False
 
 
-def _matrix_element_derivatives(
-    sol: FloquetSolution, elems: FourierMatrixElements | None = None
-) -> tuple[float, float]:
+def _matrix_element_derivatives(sol: FloquetSolution) -> tuple[float, float]:
     """(d eps01/d phi_dc, d eps01/d xi) in closed form from the phase elements
-    of ``sol`` (computed when not given)."""
-    if elems is None:
-        elems = fourier_matrix_elements(sol)
+    of ``sol``."""
+    elems = fourier_matrix_elements(sol)
     e_l = sol.spectrum.params.e_l
     kmax = int(elems.k_values[-1])
     diag = elems.table[[0, 1], [0, 1]]
@@ -468,21 +477,17 @@ def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1
     return best_val, best_err
 
 
-def quasienergy_derivatives(
-    sol: FloquetSolution,
-    elems: FourierMatrixElements | None = None,
-    fd: bool = False,
-) -> QuasienergyDerivatives:
+def quasienergy_derivatives(sol: FloquetSolution, fd: bool = False) -> QuasienergyDerivatives:
     """Quasienergy-splitting derivatives at the solution's drive point.
 
-    The matrix-element forms are always computed, from ``elems`` (the phase
-    elements of ``sol``, computed when not given).  With ``fd=True`` the
-    five-point central differences of the solution's circuit and truncation
-    start from a step of 1e-4 flux quanta and are halved and
-    Richardson-combined; a branch-tracking break inside either stencil
-    leaves the finite-difference fields None and sets ``tracking_break``.
+    The matrix-element forms are always computed, from the phase elements
+    of ``sol``.  With ``fd=True`` the five-point central differences of the
+    solution's circuit and truncation start from a step of 1e-4 flux quanta
+    and are halved and Richardson-combined; a branch-tracking break inside
+    either stencil leaves the finite-difference fields None and sets
+    ``tracking_break``.
     """
-    flux_me, xi_me = _matrix_element_derivatives(sol, elems)
+    flux_me, xi_me = _matrix_element_derivatives(sol)
     if not fd:
         return QuasienergyDerivatives(flux_me=flux_me, xi_me=xi_me)
 
@@ -564,10 +569,9 @@ def coherence_rates(
             f"sol was solved for {sol.spectrum.params!r}, {sol.drive!r}, {sol.config!r}; "
             f"coherence_rates was given {params!r}, {drive!r}, {config!r}"
         )
-    elems = fourier_matrix_elements(sol)
-    derivs = quasienergy_derivatives(sol, elems, fd=fd)
-    depol = depolarization_rates(elems, sol, model)
-    deph = pure_dephasing_rate(elems, sol, model, derivatives=derivs)
+    derivs = quasienergy_derivatives(sol, fd=fd)
+    depol = depolarization_rates(sol, model)
+    deph = pure_dephasing_rate(sol, model, derivatives=derivs)
     t1 = depol.t1
     inv_t2r = (0.0 if t1 == math.inf else 0.5 / t1) + deph.gamma_phi
     return CoherenceRates(

@@ -293,8 +293,14 @@ def polariton_manifold_eigs(
     of the 0 -> 3 transition at omega3 + m*Omega + delta_m for m = -2..3,
     with coupling |g_m| between the cavity and image m.  ``fit`` is either a
     PolaritonFit or a mapping m -> g_m (then ``delta_m`` maps m -> shift).
+
+    Raises:
+        ValueError: ``delta_m`` is given beside a PolaritonFit, which
+            carries its own.
     """
     if isinstance(fit, PolaritonFit):
+        if delta_m is not None:
+            raise ValueError("a PolaritonFit carries its own delta_m; pass one or the other")
         g_m, delta_m = fit.g_m, fit.delta_m
     else:
         g_m = fit

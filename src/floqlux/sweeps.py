@@ -16,15 +16,27 @@ byte-identical regardless of worker count.
 Wall-clock timings are kept on the result object for profiling but excluded
 from both equality and exports; everything else round-trips through the JSON
 export losslessly.
+
+A sweep runs every OpenBLAS build numpy and scipy load at one thread, and
+restores their previous counts when it ends: on the 205-225 row Sambe
+solves more threads buy no speed, cost CPU time, oversubscribe the cores
+under worker processes and change the bits of ``eigh``.  So exports depend
+neither on the core count nor on ``OPENBLAS_NUM_THREADS``.  Parallelism
+comes from cells across at most one worker process per usable core.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -126,6 +138,67 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads and worker count
+# ---------------------------------------------------------------------------
+
+
+# the OpenBLAS builds in the numpy wheel (used by np.linalg) and in the scipy
+# wheel (used by scipy.linalg): package, thread-count setter and getter
+_OPENBLAS = (
+    ("numpy", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(setter, getter) of each OpenBLAS build found, looked up once per process.
+
+    A build that is missing, or lacks a symbol, is skipped with one warning.
+    """
+    controls, missing = [], []
+    for package, set_name, get_name in _OPENBLAS:
+        libdir = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
+        found = sorted(libdir.glob("*openblas*"))
+        try:
+            if not found:
+                raise OSError(f"no OpenBLAS library in {libdir}")
+            lib = ctypes.CDLL(str(found[0]))
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except (OSError, AttributeError) as exc:
+            missing.append(f"{package} ({exc})")
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        controls.append((setter, getter))
+    if missing:
+        warnings.warn(f"cannot set the OpenBLAS thread count of {', '.join(missing)}; "
+                      "sweeps run it at its own count", RuntimeWarning)
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS at one thread, then restore each build's previous count."""
+    controls = _openblas_controls()
+    previous = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# ---------------------------------------------------------------------------
 # planning and execution
 # ---------------------------------------------------------------------------
 
@@ -157,6 +230,10 @@ _worker_config: RunConfig | None = None
 def _init_worker(config: RunConfig) -> None:
     global _worker_config
     _worker_config = config
+    with warnings.catch_warnings():  # a missing build was reported by the parent
+        warnings.simplefilter("ignore")
+        for setter, _ in _openblas_controls():
+            setter(1)
 
 
 def _execute_in_worker(job: _Job) -> dict:
@@ -241,6 +318,7 @@ def _write_cache(path: Path, job: _Job, out: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread()
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured task over its grid.
 
@@ -249,7 +327,9 @@ def run_sweep(config: RunConfig) -> SweepResult:
     stops, so a sweep cut by Ctrl-C or a dead worker keeps its finished
     cells.  Per-cell solver failures mask the
     affected rows with a reason and never abort the sweep.  Output directory
-    I/O errors do abort.
+    I/O errors do abort.  The sweep runs OpenBLAS at one thread, in at most
+    one worker process per usable core, and restores the caller's BLAS
+    thread counts when it returns or raises.
 
     Raises:
         ConfigError: the grid or sections do not fit the task.
@@ -298,7 +378,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
             save()
 
     try:
-        n_workers = min(config.workers, len(pending))
+        n_workers = min(config.workers, len(pending), _usable_cores())
         if n_workers <= 1:
             for job in pending:
                 finish(job, _execute(config, job))

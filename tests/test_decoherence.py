@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import floqlux.decoherence
 from floqlux import (
     CircuitParams,
     DriveParams,
@@ -87,12 +88,26 @@ def test_fourier_elements_conjugation(spot_solution):
             np.conj(elems.get(1, 0, -k)), abs=1e-12)
 
 
+def test_elements_built_once_per_solution(params, noise, spot_drive, spec_451, monkeypatch):
+    tables = []
+    build = floqlux.decoherence.fourier_operator_elements
+    monkeypatch.setattr(floqlux.decoherence, "fourier_operator_elements",
+                        lambda sol, op: tables.append(sol) or build(sol, op))
+    sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
+    coherence_rates(params, spot_drive, noise, sol=sol)
+    assert fourier_matrix_elements(sol) is fourier_matrix_elements(sol)
+    assert tables == [sol]
+    # a copy with the same blocks is another solution with its own table
+    twin = dataclasses.replace(sol)
+    assert depolarization_rates(twin, noise) == depolarization_rates(sol, noise)
+    assert tables == [sol, twin]
+
+
 def test_undriven_t1_reference(params, noise, spec_451):
     # frozen: T1 of the reference circuit at phi_dc = 0.451, drive off
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, 0.7743211),
                         SambeConfig(), spectrum=spec_451)
-    elems = fourier_matrix_elements(sol)
-    depol = depolarization_rates(elems, sol, noise)
+    depol = depolarization_rates(sol, noise)
     assert depol.t1 == pytest.approx(2.728117e-05, rel=1e-5)
     assert depol.gamma_up < depol.gamma_down  # thermal asymmetry at 85 mK
     up = sum(v["up"] for v in depol.breakdown.values())
@@ -111,11 +126,10 @@ def test_infrared_rule_of_rate_sums(params, noise, spec_451):
     om = 0.5
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, om), SambeConfig(),
                         spectrum=spec_451)
-    elems = fourier_matrix_elements(sol)
-    depol = depolarization_rates(elems, _resonant(sol, 2 * om), noise)
+    depol = depolarization_rates(_resonant(sol, 2 * om), noise)
     assert math.isfinite(depol.t1) and depol.t1 == pytest.approx(2.771e-5, rel=1e-3)
     with pytest.raises(InfraredDivergenceError):
-        depolarization_rates(elems, _resonant(sol, om), noise)
+        depolarization_rates(_resonant(sol, om), noise)
 
 
 def test_coherence_rates_composition(params, noise, spot_drive, spot_solution):
@@ -140,8 +154,7 @@ def test_coherence_rates_rejects_a_foreign_solution(params, noise, spot_drive, s
 def test_dephasing_positive_when_detuned(params, noise):
     # away from any sweet spot the 1/f first-order term dominates dephasing
     sol = solve_floquet(params, DriveParams(FluxBias(0.43), 0.0, 0.5), SambeConfig())
-    elems = fourier_matrix_elements(sol)
-    deph = pure_dephasing_rate(elems, sol, noise)
+    deph = pure_dephasing_rate(sol, noise)
     assert deph.gamma_phi > 0
     assert deph.tphi == pytest.approx(1.0 / deph.gamma_phi, rel=1e-12)
 
@@ -151,8 +164,7 @@ def test_derivative_forms_agree_at_one_point():
     deep = CircuitParams(n_levels=10)
     drive = DriveParams(FluxBias(0.451), 0.05, 0.6)
     sol = solve_floquet(deep, drive, SambeConfig(n_levels=9), check_convergence=False)
-    elems = fourier_matrix_elements(sol)
-    d = quasienergy_derivatives(sol, elems, fd=True)
+    d = quasienergy_derivatives(sol, fd=True)
     assert not d.tracking_break
     assert d.flux_fd == pytest.approx(d.flux_me, rel=1e-6, abs=1e-9)
     assert d.xi_fd == pytest.approx(d.xi_me, rel=1e-6, abs=1e-9)

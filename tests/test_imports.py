@@ -11,8 +11,9 @@ constant (a name with one leading underscore) is referenced somewhere in
 the package, by name or as a module attribute.
 
 Solution lint: a public function that takes a Floquet solution takes no
-circuit, static spectrum or drive beside it, since the solution carries
-the ones its Fourier blocks were built from.
+circuit, static spectrum, drive or Fourier element table beside it, since
+the solution carries the ones its Fourier blocks were built from and the
+tables are computed from it.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def test_no_second_copy_beside_a_solution():
             if not any(a.name == "sol" or "FloquetSolution" in str(a.annotation) for a in args):
                 continue
             offenders += [f"{name}({a.name})" for a in args
-                          if a.name in ("params", "spectrum", "drive")
+                          if a.name in ("params", "spectrum", "drive", "elems")
                           or any(t in str(a.annotation)
-                                 for t in ("CircuitParams", "StaticSpectrum", "DriveParams"))]
+                                 for t in ("CircuitParams", "StaticSpectrum", "DriveParams",
+                                           "FourierMatrixElements"))]
     assert not offenders, f"second copies beside a solution: {offenders}"

@@ -15,6 +15,7 @@ from floqlux import (
     FitError,
     FluxBias,
     OutOfWindowError,
+    PolaritonFit,
     RWAParams,
     fit_polariton,
     floquet_dipole_coupling,
@@ -142,6 +143,18 @@ def test_manifold_eigs_limits():
     eigs = polariton_manifold_eigs(cavity, 7.3, 0.2, g)
     near = np.sort(np.abs(eigs - 7.3))
     assert near[:2] == pytest.approx([0.01, 0.01], abs=1e-9)
+
+
+def test_manifold_eigs_take_a_fit_or_a_mapping():
+    cavity = CavityParams(omega_c=7.3, g_cap=0.15)
+    g, delta = {0: 0.01, 1: 0.005}, {0: 0.002}
+    fit = PolaritonFit(g_m=g, delta_m=delta, g_err={}, residual=0.0, unidentifiable=(),
+                       n_evaluations=0, success=True)
+    assert np.array_equal(polariton_manifold_eigs(cavity, 7.3, 0.2, fit),
+                          polariton_manifold_eigs(cavity, 7.3, 0.2, g, delta))
+    # a shift beside a fit would be dropped for the fit's own
+    with pytest.raises(ValueError, match="delta_m"):
+        polariton_manifold_eigs(cavity, 7.3, 0.2, fit, {0: 0.05})
 
 
 def test_synth_data_within_branch_window():

@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -224,6 +227,8 @@ def _die_after_the_others(config, coords):
 
 def test_dead_worker_keeps_finished_cells(small_cfg, monkeypatch):
     monkeypatch.setattr(sweeps, "_SAVE_INTERVAL_S", 0.0)  # save each cell as it returns
+    # two usable cores whatever the host has, so the dying cell runs in a worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = dataclasses.replace(small_cfg, workers=2)
     with monkeypatch.context() as m:
         m.setitem(REGISTRY, "floquet",
@@ -232,6 +237,126 @@ def test_dead_worker_keeps_finished_cells(small_cfg, monkeypatch):
             run_sweep(cfg)
     assert len(_cell_files(cfg)) == 3
     assert _computed(run_sweep(cfg)) == 1
+
+
+def _blas_threads() -> tuple:
+    return tuple(getter() for _, getter in sweeps._openblas_controls())
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """Both OpenBLAS builds at 2 threads, so that a pin to 1 shows; restored after."""
+    controls = sweeps._openblas_controls()
+    if len(controls) != 2:
+        pytest.skip("the numpy and scipy OpenBLAS builds were not both found")
+    before = _blas_threads()
+    for setter, _ in controls:
+        setter(2)
+    yield
+    for (setter, _), count in zip(controls, before):
+        setter(count)
+
+
+def _job_reporting_blas_threads(config, coords):
+    numpy_threads, scipy_threads = _blas_threads()
+    return {"rows": [[numpy_threads, scipy_threads, 0.0, 0.0, 0.0, 0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_jobs_run_at_one_blas_thread(small_cfg, two_blas_threads, monkeypatch, workers):
+    monkeypatch.setitem(REGISTRY, "floquet",
+                        dataclasses.replace(REGISTRY["floquet"], job=_job_reporting_blas_threads))
+    res = run_sweep(dataclasses.replace(small_cfg, workers=workers))
+    assert res.column("eps01_natural").tolist() == [1.0] * small_cfg.grid.size  # numpy's
+    assert res.column("eps01_folded").tolist() == [1.0] * small_cfg.grid.size  # scipy's
+    assert _blas_threads() == (2, 2)
+
+
+def test_blas_threads_restored_when_a_sweep_raises(small_cfg, two_blas_threads, monkeypatch):
+    task = REGISTRY["floquet"]
+    monkeypatch.setitem(REGISTRY, "floquet",
+                        dataclasses.replace(task, job=_interrupt_on_third_cell(task.job)))
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(small_cfg)
+    assert _blas_threads() == (2, 2)
+
+
+def test_missing_blas_symbol_warns_once(small_cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "_OPENBLAS",
+                        sweeps._OPENBLAS[:1] + (("scipy", "no_such_setter", "no_such_getter"),))
+    sweeps._openblas_controls.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning) as caught:
+            for name in ("a", "b"):
+                cfg = dataclasses.replace(small_cfg, output=str(tmp_path / name), workers=2)
+                export(run_sweep(cfg), tmp_path / name)
+        blas = [w for w in caught if "OpenBLAS" in str(w.message)]
+        assert len(blas) == 1 and "no_such_setter" in str(blas[0].message)
+        assert (tmp_path / "b" / "floquet.csv").read_text().count("\n") == 2 + small_cfg.grid.size
+    finally:
+        sweeps._openblas_controls.cache_clear()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size and runs jobs inline."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, cores, sizes", [
+    (8, 3, [3]), (2, 3, [2]), (8, 64, [4]), (8, 1, []),
+], ids=["cores", "workers", "jobs", "serial"])
+def test_pool_capped_at_usable_cores(small_cfg, monkeypatch, workers, cores, sizes):
+    made = []
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor",
+                        lambda **kwargs: _InlinePool(made, **kwargs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    res = run_sweep(dataclasses.replace(small_cfg, workers=workers))
+    assert made == sizes
+    assert not res.mask.any()
+
+
+_EXPORT_CSV_AND_JSON = """
+import sys
+from floqlux.cli import main
+for fmt in ("csv", "json"):
+    if main(["coherence", "--config", sys.argv[1], "--out", sys.argv[2], "--format", fmt]):
+        sys.exit(1)
+"""
+
+
+def test_exports_ignore_the_blas_thread_setting(tmp_path):
+    # one interpreter per setting: OpenBLAS reads it when it loads
+    config = tmp_path / "run.cfg"
+    config.write_text('task = "coherence"\n[grid]\nphi_dc = 0.451\n'
+                      'xi = "0.0:0.12:4"\nomega = [0.7, 0.8]\n')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    exports = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-c", _EXPORT_CSV_AND_JSON, str(config), str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        exports.append({p.name: p.read_bytes() for p in out.glob("coherence.*")})
+    assert sorted(exports[0]) == ["coherence.csv", "coherence.json"]
+    assert exports[0] == exports[1] == exports[2]
 
 
 def _peak_file(path: Path, g0: float) -> str:
