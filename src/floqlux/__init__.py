@@ -16,13 +16,11 @@ __version__ = "0.1.0"
 
 from .circuit import (
     CircuitParams,
-    DispersionTable,
     FluxBias,
     StaticSpectrum,
     build_hamiltonian,
     charge_operator,
     diagonalize_static,
-    dispersion_sweep,
     phase_operator,
     transition_spline,
 )
@@ -40,7 +38,6 @@ from .decoherence import (
     CoherenceRates,
     DephasingRate,
     DepolarizationRates,
-    FilterWeights,
     FourierMatrixElements,
     NoiseModel,
     QuasienergyDerivatives,
@@ -50,7 +47,6 @@ from .decoherence import (
     charge_fourier_elements,
     coherence_rates,
     depolarization_rates,
-    filter_weights,
     find_sweet_spots,
     fourier_matrix_elements,
     fourier_operator_elements,
@@ -77,12 +73,9 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
-    TrackingResult,
-    build_sambe,
     fold_quasienergy,
     monodromy_oracle,
     solve_floquet,
-    track_states,
 )
 from .polariton import (
     CavityParams,
@@ -99,15 +92,12 @@ from .polariton import (
 )
 from .spectroscopy import (
     ProbeParams,
-    ProbeRates,
     RamseyConfig,
     RamseySignal,
     SpectroscopyMap,
     T2REstimate,
     extract_t2r,
-    probe_transition_rates,
     spectroscopy_map,
-    steady_state_population,
     synth_ramsey_signal,
 )
 from .sweeps import SweepResult, config_hash, export, import_result, run_sweep

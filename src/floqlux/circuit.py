@@ -28,10 +28,8 @@ __all__ = [
     "CircuitParams",
     "FluxBias",
     "StaticSpectrum",
-    "DispersionTable",
     "build_hamiltonian",
     "diagonalize_static",
-    "dispersion_sweep",
 ]
 
 
@@ -232,36 +230,6 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DispersionTable:
-    """Energies vs flux, rows in the order the biases were given."""
-
-    params: CircuitParams
-    biases: np.ndarray
-    energies: np.ndarray  # (n_biases, n_levels)
-
-    def __post_init__(self) -> None:
-        self.biases.setflags(write=False)
-        self.energies.setflags(write=False)
-
-    def transition(self, a: int = 0, b: int = 1) -> np.ndarray:
-        return self.energies[:, b] - self.energies[:, a]
-
-
-def dispersion_sweep(params: CircuitParams, biases) -> DispersionTable:
-    """Energies of the lowest ``n_levels`` states over a list of flux biases."""
-    biases = np.atleast_1d(np.asarray(biases, dtype=float))
-    out = np.empty((biases.size, params.n_levels))
-    for i, phi in enumerate(biases):
-        try:
-            out[i] = diagonalize_static(params, FluxBias(float(phi))).energies
-        except DiagnosticError:
-            raise
-        except Exception as exc:  # defensive: annotate the offending bias
-            raise DiagnosticError(f"dispersion sweep failed at phi_dc={phi!r}: {exc}") from exc
-    return DispersionTable(params=params, biases=biases, energies=out)
-
-
 def transition_spline(
     params: CircuitParams,
     level_a: int,
@@ -280,6 +248,6 @@ def transition_spline(
     from scipy.interpolate import CubicSpline
 
     grid = np.linspace(phi_min, phi_max, num)
-    table = dispersion_sweep(params, grid)
-    freq = table.energies[:, level_b] - table.energies[:, level_a]
-    return CubicSpline(grid, freq)
+    energies = np.array([diagonalize_static(params, FluxBias(float(phi))).energies
+                         for phi in grid])
+    return CubicSpline(grid, energies[:, level_b] - energies[:, level_a])

@@ -80,7 +80,7 @@ class ProbeSpec:
         if self.sweep not in ("phi_dc", "xi"):
             raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
         # the lineshape rules live on the record this section feeds
-        ProbeParams(omega_p=float(self.omega_p[0]), rabi=self.rabi, linewidth=self.linewidth)
+        ProbeParams(rabi=self.rabi, linewidth=self.linewidth)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
-    _TRACKING_BREAK,
     _match_branches,
     _shifted_products,
     solve_floquet,
@@ -69,7 +68,6 @@ __all__ = [
     "DepolarizationRates",
     "DephasingRate",
     "CoherenceRates",
-    "FilterWeights",
     "TwoLevelReduction",
     "SweetSpot",
     "SweetSpotScan",
@@ -84,7 +82,6 @@ __all__ = [
     "coherence_rates",
     "find_sweet_spots",
     "two_level_reduction",
-    "filter_weights",
 ]
 
 
@@ -417,6 +414,10 @@ def _matrix_element_derivatives(sol: FloquetSolution) -> tuple[float, float]:
     flux = -2.0 * math.pi * e_l * (d[1] - d[0])
     xi = -math.pi * e_l * (x[1] - x[0])
     return float(flux), float(xi)
+
+
+# a branch whose best overlap with the reference is at or below this is lost
+_TRACKING_BREAK = 0.5
 
 
 def _matched_eps01(drive: DriveParams, ref: FloquetSolution) -> float:
@@ -755,7 +756,7 @@ def find_sweet_spots(
 
 
 # ---------------------------------------------------------------------------
-# two-level reduction and filter weights
+# two-level reduction
 # ---------------------------------------------------------------------------
 
 
@@ -823,41 +824,3 @@ def two_level_reduction(
         elems=elems,
     )
 
-
-@dataclass(frozen=True)
-class FilterWeights:
-    """Sideband-summed noise filter weights and their conservation check.
-
-    total = 2 * depolarization + dephasing; in the two-level model this
-    equals the static reference 2|phi_bar_01|^2 + |phi_bar_11 - phi_bar_00|^2/2
-    exactly, so ``leakage`` (total - reference) measures multi-level mixing.
-    """
-
-    dephasing: float
-    depolarization: float
-    total: float
-    reference_total: float
-    leakage: float
-
-
-def filter_weights(obj) -> FilterWeights:
-    """Filter weights of a ``TwoLevelReduction`` or a full ``FloquetSolution``."""
-    if isinstance(obj, TwoLevelReduction):
-        elems = obj.elems
-        phi_bar = obj.phi_bar
-    elif isinstance(obj, FloquetSolution):
-        elems = fourier_matrix_elements(obj)
-        phi_bar = obj.spectrum.phi_elements[:2, :2]
-    else:
-        raise TypeError("filter_weights expects a TwoLevelReduction or FloquetSolution")
-    depol = float(np.sum(np.abs(elems.table[0, 1]) ** 2))
-    deph = float(np.sum(0.5 * np.abs(elems.table[1, 1] - elems.table[0, 0]) ** 2))
-    total = 2.0 * depol + deph
-    ref = 2.0 * abs(phi_bar[0, 1]) ** 2 + 0.5 * abs(phi_bar[1, 1] - phi_bar[0, 0]) ** 2
-    return FilterWeights(
-        dephasing=deph,
-        depolarization=depol,
-        total=total,
-        reference_total=ref,
-        leakage=total - ref,
-    )

@@ -24,7 +24,7 @@ weight assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,12 +38,9 @@ __all__ = [
     "DriveParams",
     "SambeConfig",
     "FloquetSolution",
-    "TrackingResult",
     "fold_quasienergy",
-    "build_sambe",
     "solve_floquet",
     "monodromy_oracle",
-    "track_states",
 ]
 
 # a Sambe solve peaks at this many dim x dim float64 arrays of the assembled
@@ -51,9 +48,6 @@ __all__ = [
 # solve 3.9); beyond the size cap (0.89 GB) a configuration is a runaway
 _SAMBE_PEAK_ARRAYS = 4.1
 _MAX_SAMBE_DIM = 5200
-
-# a branch whose best overlap with its predecessor is at or below this is lost
-_TRACKING_BREAK = 0.5
 
 # branch matching tries harmonic translations |k| <= this between parameter steps
 _MATCH_SHIFTS = 3
@@ -98,17 +92,16 @@ class SambeConfig:
         if self.sideband_cutoff < 2:
             raise ValueError("sideband_cutoff must be at least 2")
 
-    @property
-    def n_blocks(self) -> int:
-        return 2 * self.sideband_cutoff + 1
-
 
 def fold_quasienergy(eps, omega: float):
     """Fold energies into the first zone (-Omega/2, Omega/2]."""
     eps = np.asarray(eps, dtype=float)
     folded = eps - omega * np.round(eps / omega)
-    # np.round sends exact half-integers to the even side; pull the low edge up
-    folded = np.where(folded <= -0.5 * omega, folded + omega, folded)
+    # np.round sends half-integers to the even side, and the subtraction rounds
+    # at the scale of |eps|; pull everything within that rounding of the low
+    # edge up, so both images of the zone boundary fold to +Omega/2
+    edge = -0.5 * omega + 1e-12 * (omega + np.abs(eps))
+    folded = np.where(folded <= edge, folded + omega, folded)
     return folded if folded.ndim else float(folded)
 
 
@@ -150,32 +143,6 @@ def _assemble_sambe(
     if not np.array_equal(h, h.T):
         raise DiagnosticError("Sambe assembly produced a non-symmetric matrix")
     return h
-
-
-def build_sambe(
-    params: CircuitParams,
-    drive: DriveParams,
-    config: SambeConfig = SambeConfig(),
-    spectrum: StaticSpectrum | None = None,
-) -> np.ndarray:
-    """Assemble the Sambe-space matrix (GHz) in the static eigenbasis.
-
-    Block order runs n = -N_s..N_s, each block of size ``config.n_levels``.
-    A given ``spectrum`` must be that of ``params`` at ``drive.bias``.
-
-    Raises:
-        ValueError: when ``spectrum`` is of another circuit or bias.
-    """
-    spectrum = _resolve_spectrum(params, drive, spectrum, config)
-    d = config.n_levels
-    return _assemble_sambe(
-        spectrum.energies[:d],
-        spectrum.phi_elements[:d, :d],
-        params.e_l,
-        drive.xi,
-        drive.omega,
-        config.sideband_cutoff,
-    )
 
 
 def _resolve_spectrum(params, drive, spectrum, config) -> StaticSpectrum:
@@ -515,17 +482,8 @@ def monodromy_oracle(
 
 
 # ---------------------------------------------------------------------------
-# branch tracking across a parameter sweep
+# branch matching between solutions at neighbouring parameters
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrackingResult:
-    """Relabeled solutions plus the overlap diagnostics of each sweep step."""
-
-    solutions: tuple[FloquetSolution, ...]
-    min_overlaps: tuple[float, ...]
-    break_indices: tuple[int, ...]
 
 
 def _match_branches(ref: FloquetSolution, sol: FloquetSolution, levels: int):
@@ -547,44 +505,3 @@ def _match_branches(ref: FloquetSolution, sol: FloquetSolution, levels: int):
     rows, labels = linear_sum_assignment(-best)
     return labels, best_j[rows, labels] - _MATCH_SHIFTS, best[rows, labels]
 
-
-def track_states(solutions) -> TrackingResult:
-    """Relabel a sweep of solutions so each branch follows by max overlap.
-
-    Consecutive solutions are matched by ``_match_branches``: blocks rotated
-    between the two static eigenbases, harmonic translations |k| <= 3, and
-    maximum-weight assignment.  Blocks are re-translated so branch quantities
-    (representative energies in particular) vary continuously.  A matched
-    overlap at or below 0.5 flags a tracking break at that grid index;
-    labels there are still the best available matching.
-    """
-    sols = list(solutions)
-    if not sols:
-        return TrackingResult((), (), ())
-    d = sols[0].n_levels
-    tracked = [sols[0]]
-    min_overlaps: list[float] = []
-    breaks: list[int] = []
-    for i, cur in enumerate(sols[1:], start=1):
-        perm, kshift, matched = _match_branches(tracked[-1], cur, d)
-        step_min = float(np.min(matched))
-        min_overlaps.append(step_min)
-        if step_min <= _TRACKING_BREAK:
-            breaks.append(i)
-        # new blocks b'[n] = b[n+k], content leaving the window dropped
-        nb = cur.fourier_blocks.shape[1]
-        padded = np.pad(cur.fourier_blocks, ((0, 0), (_MATCH_SHIFTS, _MATCH_SHIFTS), (0, 0)))
-        new_blocks = np.stack(
-            [padded[b, _MATCH_SHIFTS + k: _MATCH_SHIFTS + k + nb] for b, k in zip(perm, kshift)]
-        )
-        omega = cur.drive.omega
-        new_rep = cur.rep_energies[perm] - kshift * omega
-        tracked.append(
-            replace(
-                cur,
-                quasienergies=np.asarray(fold_quasienergy(new_rep, omega)),
-                rep_energies=new_rep,
-                fourier_blocks=new_blocks,
-            )
-        )
-    return TrackingResult(tuple(tracked), tuple(min_overlaps), tuple(breaks))

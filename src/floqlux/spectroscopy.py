@@ -34,13 +34,10 @@ from .units import GHZ_TO_ANGULAR, HZ_PER_GHZ, TWO_PI, ghz_to_angular
 
 __all__ = [
     "ProbeParams",
-    "ProbeRates",
     "RamseyConfig",
     "RamseySignal",
     "T2REstimate",
     "SpectroscopyMap",
-    "probe_transition_rates",
-    "steady_state_population",
     "spectroscopy_map",
     "synth_ramsey_signal",
     "extract_t2r",
@@ -49,13 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Weak spectroscopy tone: frequency, Rabi amplitude, and linewidth (GHz).
+    """Weak spectroscopy tone: Rabi amplitude and linewidth (GHz).
 
     ``linewidth`` is the phenomenological Lorentzian FWHM of each sideband
     transition (default 5 MHz).
     """
 
-    omega_p: float
     rabi: float = 1e-4
     linewidth: float = 5e-3
 
@@ -64,37 +60,6 @@ class ProbeParams:
             raise ValueError("rabi must be non-negative")
         if not self.linewidth > 0:
             raise ValueError("linewidth must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class ProbeRates:
-    """Per-sideband excitation rates (1/s) and their resonance positions."""
-
-    k_values: np.ndarray
-    rates: np.ndarray
-    peak_freqs: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.k_values, self.rates, self.peak_freqs):
-            arr.setflags(write=False)
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.rates))
-
-
-def _probe_terms(sol, probe: ProbeParams, probe_freqs):
-    """Sidebands k, resonances eps_01 + k*Omega, Lorentzians L (n_probe, n_k)
-    and amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2, so Gamma_k = 0.5*amp2_k*L,
-    from the charge elements of ``sol``."""
-    elems = charge_fourier_elements(sol)
-    ks = elems.k_values
-    peaks = sol.splitting(1, 0, branch="natural") + ks * sol.drive.omega
-    hw = 0.5 * ghz_to_angular(probe.linewidth)
-    delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
-    lor = hw / math.pi / (delta * delta + hw * hw)
-    amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
-    return ks, peaks, lor, amp2
 
 
 def _balance(g_up, g_down, total):
@@ -107,29 +72,6 @@ def _balance(g_up, g_down, total):
     if np.any(denom == 0.0):
         raise DiagnosticError("steady state undefined: all rates are zero")
     return (g_up + total) / denom
-
-
-def probe_transition_rates(sol, probe: ProbeParams) -> ProbeRates:
-    """Golden-rule rates for probe-driven 0 -> 1 sideband transitions.
-
-    Gamma_k = (1/2) * (2*pi*1e9 * rabi * |n_01^(k)|)^2 * L(delta_k) where
-    L is a unit-area Lorentzian (angular frequency) of FWHM ``linewidth``
-    centered at the natural-branch resonance eps_01 + k*Omega.
-    """
-    ks, peaks, lor, amp2 = _probe_terms(sol, probe, [probe.omega_p])
-    return ProbeRates(k_values=ks, rates=0.5 * lor[0] * amp2, peak_freqs=peaks)
-
-
-def steady_state_population(rates: ProbeRates, coherence) -> float:
-    """Two-state steady state under probe excitation and thermal rates.
-
-    ``coherence`` provides gamma_up/gamma_down (CoherenceRates or
-    DepolarizationRates both work).
-
-    Raises:
-        DiagnosticError: every rate vanishes, the balance is undefined.
-    """
-    return _balance(coherence.gamma_up, coherence.gamma_down, rates.total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +104,8 @@ def spectroscopy_map(
     sweep_name: str,
     sweep_values,
     probe_freqs,
-    probe: ProbeParams | None = None,
-    config: SambeConfig | None = None,
+    probe: ProbeParams = ProbeParams(),
+    config: SambeConfig = SambeConfig(),
 ) -> SpectroscopyMap:
     """Steady-state population map over phi_dc or xi versus probe frequency.
 
@@ -173,15 +115,12 @@ def spectroscopy_map(
     """
     if sweep_name not in ("phi_dc", "xi"):
         raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
-    if probe is None:
-        probe = ProbeParams(omega_p=0.0)
-    if config is None:
-        config = SambeConfig()
     sweep_values = np.asarray(sweep_values, dtype=float)
     probe_freqs = np.asarray(probe_freqs, dtype=float)
     n_s, n_p = sweep_values.size, probe_freqs.size
     pop = np.full((n_s, n_p), np.nan)
     ks = np.arange(-4, 5)
+    hw = 0.5 * ghz_to_angular(probe.linewidth)
     branches = np.full((n_s, ks.size), np.nan)
     mask = np.zeros(n_s, dtype=bool)
     failures: dict = {}
@@ -198,7 +137,13 @@ def spectroscopy_map(
             sol = solve_floquet(params, drive, config, check_convergence=False)
             pol = depolarization_rates(sol, noise)
             branches[i] = sol.splitting(1, 0, branch="natural") + ks * drive.omega
-            _, _, lor, amp2 = _probe_terms(sol, probe, probe_freqs)
+            # Gamma_k = 0.5*amp2_k*L_k (1/s), amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2,
+            # L_k unit-area in angular frequency at the resonance eps_01 + k*Omega
+            elems = charge_fourier_elements(sol)
+            peaks = sol.splitting(1, 0, branch="natural") + elems.k_values * drive.omega
+            delta = GHZ_TO_ANGULAR * (probe_freqs[:, None] - peaks[None, :])
+            lor = hw / math.pi / (delta * delta + hw * hw)
+            amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
             pop[i] = _balance(pol.gamma_up, pol.gamma_down, 0.5 * lor @ amp2)
         except Exception as exc:  # masked cell, not a crash: maps keep going
             mask[i] = True
@@ -349,6 +294,10 @@ def _window_lsq(t: np.ndarray, v: np.ndarray, f: float):
     return coef, float(resid @ resid)
 
 
+# relative noise floor of the decay fit's rate (see ``_fit_decay``)
+_FIT_NOISE_FLOOR = 3e-10
+
+
 def _fit_decay(offs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     """Rate r and its standard error from a least-squares fit of A0*exp(-r*t)
     to the window amplitudes.
@@ -360,7 +309,9 @@ def _fit_decay(offs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     the double sweet spot, window amplitudes moved by 1e-11 relative moved
     r by at most 2.8e-10 over 50 draws.  At the ``curve_fit`` defaults
     (tolerances 1.49e-8, finite-difference Jacobian) it ended 1.3e-8 short
-    of that rate and moved by up to 1.4e-9.
+    of that rate and moved by up to 1.4e-9.  The standard error is floored
+    at that 3e-10 of |r|: on a noiseless single exponential the covariance
+    holds only rounding residuals (5e-17 relative).
 
     Raises:
         FitError: the amplitudes are all zero or the fit failed.
@@ -383,7 +334,8 @@ def _fit_decay(offs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
         )
     except Exception as exc:
         raise FitError(f"amplitude decay fit failed: {exc}") from exc
-    return float(popt[1]), float(np.sqrt(max(pcov[1, 1], 0.0)))
+    rate = float(popt[1])
+    return rate, max(float(np.sqrt(max(pcov[1, 1], 0.0))), _FIT_NOISE_FLOOR * abs(rate))
 
 
 def extract_t2r(signal: RamseySignal) -> T2REstimate:

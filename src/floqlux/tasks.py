@@ -225,11 +225,7 @@ def _plan_spectroscopy(config: RunConfig):
 def _job_spectroscopy(config: RunConfig, coords):
     value = coords[config.probe.sweep]
     template = DriveParams(FluxBias(coords["phi_dc"]), coords["xi"], coords["omega"])
-    probe = ProbeParams(
-        omega_p=float(config.probe.omega_p[0]),
-        rabi=config.probe.rabi,
-        linewidth=config.probe.linewidth,
-    )
+    probe = ProbeParams(rabi=config.probe.rabi, linewidth=config.probe.linewidth)
     m = spectroscopy_map(
         config.circuit, config.noise, template,
         config.probe.sweep, [value], _probe_freqs(config),

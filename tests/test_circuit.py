@@ -17,7 +17,6 @@ from floqlux import (
     build_hamiltonian,
     charge_operator,
     diagonalize_static,
-    dispersion_sweep,
     phase_operator,
     transition_spline,
 )
@@ -97,10 +96,11 @@ def test_param_validation():
 
 
 def test_dispersion_sweep_matches_pointwise(params):
+    # on its nodes the transition spline holds the pointwise transitions
     biases = np.linspace(0.44, 0.56, 7)
-    table = dispersion_sweep(params, biases)
+    spline = transition_spline(params, 0, 1, 0.44, 0.56, num=7)
     direct = [diagonalize_static(params, FluxBias(b)).transition(0, 1) for b in biases]
-    assert table.transition(0, 1) == pytest.approx(direct, rel=1e-12)
+    assert spline(biases) == pytest.approx(direct, rel=1e-12)
 
 
 def test_transition_spline_interpolates(params):

@@ -9,19 +9,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floqlux import (
     DriveParams,
     FluxBias,
     SambeConfig,
-    build_sambe,
     diagonalize_static,
     fold_quasienergy,
     monodromy_oracle,
     solve_floquet,
-    track_states,
     two_level_reduction,
 )
 from floqlux import floquet
@@ -31,6 +29,7 @@ from floqlux.floquet import _propagate_period, _select_representatives
 
 @settings(max_examples=50, deadline=None)
 @given(eps=st.floats(-50, 50), omega=st.floats(0.05, 5.0))
+@example(eps=0.5, omega=1 / 3)  # zone boundary: both images must fold alike
 def test_fold_quasienergy_properties(eps, omega):
     folded = float(fold_quasienergy(eps, omega))
     assert -omega / 2 < folded <= omega / 2 + 1e-12
@@ -68,8 +67,8 @@ def test_splitting_branches(spot_solution):
 
 def test_sambe_matrix_structure(params, spec_half):
     drive = DriveParams(FluxBias(0.5), 0.04, 0.5)
-    cfg = SambeConfig(n_levels=3, sideband_cutoff=2)
-    h = build_sambe(params, drive, cfg, spectrum=spec_half)
+    h = floquet._assemble_sambe(spec_half.energies[:3], spec_half.phi_elements[:3, :3],
+                                params.e_l, drive.xi, drive.omega, 2)
     d, nb = 3, 5
     assert h.shape == (d * nb, d * nb)
     assert np.allclose(h, h.T)
@@ -225,7 +224,6 @@ def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
 _ENTRY_POINTS = {
     "solve_floquet": solve_floquet,
     "monodromy_oracle": monodromy_oracle,
-    "build_sambe": build_sambe,
     "two_level_reduction": two_level_reduction,
 }
 
@@ -252,12 +250,12 @@ def test_equal_spectrum_is_accepted(params, spot_drive, spot_solution):
 
 
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
-    # dimension 5 * 1201 = 6005 is over the cap
+    # the checked solve assembles 5 * 1205 = 6025 rows, over the cap
     tracemalloc.start()
     try:
         with pytest.raises(DiagnosticError, match="GB"):
-            build_sambe(params, spot_drive, SambeConfig(n_levels=5, sideband_cutoff=600),
-                        spectrum=spec_451)
+            solve_floquet(params, spot_drive, SambeConfig(n_levels=5, sideband_cutoff=600),
+                          spectrum=spec_451)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -305,10 +303,18 @@ def test_drive_params_validation():
 
 
 def _tracked_eps01(sols, min_overlap, max_step):
-    tracked = track_states(sols)
-    assert tracked.break_indices == ()
-    assert all(m > min_overlap for m in tracked.min_overlaps)
-    eps01 = np.array([s.splitting(1, 0, "natural") for s in tracked.solutions])
+    """eps01 along the branches that chained ``_match_branches`` steps follow."""
+    d = sols[0].n_levels
+    # branch a is state label[a] of the current solution, translated by shift[a]
+    label, shift = np.arange(d), np.zeros(d, dtype=int)
+    eps01 = [sols[0].splitting(1, 0, "natural")]
+    for prev, cur in zip(sols, sols[1:]):
+        labels, shifts, overlaps = floquet._match_branches(prev, cur, d)
+        assert np.all(overlaps > min_overlap)
+        label, shift = labels[label], shift + shifts[label]
+        rep = cur.rep_energies[label] - shift * cur.drive.omega
+        eps01.append(rep[1] - rep[0])
+    eps01 = np.array(eps01)
     assert np.all(np.abs(np.diff(eps01)) < max_step)
     return eps01
 

@@ -10,6 +10,11 @@ Dead-definition lint: every module-level private function, class or
 constant (a name with one leading underscore) is referenced somewhere in
 the package, by name or as a module attribute.
 
+Caller lint: every public function (one in a module's ``__all__``) is
+referenced outside its own def, in the package, ``scripts/``,
+``tests/test_acceptance.py`` or ``perfbench/``; a function that only its
+own unit tests call is API that no result needs.
+
 Solution lint: a public function that takes a Floquet solution takes no
 circuit, static spectrum, drive or Fourier element table beside it, since
 the solution carries the ones its Fourier blocks were built from and the
@@ -25,7 +30,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "floqlux"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "floqlux"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
@@ -121,6 +127,56 @@ def test_lint_flags_a_dead_definition():
     b = ast.parse("import a\nfrom a import _used\n\nx = a._LIMIT + _used()\n")
     refs = _references([a, b])
     assert sorted(set(_private_definitions(a)) - refs) == ["_DEAD", "_Gone", "_unused"]
+
+
+def _outside_own_def(trees) -> set[str]:
+    """Names loaded, or read as attributes, outside a def of the same name."""
+    refs = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in inside:
+                refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            refs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return refs
+
+
+# callers outside the package whose use keeps a public function
+CALLER_FILES = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+                *sorted((ROOT / "perfbench").glob("*.py"))]
+
+# public without a caller, each for the reason given
+_UNCALLED_API = {
+    "polariton_manifold_eigs": "the per-point reference that synth_polariton_data's "
+                               "batched manifold is tested against",
+}
+
+
+def test_every_public_function_has_a_caller():
+    callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES]
+    refs = _outside_own_def([*PACKAGE.values(), *callers])
+    uncalled = []
+    for path in MODULES:
+        module = importlib.import_module(f"floqlux.{path.stem}")
+        uncalled += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                     if inspect.isfunction(getattr(module, name))
+                     and name not in refs and name not in _UNCALLED_API]
+    assert not uncalled, f"public functions that only their unit tests call: {uncalled}"
+
+
+def test_lint_flags_a_function_only_its_own_def_calls():
+    tree = ast.parse("def walk(n):\n    return walk(n - 1) if n else 0\n\n"
+                     "def run():\n    return fold()\n\nx = run\n")
+    refs = _outside_own_def([tree])
+    assert "walk" not in refs and {"run", "fold"} <= refs
 
 
 # coherence_rates may also solve, so it keeps its inputs and checks a given

@@ -17,52 +17,55 @@ from floqlux import (
     SambeConfig,
     depolarization_rates,
     extract_t2r,
-    probe_transition_rates,
     solve_floquet,
     spectroscopy_map,
-    steady_state_population,
     synth_ramsey_signal,
 )
 
 
 @pytest.fixture(scope="module")
-def depol(noise, spot_solution):
-    return depolarization_rates(spot_solution, noise)
+def thermal(noise, spot_solution):
+    depol = depolarization_rates(spot_solution, noise)
+    return depol.gamma_up / (depol.gamma_up + depol.gamma_down)
 
 
-def test_probe_rates_peak_on_resonance(spot_solution):
+def _spot_population(params, noise, spot_drive, probe_freqs, rabi=1e-4):
+    """P1 over ``probe_freqs`` from a one-column map at the double sweet spot."""
+    m = spectroscopy_map(params, noise, spot_drive, "xi", [spot_drive.xi], probe_freqs,
+                         probe=ProbeParams(rabi=rabi))
+    assert not m.mask.any()
+    return m.population[0]
+
+
+def test_probe_rates_peak_on_resonance(params, noise, spot_drive, spot_solution, thermal):
     eps01 = spot_solution.splitting(1, 0, "natural")
     om = spot_solution.drive.omega
-    on = probe_transition_rates(spot_solution, ProbeParams(omega_p=abs(eps01 + 2 * om)))
-    off = probe_transition_rates(spot_solution,
-                                 ProbeParams(omega_p=abs(eps01 + 2 * om) + 0.05))
-    assert on.total > 10 * off.total
-    assert on.rates.shape == on.peak_freqs.shape == on.k_values.shape
+    target = abs(eps01 + 2 * om)
+    # a weak probe moves P1 off thermal in proportion to its excitation rate
+    on, off = _spot_population(params, noise, spot_drive, [target, target + 0.05]) - thermal
+    assert abs(on) > 10 * abs(off)
 
 
-def test_population_bounds_and_thermal_limit(spot_solution, depol):
-    thermal = depol.gamma_up / (depol.gamma_up + depol.gamma_down)
+def test_population_bounds_and_thermal_limit(params, noise, spot_drive, spot_solution,
+                                             thermal):
     eps01 = spot_solution.splitting(1, 0, "natural")
     lo, hi = sorted((thermal, 0.5))
-    for om_p in np.linspace(0.2, 2.0, 7):
-        rates = probe_transition_rates(spot_solution, ProbeParams(omega_p=om_p))
-        p1 = steady_state_population(rates, depol)
-        assert 0.0 <= p1 <= 1.0
-        # probing saturates the cell: P1 moves from thermal toward 1/2
-        assert lo - 1e-12 <= p1 <= hi + 1e-12
-    weak = probe_transition_rates(spot_solution, ProbeParams(omega_p=abs(eps01), rabi=1e-9))
-    assert steady_state_population(weak, depol) == pytest.approx(thermal, abs=1e-8)
+    p1 = _spot_population(params, noise, spot_drive, np.linspace(0.2, 2.0, 7))
+    assert np.all((0.0 <= p1) & (p1 <= 1.0))
+    # probing saturates the cell: P1 moves from thermal toward 1/2
+    assert np.all((lo - 1e-12 <= p1) & (p1 <= hi + 1e-12))
+    weak = _spot_population(params, noise, spot_drive, [abs(eps01)], rabi=1e-9)
+    assert weak[0] == pytest.approx(thermal, abs=1e-8)
 
 
-def test_population_response_linear_in_drive_power(spot_solution, depol):
-    thermal = depol.gamma_up / (depol.gamma_up + depol.gamma_down)
+def test_population_response_linear_in_drive_power(params, noise, spot_drive, spot_solution,
+                                                   thermal):
     eps01 = spot_solution.splitting(1, 0, "natural")
     om = spot_solution.drive.omega
     target = abs(eps01 + 2 * om)
 
     def delta_p1(rabi):
-        rates = probe_transition_rates(spot_solution, ProbeParams(omega_p=target, rabi=rabi))
-        return steady_state_population(rates, depol) - thermal
+        return _spot_population(params, noise, spot_drive, [target], rabi=rabi)[0] - thermal
 
     ratio = delta_p1(1e-4) / delta_p1(1e-5)
     assert ratio == pytest.approx(100.0, rel=0.015)
@@ -108,6 +111,15 @@ def test_ramsey_roundtrip_single_component(spot_solution):
     est = extract_t2r(sig)
     assert est.t2r == pytest.approx(cfg.t2r_true, rel=1e-3)
     assert est.window_amplitudes.shape == est.window_offsets.shape
+
+
+def test_noiseless_decay_reports_the_fit_noise_floor(params, spec_half):
+    # the undriven signal at the static transition is one noiseless exponential,
+    # whose fit covariance holds only rounding residuals
+    sol = solve_floquet(params, DriveParams(FluxBias(0.5), 0.0, 0.5), spectrum=spec_half)
+    est = extract_t2r(synth_ramsey_signal(sol, RamseyConfig(omega0=spec_half.transition())))
+    assert est.rate_stderr == pytest.approx(3e-10 * est.rate, rel=1e-12)
+    assert est.t2r_stderr == pytest.approx(3e-10 * est.t2r, rel=1e-9)
 
 
 def test_ramsey_roundtrip_multi_component(spot_solution):
