@@ -19,9 +19,7 @@ from .circuit import (
     FluxBias,
     StaticSpectrum,
     build_hamiltonian,
-    charge_operator,
     diagonalize_static,
-    phase_operator,
     transition_spline,
 )
 from .config import (

@@ -133,16 +133,6 @@ def _basis_matrices(params: CircuitParams) -> tuple:
     return mats
 
 
-def phase_operator(params: CircuitParams) -> np.ndarray:
-    """phi = phi_zpf (a + a†) in the oscillator basis (real symmetric)."""
-    return _basis_matrices(params)[1].copy()
-
-
-def charge_operator(params: CircuitParams) -> np.ndarray:
-    """n = i n_zpf (a† - a) in the oscillator basis (Hermitian, imaginary)."""
-    return _basis_matrices(params)[2].copy()
-
-
 def build_hamiltonian(params: CircuitParams, bias: FluxBias) -> np.ndarray:
     """Assemble the static Hamiltonian matrix (GHz) at the given flux bias.
 

@@ -9,7 +9,6 @@ but some cells failed, 3 fatal I/O or solver breakdown.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides the config)")
         p.add_argument("--workers", type=int, metavar="N",
                        help="worker processes, at most one per usable core "
-                            "(default: config value, or FF_WORKERS)")
+                            "(default: config value)")
         p.add_argument("--format", choices=FORMATS,
                        help="export format (overrides the config)")
         p.add_argument("--overwrite", action="store_true",
@@ -54,16 +53,8 @@ def _apply_overrides(config, args):
         updates["format"] = args.format
     if args.overwrite:
         updates["overwrite"] = True
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("FF_WORKERS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError(f"FF_WORKERS must be an integer (got {env!r})") from None
-    if workers is not None:
-        updates["workers"] = workers
+    if args.workers is not None:
+        updates["workers"] = args.workers
     if not updates:
         return config
     try:

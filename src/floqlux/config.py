@@ -97,7 +97,6 @@ class SweetSpotSpec:
     """Sweet-spot scan settings."""
 
     tol_d: float = 1e-4
-    refine: bool = True
 
 
 @dataclass(frozen=True)

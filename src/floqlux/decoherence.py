@@ -44,7 +44,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_boltzmann
 from scipy.optimize import brentq, root
 
-from .circuit import CircuitParams, FluxBias, StaticSpectrum
+from .circuit import CircuitParams, FluxBias
 from .errors import (
     ConvergenceError,
     InfraredDivergenceError,
@@ -196,7 +196,6 @@ class FourierMatrixElements:
 
     k_values: np.ndarray
     table: np.ndarray  # (2, 2, n_k) complex, table[a, b, k + kmax]
-    omega: float
 
     def __post_init__(self) -> None:
         self.k_values.setflags(write=False)
@@ -220,7 +219,6 @@ def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMa
     return FourierMatrixElements(
         k_values=np.arange(-kmax, kmax + 1),
         table=_shifted_products(bras, bras @ np.asarray(op)[:d, :d].T, kmax),
-        omega=sol.drive.omega,
     )
 
 
@@ -335,24 +333,16 @@ class DephasingRate:
         return math.inf if self.gamma_phi == 0 else 1.0 / self.gamma_phi
 
 
-def pure_dephasing_rate(
-    sol: FloquetSolution,
-    model: NoiseModel,
-    *,
-    derivatives: "QuasienergyDerivatives | None" = None,
-) -> DephasingRate:
+def pure_dephasing_rate(sol: FloquetSolution, model: NoiseModel) -> DephasingRate:
     """Pure dephasing from 1/f flux and amplitude noise plus sideband terms.
 
     The phase elements and the circuit are those of ``sol``.  The
     low-frequency term uses the closed matrix-element forms of the
-    quasienergy derivatives: those of ``derivatives`` when given, otherwise
-    evaluated from the elements directly.
+    quasienergy derivatives.
     """
     params = sol.spectrum.params
     elems = fourier_matrix_elements(sol)
-    if derivatives is None:
-        derivatives = quasienergy_derivatives(sol)
-    d_flux, d_xi = derivatives.flux_me, derivatives.xi_me
+    d_flux, d_xi = _matrix_element_derivatives(sol)
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
         + model.a_ac**2 * ghz_to_angular(d_xi) ** 2
@@ -572,7 +562,7 @@ def coherence_rates(
         )
     derivs = quasienergy_derivatives(sol, fd=fd)
     depol = depolarization_rates(sol, model)
-    deph = pure_dephasing_rate(sol, model, derivatives=derivs)
+    deph = pure_dephasing_rate(sol, model)
     t1 = depol.t1
     inv_t2r = (0.0 if t1 == math.inf else 0.5 / t1) + deph.gamma_phi
     return CoherenceRates(
@@ -602,7 +592,7 @@ class SweetSpot:
     omega: float
     d_flux: float
     d_xi: float
-    rates: CoherenceRates | None = None
+    rates: CoherenceRates
 
 
 @dataclass(frozen=True)
@@ -615,11 +605,10 @@ class SweetSpotScan:
 
 def find_sweet_spots(
     params: CircuitParams,
-    noise: NoiseModel | None,
+    noise: NoiseModel,
     grid,
     config: SambeConfig = SambeConfig(),
     tol_d: float = 1e-4,
-    refine: bool = True,
 ) -> SweetSpotScan:
     """Locate sweet spots of the driven qubit on a (phi_dc, xi, omega) grid.
 
@@ -634,8 +623,8 @@ def find_sweet_spots(
     are below ``tol_d`` (GHz per flux quantum).
 
     With no sign change anywhere the result has no spots and the diagnostics
-    say what was scanned.  When ``noise`` is given, full coherence rates are
-    attached to each refined spot.
+    say what was scanned.  Each refined spot carries its coherence rates
+    under ``noise``.
     """
     axes = tuple(
         tuple(np.sort(np.atleast_1d(np.asarray(v, dtype=float))))
@@ -675,7 +664,7 @@ def find_sweet_spots(
             kind = "amplitude"
         else:
             return None
-        rates = None if noise is None else coherence_rates(params, sol.drive, noise, config, sol=sol)
+        rates = coherence_rates(params, sol.drive, noise, config, sol=sol)
         return SweetSpot(kind=kind, phi_dc=phi, xi=xi, omega=om, d_flux=df, d_xi=dx, rates=rates)
 
     # 1D scans: flux-sweet spots along phi_dc, amplitude-sweet spots along xi
@@ -688,8 +677,6 @@ def find_sweet_spots(
             if col[i] == 0.0 or col[i] * col[i + 1] >= 0:
                 continue
             diags[f"{name}_brackets"] += 1
-            if not refine:
-                continue
             fixed = [axes[a][n] for a, n in zip(others, idx)]
 
             def at(x):
@@ -712,8 +699,6 @@ def find_sweet_spots(
                     if not (c1.min() < 0 < c1.max() and c2.min() < 0 < c2.max()):
                         continue
                     diags["double_seeds"] += 1
-                    if not refine:
-                        continue
                     x0 = [
                         0.5 * (grid_xi[j] + grid_xi[j + 1]),
                         0.5 * (grid_om[l] + grid_om[l + 1]),
@@ -785,21 +770,13 @@ _TWO_LEVEL_CONFIG = SambeConfig(n_levels=2, sideband_cutoff=40)
 _TWO_LEVEL_TIMES = 256
 
 
-def two_level_reduction(
-    params: CircuitParams,
-    drive: DriveParams,
-    spectrum: StaticSpectrum | None = None,
-) -> TwoLevelReduction:
+def two_level_reduction(params: CircuitParams, drive: DriveParams) -> TwoLevelReduction:
     """Solve the two-level projected model and tabulate its Floquet frame.
 
-    A given ``spectrum`` must be that of ``params`` at ``drive.bias``.
-
     Raises:
-        ValueError: when ``spectrum`` is of another circuit or bias.
         ConvergenceError: when the frame is not unitary to 1e-10.
     """
-    sol = solve_floquet(params, drive, _TWO_LEVEL_CONFIG, spectrum=spectrum,
-                        check_convergence=False)
+    sol = solve_floquet(params, drive, _TWO_LEVEL_CONFIG, check_convergence=False)
     phi_bar = sol.spectrum.phi_elements[:2, :2].copy()
     ns = _TWO_LEVEL_CONFIG.sideband_cutoff
     times = np.linspace(0.0, drive.period, _TWO_LEVEL_TIMES, endpoint=False)

@@ -195,7 +195,6 @@ class FloquetSolution:
     spectrum: StaticSpectrum
     converged: bool | None = None
     convergence_delta: float | None = None
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for arr in (self.quasienergies, self.rep_energies, self.fourier_blocks):
@@ -352,7 +351,6 @@ def solve_floquet(
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
     converged = delta = None
-    warnings: tuple[str, ...] = ()
     if check_convergence:
         # nearest wide eigenvalue to each representative, unfolded
         pos = np.clip(np.searchsorted(wide_e, rep_e), 1, wide_e.size - 1)
@@ -360,11 +358,6 @@ def solve_floquet(
         near = np.where(rep_e - below <= above - rep_e, below, above)
         delta = float(np.max(_zone_distance(rep_e, near, drive.omega)))
         converged = delta < 1e-8
-        if not converged:
-            warnings = (
-                f"quasienergies moved by {delta:.3e} GHz under sideband_cutoff + 2; "
-                "increase sideband_cutoff",
-            )
     return FloquetSolution(
         drive=drive,
         config=config,
@@ -374,7 +367,6 @@ def solve_floquet(
         spectrum=spectrum,
         converged=converged,
         convergence_delta=delta,
-        warnings=warnings,
     )
 
 

@@ -100,7 +100,8 @@ class RWAParams:
         g: static dipole coupling g_cap * <3|n|0>, GHz.
         g_prime: amplitude of the drive-induced coupling modulation, GHz.
         zeta: transition-frequency shift in GHz as a function of the flux
-            excursion dphi (Phi_0 units); must vanish at dphi = 0.
+            excursion dphi (Phi_0 units), elementwise over an array of
+            excursions; must vanish at dphi = 0.
     """
 
     omega3: float
@@ -142,14 +143,6 @@ class PhaseCoefficients:
         return complex(self.coefficients[n + kmax])
 
 
-def _zeta_samples(zeta, dphi: np.ndarray) -> np.ndarray:
-    vals = zeta(dphi)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != dphi.shape:  # scalar-only callable: sample pointwise
-        vals = np.array([float(zeta(x)) for x in dphi])
-    return vals
-
-
 def rwa_phase_coefficients(rwa: RWAParams, drive) -> PhaseCoefficients:
     """Phase-factor harmonics A_n by spectrally accurate periodic quadrature.
 
@@ -159,6 +152,7 @@ def rwa_phase_coefficients(rwa: RWAParams, drive) -> PhaseCoefficients:
     periodic integrands converges faster than any power of the step.
 
     Raises:
+        ValueError: zeta does not return one value per flux excursion.
         ConvergenceError: grid doubling failed to stabilize, or the stored
             window cannot reach completeness 1 - 1e-8.
     """
@@ -169,7 +163,10 @@ def rwa_phase_coefficients(rwa: RWAParams, drive) -> PhaseCoefficients:
     mean_shift = 0.0
     for _ in range(8):
         t = np.arange(m) / (m * omega)
-        z = _zeta_samples(rwa.zeta, xi * np.cos(TWO_PI * omega * t))
+        dphi = xi * np.cos(TWO_PI * omega * t)
+        z = np.asarray(rwa.zeta(dphi), dtype=float)
+        if z.shape != dphi.shape:
+            raise ValueError(f"zeta returned shape {z.shape} for {dphi.shape} flux excursions")
         mean_shift = float(np.mean(z))
         c = np.fft.fft(z - mean_shift) / m
         k = np.rint(np.fft.fftfreq(m) * m).astype(int)
@@ -284,26 +281,16 @@ def polariton_manifold_eigs(
     cavity: CavityParams,
     omega3: float,
     drive_omega: float,
-    fit,
+    g_m,
     delta_m=None,
 ) -> np.ndarray:
     """Sorted eigenvalues of the one-excitation cavity/sideband manifold.
 
     The 7x7 matrix couples the bare cavity at omega_c to the sideband images
     of the 0 -> 3 transition at omega3 + m*Omega + delta_m for m = -2..3,
-    with coupling |g_m| between the cavity and image m.  ``fit`` is either a
-    PolaritonFit or a mapping m -> g_m (then ``delta_m`` maps m -> shift).
-
-    Raises:
-        ValueError: ``delta_m`` is given beside a PolaritonFit, which
-            carries its own.
+    with coupling |g_m| between the cavity and image m.  ``g_m`` and
+    ``delta_m`` map m to the coupling and the shift.
     """
-    if isinstance(fit, PolaritonFit):
-        if delta_m is not None:
-            raise ValueError("a PolaritonFit carries its own delta_m; pass one or the other")
-        g_m, delta_m = fit.g_m, fit.delta_m
-    else:
-        g_m = fit
     h = _manifold(cavity, np.array([float(omega3)]), drive_omega, _by_m(g_m), _by_m(delta_m))
     return np.linalg.eigvalsh(h)[0]
 

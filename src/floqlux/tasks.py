@@ -275,23 +275,22 @@ def _job_sweetspot(config: RunConfig, coords):
 
 
 def _job_sweetspot_scan(config: RunConfig, coords):
-    scan = find_sweet_spots(
-        config.circuit, config.noise, config.grid, config.floquet,
-        tol_d=config.sweetspot.tol_d, refine=config.sweetspot.refine,
-    )
-    spots = []
-    for s in sorted(scan.spots, key=lambda s: (s.phi_dc, s.xi, s.omega, s.kind)):
-        row = {
+    scan = find_sweet_spots(config.circuit, config.noise, config.grid, config.floquet,
+                            tol_d=config.sweetspot.tol_d)
+    spots = [
+        {
             "kind": s.kind,
             "phi_dc": s.phi_dc,
             "xi": s.xi,
             "omega": s.omega,
             "d_flux": s.d_flux,
             "d_xi": s.d_xi,
+            "t1": s.rates.t1,
+            "tphi": s.rates.tphi,
+            "t2r": s.rates.t2r,
         }
-        if s.rates is not None:
-            row.update(t1=s.rates.t1, tphi=s.rates.tphi, t2r=s.rates.t2r)
-        spots.append(row)
+        for s in sorted(scan.spots, key=lambda s: (s.phi_dc, s.xi, s.omega, s.kind))
+    ]
     return {"rows": [], "extra": _plain({"spots": spots, "diagnostics": scan.diagnostics})}
 
 

@@ -83,26 +83,20 @@ def test_partial_failure_exit_two(tmp_path, capsys):
     assert "AliasingError" in err
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path)
-    monkeypatch.setenv("FF_WORKERS", "2")
-    code = main(["static-spectrum", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 0
-    assert "workers = 2" in capsys.readouterr().out
-
-    monkeypatch.setenv("FF_WORKERS", "zero")
-    assert main(["static-spectrum", "--config", str(cfg),
-                 "--out", str(tmp_path / "o2")]) == 1
-
-
-def test_workers_flag_beats_env(tmp_path, monkeypatch, capsys):
-    cfg = _write(tmp_path)
-    monkeypatch.setenv("FF_WORKERS", "4")
+def test_workers_flag_beats_env(tmp_path, capsys):
+    # the flag overrides the config's worker count
+    cfg = _write(tmp_path, MINIMAL.replace("[grid]", "workers = 2\n[grid]"))
     code = main(["static-spectrum", "--config", str(cfg),
                  "--out", str(tmp_path / "o"), "--workers", "1"])
     assert code == 0
     assert "workers = 1" in capsys.readouterr().out
+
+
+def test_sweetspot_refine_key_is_gone(tmp_path, capsys):
+    # every scan refines its brackets; there is no switch to turn that off
+    cfg = _write(tmp_path, 'task = "sweetspot"\n[sweetspot]\nrefine = true\n')
+    assert main(["sweetspot", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'refine' in [sweetspot]" in capsys.readouterr().err
 
 
 def test_format_override(tmp_path, capsys):

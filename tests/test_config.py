@@ -150,17 +150,17 @@ def test_emit_parse_roundtrip_random(workers, xi, fmt):
     assert parse_config(emit_config(cfg)) == cfg
 
 
-# config_hash of each task's default config at the time the schema became
-# derived from the records; a change here orphans every existing cell cache
+# config_hash of each task's default config; a change here orphans every
+# existing cell cache
 DEFAULT_HASHES = {
-    "static-spectrum": "d0a1fb0eae33f2e3abef2d0698a2e87518db0bcf63857faf60ad99b179fc1c6a",
-    "floquet": "2c174797222580ed108c2e54d4f4704f7322a86c480e88c0901e3f949a9d3c2d",
-    "spectral-function": "9f71e24a5e8e2fb6f819408296f602d3bb79e65a3b3552c54ef9ed2a059d9d51",
-    "polariton": "3becb873bce8dac21636a62b4731ac486054517be4f35835fe0e14b9ec5b9f56",
-    "spectroscopy": "0234977b73922a7c0a1226b6438a6585f4bc13a165f9622f8e324918cc6059ed",
-    "coherence": "595f73c53f9a20f302a4c62b7342ba6d8b7aec17304834a368c50560cb0fa2b5",
-    "sweetspot": "9e57c331fdc2707c0c81b9f9ef9da816d9252e8d905278d0c4235bd97f6452ee",
-    "ramsey": "5653bd56c724c0fb16898532ab93fcd253b7f0c6524f5eb742cd48916267a9d9",
+    "static-spectrum": "03f7786ae8a06862811a9b2febd831cac310a181c1f580241ef8c80998f51e34",
+    "floquet": "b4600a6204a30a8b2f1a7c03c1aa90cd06a0cca617971258dd6e3cc91a920807",
+    "spectral-function": "bc1443e5d9f1b6531fc5eb20b275e2c39d9c69961c6b0597281a529ecae02b12",
+    "polariton": "2b105730c3d16ba25ef34d3a3ed5ad90ea1884926e49d7771964a4af8f4820ad",
+    "spectroscopy": "853bdc8ffaa0449ac1b914c04fffe87a1f631b87e39b4376ba656da6dbe386f7",
+    "coherence": "6533542a4bde510952127950b7df41c7ef633ce7fa383dfdd4196009661f2857",
+    "sweetspot": "315ef28edb50937db88c37c0ba5c58dcdc160160dc1f4af3889faf063d23d7f3",
+    "ramsey": "a3f291e31346466c6d6ffc34351f8fe413b5efd6750d93bb046a0b9929d86b35",
 }
 
 

@@ -11,6 +11,7 @@ import pytest
 import floqlux.decoherence
 from floqlux import (
     CircuitParams,
+    CoherenceRates,
     DriveParams,
     FluxBias,
     GridSpec,
@@ -169,11 +170,10 @@ def test_derivative_forms_agree_at_one_point():
     assert d.xi_fd == pytest.approx(d.xi_me, rel=1e-6, abs=1e-9)
 
 
-def test_filter_weights_conservation(params, spec_451):
+def test_filter_weights_conservation(params):
     # in the two-level model the sideband-summed filter weight
     # 2*depolarization + dephasing equals its static reference exactly
-    red = two_level_reduction(params, DriveParams(FluxBias(0.451), 0.07, 0.5),
-                              spectrum=spec_451)
+    red = two_level_reduction(params, DriveParams(FluxBias(0.451), 0.07, 0.5))
     t = red.elems.table
     total = float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                   + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))
@@ -183,9 +183,10 @@ def test_filter_weights_conservation(params, spec_451):
     assert abs(total - reference) < 1e-9 * reference
 
 
-def test_flux_sweet_spot_at_symmetry_point(params):
+def test_flux_sweet_spot_at_symmetry_point(params, noise):
     grid = GridSpec(phi_dc=tuple(np.linspace(0.48, 0.52, 5)), xi=(0.0,), omega=(0.5,))
-    scan = find_sweet_spots(params, None, grid)
+    scan = find_sweet_spots(params, noise, grid)
+    assert all(isinstance(s.rates, CoherenceRates) for s in scan.spots)
     flux_spots = [s for s in scan.spots if s.kind == "flux"]
     assert flux_spots
     assert flux_spots[0].phi_dc == pytest.approx(0.5, abs=1e-6)
@@ -206,12 +207,13 @@ def test_double_sweet_spot_location(params, noise, eigensolves):
     assert spot.rates is not None and spot.rates.tphi > 0
 
 
-def test_sweet_spot_scan_ignores_axis_order(params):
+def test_sweet_spot_scan_ignores_axis_order(params, noise):
     # brackets pair neighbouring grid values, so an unsorted axis hides spots
     ordered = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
     permuted = GridSpec(phi_dc=(0.451,), xi=(0.12, 0.0, 0.06), omega=(0.8, 0.7))
-    want = find_sweet_spots(params, None, ordered)
-    got = find_sweet_spots(params, None, permuted)
+    want = find_sweet_spots(params, noise, ordered)
+    got = find_sweet_spots(params, noise, permuted)
+    assert all(isinstance(s.rates, CoherenceRates) for s in want.spots)
     assert "double" in [s.kind for s in want.spots]
     assert got.spots == want.spots
     assert got.diagnostics == want.diagnostics

@@ -10,10 +10,10 @@ Dead-definition lint: every module-level private function, class or
 constant (a name with one leading underscore) is referenced somewhere in
 the package, by name or as a module attribute.
 
-Caller lint: every public function (one in a module's ``__all__``) is
-referenced outside its own def, in the package, ``scripts/``,
-``tests/test_acceptance.py`` or ``perfbench/``; a function that only its
-own unit tests call is API that no result needs.
+Caller lint: every public function (one in a module's ``__all__`` or
+exported by the package root) is referenced outside its own def, in the
+package, ``scripts/``, ``tests/test_acceptance.py`` or ``perfbench/``; a
+function that only its own unit tests call is API that no result needs.
 
 Solution lint: a public function that takes a Floquet solution takes no
 circuit, static spectrum, drive or Fourier element table beside it, since
@@ -157,18 +157,27 @@ CALLER_FILES = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test
 _UNCALLED_API = {
     "polariton_manifold_eigs": "the per-point reference that synth_polariton_data's "
                                "batched manifold is tested against",
+    "import_result": "reads the json export back, so the round-trip test can show "
+                     "that export loses nothing",
 }
+
+
+def _public_functions() -> dict:
+    """name -> function over the package root's exports and every ``__all__``."""
+    public = {name: fn for name, fn in vars(importlib.import_module("floqlux")).items()
+              if inspect.isfunction(fn)}
+    for path in MODULES:
+        module = importlib.import_module(f"floqlux.{path.stem}")
+        public.update((name, getattr(module, name)) for name in getattr(module, "__all__", ())
+                      if inspect.isfunction(getattr(module, name)))
+    return public
 
 
 def test_every_public_function_has_a_caller():
     callers = [ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES]
     refs = _outside_own_def([*PACKAGE.values(), *callers])
-    uncalled = []
-    for path in MODULES:
-        module = importlib.import_module(f"floqlux.{path.stem}")
-        uncalled += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
-                     if inspect.isfunction(getattr(module, name))
-                     and name not in refs and name not in _UNCALLED_API]
+    uncalled = sorted(f"{fn.__module__}.{name}" for name, fn in _public_functions().items()
+                      if name not in refs and name not in _UNCALLED_API)
     assert not uncalled, f"public functions that only their unit tests call: {uncalled}"
 
 

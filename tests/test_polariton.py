@@ -15,7 +15,6 @@ from floqlux import (
     FitError,
     FluxBias,
     OutOfWindowError,
-    PolaritonFit,
     RWAParams,
     fit_polariton,
     floquet_dipole_coupling,
@@ -97,6 +96,13 @@ def test_phase_integral_against_quadrature():
         assert co.get(n) == pytest.approx(want, abs=1e-8)
 
 
+def test_scalar_only_zeta_is_rejected():
+    # zeta is sampled on a whole period at once; a scalar answer is an error
+    rwa = RWAParams(omega3=7.3, g=0.02, g_prime=0.0, zeta=lambda d: 0.0)
+    with pytest.raises(ValueError, match="zeta returned shape"):
+        rwa_phase_coefficients(rwa, DriveParams(FluxBias(0.5), 0.05, 0.3))
+
+
 def test_rwa_coupling_composition():
     drive = DriveParams(FluxBias(0.5), 0.05, 0.3)
     rwa = RWAParams(omega3=7.3, g=0.02, g_prime=0.004,
@@ -143,18 +149,6 @@ def test_manifold_eigs_limits():
     eigs = polariton_manifold_eigs(cavity, 7.3, 0.2, g)
     near = np.sort(np.abs(eigs - 7.3))
     assert near[:2] == pytest.approx([0.01, 0.01], abs=1e-9)
-
-
-def test_manifold_eigs_take_a_fit_or_a_mapping():
-    cavity = CavityParams(omega_c=7.3, g_cap=0.15)
-    g, delta = {0: 0.01, 1: 0.005}, {0: 0.002}
-    fit = PolaritonFit(g_m=g, delta_m=delta, g_err={}, residual=0.0, unidentifiable=(),
-                       n_evaluations=0, success=True)
-    assert np.array_equal(polariton_manifold_eigs(cavity, 7.3, 0.2, fit),
-                          polariton_manifold_eigs(cavity, 7.3, 0.2, g, delta))
-    # a shift beside a fit would be dropped for the fit's own
-    with pytest.raises(ValueError, match="delta_m"):
-        polariton_manifold_eigs(cavity, 7.3, 0.2, fit, {0: 0.05})
 
 
 def test_synth_data_within_branch_window():
