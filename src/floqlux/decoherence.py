@@ -36,6 +36,7 @@ differences of the tracked splitting with Richardson step control.
 """
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -632,10 +633,16 @@ def find_sweet_spots(
     )
     grid_phi, grid_xi, grid_om = axes
 
+    # root finders revisit drive points (bracket ends, hybr's seed, and the
+    # root classify reads, which brentq may have evaluated one step before
+    # its last), so derivatives are memoised on the exact point and the
+    # few most recent solutions are kept; memory stays bounded
+    @functools.lru_cache(maxsize=4)
     def solved(phi: float, xi: float, om: float) -> FloquetSolution:
         drive = DriveParams(FluxBias(phi), xi, om)
         return solve_floquet(params, drive, config, check_convergence=False)
 
+    @functools.lru_cache(maxsize=None)
     def derivs_at(phi: float, xi: float, om: float):
         return _matrix_element_derivatives(solved(phi, xi, om))
 

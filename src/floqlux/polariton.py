@@ -343,6 +343,54 @@ def synth_polariton_data(
     return data
 
 
+def _unpack(x: np.ndarray, active) -> tuple[dict, dict]:
+    """(g_m, delta_m) over m = -2..3 from the fit vector; inactive m read 0."""
+    n_act = len(active)
+    g = {m: 0.0 for m in _FIT_M_VALUES}
+    d = {m: 0.0 for m in _FIT_M_VALUES}
+    for i, m in enumerate(active):
+        g[m] = abs(x[i])
+        d[m] = x[n_act + i]
+    return g, d
+
+
+def _fit_problem(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
+                 freqs: np.ndarray, sigmas: np.ndarray, active):
+    """Residual and exact Jacobian of the manifold fit over x = (g, delta).
+
+    Each data point contributes |lambda_k - f| / sigma, lambda_k the manifold
+    eigenvalue nearest its peak.  With v the eigenvector of lambda_k,
+    Hellmann-Feynman gives d lambda_k / d g_m = 2 v_0 v_m sign(g_m) and
+    d lambda_k / d delta_m = v_m^2.  Both callbacks share one batched eigh,
+    cached for the most recent x.
+    """
+    n_act = len(active)
+    cols = np.array([_FIT_M_VALUES.index(m) + 1 for m in active])  # manifold rows
+    rows = np.arange(freqs.size)
+    last: dict = {}
+
+    def decompose(x):
+        key = x.tobytes()
+        if key not in last:
+            h = _manifold(cavity, omega3s, drive_omega, *_unpack(x, active))
+            eigs, vecs = np.linalg.eigh(h)
+            k = np.argmin(np.abs(eigs - freqs[:, None]), axis=1)
+            last.clear()
+            last[key] = (eigs[rows, k] - freqs, vecs[rows, :, k])
+        return last[key]
+
+    def residuals(x):
+        return np.abs(decompose(x)[0]) / sigmas
+
+    def jacobian(x):
+        diff, v = decompose(x)
+        vm = v[:, cols]
+        dlam = np.hstack([2.0 * v[:, :1] * vm * np.sign(x[:n_act]), vm * vm])
+        return (np.sign(diff) / sigmas)[:, None] * dlam
+
+    return residuals, jacobian
+
+
 def fit_polariton(
     data: np.ndarray,
     cavity: CavityParams,
@@ -358,6 +406,12 @@ def fit_polariton(
     ``capture_window`` (GHz) of its bare crossing; the rest are pinned at
     g_m = 0, delta_m = 0.  Initialization and restarts are deterministic, so
     the fit is reproducible for fixed data.
+
+    The Jacobian is exact (first-order perturbation theory on the
+    eigendecomposition the residual already needs), so each least-squares
+    step costs one batched eigh and ``g_err`` comes from the exact
+    Jacobian at the optimum.  ``n_evaluations`` counts residual evaluations
+    over all restarts; Jacobian evaluations reuse them.
 
     Raises:
         FitError: when every restart fails to converge.
@@ -384,20 +438,7 @@ def fit_polariton(
         raise FitError("no sideband crossing is covered by the data")
 
     n_act = len(active)
-
-    def unpack(x):
-        g = {m: 0.0 for m in _FIT_M_VALUES}
-        d = {m: 0.0 for m in _FIT_M_VALUES}
-        for i, m in enumerate(active):
-            g[m] = abs(x[i])
-            d[m] = x[n_act + i]
-        return g, d
-
-    def residuals(x):
-        # one manifold per data point, eigendecomposed together
-        eigs = np.linalg.eigvalsh(_manifold(cavity, omega3s, drive_omega, *unpack(x)))
-        return np.min(np.abs(eigs - freqs[:, None]), axis=1) / sigmas
-
+    residuals, jacobian = _fit_problem(cavity, omega3s, drive_omega, freqs, sigmas, active)
     starts = [np.concatenate([np.full(n_act, g0), np.zeros(n_act)])
               for g0 in (0.005, 0.02, 0.05, 0.1)]
 
@@ -409,6 +450,7 @@ def fit_polariton(
             res = least_squares(
                 residuals,
                 x0,
+                jac=jacobian,
                 bounds=(
                     np.concatenate([np.zeros(n_act), np.full(n_act, -0.2)]),
                     np.concatenate([np.full(n_act, 0.5), np.full(n_act, 0.2)]),
@@ -418,7 +460,7 @@ def fit_polariton(
                 ftol=1e-14,
                 gtol=1e-14,
             )
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         n_eval += res.nfev
         if res.status > 0 and (best is None or res.cost < best.cost):
@@ -428,13 +470,13 @@ def fit_polariton(
     if best is None:
         err = FitError("polariton fit failed to converge from every start")
         if best_failed is not None:
-            g_bad, d_bad = unpack(best_failed.x)
+            g_bad, d_bad = _unpack(best_failed.x, active)
             err.best_g_m = g_bad
             err.best_delta_m = d_bad
             err.residual = float(np.sqrt(np.mean((best_failed.fun * sigmas) ** 2)))
         raise err
 
-    g_fit, d_fit = unpack(best.x)
+    g_fit, d_fit = _unpack(best.x, active)
     dof = max(freqs.size - 2 * n_act, 1)
     var = 2.0 * best.cost / dof
     jtj = best.jac.T @ best.jac

@@ -207,6 +207,23 @@ def test_double_sweet_spot_location(params, noise, eigensolves):
     assert spot.rates is not None and spot.rates.tphi > 0
 
 
+def test_sweet_spot_scan_solves_each_point_once(params, noise, monkeypatch):
+    # brentq's bracket ends are grid points, hybr re-reads its seed, and
+    # classify re-reads the root: each is a drive point solved before
+    points = []
+    solve = floqlux.decoherence.solve_floquet
+
+    def counting(p, drive, *args, **kwargs):
+        points.append((drive.bias.phi_dc, drive.xi, drive.omega))
+        return solve(p, drive, *args, **kwargs)
+
+    monkeypatch.setattr(floqlux.decoherence, "solve_floquet", counting)
+    grid = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
+    scan = find_sweet_spots(params, noise, grid)
+    assert "double" in [s.kind for s in scan.spots]
+    assert len(points) == len(set(points))
+
+
 def test_sweet_spot_scan_ignores_axis_order(params, noise):
     # brackets pair neighbouring grid values, so an unsorted axis hides spots
     ordered = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 from scipy.special import jv
 
+import floqlux.polariton
 from floqlux import (
     CavityParams,
     DriveParams,
@@ -193,20 +195,22 @@ def test_batched_manifold_matches_per_bias_loop(params):
         assert np.array_equal(near, want[want[:, 0] == phi, 1])
 
 
-def _crossing_data(params, cavity, g_true, omega, n_each=15, span=3e-3):
-    curve = transition_spline(params, 0, 3, 0.28, 0.33, 61)
+def _crossing_data(params, cavity, g_true, omega, n_each=15, span=3e-3,
+                   bias_range=(0.28, 0.33), sigma=0.0, seed=0):
+    lo, hi = bias_range
+    curve = transition_spline(params, 0, 3, lo, hi, 61)
     phis = []
     from scipy.optimize import brentq
 
     for m, g in g_true.items():
         target = cavity.omega_c - m * omega
-        lo, hi = 0.281, 0.329
         f = lambda p: float(curve(p)) + 0.0 - target  # noqa: E731
-        if (f(lo)) * (f(hi)) < 0:
-            star = brentq(f, lo, hi)
+        if (f(lo + 1e-3)) * (f(hi - 1e-3)) < 0:
+            star = brentq(f, lo + 1e-3, hi - 1e-3)
             phis.append(np.linspace(star - span, star + span, n_each))
     phis = np.concatenate(phis)
-    data = synth_polariton_data(cavity, curve, omega, g_true, None, phis)
+    data = synth_polariton_data(cavity, curve, omega, g_true, None, phis,
+                                sigma=sigma, rng=np.random.default_rng(seed))
     return curve, data
 
 
@@ -253,3 +257,108 @@ def test_rwa_params_reuse_static_spectra(params, eigensolves):
     assert first == len(set(eigensolves)) == 45
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.1)
     assert len(eigensolves) == first
+
+
+G_SIX = {-2: 0.005, -1: 0.010, 0: 0.0199, 1: 0.010, 2: 0.005, 3: 0.0025}
+
+
+def _six_crossings(params, cavity, seed=None):
+    """Peaks at all six sideband crossings, jittered by 1% of the largest
+    splitting unless ``seed`` is None."""
+    sigma = 0.0 if seed is None else 0.01 * 2.0 * max(G_SIX.values())
+    return _crossing_data(params, cavity, G_SIX, 0.2, bias_range=(0.22, 0.41),
+                          sigma=sigma, seed=seed)
+
+
+def _callbacks(cavity, curve, data, fit):
+    """The fit's residual and Jacobian callbacks, over the sidebands ``fit`` kept."""
+    omega3s = np.array([float(curve(p)) for p in data[:, 0]])
+    sigmas = data[:, 2] if data.shape[1] == 3 else np.ones(data.shape[0])
+    active = [m for m in range(-2, 4) if m not in fit.unidentifiable]
+    fun, jac = floqlux.polariton._fit_problem(cavity, omega3s, 0.2, data[:, 1], sigmas, active)
+    return fun, jac, omega3s, active
+
+
+def _starts(n_act):
+    return [np.concatenate([np.full(n_act, g0), np.zeros(n_act)])
+            for g0 in (0.005, 0.02, 0.05, 0.1)]
+
+
+def test_fit_jacobian_matches_central_difference(params):
+    cavity = CavityParams()
+    curve, data = _six_crossings(params, cavity, seed=3)
+    fit = fit_polariton(data, cavity, curve, 0.2)
+    fun, jac, omega3s, active = _callbacks(cavity, curve, data, fit)
+    n_act = len(active)
+    fitted = np.array([fit.g_m[m] for m in active] + [fit.delta_m[m] for m in active])
+    h = 1e-7
+    for x in _starts(n_act) + [fitted]:
+        g, d = floqlux.polariton._unpack(x, active)
+        eigs = np.linalg.eigvalsh(floqlux.polariton._manifold(cavity, omega3s, 0.2, g, d))
+        gaps = np.sort(np.abs(eigs - data[:, 1:2]), axis=1)
+        # skip ties between the two nearest eigenvalues and the kink of |lambda - f|
+        rows = (gaps[:, 1] - gaps[:, 0] > 1e-6) & (gaps[:, 0] > 1e-6)
+        assert rows.sum() > data.shape[0] // 2
+        exact = jac(x)
+        for i in range(2 * n_act):
+            step = np.zeros_like(x)
+            step[i] = h
+            central = (fun(x + step) - fun(x - step)) / (2 * h)
+            scale = np.max(np.abs(exact[:, i]))
+            assert np.max(np.abs(exact[rows, i] - central[rows])) <= 1e-5 * scale
+
+
+def _finite_difference_fit(cavity, curve, data, fit):
+    """The fit from the same starts, bounds and tolerances with least_squares'
+    own finite-difference Jacobian: (g_m, delta_m, g_err) over active m."""
+    fun, _, _, active = _callbacks(cavity, curve, data, fit)
+    n_act = len(active)
+    bounds = (np.concatenate([np.zeros(n_act), np.full(n_act, -0.2)]),
+              np.concatenate([np.full(n_act, 0.5), np.full(n_act, 0.2)]))
+    runs = [least_squares(fun, x0, bounds=bounds, method="trf",
+                          xtol=1e-14, ftol=1e-14, gtol=1e-14) for x0 in _starts(n_act)]
+    best = min((r for r in runs if r.status > 0), key=lambda r: r.cost)
+    var = 2.0 * best.cost / max(data.shape[0] - 2 * n_act, 1)
+    perr = np.sqrt(np.maximum(np.diag(var * np.linalg.pinv(best.jac.T @ best.jac)), 0.0))
+    return (dict(zip(active, best.x[:n_act])), dict(zip(active, best.x[n_act:])),
+            dict(zip(active, perr[:n_act])))
+
+
+def test_exact_jacobian_fit_matches_finite_difference_fit(params):
+    cavity = CavityParams()
+    scale = max(G_SIX.values())
+    for seed in range(5):
+        curve, data = _six_crossings(params, cavity, seed)
+        fit = fit_polariton(data, cavity, curve, 0.2)
+        assert not fit.unidentifiable
+        g_fd, d_fd, err_fd = _finite_difference_fit(cavity, curve, data, fit)
+        for m in G_SIX:
+            assert fit.g_m[m] == pytest.approx(g_fd[m], abs=1e-6 * scale)
+            assert fit.delta_m[m] == pytest.approx(d_fd[m], abs=1e-6 * scale)
+            assert fit.g_err[m] == pytest.approx(err_fd[m], rel=0.05)
+
+
+def test_fit_builds_one_manifold_per_residual_evaluation(params, monkeypatch):
+    # the Jacobian reuses the residual's eigendecomposition: no extra builds
+    cavity = CavityParams()
+    curve, data = _six_crossings(params, cavity)
+    builds = []
+    build = floqlux.polariton._manifold
+    monkeypatch.setattr(floqlux.polariton, "_manifold",
+                        lambda *a: builds.append(1) or build(*a))
+    fit = fit_polariton(data, cavity, curve, 0.2)
+    assert fit.success
+    assert len(builds) == fit.n_evaluations
+
+
+def test_fit_does_not_hide_programming_errors(params, monkeypatch):
+    # only numerical failures count as a start that did not converge
+    cavity = CavityParams()
+    curve, data = _six_crossings(params, cavity)
+
+    def broken(*args):
+        raise TypeError("broken manifold")
+
+    monkeypatch.setattr(floqlux.polariton, "_manifold", broken)
+    with pytest.raises(TypeError, match="broken manifold"):
+        fit_polariton(data, cavity, curve, 0.2)
