@@ -45,12 +45,23 @@ __all__ = [
 
 # a Sambe solve peaks at this many dim x dim float64 arrays of the assembled
 # matrix (tracemalloc, evd driver: 4.01 at dim 1005, 4.00 at 2005; a checked
-# solve 3.9); beyond the size cap (0.89 GB) a configuration is a runaway
+# solve 3.89 and 3.95, set by its core eigensolve, not by the banded check);
+# beyond the size cap (0.89 GB) a configuration is a runaway
 _SAMBE_PEAK_ARRAYS = 4.1
 _MAX_SAMBE_DIM = 5200
 
 # branch matching tries harmonic translations |k| <= this between parameter steps
 _MATCH_SHIFTS = 3
+
+# a Rayleigh quotient of the truncation check counts as an eigenvalue of the
+# wide Sambe matrix once its residual norm is below this fraction of max|diag|,
+# a lower bound on the matrix 2-norm; a converged representative gets there
+# in one step, an under-truncated one took at most 6 over 180 seeded drives
+# (phi_dc 0.40/0.451/0.5, xi <= 0.2, Omega 0.3-1.3, N_s 2-18)
+_CERTIFY_RTOL = 1e-13
+_MAX_RQI_STEPS = 30
+
+_gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,9 @@ class FloquetSolution:
         converged: True when ``convergence_delta`` < 1e-8 GHz (see
             ``solve_floquet(check_convergence=...)``); None when unchecked.
         convergence_delta: largest zone distance from a representative
-            energy to the nearest eigenvalue of the N_s + 2 Sambe matrix.
+            energy to the eigenvalue of the N_s + 2 Sambe matrix that the
+            zero-padded representative continues into, from one banded
+            inverse-iteration step.
     """
 
     drive: DriveParams
@@ -317,6 +330,50 @@ def _solve_sambe(h, omega, n_side, n_states):
     return evals[by_label], blocks
 
 
+def _continued_eigenvalues(h, rep_e, rep_vecs, d):
+    """Eigenvalue of the wide Sambe matrix ``h`` that each representative
+    continues into.
+
+    Each core eigenvector (a row of ``rep_vecs``) is zero-padded to the width
+    of ``h`` and takes one step of inverse iteration shifted by its own
+    eigenvalue, through a banded LU: blocks of ``d`` levels couple only
+    nearest harmonics, so the half-bandwidth is 2*d - 1.  The Rayleigh
+    quotient of the result is the continued eigenvalue.  While its residual
+    norm does not yet certify it as an eigenvalue of ``h`` (an under-truncated
+    core), the step repeats as Rayleigh-quotient iteration (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  An exactly singular
+    shift is itself an eigenvalue.
+    """
+    n, kl = h.shape[0], 2 * d - 1
+    # gbsv storage: kl rows of LU fill-in, then band[2*kl + i - j, j] = h[i, j]
+    band = np.zeros((3 * kl + 1, n))
+    for off in range(-kl, kl + 1):
+        band[2 * kl + off, max(0, -off):n - max(0, off)] = np.diagonal(h, -off)
+    core = slice((n - rep_vecs.shape[1]) // 2, (n + rep_vecs.shape[1]) // 2)
+    tol = _CERTIFY_RTOL * np.max(np.abs(np.diagonal(h)))
+    continued = np.array(rep_e, dtype=float)
+    for a, vec in enumerate(rep_vecs):
+        x = np.zeros(n)
+        x[core] = vec
+        for _ in range(_MAX_RQI_STEPS):
+            shifted = band.copy()
+            shifted[2 * kl] -= continued[a]
+            y, info = _gbsv(kl, kl, shifted, x, overwrite_ab=True)[2:]
+            if info > 0:
+                break
+            # (h - mu) y = x, so the Rayleigh quotient of y is mu + <y|x>/<y|y>
+            continued[a] += (y @ x) / (y @ y)
+            x = y / np.linalg.norm(y)
+            if np.linalg.norm(h @ x - continued[a] * x) <= tol:
+                break
+        else:
+            raise DiagnosticError(
+                f"truncation check: representative {a} did not reach a certified wide "
+                f"eigenvalue in {_MAX_RQI_STEPS} Rayleigh-quotient steps"
+            )
+    return continued
+
+
 def solve_floquet(
     params: CircuitParams,
     drive: DriveParams,
@@ -328,9 +385,11 @@ def solve_floquet(
 
     When ``check_convergence`` is set the Sambe matrix is assembled once with
     the sideband window widened by 2: its central 2*N_s + 1 blocks are the
-    solved problem, and of the wide matrix only the eigenvalues are computed.
-    The flag and the largest zone distance from a representative energy to
-    its nearest wide eigenvalue land on the returned solution.
+    solved problem, and the wide matrix is never diagonalized.  Each
+    representative is instead compared with the eigenvalue the zero-padded
+    representative continues into, from one banded inverse-iteration step
+    (see ``_continued_eigenvalues``).  The flag and the largest zone distance
+    land on the returned solution.
 
     ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``; a
     given one must be that spectrum, since the solution carries it as the
@@ -347,16 +406,13 @@ def solve_floquet(
     core = slice(margin * d, h.shape[0] - margin * d)
     try:
         rep_e, blocks = _solve_sambe(h[core, core], drive.omega, n_side, d)
-        wide_e = scipy.linalg.eigh(h, eigvals_only=True, driver="evd") if margin else None
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
     converged = delta = None
     if check_convergence:
-        # nearest wide eigenvalue to each representative, unfolded
-        pos = np.clip(np.searchsorted(wide_e, rep_e), 1, wide_e.size - 1)
-        below, above = wide_e[pos - 1], wide_e[pos]
-        near = np.where(rep_e - below <= above - rep_e, below, above)
-        delta = float(np.max(_zone_distance(rep_e, near, drive.omega)))
+        # the gauge multiplied each real eigenvector by +-1, so .real is it up to sign
+        wide_e = _continued_eigenvalues(h, rep_e, blocks.real.reshape(d, -1), d)
+        delta = float(np.max(_zone_distance(rep_e, wide_e, drive.omega)))
         converged = delta < 1e-8
     return FloquetSolution(
         drive=drive,

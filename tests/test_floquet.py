@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floqlux import (
+    CircuitParams,
     DriveParams,
     FluxBias,
     SambeConfig,
@@ -122,13 +123,15 @@ def test_checked_solve_assembles_and_diagonalizes_once(params, spec_451, spot_dr
     monkeypatch.setattr(floquet, "_assemble_sambe",
                         lambda *a: assembled.append(a[-1]) or assemble(*a))
     monkeypatch.setattr(floquet.scipy.linalg, "eigh",
-                        lambda h, **kw: eigh_calls.append(kw.get("eigvals_only", False))
+                        lambda h, **kw: eigh_calls.append((h.shape[0], kw.get("eigvals_only")))
                         or eigh(h, **kw))
     sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
     assert sol.converged is True
-    # one matrix at N_s + 2; eigenvectors once, eigenvalues only once
-    assert assembled == [SambeConfig().sideband_cutoff + 2]
-    assert sorted(eigh_calls) == [False, True]
+    # one matrix at N_s + 2; one eigendecomposition, with eigenvectors, of the
+    # core 2*N_s + 1 blocks; the wide matrix is checked by banded solves only
+    n_side = SambeConfig().sideband_cutoff
+    assert assembled == [n_side + 2]
+    assert eigh_calls == [(5 * (2 * n_side + 1), None)]
 
 
 def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
@@ -156,6 +159,80 @@ def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
         flags.append(sol.converged)
     assert in_band >= 10
     assert flags.count(False) >= 20 and flags.count(True) >= 10
+
+
+def _nearest_eigenvalue_delta(rep_e, wide, omega):
+    """The full-spectrum check: zone distance to the nearest wide eigenvalue."""
+    w = np.linalg.eigvalsh(wide)
+    near = w[np.argmin(np.abs(w[None] - rep_e[:, None]), axis=1)]
+    return float(np.max(floquet._zone_distance(rep_e, near, omega)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 9])
+def test_banded_check_matches_full_spectrum_and_labelled_resolve(d):
+    deep = CircuitParams(n_levels=10)
+    # under-truncated cutoffs, then cutoffs at and past the 1e-8 threshold
+    cells = list(itertools.chain(itertools.product((2, 4), (0.12, 0.2), (0.5, 1.2)),
+                                 itertools.product((10, 14, 18), (0.086, 0.16), (0.5, 1.2))))
+    flags, in_band = [], 0
+    for phi in (0.40, 0.451, 0.5):
+        spec = diagonalize_static(deep, FluxBias(phi))
+        energies, phi_op = spec.energies[:d], spec.phi_elements[:d, :d]
+        for n_side, xi, omega in cells:
+            try:
+                sol = solve_floquet(deep, DriveParams(FluxBias(phi), xi, omega),
+                                    SambeConfig(n_levels=d, sideband_cutoff=n_side), spectrum=spec)
+            except ConvergenceError:
+                continue
+            wide = floquet._assemble_sambe(energies, phi_op, deep.e_l, xi, omega, n_side + 2)
+            labelled = floquet._solve_sambe(wide, omega, n_side + 2, d)[0]
+            refs = (_nearest_eigenvalue_delta(sol.rep_energies, wide, omega),
+                    float(np.max(floquet._zone_distance(sol.rep_energies, labelled, omega))))
+            for ref in refs:
+                assert sol.converged == (ref < 1e-8), (phi, n_side, xi, omega, ref)
+                if 1e-12 <= ref < 1e-8:
+                    in_band += 1
+                    assert sol.convergence_delta == pytest.approx(ref, rel=0.01)
+            flags.append(sol.converged)
+    assert in_band >= 8
+    assert flags.count(False) >= 10 and flags.count(True) >= 10
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_undriven_check_takes_the_singular_path(d):
+    deep = CircuitParams(n_levels=10)
+    sol = solve_floquet(deep, DriveParams(FluxBias(0.451), 0.0, 0.7), SambeConfig(n_levels=d))
+    # the Sambe matrix is diagonal, so every shifted banded solve is singular
+    assert sol.converged is True
+    assert sol.convergence_delta == 0.0
+
+
+def test_banded_check_returns_only_wide_eigenvalues(params, spec_451, monkeypatch):
+    seen = []
+    check = floquet._continued_eigenvalues
+    monkeypatch.setattr(floquet, "_continued_eigenvalues",
+                        lambda h, *a: seen.append((h, check(h, *a))) or seen[-1][1])
+    rng = np.random.default_rng(1515)
+    for _ in range(40):
+        xi, omega, n_side = rng.uniform(0, 0.2), rng.uniform(0.3, 1.3), int(rng.integers(2, 19))
+        try:
+            solve_floquet(params, DriveParams(FluxBias(0.451), xi, omega),
+                          SambeConfig(sideband_cutoff=n_side), spectrum=spec_451)
+        except ConvergenceError:
+            continue
+    assert len(seen) >= 30
+    for h, continued in seen:
+        w = np.linalg.eigvalsh(h)
+        gap = np.min(np.abs(w[None] - continued[:, None]), axis=1)
+        assert np.max(gap) <= 1e-12 * np.linalg.norm(h, 2)
+
+
+def test_uncertified_check_raises(params, spec_451, monkeypatch):
+    # this under-truncated cell needs a second Rayleigh-quotient step
+    monkeypatch.setattr(floquet, "_MAX_RQI_STEPS", 1)
+    strong = DriveParams(FluxBias(0.451), 0.12, 0.25)
+    with pytest.raises(DiagnosticError, match="certified"):
+        solve_floquet(params, strong, SambeConfig(sideband_cutoff=3), spectrum=spec_451)
 
 
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])

@@ -215,15 +215,14 @@ def _crossing_data(params, cavity, g_true, omega, n_each=15, span=3e-3,
 
 
 def test_fit_roundtrip_noiseless(params):
+    # peaks at all six sideband crossings, so every coupling is identifiable
     cavity = CavityParams()
-    g_true = {-2: 0.005, -1: 0.010, 0: 0.0199, 1: 0.010, 2: 0.005, 3: 0.0025}
-    curve, data = _crossing_data(params, cavity, g_true, 0.2)
+    curve, data = _six_crossings(params, cavity)
     fit = fit_polariton(data, cavity, curve, 0.2)
     assert fit.success
-    for m, g in g_true.items():
-        if m in fit.unidentifiable:
-            continue
-        assert fit.g_m[m] == pytest.approx(g, rel=1e-2)
+    assert fit.unidentifiable == ()
+    for m, g in G_SIX.items():
+        assert fit.g_m[m] == pytest.approx(g, rel=1e-6)
 
 
 def test_fit_pins_unidentifiable_sidebands(params):
