@@ -351,7 +351,7 @@ def _continued_eigenvalues(h, rep_e, rep_vecs, d):
         band[2 * kl + off, max(0, -off):n - max(0, off)] = np.diagonal(h, -off)
     core = slice((n - rep_vecs.shape[1]) // 2, (n + rep_vecs.shape[1]) // 2)
     tol = _CERTIFY_RTOL * np.max(np.abs(np.diagonal(h)))
-    continued = np.array(rep_e, dtype=float)
+    continued = rep_e.copy()
     for a, vec in enumerate(rep_vecs):
         x = np.zeros(n)
         x[core] = vec
