@@ -41,7 +41,6 @@ from .decoherence import (
     QuasienergyDerivatives,
     SweetSpot,
     SweetSpotScan,
-    TwoLevelReduction,
     charge_fourier_elements,
     coherence_rates,
     depolarization_rates,
@@ -53,7 +52,6 @@ from .decoherence import (
     s_ac,
     s_dc,
     s_diel,
-    two_level_reduction,
 )
 from .errors import (
     AliasingError,

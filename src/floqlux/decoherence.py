@@ -1,4 +1,4 @@
-"""Decoherence of the driven qubit: noise spectra, filter weights, rates.
+"""Decoherence of the driven qubit: noise spectra, rates, sweet spots.
 
 Rates are computed in 1/s from golden-rule sums over the drive harmonics.
 With eps01 the natural quasienergy splitting (difference of representative
@@ -18,10 +18,12 @@ phase operator between Floquet states,
                                  - phi_11^(k+1) - phi_11^(k-1)|^2
                                  E_L^2 S~_ac(k*Om)
 
-where every frequency is converted to rad/s before hitting a spectral
-density, E_L enters as an angular energy, and the derivatives in the 1/f
-term are angular (rad/s per flux quantum).  gamma_- relaxes (its k = 0 term
-samples the spectra at +eps01), gamma_+ excites.
+where S~_dc and S~_ac are ``s_dc`` and ``s_ac`` times (2*pi)^2, the
+flux-to-phase conversion at Phi_0 = 1.  Every frequency is converted to
+rad/s before hitting a spectral density, E_L enters as an angular energy,
+and the derivatives in the 1/f term are angular (rad/s per flux quantum).
+gamma_- relaxes (its k = 0 term samples the spectra at +eps01), gamma_+
+excites.
 
 The quasienergy derivatives come in two flavors that must agree: closed
 matrix-element forms
@@ -46,12 +48,7 @@ from scipy.constants import hbar, k as k_boltzmann
 from scipy.optimize import brentq, root
 
 from .circuit import CircuitParams, FluxBias
-from .errors import (
-    ConvergenceError,
-    InfraredDivergenceError,
-    OutOfWindowError,
-    TrackingBreakError,
-)
+from .errors import InfraredDivergenceError, TrackingBreakError
 from .floquet import (
     DriveParams,
     FloquetSolution,
@@ -69,7 +66,6 @@ __all__ = [
     "DepolarizationRates",
     "DephasingRate",
     "CoherenceRates",
-    "TwoLevelReduction",
     "SweetSpot",
     "SweetSpotScan",
     "s_dc",
@@ -82,7 +78,6 @@ __all__ = [
     "quasienergy_derivatives",
     "coherence_rates",
     "find_sweet_spots",
-    "two_level_reduction",
 ]
 
 
@@ -127,7 +122,7 @@ class NoiseModel:
         return math.sqrt(abs(math.log(ghz_to_angular(self.omega_ir) * self.t_m)))
 
 
-def _one_over_f(omega, amp: float, reduced: bool):
+def _one_over_f(omega, amp: float):
     """2*pi*amp^2/|omega_angular| at ordinary frequency omega (GHz)."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega == 0.0):
@@ -135,28 +130,25 @@ def _one_over_f(omega, amp: float, reduced: bool):
             "1/f spectral density sampled at zero frequency; the divergent "
             "low-frequency content belongs to the ir-cutoff dephasing term"
         )
-    val = 2.0 * math.pi * amp**2 / np.abs(ghz_to_angular(omega))
-    return val * (2.0 * math.pi) ** 2 if reduced else val
+    return 2.0 * math.pi * amp**2 / np.abs(ghz_to_angular(omega))
 
 
-def s_dc(omega, model: NoiseModel, reduced: bool = False):
+def s_dc(omega, model: NoiseModel):
     """1/f flux-noise spectral density 2*pi*A_dc^2/|omega_angular| (units s).
 
-    ``omega`` is an ordinary frequency in GHz, scalar or array;
-    ``reduced=True`` multiplies by (2*pi)^2, absorbing the flux-to-phase
-    conversion at Phi_0 = 1.
+    ``omega`` is an ordinary frequency in GHz, scalar or array.
 
     Raises:
         InfraredDivergenceError: at omega == 0 (the 1/f divergence there is
             handled by the dedicated low-frequency dephasing term).
     """
-    return _one_over_f(omega, model.a_dc, reduced)
+    return _one_over_f(omega, model.a_dc)
 
 
-def s_ac(omega, model: NoiseModel, reduced: bool = False):
+def s_ac(omega, model: NoiseModel):
     """1/f drive-amplitude-noise spectral density 2*pi*A_ac^2/|omega_angular|,
     ``omega`` scalar or array, as in ``s_dc``."""
-    return _one_over_f(omega, model.a_ac, reduced)
+    return _one_over_f(omega, model.a_ac)
 
 
 def s_diel(omega, params: CircuitParams, model: NoiseModel):
@@ -201,15 +193,6 @@ class FourierMatrixElements:
     def __post_init__(self) -> None:
         self.k_values.setflags(write=False)
         self.table.setflags(write=False)
-
-    def get(self, a: int, b: int, k: int) -> complex:
-        """O_ab^(k); raises OutOfWindowError beyond the tabulated harmonics."""
-        kmax = int(self.k_values[-1])
-        if abs(k) > kmax:
-            raise OutOfWindowError(
-                f"harmonic k={k} beyond the tabulated window |k| <= {kmax}"
-            )
-        return complex(self.table[a, b, k + kmax])
 
 
 def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
@@ -282,6 +265,23 @@ def _rate_sum(weight: np.ndarray, freq: np.ndarray, density) -> np.ndarray:
     return np.sum(weight * density(np.where(live, freq, 1.0)), axis=-1)
 
 
+def _noise_channels(params: CircuitParams, model: NoiseModel, w_flux, w_ac, freq) -> dict:
+    """The three noise channels' sums over the harmonic axis of ``freq``.
+
+    ``w_flux`` weights the dielectric and 1/f flux channels, ``w_ac`` the
+    1/f amplitude channel.  Both 1/f channels carry E_L^2 and the (2*pi)^2
+    that converts flux to phase at Phi_0 = 1.
+    """
+    el2 = ghz_to_angular(params.e_l) ** 2
+    return {
+        "dielectric": _rate_sum(w_flux, freq, lambda f: s_diel(f, params, model)),
+        "dc_flux": _rate_sum(w_flux * el2, freq,
+                             lambda f: s_dc(f, model) * (2.0 * math.pi) ** 2),
+        "ac_amplitude": _rate_sum(w_ac * el2, freq,
+                                  lambda f: s_ac(f, model) * (2.0 * math.pi) ** 2),
+    }
+
+
 @dataclass(frozen=True)
 class DepolarizationRates:
     """Golden-rule excitation/relaxation rates (1/s) and their channel split."""
@@ -301,21 +301,15 @@ def depolarization_rates(sol: FloquetSolution, model: NoiseModel) -> Depolarizat
 
     The phase elements and the circuit (E_L, E_C) are those of ``sol``.
     """
-    params = sol.spectrum.params
     elems = fourier_matrix_elements(sol)
     eps01 = sol.splitting(1, 0, branch="natural")
-    el2 = ghz_to_angular(params.e_l) ** 2
     phi01 = elems.table[0, 1]
     w01 = np.abs(phi01) ** 2
     wac = 0.25 * np.abs(_neighbour_sum(phi01)) ** 2
     # row 0: excitation (gamma_+, spectra at k*Om - eps01)
     # row 1: relaxation (gamma_-, spectra at k*Om + eps01)
     freq = elems.k_values * sol.drive.omega + np.array([[-eps01], [eps01]])
-    chans = {
-        "dielectric": _rate_sum(w01, freq, lambda f: s_diel(f, params, model)),
-        "dc_flux": _rate_sum(w01 * el2, freq, lambda f: s_dc(f, model, reduced=True)),
-        "ac_amplitude": _rate_sum(wac * el2, freq, lambda f: s_ac(f, model, reduced=True)),
-    }
+    chans = _noise_channels(sol.spectrum.params, model, w01, wac, freq)
     gamma_up = sum(float(v[0]) for v in chans.values())
     gamma_down = sum(float(v[1]) for v in chans.values())
     breakdown = {name: {"up": float(v[0]), "down": float(v[1])} for name, v in chans.items()}
@@ -341,33 +335,21 @@ def pure_dephasing_rate(sol: FloquetSolution, model: NoiseModel) -> DephasingRat
     low-frequency term uses the closed matrix-element forms of the
     quasienergy derivatives.
     """
-    params = sol.spectrum.params
     elems = fourier_matrix_elements(sol)
     d_flux, d_xi = _matrix_element_derivatives(sol)
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
         + model.a_ac**2 * ghz_to_angular(d_xi) ** 2
     )
-    el2 = ghz_to_angular(params.e_l) ** 2
     off_zero = elems.k_values != 0  # the k = 0 content is the low-frequency term
     diag = elems.table[[0, 1], [0, 1]]  # phi_00^(k), phi_11^(k)
     wz = 0.5 * np.abs(diag[1] - diag[0]) ** 2 * off_zero
     pair = _neighbour_sum(diag)
     wac = np.abs(pair[0] - pair[1]) ** 2 / 8.0 * off_zero
     freq = elems.k_values * sol.drive.omega
-    diel_sum = float(_rate_sum(wz, freq, lambda f: s_diel(f, params, model)))
-    dc_sum = float(_rate_sum(wz * el2, freq, lambda f: s_dc(f, model, reduced=True)))
-    ac_sum = float(_rate_sum(wac * el2, freq, lambda f: s_ac(f, model, reduced=True)))
-    total = first + diel_sum + dc_sum + ac_sum
-    return DephasingRate(
-        gamma_phi=total,
-        breakdown={
-            "low_frequency": first,
-            "dielectric": diel_sum,
-            "dc_flux": dc_sum,
-            "ac_amplitude": ac_sum,
-        },
-    )
+    chans = _noise_channels(sol.spectrum.params, model, wz, wac, freq)
+    breakdown = {"low_frequency": first, **{name: float(v) for name, v in chans.items()}}
+    return DephasingRate(gamma_phi=sum(breakdown.values()), breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +362,14 @@ class QuasienergyDerivatives:
     """d eps01 / d phi_dc and d eps01 / d xi, in GHz per flux quantum.
 
     ``*_me`` are the closed matrix-element forms; ``*_fd`` the Richardson-
-    extrapolated five-point finite differences with error estimates, or None
-    when not requested or when branch tracking broke inside the stencil.
+    extrapolated five-point finite differences, or None when not requested
+    or when branch tracking broke inside the stencil.
     """
 
     flux_me: float
     xi_me: float
     flux_fd: float | None = None
-    flux_fd_err: float | None = None
     xi_fd: float | None = None
-    xi_fd_err: float | None = None
     tracking_break: bool = False
 
 
@@ -438,13 +418,13 @@ def _five_point(f, x0: float, h: float) -> float:
     return (f(x0 - 2 * h) - 8 * f(x0 - h) + 8 * f(x0 + h) - f(x0 + 2 * h)) / (12.0 * h)
 
 
-def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1e-8):
+def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1e-8) -> float:
     """Five-point derivative with step halving and Richardson combination.
 
     Quasienergy branches can wiggle on fine parameter scales near sideband
     anticrossings, so the truncation error of a fixed step is untrustworthy;
     halve until consecutive estimates agree (or stop improving) and return
-    the best Richardson pair with |D(h/2) - D(h)|/15 as the error estimate.
+    the Richardson pair with the smallest error estimate |D(h/2) - D(h)|/15.
     """
     cache: dict[float, float] = {}
 
@@ -466,7 +446,7 @@ def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1
         if diff <= rtol * max(abs(d_cur), 1e-30):
             break
         d_prev = d_cur
-    return best_val, best_err
+    return best_val
 
 
 def quasienergy_derivatives(sol: FloquetSolution, fd: bool = False) -> QuasienergyDerivatives:
@@ -492,27 +472,25 @@ def quasienergy_derivatives(sol: FloquetSolution, fd: bool = False) -> Quasiener
         # eps01 is even in xi; reflect so DriveParams stays in its domain
         return _matched_eps01(DriveParams(drive.bias, abs(x), drive.omega), sol)
 
-    flux_fd = flux_err = xi_fd = xi_err = None
+    flux_fd = xi_fd = None
     broke = False
     try:
-        flux_fd, flux_err = _adaptive_fd(eps_flux, drive.bias.phi_dc, _FD_STEP)
+        flux_fd = _adaptive_fd(eps_flux, drive.bias.phi_dc, _FD_STEP)
     except TrackingBreakError:
         broke = True
     try:
         if drive.xi == 0.0:
-            xi_fd, xi_err = 0.0, 0.0  # even function: exact at xi = 0
+            xi_fd = 0.0  # even function: exact at xi = 0
         else:
             h = min(_FD_STEP, 0.45 * drive.xi)  # keep the stencil at xi > 0
-            xi_fd, xi_err = _adaptive_fd(eps_xi, drive.xi, h)
+            xi_fd = _adaptive_fd(eps_xi, drive.xi, h)
     except TrackingBreakError:
         broke = True
     return QuasienergyDerivatives(
         flux_me=flux_me,
         xi_me=xi_me,
         flux_fd=flux_fd,
-        flux_fd_err=flux_err,
         xi_fd=xi_fd,
-        xi_fd_err=xi_err,
         tracking_break=broke,
     )
 
@@ -745,66 +723,3 @@ def find_sweet_spots(
 
     spots.sort(key=lambda s: (s.phi_dc, s.omega, s.xi))
     return SweetSpotScan(spots=tuple(spots), diagnostics=diags)
-
-
-# ---------------------------------------------------------------------------
-# two-level reduction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TwoLevelReduction:
-    """Floquet solution of the driven problem projected onto levels {0, 1}.
-
-    ``u[t, j, s]`` holds u_{j,s}(t) = <s|Phi_j(t)> on a uniform one-period
-    time grid; rows form a unitary 2x2 at every time (checked to 1e-10).
-    """
-
-    solution: FloquetSolution
-    phi_bar: np.ndarray
-    times: np.ndarray
-    u: np.ndarray
-    elems: FourierMatrixElements
-
-    def __post_init__(self) -> None:
-        self.phi_bar.setflags(write=False)
-        self.times.setflags(write=False)
-        self.u.setflags(write=False)
-
-
-# Sambe truncation and time grid of the two-level reduction
-_TWO_LEVEL_CONFIG = SambeConfig(n_levels=2, sideband_cutoff=40)
-_TWO_LEVEL_TIMES = 256
-
-
-def two_level_reduction(params: CircuitParams, drive: DriveParams) -> TwoLevelReduction:
-    """Solve the two-level projected model and tabulate its Floquet frame.
-
-    Raises:
-        ConvergenceError: when the frame is not unitary to 1e-10.
-    """
-    sol = solve_floquet(params, drive, _TWO_LEVEL_CONFIG, check_convergence=False)
-    phi_bar = sol.spectrum.phi_elements[:2, :2].copy()
-    ns = _TWO_LEVEL_CONFIG.sideband_cutoff
-    times = np.linspace(0.0, drive.period, _TWO_LEVEL_TIMES, endpoint=False)
-    harmonics = np.arange(-ns, ns + 1)
-    phases = np.exp(2j * math.pi * drive.omega * np.outer(times, harmonics))
-    u = np.einsum("tn,jns->tjs", phases, sol.fourier_blocks)
-    eye = np.eye(2)
-    defect = max(
-        float(np.max(np.abs(u[t].conj().T @ u[t] - eye))) for t in range(_TWO_LEVEL_TIMES)
-    )
-    if defect > 1e-10:
-        raise ConvergenceError(
-            f"two-level Floquet frame not unitary to 1e-10 (defect {defect:.3e}); "
-            "increase sideband_cutoff"
-        )
-    elems = fourier_operator_elements(sol, phi_bar)
-    return TwoLevelReduction(
-        solution=sol,
-        phi_bar=phi_bar,
-        times=times,
-        u=u,
-        elems=elems,
-    )
-

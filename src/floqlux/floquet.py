@@ -217,10 +217,6 @@ class FloquetSolution:
     def n_levels(self) -> int:
         return self.config.n_levels
 
-    @property
-    def sideband_cutoff(self) -> int:
-        return self.config.sideband_cutoff
-
     def block(self, alpha: int, n: int) -> np.ndarray:
         """Fourier component |phi_alpha^(n)> in the static eigenbasis.
 

@@ -225,7 +225,7 @@ def rwa_params_from_circuit(
     bias0: float,
     cavity: CavityParams,
     xi: float,
-    span: float = 0.04,
+    span: float = 0.1,
 ) -> RWAParams:
     """Build the rotating-wave model of the 0 -> 3 transition at ``bias0``.
 
@@ -233,7 +233,13 @@ def rwa_params_from_circuit(
     transition over ``bias0 +/- span``; g = g_cap * |n_03| at the bias point,
     and g' is the flux derivative of that coupling (five-point stencil, step
     1e-4) times the drive amplitude.
+
+    Raises:
+        ValueError: when ``xi > span``, since zeta would then be sampled
+            outside its spline.
     """
+    if xi > span:
+        raise ValueError(f"drive amplitude xi={xi} exceeds the spline half-width span={span}")
     spline = transition_spline(params, 0, 3, bias0 - span, bias0 + span, 41)
     omega3 = float(spline(bias0))
 
@@ -444,7 +450,6 @@ def fit_polariton(
 
     best = None
     n_eval = 0
-    best_failed = None
     for x0 in starts:
         try:
             res = least_squares(
@@ -465,16 +470,8 @@ def fit_polariton(
         n_eval += res.nfev
         if res.status > 0 and (best is None or res.cost < best.cost):
             best = res
-        elif best_failed is None or res.cost < best_failed.cost:
-            best_failed = res
     if best is None:
-        err = FitError("polariton fit failed to converge from every start")
-        if best_failed is not None:
-            g_bad, d_bad = _unpack(best_failed.x, active)
-            err.best_g_m = g_bad
-            err.best_delta_m = d_bad
-            err.residual = float(np.sqrt(np.mean((best_failed.fun * sigmas) ** 2)))
-        raise err
+        raise FitError("polariton fit failed to converge from every start")
 
     g_fit, d_fit = _unpack(best.x, active)
     dof = max(freqs.size - 2 * n_act, 1)

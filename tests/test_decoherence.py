@@ -28,7 +28,6 @@ from floqlux import (
     s_dc,
     s_diel,
     solve_floquet,
-    two_level_reduction,
 )
 
 HBAR = 1.054571817e-34
@@ -39,16 +38,13 @@ def test_one_over_f_scaling(params, noise):
     assert s_dc(0.8, noise) == pytest.approx(0.5 * s_dc(0.4, noise), rel=1e-12)
     assert s_dc(-0.4, noise) == pytest.approx(s_dc(0.4, noise), rel=1e-12)
     assert s_ac(0.8, noise) == pytest.approx(0.5 * s_ac(0.4, noise), rel=1e-12)
-    # reduced form absorbs the (2 pi)^2 flux-to-phase conversion
-    assert s_dc(0.4, noise, reduced=True) == pytest.approx(
-        (2 * math.pi) ** 2 * s_dc(0.4, noise), rel=1e-12)
     with pytest.raises(InfraredDivergenceError):
         s_dc(0.0, noise)
     with pytest.raises(InfraredDivergenceError):
         s_ac(0.0, noise)
     # array arguments equal the scalar calls elementwise
     w = np.array([-1.3, -0.4, 0.25, 0.9])
-    for density in (lambda f: s_dc(f, noise, reduced=True), lambda f: s_ac(f, noise),
+    for density in (lambda f: s_dc(f, noise), lambda f: s_ac(f, noise),
                     lambda f: s_diel(f, params, noise)):
         assert np.array_equal(density(w), [density(float(f)) for f in w])
     assert np.array_equal(s_diel(np.array([0.0, 0.9]), params, noise),
@@ -83,9 +79,10 @@ def test_noise_model_validation():
 
 def test_fourier_elements_conjugation(spot_solution):
     elems = fourier_matrix_elements(spot_solution)
+    kmax = int(elems.k_values[-1])
     for k in (-3, -1, 0, 2):
-        assert elems.get(0, 1, k) == pytest.approx(
-            np.conj(elems.get(1, 0, -k)), abs=1e-12)
+        assert elems.table[0, 1, kmax + k] == pytest.approx(
+            np.conj(elems.table[1, 0, kmax - k]), abs=1e-12)
 
 
 def test_elements_built_once_per_solution(params, noise, spot_drive, spec_451, monkeypatch):
@@ -112,6 +109,53 @@ def test_undriven_t1_reference(params, noise, spec_451):
     assert depol.gamma_up < depol.gamma_down  # thermal asymmetry at 85 mK
     up = sum(v["up"] for v in depol.breakdown.values())
     assert up == pytest.approx(depol.gamma_up, rel=1e-12)
+
+
+def test_noise_channels_follow_the_module_formulas(params, noise, spot_solution):
+    # each channel rebuilt term by term from the module docstring: the 1/f
+    # densities carry E_L^2 and (2 pi)^2, the flux-to-phase conversion
+    sol = spot_solution
+    table = fourier_matrix_elements(sol).table
+    kmax = table.shape[-1] // 2
+    om, eps01 = sol.drive.omega, sol.splitting(1, 0, "natural")
+    el2 = (2 * math.pi * 1e9 * params.e_l) ** 2
+
+    def phi(a, b, k):  # out-of-window harmonics count as zero
+        return table[a, b, k + kmax] if abs(k) <= kmax else 0.0
+
+    def diel(f):
+        return float(s_diel(f, params, noise))
+
+    def one_over_f(amp):  # E_L^2 (2 pi)^2 S(f), with S = 2 pi A^2 / |w| at w = 2 pi f
+        return lambda f: (el2 * (2 * math.pi) ** 2
+                          * 2 * math.pi * amp**2 / abs(2 * math.pi * 1e9 * f))
+
+    dc, ac = one_over_f(noise.a_dc), one_over_f(noise.a_ac)
+
+    ks = range(-kmax, kmax + 1)
+    depol = depolarization_rates(sol, noise).breakdown
+    for key, sign in (("down", 1), ("up", -1)):
+        freqs = [(k, k * om + sign * eps01) for k in ks]
+        want = {
+            "dielectric": sum(abs(phi(0, 1, k)) ** 2 * diel(f) for k, f in freqs),
+            "dc_flux": sum(abs(phi(0, 1, k)) ** 2 * dc(f) for k, f in freqs),
+            "ac_amplitude": sum(abs(phi(0, 1, k + 1) + phi(0, 1, k - 1)) ** 2 / 4 * ac(f)
+                                for k, f in freqs),
+        }
+        for name, value in want.items():
+            assert depol[name][key] == pytest.approx(value, rel=1e-12), (name, key)
+
+    side = [k for k in ks if k != 0]
+    dz = {k: abs(phi(1, 1, k) - phi(0, 0, k)) ** 2 / 2 for k in side}
+    want = {
+        "dielectric": sum(dz[k] * diel(k * om) for k in side),
+        "dc_flux": sum(dz[k] * dc(k * om) for k in side),
+        "ac_amplitude": sum(abs(phi(0, 0, k + 1) + phi(0, 0, k - 1) - phi(1, 1, k + 1)
+                                - phi(1, 1, k - 1)) ** 2 / 8 * ac(k * om) for k in side),
+    }
+    deph = pure_dephasing_rate(sol, noise).breakdown
+    for name, value in want.items():
+        assert deph[name] == pytest.approx(value, rel=1e-12), name
 
 
 def _resonant(sol, eps01):
@@ -173,11 +217,12 @@ def test_derivative_forms_agree_at_one_point():
 def test_filter_weights_conservation(params):
     # in the two-level model the sideband-summed filter weight
     # 2*depolarization + dephasing equals its static reference exactly
-    red = two_level_reduction(params, DriveParams(FluxBias(0.451), 0.07, 0.5))
-    t = red.elems.table
+    sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.07, 0.5),
+                        SambeConfig(n_levels=2, sideband_cutoff=40), check_convergence=False)
+    t = fourier_matrix_elements(sol).table
     total = float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                   + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))
-    phi_bar = red.phi_bar
+    phi_bar = sol.spectrum.phi_elements[:2, :2]
     reference = 2 * abs(phi_bar[0, 1]) ** 2 + 0.5 * abs(phi_bar[1, 1] - phi_bar[0, 0]) ** 2
     assert total == pytest.approx(reference, rel=1e-9)
     assert abs(total - reference) < 1e-9 * reference

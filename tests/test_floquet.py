@@ -19,9 +19,9 @@ from floqlux import (
     SambeConfig,
     diagonalize_static,
     fold_quasienergy,
+    fourier_matrix_elements,
     monodromy_oracle,
     solve_floquet,
-    two_level_reduction,
 )
 from floqlux import floquet
 from floqlux.errors import ConvergenceError, DiagnosticError
@@ -437,13 +437,32 @@ def test_select_representatives_rejects_copies_only():
     assert select([(0, 0), (1, 1)], [0.1, 0.1 + omega]) == [0, 1]
 
 
-def test_two_level_conservation_single_point(params):
-    red0 = two_level_reduction(params, DriveParams(FluxBias(0.451), 1e-4, 0.5))
-    red1 = two_level_reduction(params, DriveParams(FluxBias(0.451), 0.08, 0.5))
+# the two-level projected model, with a window wide enough for xi up to 0.12
+_TWO_LEVEL = SambeConfig(n_levels=2, sideband_cutoff=40)
 
-    def combined(red):
-        t = red.elems.table
+
+def _two_level(params, xi):
+    return solve_floquet(params, DriveParams(FluxBias(0.451), xi, 0.5), _TWO_LEVEL,
+                         check_convergence=False)
+
+
+def test_two_level_conservation_single_point(params):
+    def combined(sol):
+        t = fourier_matrix_elements(sol).table
         return float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                      + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))
 
-    assert combined(red1) == pytest.approx(combined(red0), rel=1e-9)
+    assert combined(_two_level(params, 0.08)) == pytest.approx(
+        combined(_two_level(params, 1e-4)), rel=1e-9)
+
+
+@pytest.mark.parametrize("xi", [1e-4, 0.07, 0.08, 0.12])
+def test_two_level_frame_is_unitary(params, xi):
+    # u[t, j, s] = <s|Phi_j(t)> on a 256-point period is unitary at every t
+    sol = _two_level(params, xi)
+    ns = _TWO_LEVEL.sideband_cutoff
+    times = np.linspace(0.0, sol.drive.period, 256, endpoint=False)
+    phases = np.exp(2j * math.pi * sol.drive.omega * np.outer(times, np.arange(-ns, ns + 1)))
+    u = np.einsum("tn,jns->tjs", phases, sol.fourier_blocks)
+    defect = np.abs(np.einsum("tjs,tjr->tsr", u.conj(), u) - np.eye(2))
+    assert float(np.max(defect)) < 1e-10

@@ -15,6 +15,11 @@ exported by the package root) is referenced outside its own def, in the
 package, ``scripts/``, ``tests/test_acceptance.py`` or ``perfbench/``; a
 function that only its own unit tests call is API that no result needs.
 
+Options lint: every defaulted parameter of a public function is passed,
+by keyword or by position, at some call in the same caller files; a call
+that unpacks ``*args`` or ``**kwargs`` passes every parameter.  An option
+that no caller sets is a code path that no result needs.
+
 Solution lint: a public function that takes a Floquet solution takes no
 circuit, static spectrum, drive or Fourier element table beside it, since
 the solution carries the ones its Fourier blocks were built from and the
@@ -186,6 +191,62 @@ def test_lint_flags_a_function_only_its_own_def_calls():
                      "def run():\n    return fold()\n\nx = run\n")
     refs = _outside_own_def([tree])
     assert "walk" not in refs and {"run", "fold"} <= refs
+
+
+def _calls(trees) -> dict[str, list]:
+    """Callee name -> per call, (positional count, keyword names), or None
+    for a call that unpacks ``*args`` or ``**kwargs``."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name | ast.Attribute)):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                None if unpacks else (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _unpassed_options(name: str, fn, calls) -> list[str]:
+    """Defaulted parameters of ``fn`` that no call of ``name`` passes."""
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    unpassed = []
+    for i, p in enumerate(inspect.signature(fn).parameters.values()):
+        if p.default is inspect.Parameter.empty:
+            continue
+        if not any(call is None or p.name in call[1] or (p.kind in positional and i < call[0])
+                   for call in calls.get(name, ())):
+            unpassed.append(p.name)
+    return unpassed
+
+
+# defaulted parameters that no caller passes, each for the reason given
+_UNPASSED_OPTIONS = {
+    ("synth_ramsey_signal", "weights"): "the seam through which the estimator tests "
+                                        "build multi-component Ramsey signals",
+}
+
+
+def test_every_option_is_passed_somewhere():
+    calls = _calls([*PACKAGE.values(),
+                    *(ast.parse(p.read_text(), filename=str(p)) for p in CALLER_FILES)])
+    unpassed = sorted(f"{fn.__module__}.{name}({option})"
+                      for name, fn in _public_functions().items() if name not in _UNCALLED_API
+                      for option in _unpassed_options(name, fn, calls)
+                      if (name, option) not in _UNPASSED_OPTIONS)
+    assert not unpassed, f"defaulted parameters that no caller passes: {unpassed}"
+
+
+def test_lint_flags_an_option_no_caller_passes():
+    def solve(x, tol=1e-8, width=3, *, fast=False, verbose=False):
+        return x
+
+    calls = _calls([ast.parse("solve(1, 1e-6)\nm.solve(2, verbose=True)\nwidth(3)\n")])
+    assert _unpassed_options("solve", solve, calls) == ["width", "fast"]
+    calls = _calls([ast.parse("solve(1)\nsolve(**options)\n")])
+    assert _unpassed_options("solve", solve, calls) == []
 
 
 # coherence_rates may also solve, so it keeps its inputs and checks a given

@@ -258,6 +258,13 @@ def test_rwa_params_reuse_static_spectra(params, eigensolves):
     assert len(eigensolves) == first
 
 
+def test_rwa_params_reject_a_drive_beyond_the_spline(params, eigensolves):
+    # zeta at xi > span would extrapolate the spline without a warning
+    with pytest.raises(ValueError, match="span"):
+        rwa_params_from_circuit(params, CROSSING_PHI, CavityParams(), 0.05, span=0.04)
+    assert eigensolves == []
+
+
 G_SIX = {-2: 0.005, -1: 0.010, 0: 0.0199, 1: 0.010, 2: 0.005, 3: 0.0025}
 
 
