@@ -19,7 +19,11 @@ levels times 2*N_s + 1 harmonic blocks, with block structure
 Eigenvectors come in copies translated by Omega; one representative per
 physical level is selected by Fourier-weight centroid, deduplicated by
 translated overlap, and labeled against the static levels by maximum
-weight assignment.
+weight assignment.  Selection and labelling run on the dense matrix of a
+small start window of harmonics; each representative is then continued
+into the N_s matrix, held in LAPACK band storage, by banded
+Rayleigh-quotient iteration, and kept only where it is the state the
+whole window would select (else the window grows, up to N_s itself).
 """
 from __future__ import annotations
 
@@ -43,25 +47,39 @@ __all__ = [
     "monodromy_oracle",
 ]
 
-# a Sambe solve peaks at this many dim x dim float64 arrays of the assembled
-# matrix (tracemalloc, evd driver: 4.01 at dim 1005, 4.00 at 2005; a checked
-# solve 3.89 and 3.95, set by its core eigensolve, not by the banded check);
-# beyond the size cap (0.89 GB) a configuration is a runaway
+# a Sambe solve peaks at this many dim x dim float64 arrays, dim that of the
+# assembled band: the peak is set by the largest dense window the ladder
+# diagonalizes, which is the N_s window when every smaller one fails
+# (tracemalloc, evd driver, ladder forced to N_s: 4.04 at dim 1005, 4.02 at
+# 2005; checked 3.88 and 3.94); a solve settled in the start window peaks at
+# 0.1 of it; beyond the size cap (0.89 GB) a configuration is a runaway
 _SAMBE_PEAK_ARRAYS = 4.1
 _MAX_SAMBE_DIM = 5200
 
 # branch matching tries harmonic translations |k| <= this between parameter steps
 _MATCH_SHIFTS = 3
 
-# a Rayleigh quotient of the truncation check counts as an eigenvalue of the
-# wide Sambe matrix once its residual norm is below this fraction of max|diag|,
-# a lower bound on the matrix 2-norm; a converged representative gets there
-# in one step, an under-truncated one took at most 6 over 180 seeded drives
-# (phi_dc 0.40/0.451/0.5, xi <= 0.2, Omega 0.3-1.3, N_s 2-18)
+# a continued Rayleigh quotient counts as an eigenvalue of the band's Sambe
+# matrix once its residual norm is below this fraction of max|diag|, a lower
+# bound on the matrix 2-norm; over 180 seeded drives (phi_dc 0.40/0.451/0.5,
+# xi <= 0.2, Omega 0.3-1.3, N_s 2-18) a continuation from the start window
+# took 1-5 steps (1 or 2 for 90% of representatives), and the truncation
+# check 1 step for 61%, at most 7
 _CERTIFY_RTOL = 1e-13
 _MAX_RQI_STEPS = 30
 
+# representatives are selected in a dense window of this many harmonics
+# before their continuation into the N_s matrix
+_START_WINDOW = 8
+# a continued representative holds at most this weight in the outermost
+# harmonic blocks.  Without this guard, 3 of about 4100 seeded cells (all at
+# N_s = 10, xi 0.1-0.2) passed the others and still differed from the full
+# window's selection, with edge weights 2.5e-4 to 3e-3; at N_s = 20 it fired
+# for no cell of the coherence-refine and flux-scan boxes at 2, 5 or 9 levels
+_MAX_EDGE_WEIGHT = 1e-8
+
 _gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=np.float64)
+_gbmv = scipy.linalg.get_blas_funcs("gbmv", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,9 +148,17 @@ def _drive_terms(e_l: float, xi: float) -> tuple[float, float]:
     return 0.25 * e_l * (2.0 * math.pi * xi) ** 2, -e_l * (2.0 * math.pi * xi)
 
 
-def _assemble_sambe(
+def _sambe_band(
     energies: np.ndarray, phi_op: np.ndarray, e_l: float, xi: float, omega: float, n_side: int
 ) -> np.ndarray:
+    """The Sambe matrix in LAPACK ``gbsv`` band storage (Fortran order).
+
+    Blocks of d levels couple only nearest harmonics, so the half-bandwidth
+    is kl = 2*d - 1 and band[2*kl + i - j, j] = h[i, j]; the first kl rows
+    are zero, room for the LU fill-in.  The central columns of the band of
+    N_s + m are the band of N_s: entries that couple them to the outer
+    columns lie outside that matrix, and LAPACK never reads them.
+    """
     d = energies.size
     nb = 2 * n_side + 1
     dim = d * nb
@@ -144,16 +170,34 @@ def _assemble_sambe(
         )
     shift, amp = _drive_terms(e_l, xi)
     coupling = 0.5 * amp * phi_op
-    h = np.zeros((dim, dim))
+    kl = 2 * d - 1
+    band = np.zeros((3 * kl + 1, dim), order="F")
     harmonics = np.arange(-n_side, n_side + 1)[:, None]
-    np.fill_diagonal(h, (energies + harmonics * omega + shift).ravel())
-    # (nb, d, nb, d) view: block (j, j+1) holds the coupling, (j+1, j) its transpose
-    blocks, j = h.reshape(nb, d, nb, d), np.arange(nb - 1)
-    blocks[j, :, j + 1] = coupling
-    blocks[j + 1, :, j] = coupling.T
-    if not np.array_equal(h, h.T):
-        raise DiagnosticError("Sambe assembly produced a non-symmetric matrix")
+    band[2 * kl] = (energies + harmonics * omega + shift).ravel()
+    # h[n*d + s, (n+1)*d + t] = coupling[s, t] and its transpose below the diagonal
+    s, cols = np.arange(d)[:, None], np.arange(dim - d)
+    t = cols % d
+    band[2 * kl - d + s - t, cols + d] = coupling[s, t]
+    band[2 * kl + d + s - t, cols] = coupling[t, s]
+    return band
+
+
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The dense matrix held in ``gbsv`` band storage; entries outside it are dropped."""
+    kl, n = (band.shape[0] - 1) // 3, band.shape[1]
+    cols = np.broadcast_to(np.arange(n), (2 * kl + 1, n))
+    rows = cols + np.arange(-kl, kl + 1)[:, None]
+    inside = (rows >= 0) & (rows < n)
+    h = np.zeros((n, n))
+    h[rows[inside], cols[inside]] = band[kl:][inside]
     return h
+
+
+def _assemble_sambe(
+    energies: np.ndarray, phi_op: np.ndarray, e_l: float, xi: float, omega: float, n_side: int
+) -> np.ndarray:
+    """The dense Sambe matrix of harmonic blocks -n_side..n_side."""
+    return _band_to_dense(_sambe_band(energies, phi_op, e_l, xi, omega, n_side))
 
 
 def _resolve_spectrum(params, drive, spectrum, config) -> StaticSpectrum:
@@ -195,9 +239,10 @@ class FloquetSolution:
         converged: True when ``convergence_delta`` < 1e-8 GHz (see
             ``solve_floquet(check_convergence=...)``); None when unchecked.
         convergence_delta: largest zone distance from a representative
-            energy to the eigenvalue of the N_s + 2 Sambe matrix that the
-            zero-padded representative continues into, from one banded
-            inverse-iteration step.
+            energy (a certified eigenvalue of the N_s Sambe matrix) to the
+            eigenvalue of the N_s + 2 matrix that the zero-padded
+            representative continues into by banded Rayleigh-quotient
+            iteration.
     """
 
     drive: DriveParams
@@ -303,6 +348,16 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
     return np.einsum("ans,bksn->abk", bras.conj(), shifted)
 
 
+def _gauged(vecs, nb):
+    """Fourier blocks (states, nb, d) of real eigenvectors (rows of ``vecs``),
+    each with its largest-|.| component made real positive."""
+    blocks = vecs.reshape(len(vecs), nb, -1).astype(complex)
+    flat = blocks.reshape(len(vecs), -1)
+    lead = flat[np.arange(len(vecs)), np.argmax(np.abs(flat), axis=1)]
+    blocks /= (lead / np.abs(lead))[:, None, None]
+    return blocks
+
+
 def _solve_sambe(h, omega, n_side, n_states):
     """Representatives of the Sambe matrix ``h`` (harmonic blocks -n_side..n_side),
     in label order: raw eigenvalues and gauged Fourier blocks."""
@@ -318,56 +373,116 @@ def _solve_sambe(h, omega, n_side, n_states):
     rows, cols = linear_sum_assignment(-level_w[:, :n_states])
     rows = rows[np.argsort(cols)]  # assignment row of each label
     by_label = np.asarray(accepted)[rows]
-    blocks = blocks_all[by_label].astype(complex)
-    # gauge: largest-|.| component of each representative made real positive
-    flat = blocks.reshape(n_states, -1)
-    lead = flat[np.arange(n_states), np.argmax(np.abs(flat), axis=1)]
-    blocks /= (lead / np.abs(lead))[:, None, None]
-    return evals[by_label], blocks
+    return evals[by_label], _gauged(evecs.T[by_label], nb)
 
 
-def _continued_eigenvalues(h, rep_e, rep_vecs, d):
-    """Eigenvalue of the wide Sambe matrix ``h`` that each representative
-    continues into.
+def _rqi_step(band, mu, x):
+    """One step of inverse iteration on the matrix in ``band``, shifted by
+    ``mu``, through a banded LU: (Rayleigh quotient, unit vector), or None
+    when the shift is exactly singular, that is an eigenvalue itself."""
+    kl = (band.shape[0] - 1) // 3
+    shifted = band.copy(order="F")
+    shifted[2 * kl] -= mu
+    y, info = _gbsv(kl, kl, shifted, x, overwrite_ab=True)[2:]
+    if info > 0:
+        return None
+    # (h - mu) y = x, so the Rayleigh quotient of y is mu + <y|x>/<y|y>
+    return mu + (y @ x) / (y @ y), y / np.linalg.norm(y)
 
-    Each core eigenvector (a row of ``rep_vecs``) is zero-padded to the width
-    of ``h`` and takes one step of inverse iteration shifted by its own
-    eigenvalue, through a banded LU: blocks of ``d`` levels couple only
-    nearest harmonics, so the half-bandwidth is 2*d - 1.  The Rayleigh
-    quotient of the result is the continued eigenvalue.  While its residual
-    norm does not yet certify it as an eigenvalue of ``h`` (an under-truncated
-    core), the step repeats as Rayleigh-quotient iteration (Parlett, The
-    Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  An exactly singular
-    shift is itself an eigenvalue.
+
+def _continue(band, rep_e, rep_vecs, polish=False):
+    """Eigenpairs of the Sambe matrix in ``band`` that each representative
+    continues into: (eigenvalues, unit eigenvectors, certified flags).
+
+    Each eigenvector of a narrower window (a row of ``rep_vecs``) is
+    zero-padded to the width of the band and takes one ``_rqi_step``
+    shifted by its own eigenvalue.  While the residual norm of the result,
+    from a banded product, does not yet certify its Rayleigh quotient as an
+    eigenvalue of the band's matrix, the step repeats as Rayleigh-quotient
+    iteration (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).
+    With ``polish``, a certified pair takes one step more: convergence is
+    cubic, so that brings the vector to the accuracy of a dense eigensolve,
+    where the certificate alone bounds only its residual.
     """
-    n, kl = h.shape[0], 2 * d - 1
-    # gbsv storage: kl rows of LU fill-in, then band[2*kl + i - j, j] = h[i, j]
-    band = np.zeros((3 * kl + 1, n))
-    for off in range(-kl, kl + 1):
-        band[2 * kl + off, max(0, -off):n - max(0, off)] = np.diagonal(h, -off)
-    core = slice((n - rep_vecs.shape[1]) // 2, (n + rep_vecs.shape[1]) // 2)
-    tol = _CERTIFY_RTOL * np.max(np.abs(np.diagonal(h)))
+    kl, n = (band.shape[0] - 1) // 3, band.shape[1]
+    tol = _CERTIFY_RTOL * np.max(np.abs(band[2 * kl]))
+    pad = (n - rep_vecs.shape[1]) // 2
+    vecs = np.zeros((len(rep_e), n))
+    vecs[:, pad:n - pad] = rep_vecs
     continued = rep_e.copy()
-    for a, vec in enumerate(rep_vecs):
-        x = np.zeros(n)
-        x[core] = vec
+    certified = np.zeros(len(rep_e), dtype=bool)
+    for a in range(len(rep_e)):
         for _ in range(_MAX_RQI_STEPS):
-            shifted = band.copy()
-            shifted[2 * kl] -= continued[a]
-            y, info = _gbsv(kl, kl, shifted, x, overwrite_ab=True)[2:]
-            if info > 0:
+            step = _rqi_step(band, continued[a], vecs[a])
+            if step is None:
+                certified[a] = True
                 break
-            # (h - mu) y = x, so the Rayleigh quotient of y is mu + <y|x>/<y|y>
-            continued[a] += (y @ x) / (y @ y)
-            x = y / np.linalg.norm(y)
-            if np.linalg.norm(h @ x - continued[a] * x) <= tol:
+            continued[a], vecs[a] = step
+            # the first kl rows are zero, so the band reads as kl sub- and 2*kl superdiagonals
+            residual = _gbmv(n, n, kl, 2 * kl, 1.0, band, vecs[a]) - continued[a] * vecs[a]
+            if np.linalg.norm(residual) <= tol:
+                certified[a] = True
+                if polish and (step := _rqi_step(band, continued[a], vecs[a])):
+                    continued[a], vecs[a] = step
                 break
+    return continued, vecs, certified
+
+
+def _continuation_holds(seeds, vecs, certified, n_side):
+    """Whether continued representatives are the ones the full window picks.
+
+    Every eigenvalue must be certified; each vector must keep its dominant
+    harmonic interior and its weight centroid within half a harmonic of 0
+    (so it is the copy that selection by |centroid| takes, not a translated
+    one), overlap its zero-padded seed by at least 0.9, and be given its
+    seed's label by the weight assignment that labels the window.  Last,
+    each must keep at most _MAX_EDGE_WEIGHT in the outermost blocks +-n_side:
+    then its one-harmonic translates are eigenvectors of the matrix too, with
+    centroids c +- 1, so no copy of it can undercut its |centroid|.  Where
+    the N_s window cuts a state off, the full window decides.
+    """
+    if not certified.all():
+        return False
+    d = len(vecs)
+    blocks = vecs.reshape(d, 2 * n_side + 1, d) ** 2
+    weights = np.sum(blocks, axis=2)
+    dominant = np.argmax(weights, axis=1) - n_side
+    centroids = weights @ np.arange(-n_side, n_side + 1)
+    pad = (vecs.shape[1] - seeds.shape[1]) // 2
+    overlaps = np.abs(np.sum(seeds * vecs[:, pad:pad + seeds.shape[1]], axis=1))
+    labels = linear_sum_assignment(-np.sum(blocks, axis=1))[1]
+    return bool(np.all(np.abs(dominant) < n_side - 1) and np.all(np.abs(centroids) <= 0.5)
+                and np.all(overlaps >= 0.9) and np.array_equal(labels, np.arange(d))
+                and np.all(weights[:, 0] + weights[:, -1] <= _MAX_EDGE_WEIGHT))
+
+
+def _representatives(args, band, n_side):
+    """Labelled representatives of the Sambe matrix of harmonics
+    -n_side..n_side, held in ``band``: raw eigenvalues and gauged Fourier
+    blocks.  ``args`` are those of ``_assemble_sambe`` but the half-width.
+
+    Selection and labelling run on the dense matrix of a window of
+    _START_WINDOW harmonics; the representatives are then continued into the
+    band and kept when ``_continuation_holds``.  When the window has too few
+    representatives or a continuation fails, the window doubles, up to the
+    whole N_s window, whose representatives need no continuation.
+    """
+    d, omega = args[0].size, args[-1]
+    n_win = min(_START_WINDOW, n_side)
+    while True:
+        try:
+            rep_e, blocks = _solve_sambe(_assemble_sambe(*args, n_win), omega, n_win, d)
+        except ConvergenceError:
+            if n_win == n_side:
+                raise
         else:
-            raise DiagnosticError(
-                f"truncation check: representative {a} did not reach a certified wide "
-                f"eigenvalue in {_MAX_RQI_STEPS} Rayleigh-quotient steps"
-            )
-    return continued
+            if n_win == n_side:
+                return rep_e, blocks
+            seeds = blocks.real.reshape(d, -1)
+            cont_e, vecs, certified = _continue(band, rep_e, seeds, polish=True)
+            if _continuation_holds(seeds, vecs, certified, n_side):
+                return cont_e, _gauged(vecs, 2 * n_side + 1)
+        n_win = min(2 * n_win, n_side)
 
 
 def solve_floquet(
@@ -379,13 +494,15 @@ def solve_floquet(
 ) -> FloquetSolution:
     """Solve the driven problem and return labeled representative states.
 
-    When ``check_convergence`` is set the Sambe matrix is assembled once with
-    the sideband window widened by 2: its central 2*N_s + 1 blocks are the
-    solved problem, and the wide matrix is never diagonalized.  Each
-    representative is instead compared with the eigenvalue the zero-padded
-    representative continues into, from one banded inverse-iteration step
-    (see ``_continued_eigenvalues``).  The flag and the largest zone distance
-    land on the returned solution.
+    The Sambe matrix is assembled once, in band storage, with the sideband
+    window widened by 2 when ``check_convergence`` is set; its central
+    2*N_s + 1 blocks are the solved problem.  No dense matrix of that size
+    is diagonalized unless the ladder reaches it: representatives are
+    selected and labelled in a window of 8 harmonics and continued into the
+    N_s matrix by banded Rayleigh-quotient iteration (see
+    ``_representatives``).  The check compares each representative with the
+    eigenvalue of the N_s + 2 matrix that it continues into in the same way;
+    the flag and the largest zone distance land on the returned solution.
 
     ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``; a
     given one must be that spectrum, since the solution carries it as the
@@ -397,17 +514,24 @@ def solve_floquet(
     spectrum = _resolve_spectrum(params, drive, spectrum, config)
     d, n_side = config.n_levels, config.sideband_cutoff
     margin = 2 if check_convergence else 0
-    h = _assemble_sambe(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
-                        drive.xi, drive.omega, n_side + margin)
-    core = slice(margin * d, h.shape[0] - margin * d)
+    args = (spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
+            drive.xi, drive.omega)
+    band = _sambe_band(*args, n_side + margin)
     try:
-        rep_e, blocks = _solve_sambe(h[core, core], drive.omega, n_side, d)
+        rep_e, blocks = _representatives(args, band[:, margin * d:band.shape[1] - margin * d],
+                                         n_side)
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
     converged = delta = None
     if check_convergence:
         # the gauge multiplied each real eigenvector by +-1, so .real is it up to sign
-        wide_e = _continued_eigenvalues(h, rep_e, blocks.real.reshape(d, -1), d)
+        wide_e, _, certified = _continue(band, rep_e, blocks.real.reshape(d, -1))
+        if not certified.all():
+            raise DiagnosticError(
+                f"truncation check: representatives {np.flatnonzero(~certified).tolist()} "
+                f"did not reach a certified wide eigenvalue in {_MAX_RQI_STEPS} "
+                "Rayleigh-quotient steps"
+            )
         delta = float(np.max(_zone_distance(rep_e, wide_e, drive.omega)))
         converged = delta < 1e-8
     return FloquetSolution(

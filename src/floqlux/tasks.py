@@ -140,6 +140,12 @@ def _check_polariton(config: RunConfig) -> None:
             "polariton couplings address level 3; set floquet n_levels >= 4 "
             f"(got {config.floquet.n_levels})"
         )
+    # rwa_params_from_circuit samples zeta only within +-span of the bias
+    if max(config.grid.xi) > config.polariton.span:
+        raise ConfigError(
+            f"grid xi reaches {max(config.grid.xi)}, beyond the zeta spline half-width "
+            f"[polariton] span = {config.polariton.span}; raise span or lower xi"
+        )
     if config.polariton.data_file:
         if len(config.grid.omega) != 1:
             raise ConfigError(

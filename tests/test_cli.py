@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+import floqlux.tasks
 from floqlux.cli import main
 
 MINIMAL = 'task = "static-spectrum"\n[grid]\nphi_dc = "0.48:0.52:3"\n'
@@ -41,6 +44,15 @@ def test_invalid_section_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path, 'task = "ramsey"\n[ramsey]\nstep = 1e-7\n')
     assert main(["ramsey", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "invalid [ramsey] settings: step must be smaller than window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_polariton_xi_beyond_span_exit_one(tmp_path, capsys, monkeypatch):
+    # the zeta spline covers +-span only, so the check rejects the grid before any solve
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    cfg = _write(tmp_path, 'task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.15\nomega = 0.2\n')
+    assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "[polariton] span = 0.1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -118,20 +118,24 @@ def test_checked_matrix_center_is_the_kept_matrix(params, spec_451, spot_drive, 
 
 def test_checked_solve_assembles_and_diagonalizes_once(params, spec_451, spot_drive,
                                                        monkeypatch):
-    assembled, eigh_calls = [], []
-    assemble, eigh = floquet._assemble_sambe, floquet.scipy.linalg.eigh
+    bands, dense, eigh_calls = [], [], []
+    band, assemble, eigh = floquet._sambe_band, floquet._assemble_sambe, floquet.scipy.linalg.eigh
+    monkeypatch.setattr(floquet, "_sambe_band", lambda *a: bands.append(a[-1]) or band(*a))
     monkeypatch.setattr(floquet, "_assemble_sambe",
-                        lambda *a: assembled.append(a[-1]) or assemble(*a))
+                        lambda *a: dense.append(a[-1]) or assemble(*a))
     monkeypatch.setattr(floquet.scipy.linalg, "eigh",
                         lambda h, **kw: eigh_calls.append((h.shape[0], kw.get("eigvals_only")))
                         or eigh(h, **kw))
     sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
     assert sol.converged is True
-    # one matrix at N_s + 2; one eigendecomposition, with eigenvectors, of the
-    # core 2*N_s + 1 blocks; the wide matrix is checked by banded solves only
+    # one band at N_s + 2, whose central columns are the solved matrix; one dense
+    # matrix, the 8-harmonic start window (whose own band it is built from), and
+    # one eigendecomposition of it, with eigenvectors; N_s and N_s + 2 are
+    # reached by banded solves only
     n_side = SambeConfig().sideband_cutoff
-    assert assembled == [n_side + 2]
-    assert eigh_calls == [(5 * (2 * n_side + 1), None)]
+    assert bands == [n_side + 2, 8]
+    assert dense == [8]
+    assert eigh_calls == [(5 * (2 * 8 + 1), None)]
 
 
 def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
@@ -208,23 +212,37 @@ def test_undriven_check_takes_the_singular_path(d):
 
 
 def test_banded_check_returns_only_wide_eigenvalues(params, spec_451, monkeypatch):
-    seen = []
-    check = floquet._continued_eigenvalues
-    monkeypatch.setattr(floquet, "_continued_eigenvalues",
-                        lambda h, *a: seen.append((h, check(h, *a))) or seen[-1][1])
+    # every certified value _continue returns is an eigenvalue of the matrix in
+    # its band: the N_s matrix for a continuation, N_s + 2 for the check
+    seen, cell = [], {}
+    cont = floquet._continue
+    monkeypatch.setattr(floquet, "_continue",
+                        lambda band, *a, **kw:
+                        seen.append((cell.copy(), band, cont(band, *a, **kw))) or seen[-1][2])
+    d = 5
     rng = np.random.default_rng(1515)
     for _ in range(40):
         xi, omega, n_side = rng.uniform(0, 0.2), rng.uniform(0.3, 1.3), int(rng.integers(2, 19))
+        cell.update(xi=xi, omega=omega, n_side=n_side)
         try:
             solve_floquet(params, DriveParams(FluxBias(0.451), xi, omega),
                           SambeConfig(sideband_cutoff=n_side), spectrum=spec_451)
         except ConvergenceError:
             continue
-    assert len(seen) >= 30
-    for h, continued in seen:
+    kinds = []
+    for c, band, (energies, vecs, certified) in seen:
+        kind = {d * (2 * c["n_side"] + 1): 0, d * (2 * c["n_side"] + 5): 2}[band.shape[1]]
+        kinds.append(kind)
+        h = _loop_sambe(spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
+                        c["xi"], c["omega"], c["n_side"] + kind)
+        assert np.array_equal(floquet._band_to_dense(band), h)
+        norm = np.linalg.norm(h, 2)
         w = np.linalg.eigvalsh(h)
-        gap = np.min(np.abs(w[None] - continued[:, None]), axis=1)
-        assert np.max(gap) <= 1e-12 * np.linalg.norm(h, 2)
+        gap = np.min(np.abs(w[None] - energies[certified, None]), axis=1)
+        assert np.max(gap, initial=0.0) <= 1e-12 * norm
+        residual = np.linalg.norm(vecs @ h - energies[:, None] * vecs, axis=1)
+        assert np.max(residual[certified], initial=0.0) <= 1e-12 * norm
+    assert kinds.count(2) >= 30 and kinds.count(0) >= 10
 
 
 def test_uncertified_check_raises(params, spec_451, monkeypatch):
@@ -246,6 +264,168 @@ def test_sambe_solve_peak_within_stated_factor(params, spec_451, spot_drive, che
     finally:
         tracemalloc.stop()
     assert peak <= floquet._SAMBE_PEAK_ARRAYS * 8 * 1005**2
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (ConvergenceError, DiagnosticError) as exc:
+        return type(exc)
+
+
+def _full_window_solve(circuit, spec, drive, d, n_side, checked):
+    """Representatives from one dense evd of the whole N_s window, then the
+    truncation check on them: (energies, blocks, delta)."""
+    args = (spec.energies[:d], spec.phi_elements[:d, :d], circuit.e_l, drive.xi, drive.omega)
+    rep_e, blocks = floquet._solve_sambe(_loop_sambe(*args, n_side), drive.omega, n_side, d)
+    if not checked:
+        return rep_e, blocks, None
+    wide_e, _, certified = floquet._continue(floquet._sambe_band(*args, n_side + 2), rep_e,
+                                             blocks.real.reshape(d, -1))
+    if not certified.all():
+        raise DiagnosticError("uncertified")
+    return rep_e, blocks, float(np.max(floquet._zone_distance(rep_e, wide_e, drive.omega)))
+
+
+def _agreement_drives(rng, count):
+    """(phi, xi, Omega, N_s): two thirds from the strong box, the rest from
+    the coherence and flux-scan benchmark boxes."""
+    boxes = [((0.40, 0.55), (0.0, 0.2), (0.3, 1.3))] * 4 + [
+        ((0.44, 0.47), (0.0, 0.12), (0.70, 0.80)), ((0.40, 0.58), (0.05, 0.05), (0.38, 0.42))]
+    drives = []
+    for i in range(count):
+        box = boxes[i % len(boxes)]
+        drives.append((*(rng.uniform(*r) for r in box), int(rng.choice((2, 10, 14, 20)))))
+    return drives
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_windowed_solve_matches_full_window(d, monkeypatch):
+    deep = CircuitParams(n_levels=10)
+    windows, starts = [], []
+    solve, cont = floquet._solve_sambe, floquet._continue
+    monkeypatch.setattr(floquet, "_solve_sambe",
+                        lambda h, omega, n_side, n: windows.append(n_side)
+                        or solve(h, omega, n_side, n))
+
+    def record(band, *a, **kw):
+        out = cont(band, *a, **kw)
+        starts.append((band.shape[1], out[0]))
+        return out
+
+    monkeypatch.setattr(floquet, "_continue", record)
+    fired = wrong_start = raised = 0
+    for phi, xi, omega, n_side in _agreement_drives(np.random.default_rng(1700 + d), 48):
+        spec = diagonalize_static(deep, FluxBias(phi))
+        drive = DriveParams(FluxBias(phi), xi, omega)
+        cell = (phi, xi, omega, n_side)
+        for checked in (False, True):
+            ref = _outcome(lambda: _full_window_solve(deep, spec, drive, d, n_side, checked))
+            windows.clear()
+            starts.clear()
+            got = _outcome(lambda: solve_floquet(deep, drive, SambeConfig(d, n_side),
+                                                 spectrum=spec, check_convergence=checked))
+            if isinstance(ref, type):
+                raised += 1
+                assert got is ref, cell
+                continue
+            ref_e, ref_blocks, ref_delta = ref
+            assert np.max(np.abs(got.rep_energies - ref_e)) <= 1e-13, cell
+            # same label, same state: a translated copy would overlap by ~0
+            overlaps = np.abs(np.sum(got.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
+            assert np.min(overlaps) >= 1 - 1e-9, cell
+            assert got.converged == (None if ref_delta is None else ref_delta < 1e-8), cell
+            if checked:
+                assert got.convergence_delta == pytest.approx(ref_delta, abs=1e-12), cell
+                continue
+            fired += len(windows) > 1
+            # the continuation from the start window, before any guard ran
+            first = [e for width, e in starts if width == d * (2 * n_side + 1)][:1]
+            wrong_start += bool(first) and np.max(np.abs(first[0] - ref_e)) > 1e-9
+    # the start window gave another state or copy on some drives; the guards
+    # caught each of them, since every solve above matched the full window
+    assert wrong_start >= 1 and fired >= wrong_start
+    assert raised >= 2
+
+
+# under-truncated cells where the start window continues into a state that
+# passes every other guard, and yet the N_s window selects another copy
+_CUT_OFF_CELLS = [
+    (0.4634944429231973, 0.19741044355910886, 0.47429417693582293, 5),
+    (0.451, 0.10817123397143907, 0.7792270570431975, 9),
+    (0.4240318050786767, 0.12250792085460616, 0.34394200796138336, 2),
+]
+
+
+@pytest.mark.parametrize("phi,xi,omega,d", _CUT_OFF_CELLS)
+def test_edge_weight_guard_defers_cut_off_states_to_the_full_window(phi, xi, omega, d,
+                                                                    monkeypatch):
+    deep = CircuitParams(n_levels=10)
+    spec = diagonalize_static(deep, FluxBias(phi))
+    drive = DriveParams(FluxBias(phi), xi, omega)
+    ref_e, ref_blocks, _ = _full_window_solve(deep, spec, drive, d, 10, False)
+    windows = []
+    solve = floquet._solve_sambe
+    monkeypatch.setattr(floquet, "_solve_sambe",
+                        lambda h, omega, n_side, n: windows.append(n_side)
+                        or solve(h, omega, n_side, n))
+    sol = solve_floquet(deep, drive, SambeConfig(d, 10), spectrum=spec, check_convergence=False)
+    assert windows == [8, 10]
+    assert np.max(np.abs(sol.rep_energies - ref_e)) <= 1e-13
+    overlaps = np.abs(np.sum(sol.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
+    assert np.min(overlaps) >= 1 - 1e-9
+
+
+def test_too_small_start_window_climbs_the_ladder(params, spec_451, monkeypatch):
+    # a 2-harmonic window has too few interior representatives under these
+    # drives, or continues into the wrong ones; the window doubles until it holds
+    monkeypatch.setattr(floquet, "_START_WINDOW", 2)
+    windows = []
+    solve = floquet._solve_sambe
+    monkeypatch.setattr(floquet, "_solve_sambe",
+                        lambda h, omega, n_side, n: windows.append(n_side)
+                        or solve(h, omega, n_side, n))
+    rungs = set()
+    for xi, omega in itertools.product((0.086, 0.12, 0.2), (0.3, 0.7743211, 1.2)):
+        drive = DriveParams(FluxBias(0.451), xi, omega)
+        ref_e, ref_blocks, _ = _full_window_solve(params, spec_451, drive, 5, 20, False)
+        windows.clear()
+        sol = solve_floquet(params, drive, spectrum=spec_451)
+        assert windows == [2, 4, 8, 16, 20][:len(windows)]
+        rungs.add(len(windows))
+        assert np.max(np.abs(sol.rep_energies - ref_e)) <= 1e-13
+        overlaps = np.abs(np.sum(sol.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
+        assert np.min(overlaps) >= 1 - 1e-9
+    assert min(rungs) >= 2 and max(rungs) >= 3
+
+
+def test_continued_vectors_reach_the_dense_solver_floor(params, spec_451):
+    # test_04's grid: a certified residual alone left vectors 1e-13 * ||h|| off,
+    # and a dense evd of the whole window reaches 8e-16 there
+    d, n_side = 2, 40
+    worst = 0.0
+    for xi, omega in itertools.product(np.linspace(0.0, 0.12, 10), np.linspace(0.3, 0.9, 10)):
+        sol = solve_floquet(params, DriveParams(FluxBias(0.451), xi, omega),
+                            SambeConfig(d, n_side), spectrum=spec_451, check_convergence=False)
+        h = _loop_sambe(spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
+                        xi, omega, n_side)
+        vecs = sol.fourier_blocks.real.reshape(d, -1)
+        residual = np.linalg.norm(vecs @ h - sol.rep_energies[:, None] * vecs, axis=1)
+        worst = max(worst, float(np.max(residual)) / np.linalg.norm(h, 2))
+    assert worst <= 1e-15
+
+
+def test_checked_and_unchecked_solves_agree_bitwise(params):
+    # the N_s + 2 band's central columns are the N_s band, so both paths
+    # select and continue on the same numbers
+    rng = np.random.default_rng(1717)
+    for _ in range(30):
+        phi, xi, omega = rng.uniform(0.40, 0.55), rng.uniform(0, 0.2), rng.uniform(0.3, 1.3)
+        drive = DriveParams(FluxBias(phi), xi, omega)
+        checked = solve_floquet(params, drive)
+        unchecked = solve_floquet(params, drive, check_convergence=False)
+        assert np.array_equal(checked.rep_energies, unchecked.rep_energies)
+        assert np.array_equal(checked.fourier_blocks, unchecked.fourier_blocks)
 
 
 def test_monodromy_oracle_agreement(params, spec_451):
