@@ -19,11 +19,12 @@ levels times 2*N_s + 1 harmonic blocks, with block structure
 Eigenvectors come in copies translated by Omega; one representative per
 physical level is selected by Fourier-weight centroid, deduplicated by
 translated overlap, and labeled against the static levels by maximum
-weight assignment.  Selection and labelling run on the dense matrix of a
-small start window of harmonics; each representative is then continued
-into the N_s matrix, held in LAPACK band storage, by banded
-Rayleigh-quotient iteration, and kept only where it is the state the
-whole window would select (else the window grows, up to N_s itself).
+weight assignment.  The Sambe matrix is assembled once, in LAPACK band
+storage.  Selection and labelling run on the dense matrix of a small start
+window, the central harmonics of that one band; each representative is
+then continued into the N_s matrix by banded Rayleigh-quotient iteration,
+and kept only where it is the state the whole window would select (else
+the window grows, up to N_s itself).
 """
 from __future__ import annotations
 
@@ -193,14 +194,7 @@ def _band_to_dense(band: np.ndarray) -> np.ndarray:
     return h
 
 
-def _assemble_sambe(
-    energies: np.ndarray, phi_op: np.ndarray, e_l: float, xi: float, omega: float, n_side: int
-) -> np.ndarray:
-    """The dense Sambe matrix of harmonic blocks -n_side..n_side."""
-    return _band_to_dense(_sambe_band(energies, phi_op, e_l, xi, omega, n_side))
-
-
-def _resolve_spectrum(params, drive, spectrum, config) -> StaticSpectrum:
+def _resolve_spectrum(params, drive, spectrum, n_levels: int) -> StaticSpectrum:
     """The static spectrum of ``params`` at the drive's bias, with enough levels.
 
     A given ``spectrum`` must be that spectrum: a second copy of the circuit
@@ -213,10 +207,8 @@ def _resolve_spectrum(params, drive, spectrum, config) -> StaticSpectrum:
             f"static spectrum of {spectrum.params!r} at {spectrum.bias!r} does not belong "
             f"to {params!r} at the drive bias {drive.bias!r}"
         )
-    if spectrum.energies.size < config.n_levels:
-        raise ValueError(
-            f"CircuitParams.n_levels={params.n_levels} < SambeConfig.n_levels={config.n_levels}"
-        )
+    if spectrum.energies.size < n_levels:
+        raise ValueError(f"CircuitParams.n_levels={params.n_levels} < {n_levels} levels needed")
     return spectrum
 
 
@@ -295,17 +287,32 @@ class FloquetSolution:
         raise ValueError(f"unknown branch {branch!r}")
 
 
-def _select_representatives(evals, blocks_all, weights_all, omega, n_side, n_states):
-    """Pick one interior eigenvector per physical state.
+def _profile(blocks):
+    """Harmonic profile of Fourier blocks (states, 2*n_side + 1, levels): the
+    weight of each harmonic, whether the dominant harmonic is interior
+    (|n| < n_side - 1), and the weight centroid."""
+    n_side = blocks.shape[1] // 2
+    weights = np.sum(blocks * blocks, axis=2)
+    interior = np.abs(np.argmax(weights, axis=1) - n_side) < n_side - 1
+    return weights, interior, weights @ np.arange(-n_side, n_side + 1)
+
+
+def _labels(blocks):
+    """The static level of each state (Fourier blocks (levels, nb, levels)):
+    the assignment of maximum total weight per circuit level."""
+    return linear_sum_assignment(-np.sum(blocks * blocks, axis=1))[1]
+
+
+def _select_representatives(evals, blocks_all, omega):
+    """Pick one interior eigenvector per physical state, one per circuit level.
 
     Candidates are ordered by |centroid| then |eigenvalue|; a candidate is a
     translated copy of an accepted state when its eigenvalue matches modulo
     Omega *and* the block-shifted overlap exceeds 0.5 (the overlap test keeps
     accidental quasienergy coincidences of distinct states apart).
     """
-    centroids = weights_all @ np.arange(-n_side, n_side + 1)
-    dominant = np.argmax(weights_all, axis=1) - n_side
-    interior = np.abs(dominant) < n_side - 1
+    n_states = blocks_all.shape[2]
+    _, interior, centroids = _profile(blocks_all)
     order = np.lexsort((np.abs(evals), np.abs(centroids)))
     accepted: list[int] = []
     shifts_tol = 1e-6 * omega
@@ -348,32 +355,21 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
     return np.einsum("ans,bksn->abk", bras.conj(), shifted)
 
 
-def _gauged(vecs, nb):
-    """Fourier blocks (states, nb, d) of real eigenvectors (rows of ``vecs``),
-    each with its largest-|.| component made real positive."""
-    blocks = vecs.reshape(len(vecs), nb, -1).astype(complex)
-    flat = blocks.reshape(len(vecs), -1)
-    lead = flat[np.arange(len(vecs)), np.argmax(np.abs(flat), axis=1)]
-    blocks /= (lead / np.abs(lead))[:, None, None]
-    return blocks
+def _gauged(vecs):
+    """Fourier blocks (states, nb, levels) of real unit eigenvectors, one per
+    level (rows of ``vecs``), each signed so its largest-|.| component is positive."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    return (vecs * np.sign(lead)[:, None]).reshape(len(vecs), -1, len(vecs)).astype(complex)
 
 
-def _solve_sambe(h, omega, n_side, n_states):
-    """Representatives of the Sambe matrix ``h`` (harmonic blocks -n_side..n_side),
-    in label order: raw eigenvalues and gauged Fourier blocks."""
+def _solve_sambe(h, omega, d):
+    """Representatives of the Sambe matrix ``h`` of d-level harmonic blocks, in
+    label order: raw eigenvalues and real unit eigenvectors (rows)."""
     evals, evecs = scipy.linalg.eigh(h, driver="evd")
-    nb = 2 * n_side + 1
-    blocks_all = evecs.T.reshape(evals.size, nb, h.shape[0] // nb)
-    weights_all = np.sum(blocks_all * blocks_all, axis=2)
-    accepted = _select_representatives(
-        evals, blocks_all, weights_all, omega, n_side, n_states
-    )
-    # label against static levels by total weight per circuit level
-    level_w = np.sum(blocks_all[accepted] ** 2, axis=1)
-    rows, cols = linear_sum_assignment(-level_w[:, :n_states])
-    rows = rows[np.argsort(cols)]  # assignment row of each label
-    by_label = np.asarray(accepted)[rows]
-    return evals[by_label], _gauged(evecs.T[by_label], nb)
+    vecs = evecs.T
+    accepted = _select_representatives(evals, vecs.reshape(evals.size, -1, d), omega)
+    by_label = np.asarray(accepted)[np.argsort(_labels(vecs[accepted].reshape(d, -1, d)))]
+    return evals[by_label], vecs[by_label]
 
 
 def _rqi_step(band, mu, x):
@@ -428,7 +424,7 @@ def _continue(band, rep_e, rep_vecs, polish=False):
     return continued, vecs, certified
 
 
-def _continuation_holds(seeds, vecs, certified, n_side):
+def _continuation_holds(seeds, vecs, certified):
     """Whether continued representatives are the ones the full window picks.
 
     Every eigenvalue must be certified; each vector must keep its dominant
@@ -444,45 +440,40 @@ def _continuation_holds(seeds, vecs, certified, n_side):
     if not certified.all():
         return False
     d = len(vecs)
-    blocks = vecs.reshape(d, 2 * n_side + 1, d) ** 2
-    weights = np.sum(blocks, axis=2)
-    dominant = np.argmax(weights, axis=1) - n_side
-    centroids = weights @ np.arange(-n_side, n_side + 1)
+    blocks = vecs.reshape(d, -1, d)
+    weights, interior, centroids = _profile(blocks)
     pad = (vecs.shape[1] - seeds.shape[1]) // 2
     overlaps = np.abs(np.sum(seeds * vecs[:, pad:pad + seeds.shape[1]], axis=1))
-    labels = linear_sum_assignment(-np.sum(blocks, axis=1))[1]
-    return bool(np.all(np.abs(dominant) < n_side - 1) and np.all(np.abs(centroids) <= 0.5)
-                and np.all(overlaps >= 0.9) and np.array_equal(labels, np.arange(d))
+    return bool(interior.all() and np.all(np.abs(centroids) <= 0.5)
+                and np.all(overlaps >= 0.9) and np.array_equal(_labels(blocks), np.arange(d))
                 and np.all(weights[:, 0] + weights[:, -1] <= _MAX_EDGE_WEIGHT))
 
 
-def _representatives(args, band, n_side):
-    """Labelled representatives of the Sambe matrix of harmonics
-    -n_side..n_side, held in ``band``: raw eigenvalues and gauged Fourier
-    blocks.  ``args`` are those of ``_assemble_sambe`` but the half-width.
+def _representatives(band, omega, d):
+    """Labelled representatives of the Sambe matrix of d-level harmonic blocks
+    held in ``band``: raw eigenvalues and real unit eigenvectors (rows).
 
     Selection and labelling run on the dense matrix of a window of
-    _START_WINDOW harmonics; the representatives are then continued into the
-    band and kept when ``_continuation_holds``.  When the window has too few
-    representatives or a continuation fails, the window doubles, up to the
-    whole N_s window, whose representatives need no continuation.
+    _START_WINDOW harmonics, whose band is the central columns of ``band``;
+    the representatives are then continued into the band and kept when
+    ``_continuation_holds``.  When the window has too few representatives or
+    a continuation fails, the window doubles, up to the whole band, whose
+    representatives need no continuation.
     """
-    d, omega = args[0].size, args[-1]
+    n_side = band.shape[1] // d // 2
     n_win = min(_START_WINDOW, n_side)
-    while True:
+    while n_win < n_side:
+        cut = (n_side - n_win) * d
         try:
-            rep_e, blocks = _solve_sambe(_assemble_sambe(*args, n_win), omega, n_win, d)
+            rep_e, seeds = _solve_sambe(_band_to_dense(band[:, cut:band.shape[1] - cut]), omega, d)
         except ConvergenceError:
-            if n_win == n_side:
-                raise
+            pass
         else:
-            if n_win == n_side:
-                return rep_e, blocks
-            seeds = blocks.real.reshape(d, -1)
             cont_e, vecs, certified = _continue(band, rep_e, seeds, polish=True)
-            if _continuation_holds(seeds, vecs, certified, n_side):
-                return cont_e, _gauged(vecs, 2 * n_side + 1)
+            if _continuation_holds(seeds, vecs, certified):
+                return cont_e, vecs
         n_win = min(2 * n_win, n_side)
+    return _solve_sambe(_band_to_dense(band), omega, d)
 
 
 def solve_floquet(
@@ -498,8 +489,8 @@ def solve_floquet(
     window widened by 2 when ``check_convergence`` is set; its central
     2*N_s + 1 blocks are the solved problem.  No dense matrix of that size
     is diagonalized unless the ladder reaches it: representatives are
-    selected and labelled in a window of 8 harmonics and continued into the
-    N_s matrix by banded Rayleigh-quotient iteration (see
+    selected and labelled in the central 8 harmonics of the band and
+    continued into the N_s matrix by banded Rayleigh-quotient iteration (see
     ``_representatives``).  The check compares each representative with the
     eigenvalue of the N_s + 2 matrix that it continues into in the same way;
     the flag and the largest zone distance land on the returned solution.
@@ -511,21 +502,19 @@ def solve_floquet(
     Raises:
         ValueError: when ``spectrum`` is of another circuit or bias.
     """
-    spectrum = _resolve_spectrum(params, drive, spectrum, config)
     d, n_side = config.n_levels, config.sideband_cutoff
+    spectrum = _resolve_spectrum(params, drive, spectrum, d)
     margin = 2 if check_convergence else 0
-    args = (spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
-            drive.xi, drive.omega)
-    band = _sambe_band(*args, n_side + margin)
+    band = _sambe_band(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
+                       drive.xi, drive.omega, n_side + margin)
     try:
-        rep_e, blocks = _representatives(args, band[:, margin * d:band.shape[1] - margin * d],
-                                         n_side)
+        rep_e, vecs = _representatives(band[:, margin * d:band.shape[1] - margin * d],
+                                       drive.omega, d)
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
     converged = delta = None
     if check_convergence:
-        # the gauge multiplied each real eigenvector by +-1, so .real is it up to sign
-        wide_e, _, certified = _continue(band, rep_e, blocks.real.reshape(d, -1))
+        wide_e, _, certified = _continue(band, rep_e, vecs)
         if not certified.all():
             raise DiagnosticError(
                 f"truncation check: representatives {np.flatnonzero(~certified).tolist()} "
@@ -539,7 +528,7 @@ def solve_floquet(
         config=config,
         quasienergies=np.asarray(fold_quasienergy(rep_e, drive.omega)),
         rep_energies=rep_e,
-        fourier_blocks=blocks,
+        fourier_blocks=_gauged(vecs),
         spectrum=spectrum,
         converged=converged,
         convergence_delta=delta,
@@ -620,8 +609,7 @@ def monodromy_oracle(
         ConvergenceError: if step doubling fails to stabilize the result.
     """
     d = _ORACLE_LEVELS
-    cfg = SambeConfig(n_levels=d, sideband_cutoff=2)
-    spectrum = _resolve_spectrum(params, drive, spectrum, cfg)
+    spectrum = _resolve_spectrum(params, drive, spectrum, d)
     energies = spectrum.energies[:d]
     phi_op = spectrum.phi_elements[:d, :d]
 

@@ -335,8 +335,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
         ConfigError: the grid or sections do not fit the task.
     """
     task = REGISTRY[config.task]
-    if task.check is not None:
-        task.check(config)
+    task.check(config)
     axes, jobs = _plan(task, config)
     columns = tuple(name for name, _ in task.columns)
     units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(unit for _, unit in task.columns)

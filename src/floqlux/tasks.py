@@ -34,6 +34,16 @@ if TYPE_CHECKING:
 _SPECTRAL_N = 8  # sideband window exported by the spectral-function task
 
 
+def _check_floquet_levels(config: RunConfig) -> None:
+    """Every task but static-spectrum drives [floquet] n_levels circuit levels."""
+    if config.circuit.n_levels < config.floquet.n_levels:
+        raise ConfigError(
+            f"the driven problem keeps [floquet] n_levels = {config.floquet.n_levels} levels; "
+            f"set [circuit] n_levels >= {config.floquet.n_levels} "
+            f"(got {config.circuit.n_levels})"
+        )
+
+
 @dataclass(frozen=True)
 class Task:
     """What the sweep runner needs to know about one task.
@@ -46,7 +56,8 @@ class Task:
         axes: grid axes whose product gives the cells, one row per cell.
         grid_job: job run once after the cells, when ``wants_grid_job``
             holds; it has no rows, and its failure goes to ``extra[grid_key]``.
-        check: config check raising ConfigError.
+        check: config check raising ConfigError; by default the one every
+            task that solves the driven problem needs.
         plan: ``config -> (axes, [(coords, row_indices), ...])`` for a grid
             that is not the product of ``axes``.
         finalize: ``(config, extras) -> extra`` from the jobs' extras in
@@ -59,7 +70,7 @@ class Task:
     grid_job: Callable | None = None
     grid_key: str = ""
     wants_grid_job: Callable = lambda config: True
-    check: Callable | None = None
+    check: Callable = _check_floquet_levels
     plan: Callable | None = None
     finalize: Callable | None = None
 
@@ -134,7 +145,7 @@ def _job_spectral(config: RunConfig, coords):
 
 
 def _check_polariton(config: RunConfig) -> None:
-    _check_levels(config)
+    _check_floquet_levels(config)
     if config.floquet.n_levels < 4:
         raise ConfigError(
             "polariton couplings address level 3; set floquet n_levels >= 4 "
@@ -201,6 +212,7 @@ def _job_polariton_fit(config: RunConfig, coords):
 
 
 def _check_spectroscopy(config: RunConfig) -> None:
+    _check_floquet_levels(config)
     g = config.grid
     fixed = ("xi", "omega") if config.probe.sweep == "phi_dc" else ("phi_dc", "omega")
     for name in fixed:
@@ -301,6 +313,7 @@ def _job_sweetspot_scan(config: RunConfig, coords):
 
 
 def _check_ramsey(config: RunConfig) -> None:
+    _check_floquet_levels(config)
     g = config.grid
     if g.size != 1:
         raise ConfigError(

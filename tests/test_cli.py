@@ -56,6 +56,22 @@ def test_polariton_xi_beyond_span_exit_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("task", sorted(set(floqlux.tasks.REGISTRY) - {"static-spectrum"}))
+def test_circuit_levels_below_floquet_levels_exit_one(tmp_path, capsys, monkeypatch, task):
+    # the driven problem keeps 5 levels of a 4-level circuit: rejected before any solve
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    cfg = _write(tmp_path, f'task = "{task}"\n[circuit]\nn_levels = 4\n'
+                           '[grid]\nphi_dc = 0.45\nxi = 0.05\nomega = 0.7\n')
+    assert main([task, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "[circuit] n_levels >= 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_static_spectrum_needs_no_floquet_levels(tmp_path):
+    cfg = _write(tmp_path, MINIMAL + "[circuit]\nn_levels = 4\n")
+    assert main(["static-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_task_mismatch_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path)
     assert main(["floquet", "--config", str(cfg)]) == 1

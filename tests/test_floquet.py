@@ -68,8 +68,9 @@ def test_splitting_branches(spot_solution):
 
 def test_sambe_matrix_structure(params, spec_half):
     drive = DriveParams(FluxBias(0.5), 0.04, 0.5)
-    h = floquet._assemble_sambe(spec_half.energies[:3], spec_half.phi_elements[:3, :3],
-                                params.e_l, drive.xi, drive.omega, 2)
+    h = floquet._band_to_dense(floquet._sambe_band(spec_half.energies[:3],
+                                                   spec_half.phi_elements[:3, :3],
+                                                   params.e_l, drive.xi, drive.omega, 2))
     d, nb = 3, 5
     assert h.shape == (d * nb, d * nb)
     assert np.allclose(h, h.T)
@@ -104,7 +105,7 @@ def _loop_sambe(energies, phi_op, e_l, xi, omega, n_side):
 def test_assemble_sambe_matches_block_loop(params, spec_451, spot_drive, d, n_side):
     args = (spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
             spot_drive.xi, spot_drive.omega, n_side)
-    assert np.array_equal(floquet._assemble_sambe(*args), _loop_sambe(*args))
+    assert np.array_equal(floquet._band_to_dense(floquet._sambe_band(*args)), _loop_sambe(*args))
 
 
 @pytest.mark.parametrize("n_side", [2, 20])
@@ -112,30 +113,39 @@ def test_checked_matrix_center_is_the_kept_matrix(params, spec_451, spot_drive, 
     d = 5
     args = (spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
             spot_drive.xi, spot_drive.omega)
-    wide = floquet._assemble_sambe(*args, n_side + 2)
-    assert np.array_equal(wide[2 * d:-2 * d, 2 * d:-2 * d], floquet._assemble_sambe(*args, n_side))
+    band = floquet._sambe_band(*args, n_side + 2)
+    wide = floquet._band_to_dense(band)
+    assert np.array_equal(wide[2 * d:-2 * d, 2 * d:-2 * d], _loop_sambe(*args, n_side))
+    # the start window is cut from the same band, as its central columns
+    n_win = min(floquet._START_WINDOW, n_side)
+    cut = (n_side + 2 - n_win) * d
+    window = floquet._band_to_dense(band[:, cut:band.shape[1] - cut])
+    assert np.array_equal(window, _loop_sambe(*args, n_win))
 
 
 def test_checked_solve_assembles_and_diagonalizes_once(params, spec_451, spot_drive,
                                                        monkeypatch):
-    bands, dense, eigh_calls = [], [], []
-    band, assemble, eigh = floquet._sambe_band, floquet._assemble_sambe, floquet.scipy.linalg.eigh
+    bands, dense, eigh_calls, gauged = [], [], [], []
+    band, to_dense, eigh = floquet._sambe_band, floquet._band_to_dense, floquet.scipy.linalg.eigh
+    gauge = floquet._gauged
     monkeypatch.setattr(floquet, "_sambe_band", lambda *a: bands.append(a[-1]) or band(*a))
-    monkeypatch.setattr(floquet, "_assemble_sambe",
-                        lambda *a: dense.append(a[-1]) or assemble(*a))
+    monkeypatch.setattr(floquet, "_band_to_dense",
+                        lambda b: dense.append(b.shape[1]) or to_dense(b))
+    monkeypatch.setattr(floquet, "_gauged", lambda v: gauged.append(v.shape) or gauge(v))
     monkeypatch.setattr(floquet.scipy.linalg, "eigh",
                         lambda h, **kw: eigh_calls.append((h.shape[0], kw.get("eigvals_only")))
                         or eigh(h, **kw))
     sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
     assert sol.converged is True
     # one band at N_s + 2, whose central columns are the solved matrix; one dense
-    # matrix, the 8-harmonic start window (whose own band it is built from), and
-    # one eigendecomposition of it, with eigenvectors; N_s and N_s + 2 are
-    # reached by banded solves only
+    # matrix, the 8-harmonic start window cut from that band, and one
+    # eigendecomposition of it, with eigenvectors; N_s and N_s + 2 are reached
+    # by banded solves only, and the representatives are gauged once, at the end
     n_side = SambeConfig().sideband_cutoff
-    assert bands == [n_side + 2, 8]
-    assert dense == [8]
+    assert bands == [n_side + 2]
+    assert dense == [5 * (2 * 8 + 1)]
     assert eigh_calls == [(5 * (2 * 8 + 1), None)]
+    assert gauged == [(5, 5 * (2 * n_side + 1))]
 
 
 def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
@@ -153,8 +163,8 @@ def test_eigenvalue_check_matches_labelled_resolve(params, spec_451):
         except ConvergenceError:
             continue  # too few interior representatives at this cutoff, checked or not
         # the labelled re-solve at N_s + 2 that the check replaces
-        wide = floquet._assemble_sambe(energies, phi_op, params.e_l, xi, omega, n_side + 2)
-        ref_e = floquet._solve_sambe(wide, omega, n_side + 2, d)[0]
+        wide = _loop_sambe(energies, phi_op, params.e_l, xi, omega, n_side + 2)
+        ref_e = floquet._solve_sambe(wide, omega, d)[0]
         ref_delta = float(np.max(floquet._zone_distance(sol.rep_energies, ref_e, omega)))
         assert sol.converged == (ref_delta < 1e-8), (n_side, xi, omega)
         if 1e-12 <= ref_delta < 1e-8:
@@ -188,8 +198,8 @@ def test_banded_check_matches_full_spectrum_and_labelled_resolve(d):
                                     SambeConfig(n_levels=d, sideband_cutoff=n_side), spectrum=spec)
             except ConvergenceError:
                 continue
-            wide = floquet._assemble_sambe(energies, phi_op, deep.e_l, xi, omega, n_side + 2)
-            labelled = floquet._solve_sambe(wide, omega, n_side + 2, d)[0]
+            wide = _loop_sambe(energies, phi_op, deep.e_l, xi, omega, n_side + 2)
+            labelled = floquet._solve_sambe(wide, omega, d)[0]
             refs = (_nearest_eigenvalue_delta(sol.rep_energies, wide, omega),
                     float(np.max(floquet._zone_distance(sol.rep_energies, labelled, omega))))
             for ref in refs:
@@ -277,11 +287,11 @@ def _full_window_solve(circuit, spec, drive, d, n_side, checked):
     """Representatives from one dense evd of the whole N_s window, then the
     truncation check on them: (energies, blocks, delta)."""
     args = (spec.energies[:d], spec.phi_elements[:d, :d], circuit.e_l, drive.xi, drive.omega)
-    rep_e, blocks = floquet._solve_sambe(_loop_sambe(*args, n_side), drive.omega, n_side, d)
+    rep_e, vecs = floquet._solve_sambe(_loop_sambe(*args, n_side), drive.omega, d)
+    blocks = vecs.reshape(d, -1, d)
     if not checked:
         return rep_e, blocks, None
-    wide_e, _, certified = floquet._continue(floquet._sambe_band(*args, n_side + 2), rep_e,
-                                             blocks.real.reshape(d, -1))
+    wide_e, _, certified = floquet._continue(floquet._sambe_band(*args, n_side + 2), rep_e, vecs)
     if not certified.all():
         raise DiagnosticError("uncertified")
     return rep_e, blocks, float(np.max(floquet._zone_distance(rep_e, wide_e, drive.omega)))
@@ -305,8 +315,8 @@ def test_windowed_solve_matches_full_window(d, monkeypatch):
     windows, starts = [], []
     solve, cont = floquet._solve_sambe, floquet._continue
     monkeypatch.setattr(floquet, "_solve_sambe",
-                        lambda h, omega, n_side, n: windows.append(n_side)
-                        or solve(h, omega, n_side, n))
+                        lambda h, omega, d: windows.append(h.shape[0] // d // 2)
+                        or solve(h, omega, d))
 
     def record(band, *a, **kw):
         out = cont(band, *a, **kw)
@@ -367,13 +377,29 @@ def test_edge_weight_guard_defers_cut_off_states_to_the_full_window(phi, xi, ome
     windows = []
     solve = floquet._solve_sambe
     monkeypatch.setattr(floquet, "_solve_sambe",
-                        lambda h, omega, n_side, n: windows.append(n_side)
-                        or solve(h, omega, n_side, n))
+                        lambda h, omega, d: windows.append(h.shape[0] // d // 2)
+                        or solve(h, omega, d))
     sol = solve_floquet(deep, drive, SambeConfig(d, 10), spectrum=spec, check_convergence=False)
     assert windows == [8, 10]
     assert np.max(np.abs(sol.rep_energies - ref_e)) <= 1e-13
     overlaps = np.abs(np.sum(sol.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
     assert np.min(overlaps) >= 1 - 1e-9
+
+
+def test_copies_under_truncation_are_flagged():
+    # at N_s = 12 the representatives hold two copies one Omega apart (1.2025
+    # and 1.6769 GHz) and miss the 5.0989 GHz state; the truncation check flags
+    # the cell (delta 1.1e-4, then 1.3e-5 at N_s = 16) until N_s = 20 holds
+    # five states distinct modulo Omega
+    phi, xi, omega, d = _CUT_OFF_CELLS[0]
+    deep = CircuitParams(n_levels=10)
+    drive = DriveParams(FluxBias(phi), xi, omega)
+    for n_side in (12, 16):
+        assert solve_floquet(deep, drive, SambeConfig(d, n_side)).converged is False
+    sol = solve_floquet(deep, drive, SambeConfig(d, 20))
+    assert sol.converged is True
+    gaps = floquet._zone_distance(sol.rep_energies[:, None], sol.rep_energies[None], omega)
+    assert np.min(gaps[np.triu_indices(d, 1)]) > 0.01
 
 
 def test_too_small_start_window_climbs_the_ladder(params, spec_451, monkeypatch):
@@ -383,8 +409,8 @@ def test_too_small_start_window_climbs_the_ladder(params, spec_451, monkeypatch)
     windows = []
     solve = floquet._solve_sambe
     monkeypatch.setattr(floquet, "_solve_sambe",
-                        lambda h, omega, n_side, n: windows.append(n_side)
-                        or solve(h, omega, n_side, n))
+                        lambda h, omega, d: windows.append(h.shape[0] // d // 2)
+                        or solve(h, omega, d))
     rungs = set()
     for xi, omega in itertools.product((0.086, 0.12, 0.2), (0.3, 0.7743211, 1.2)):
         drive = DriveParams(FluxBias(0.451), xi, omega)
@@ -605,8 +631,7 @@ def test_select_representatives_rejects_copies_only():
         blocks = np.zeros((len(states), 2 * n_side + 1, 2))
         for i, (level, n) in enumerate(states):
             blocks[i, n + n_side, level] = 1.0
-        accepted = _select_representatives(
-            np.array(evals), blocks, np.sum(blocks**2, axis=2), omega, n_side, 2)
+        accepted = _select_representatives(np.array(evals), blocks, omega)
         return accepted
 
     # a state, its copy translated by one harmonic (eigenvalue + Omega), and a
