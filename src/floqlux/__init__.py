@@ -93,6 +93,7 @@ from .spectroscopy import (
     SpectroscopyMap,
     T2REstimate,
     extract_t2r,
+    probe_population,
     spectroscopy_map,
     synth_ramsey_signal,
 )

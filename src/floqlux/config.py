@@ -59,6 +59,8 @@ class GridSpec:
             vals = getattr(self, name)
             if len(vals) == 0:
                 raise ValueError(f"grid axis {name} must be non-empty")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"grid axis {name} must be finite")
 
     @property
     def size(self) -> int:
@@ -70,8 +72,8 @@ class ProbeSpec:
     """Spectroscopy probe axis and lineshape; sweep picks the map's x axis."""
 
     omega_p: tuple = tuple(np.linspace(0.05, 2.0, 64))
-    rabi: float = 1e-4
-    linewidth: float = 5e-3
+    rabi: float = ProbeParams.rabi
+    linewidth: float = ProbeParams.linewidth
     sweep: str = "phi_dc"
 
     def __post_init__(self) -> None:
@@ -91,12 +93,21 @@ class PolaritonSpec:
     capture_window: float = 0.12
     span: float = 0.1
 
+    def __post_init__(self) -> None:
+        for name in ("capture_window", "span"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass(frozen=True)
 class SweetSpotSpec:
     """Sweet-spot scan settings."""
 
     tol_d: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not self.tol_d > 0:
+            raise ValueError("tol_d must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Steady-state two-tone spectroscopy maps and Ramsey-type signal analysis.
+"""Steady-state two-tone spectroscopy and Ramsey-type signal analysis.
 
-The map replaces a full driven master equation with a documented
-rate-equation model: golden-rule excitation rates through each sideband,
+``probe_population`` is one solved cell's probe response: the ``spectroscopy``
+task takes it per map column, ``spectroscopy_map`` loops it over a sweep.  It
+replaces a full driven master equation with a documented rate-equation model:
+golden-rule excitation rates through each sideband,
 Gamma_k = (1/2) * Omega_k^2 * L(omega_p - (eps_01 + k*Omega)), with
 Omega_k the probe Rabi rate scaled by the charge Fourier element |n_01^(k)|
 and L a unit-area Lorentzian, balanced against the thermal rates
@@ -29,7 +31,7 @@ from scipy.optimize import curve_fit, minimize_scalar
 from .circuit import CircuitParams
 from .decoherence import NoiseModel, charge_fourier_elements, depolarization_rates
 from .errors import AliasingError, DiagnosticError, FitError
-from .floquet import DriveParams, SambeConfig, solve_floquet
+from .floquet import DriveParams, solve_floquet
 from .units import GHZ_TO_ANGULAR, HZ_PER_GHZ, TWO_PI, ghz_to_angular
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "RamseySignal",
     "T2REstimate",
     "SpectroscopyMap",
+    "probe_population",
     "spectroscopy_map",
     "synth_ramsey_signal",
     "extract_t2r",
@@ -74,26 +77,38 @@ def _balance(g_up, g_down, total):
     return (g_up + total) / denom
 
 
+def probe_population(sol, noise: NoiseModel, probe: ProbeParams, probe_freqs) -> np.ndarray:
+    """P1 of the driven cell ``sol`` at each probe frequency (GHz).
+
+    Gamma_k = 0.5*amp2_k*L_k (1/s), amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2,
+    L_k unit-area in angular frequency at the resonance eps_01 + k*Omega.
+
+    Raises:
+        DiagnosticError: every rate vanishes, the balance is undefined.
+    """
+    pol = depolarization_rates(sol, noise)
+    elems = charge_fourier_elements(sol)
+    peaks = sol.splitting(1, 0, branch="natural") + elems.k_values * sol.drive.omega
+    delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
+    hw = 0.5 * ghz_to_angular(probe.linewidth)
+    lor = hw / math.pi / (delta * delta + hw * hw)
+    amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
+    return _balance(pol.gamma_up, pol.gamma_down, 0.5 * lor @ amp2)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectroscopyMap:
-    """P1 over a (bias-or-amplitude) x (probe frequency) grid.
+    """P1 over a (bias-or-amplitude) x (probe frequency) grid; failed points
+    are masked with a reason string."""
 
-    ``branches`` holds the overlay traces eps_01 + k*Omega per sweep point;
-    failed points are masked with a reason string.
-    """
-
-    sweep_name: str
     sweep_values: np.ndarray
     probe_freqs: np.ndarray
     population: np.ndarray
-    branches: np.ndarray
-    branch_k: np.ndarray
     mask: np.ndarray
     failures: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for arr in (self.sweep_values, self.probe_freqs, self.population,
-                    self.branches, self.branch_k, self.mask):
+        for arr in (self.sweep_values, self.probe_freqs, self.population, self.mask):
             arr.setflags(write=False)
 
 
@@ -104,25 +119,20 @@ def spectroscopy_map(
     sweep_name: str,
     sweep_values,
     probe_freqs,
-    probe: ProbeParams = ProbeParams(),
-    config: SambeConfig = SambeConfig(),
 ) -> SpectroscopyMap:
     """Steady-state population map over phi_dc or xi versus probe frequency.
 
     ``sweep_name`` is "phi_dc" or "xi"; the other drive parameters come from
-    ``drive_template``.  Branch overlays cover sidebands |k| <= 4.  Solver
-    failures at a sweep point mask its column and record the reason.
+    ``drive_template``.  Each point is an unchecked default-truncation solve
+    probed by the default ``ProbeParams``.  Solver failures at a sweep point
+    mask its column and record the reason.
     """
     if sweep_name not in ("phi_dc", "xi"):
         raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
     sweep_values = np.asarray(sweep_values, dtype=float)
     probe_freqs = np.asarray(probe_freqs, dtype=float)
-    n_s, n_p = sweep_values.size, probe_freqs.size
-    pop = np.full((n_s, n_p), np.nan)
-    ks = np.arange(-4, 5)
-    hw = 0.5 * ghz_to_angular(probe.linewidth)
-    branches = np.full((n_s, ks.size), np.nan)
-    mask = np.zeros(n_s, dtype=bool)
+    pop = np.full((sweep_values.size, probe_freqs.size), np.nan)
+    mask = np.zeros(sweep_values.size, dtype=bool)
     failures: dict = {}
 
     for i, val in enumerate(sweep_values):
@@ -134,30 +144,12 @@ def spectroscopy_map(
                 drive = replace(drive_template, bias=bias)
             else:
                 drive = replace(drive_template, xi=float(val))
-            sol = solve_floquet(params, drive, config, check_convergence=False)
-            pol = depolarization_rates(sol, noise)
-            branches[i] = sol.splitting(1, 0, branch="natural") + ks * drive.omega
-            # Gamma_k = 0.5*amp2_k*L_k (1/s), amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2,
-            # L_k unit-area in angular frequency at the resonance eps_01 + k*Omega
-            elems = charge_fourier_elements(sol)
-            peaks = sol.splitting(1, 0, branch="natural") + elems.k_values * drive.omega
-            delta = GHZ_TO_ANGULAR * (probe_freqs[:, None] - peaks[None, :])
-            lor = hw / math.pi / (delta * delta + hw * hw)
-            amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
-            pop[i] = _balance(pol.gamma_up, pol.gamma_down, 0.5 * lor @ amp2)
+            sol = solve_floquet(params, drive, check_convergence=False)
+            pop[i] = probe_population(sol, noise, ProbeParams(), probe_freqs)
         except Exception as exc:  # masked cell, not a crash: maps keep going
             mask[i] = True
             failures[int(i)] = f"{type(exc).__name__}: {exc}"
-    return SpectroscopyMap(
-        sweep_name=sweep_name,
-        sweep_values=sweep_values,
-        probe_freqs=probe_freqs,
-        population=pop,
-        branches=branches,
-        branch_k=ks,
-        mask=mask,
-        failures=failures,
-    )
+    return SpectroscopyMap(sweep_values, probe_freqs, pop, mask, failures)
 
 
 # ---------------------------------------------------------------------------

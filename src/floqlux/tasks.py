@@ -25,13 +25,14 @@ from .polariton import (
     rwa_params_from_circuit,
     rwa_phase_coefficients,
 )
-from .spectroscopy import ProbeParams, extract_t2r, spectroscopy_map, synth_ramsey_signal
+from .spectroscopy import ProbeParams, extract_t2r, probe_population, synth_ramsey_signal
 from .units import HZ_PER_GHZ
 
 if TYPE_CHECKING:
     from .config import RunConfig
 
 _SPECTRAL_N = 8  # sideband window exported by the spectral-function task
+_OVERLAY_K = np.arange(-4, 5)  # sidebands k of the spectroscopy overlay eps01 + k*Omega
 
 
 def _check_floquet_levels(config: RunConfig) -> None:
@@ -241,22 +242,15 @@ def _plan_spectroscopy(config: RunConfig):
 
 
 def _job_spectroscopy(config: RunConfig, coords):
-    value = coords[config.probe.sweep]
-    template = DriveParams(FluxBias(coords["phi_dc"]), coords["xi"], coords["omega"])
+    sol = _solved(config, coords, check_convergence=False)
     probe = ProbeParams(rabi=config.probe.rabi, linewidth=config.probe.linewidth)
-    m = spectroscopy_map(
-        config.circuit, config.noise, template,
-        config.probe.sweep, [value], _probe_freqs(config),
-        probe=probe, config=config.floquet,
-    )
-    if m.mask[0]:
-        return {"error": m.failures[0]}
+    p1 = probe_population(sol, config.noise, probe, _probe_freqs(config))
     return {
-        "rows": [[float(p)] for p in m.population[0]],
+        "rows": [[float(p)] for p in p1],
         "extra": {
-            "value": value,
-            "branch_k": _plain(m.branch_k),
-            "branch_freqs": _plain(m.branches[0]),
+            "value": coords[config.probe.sweep],
+            "branch_k": _plain(_OVERLAY_K),
+            "branch_freqs": _plain(sol.splitting(1, 0, "natural") + _OVERLAY_K * sol.drive.omega),
         },
     }
 

@@ -56,6 +56,15 @@ def test_polariton_xi_beyond_span_exit_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_grid_exit_one(tmp_path, capsys, monkeypatch):
+    # rejected at parse time, not masked cell by cell
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    cfg = _write(tmp_path, 'task = "coherence"\n[grid]\nxi = [0.0, nan]\n')
+    assert main(["coherence", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "invalid [grid] settings: grid axis xi must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task", sorted(set(floqlux.tasks.REGISTRY) - {"static-spectrum"}))
 def test_circuit_levels_below_floquet_levels_exit_one(tmp_path, capsys, monkeypatch, task):
     # the driven problem keeps 5 levels of a 4-level circuit: rejected before any solve

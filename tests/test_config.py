@@ -206,6 +206,12 @@ def test_every_record_field_is_a_config_key(section, key):
     ("probe", "linewidth = 0.0", "linewidth must be positive"),
     ("probe", "rabi = -1e-4", "rabi must be non-negative"),
     ("floquet", "sideband_cutoff = 1", "sideband_cutoff must be at least 2"),
+    ("sweetspot", "tol_d = -1.0", "tol_d must be positive"),
+    ("polariton", "span = 0.0", "span must be positive"),
+    ("polariton", "capture_window = -0.1", "capture_window must be positive"),
+    ("grid", "xi = [0.0, nan]", "grid axis xi must be finite"),
+    ("grid", "phi_dc = [0.45, inf]", "grid axis phi_dc must be finite"),
+    ("grid", "omega = -inf", "grid axis omega must be finite"),
 ])
 def test_section_rejected_by_the_record_it_feeds(section, line, reason):
     with pytest.raises(ConfigError, match=rf"^invalid \[{section}\] settings: {reason}$"):

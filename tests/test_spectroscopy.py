@@ -17,6 +17,7 @@ from floqlux import (
     SambeConfig,
     depolarization_rates,
     extract_t2r,
+    probe_population,
     solve_floquet,
     spectroscopy_map,
     synth_ramsey_signal,
@@ -30,11 +31,10 @@ def thermal(noise, spot_solution):
 
 
 def _spot_population(params, noise, spot_drive, probe_freqs, rabi=1e-4):
-    """P1 over ``probe_freqs`` from a one-column map at the double sweet spot."""
-    m = spectroscopy_map(params, noise, spot_drive, "xi", [spot_drive.xi], probe_freqs,
-                         probe=ProbeParams(rabi=rabi))
-    assert not m.mask.any()
-    return m.population[0]
+    """P1 over ``probe_freqs`` at the double sweet spot, on an unchecked solve
+    like the ones the map and the spectroscopy task probe."""
+    sol = solve_floquet(params, spot_drive, check_convergence=False)
+    return probe_population(sol, noise, ProbeParams(rabi=rabi), probe_freqs)
 
 
 def test_probe_rates_peak_on_resonance(params, noise, spot_drive, spot_solution, thermal):

@@ -20,9 +20,11 @@ from floqlux import (
     CavityParams,
     CircuitParams,
     ConfigError,
+    DriveParams,
     ExportError,
     FluxBias,
     GridSpec,
+    NoiseModel,
     PolaritonSpec,
     ProbeSpec,
     RamseyConfig,
@@ -33,6 +35,8 @@ from floqlux import (
     import_result,
     parse_config,
     run_sweep,
+    solve_floquet,
+    spectroscopy_map,
     synth_polariton_data,
     transition_spline,
 )
@@ -494,6 +498,37 @@ def test_spectroscopy_axes_and_extra(tmp_path):
     assert res.extra["fixed"] == {"xi": 0.0, "omega": 0.5}
     assert len(res.extra["branches"]["points"]) == 2
     assert np.all((res.column("p1") >= 0) & (res.column("p1") <= 1))
+
+
+@pytest.mark.parametrize("sweep,values", [("phi_dc", (0.45, 0.46, 0.47)),
+                                          ("xi", (-0.05, 0.02, 0.05))])
+def test_spectroscopy_task_matches_the_library_map(tmp_path, sweep, values):
+    # each column is the map's point, bit for bit; a negative xi fails in both
+    fixed = {"phi_dc": 0.45, "xi": 0.05, "omega": 0.5}
+    probe_freqs = (0.70, 0.72, 0.74, 0.9)
+    res = run_sweep(RunConfig(
+        task="spectroscopy",
+        grid=GridSpec(**{**{k: (v,) for k, v in fixed.items()}, sweep: values}),
+        probe=ProbeSpec(omega_p=probe_freqs, sweep=sweep),
+        output=str(tmp_path / "o"),
+    ))
+    m = spectroscopy_map(CircuitParams(), NoiseModel(), DriveParams(FluxBias(0.45), 0.05, 0.5),
+                         sweep, values, probe_freqs)
+    n_p = len(probe_freqs)
+    assert np.array_equal(res.column("p1"), m.population.ravel(), equal_nan=True)
+    assert np.array_equal(res.mask, np.repeat(m.mask, n_p))
+    assert res.reasons == {i * n_p + j: m.failures[i] for i in m.failures for j in range(n_p)}
+    if sweep == "xi":
+        assert m.failures == {0: "ValueError: drive amplitude xi must be non-negative"}
+    points = res.extra["branches"]["points"]
+    assert [p["value"] for p in points] == [v for v, bad in zip(values, m.mask) if not bad]
+    k = np.array(res.extra["branches"]["k"])
+    assert k.tolist() == list(range(-4, 5))
+    for p in points:
+        d = {**fixed, sweep: p["value"]}
+        drive = DriveParams(FluxBias(d["phi_dc"]), d["xi"], d["omega"])
+        sol = solve_floquet(CircuitParams(), drive, check_convergence=False)
+        assert p["freqs"] == (sol.splitting(1, 0) + k * sol.drive.omega).tolist()
 
 
 def test_every_task_runs_with_defaults(tmp_path):
