@@ -16,6 +16,7 @@ variationally from above as ``basis_dim`` grows.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,10 @@ class CircuitParams:
     n_levels: int = 6
 
     def __post_init__(self) -> None:
-        if not (self.e_c > 0 and self.e_l > 0):
-            raise ValueError("e_c and e_l must be strictly positive")
-        if self.e_j < 0:
-            raise ValueError("e_j must be non-negative")
+        if not (0 < self.e_c < math.inf and 0 < self.e_l < math.inf):
+            raise ValueError("e_c and e_l must be finite and strictly positive")
+        if not 0 <= self.e_j < math.inf:
+            raise ValueError("e_j must be finite and non-negative")
         if self.basis_dim < 2:
             raise ValueError("basis_dim must be at least 2")
         if not (1 <= self.n_levels <= self.basis_dim):

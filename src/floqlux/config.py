@@ -79,6 +79,8 @@ class ProbeSpec:
     def __post_init__(self) -> None:
         if len(self.omega_p) == 0:
             raise ValueError("probe omega_p must be non-empty")
+        if not np.all(np.isfinite(self.omega_p)):
+            raise ValueError("probe omega_p must be finite")
         if self.sweep not in ("phi_dc", "xi"):
             raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
         # the lineshape rules live on the record this section feeds
@@ -97,6 +99,8 @@ class PolaritonSpec:
         for name in ("capture_window", "span"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,8 @@ class SweetSpotSpec:
     def __post_init__(self) -> None:
         if not self.tol_d > 0:
             raise ValueError("tol_d must be positive")
+        if self.tol_d == math.inf:  # every refined root would pass as a spot
+            raise ValueError("tol_d must be finite")
 
 
 @dataclass(frozen=True)

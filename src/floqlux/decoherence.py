@@ -39,6 +39,7 @@ differences of the tracked splitting with Richardson step control.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -107,8 +108,8 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("a_dc", "a_ac", "tan_delta_c", "temperature"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not (self.omega_ir > 0 and self.t_m > 0):
             raise ValueError("omega_ir and t_m must be strictly positive")
         if ghz_to_angular(self.omega_ir) * self.t_m >= 1.0:
@@ -582,51 +583,66 @@ class SweetSpotScan:
     diagnostics: dict
 
 
-def find_sweet_spots(
-    params: CircuitParams,
-    noise: NoiseModel,
-    grid,
-    config: SambeConfig = SambeConfig(),
-    tol_d: float = 1e-4,
-) -> SweetSpotScan:
+def _field_at(params: CircuitParams, config: SambeConfig, phi, xi, om) -> tuple[float, float]:
+    """The scan's field (d eps01/d phi_dc, d eps01/d xi) at one drive point,
+    on an unchecked solve; the ``sweetspot`` task's cells evaluate it."""
+    drive = DriveParams(FluxBias(phi), xi, om)
+    return _matrix_element_derivatives(solve_floquet(params, drive, config,
+                                                     check_convergence=False))
+
+
+def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpotScan:
     """Locate sweet spots of the driven qubit on a (phi_dc, xi, omega) grid.
 
     ``grid`` provides the three axes (each a scalar or 1D sequence in any
-    order; axes are sorted before the scan).  Axes of length > 1 are scanned
-    for sign changes of the matrix-element derivative field; 1D scans are
-    refined by bracketing (flux-sweet spots along phi_dc, amplitude-sweet
-    spots along xi), and when both xi and omega vary, cells where both
+    order; axes are sorted before the scan).  The matrix-element derivative
+    field, evaluated at every grid point at the default truncation, is
+    scanned for sign changes along axes of length > 1; 1D scans are refined
+    by bracketing (flux-sweet spots along phi_dc, amplitude-sweet spots
+    along xi), and when both xi and omega vary, cells where both
     derivatives change sign seed a joint two-dimensional root refinement
-    (double sweet spots).  A refined spot is classified "double"
-    only if the drive is actually on (xi > 0) and both residual derivatives
-    are below ``tol_d`` (GHz per flux quantum).
+    (double sweet spots).  A refined spot is classified "double" only if
+    the drive is actually on (xi > 0) and both residual derivatives are
+    below 1e-4 GHz per flux quantum.  The ``sweetspot`` task runs the same
+    refinement on the field its cells computed.
 
     With no sign change anywhere the result has no spots and the diagnostics
     say what was scanned.  Each refined spot carries its coherence rates
     under ``noise``.
     """
+    config = SambeConfig()
     axes = tuple(
         tuple(np.sort(np.atleast_1d(np.asarray(v, dtype=float))))
         for v in (grid.phi_dc, grid.xi, grid.omega)
     )
+    field = [_field_at(params, config, *point) for point in itertools.product(*axes)]
+    return _refine_sweet_spots(params, noise, config, axes, np.array(field), tol_d=1e-4)
+
+
+def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeConfig,
+                        axes: tuple, field: np.ndarray, tol_d: float) -> SweetSpotScan:
+    """Sweet spots from ``field``, ``_field_at`` at each point of the ascending
+    (phi_dc, xi, omega) ``axes`` in row-major order; only refinement solves."""
     grid_phi, grid_xi, grid_om = axes
+    # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
+    d = np.asarray(field, dtype=float).reshape(*(len(a) for a in axes), 2)
+    d1, d2 = d[..., 0], d[..., 1]
 
     # root finders revisit drive points (bracket ends, hybr's seed, and the
     # root classify reads, which brentq may have evaluated one step before
-    # its last), so derivatives are memoised on the exact point and the
-    # few most recent solutions are kept; memory stays bounded
+    # its last), so derivatives are memoised on the exact point from the grid
+    # on, and the few most recent solutions are kept; memory stays bounded
     @functools.lru_cache(maxsize=4)
     def solved(phi: float, xi: float, om: float) -> FloquetSolution:
         drive = DriveParams(FluxBias(phi), xi, om)
         return solve_floquet(params, drive, config, check_convergence=False)
 
-    @functools.lru_cache(maxsize=None)
-    def derivs_at(phi: float, xi: float, om: float):
-        return _matrix_element_derivatives(solved(phi, xi, om))
+    derivs = dict(zip(itertools.product(*axes), map(tuple, d.reshape(-1, 2).tolist())))
 
-    # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
-    d = np.array([[[derivs_at(p, x, o) for o in grid_om] for x in grid_xi] for p in grid_phi])
-    d1, d2 = d[..., 0], d[..., 1]
+    def derivs_at(*point):
+        if point not in derivs:
+            derivs[point] = _matrix_element_derivatives(solved(*point))
+        return derivs[point]
 
     spots: list[SweetSpot] = []
     diags = {

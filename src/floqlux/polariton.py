@@ -62,8 +62,8 @@ class CavityParams:
     g_cap: float = 0.15
 
     def __post_init__(self) -> None:
-        if not (self.omega_c > 0 and self.g_cap >= 0):
-            raise ValueError("omega_c must be positive and g_cap non-negative")
+        if not (0 < self.omega_c < math.inf and 0 <= self.g_cap < math.inf):
+            raise ValueError("omega_c must be finite and positive, g_cap finite and non-negative")
 
 
 def floquet_dipole_coupling(sol: FloquetSolution, cavity: CavityParams, m: int) -> complex:

@@ -59,6 +59,9 @@ class ProbeParams:
     linewidth: float = 5e-3
 
     def __post_init__(self) -> None:
+        for name in ("rabi", "linewidth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rabi < 0:
             raise ValueError("rabi must be non-negative")
         if not self.linewidth > 0:
@@ -177,9 +180,14 @@ class RamseyConfig:
     t2r_true: float = 23e-6
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "window", "step"):  # t2r_true = inf: undamped
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.step < self.window:
             raise ValueError("step must be smaller than window")
         d = np.asarray(self.delays, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("delays must be finite")
         if d.size < 1 or np.any(np.diff(d) <= 0):
             raise ValueError("delays must be non-empty and strictly ascending")
         if d.size < 3:

@@ -1,16 +1,17 @@
 """Grid-sweep orchestration: run a task per grid cell, cache, export.
 
-Each task's record in ``floqlux.tasks`` decomposes it into independent jobs
-(one per grid cell or per spectroscopy sweep column, plus an optional
-whole-grid job).  A cell job is a pure function of the physics part of the
-config without its grid plus the job's coordinates, and is cached on disk
-as ``<output>/.cells/<key>.json``, where the key hashes exactly those (and
-the schema and package versions).  The whole-grid job's key takes the full
-config hash and the bytes of any data file it reads.  Finished jobs are
-written at least once a second and when the sweep stops for any reason,
-so reruns, refined or extended grids and interrupted sweeps recompute
-only what is missing or failed.  Aggregation
-is by row index and float formatting is fixed, which makes exports
+Each task's record in ``floqlux.tasks`` decomposes it into independent cell
+jobs (one per grid cell or per spectroscopy sweep column).  A cell job is a
+pure function of the physics part of the config without its grid plus the
+job's coordinates, and is cached on disk as ``<output>/.cells/<key>.json``,
+where the key hashes exactly those (and the schema and package versions).
+Finished cells are written at least once a second and when the sweep stops
+for any reason, so reruns, refined or extended grids and interrupted
+sweeps recompute only what is missing or failed.  A task's optional
+whole-grid step then runs in this process on the cells' outputs (the
+sweet-spot scan refines the field its cells computed); its key takes the
+full config hash and the bytes of any data file it reads.  Aggregation is
+by row index and float formatting is fixed, which makes exports
 byte-identical regardless of worker count.
 
 Wall-clock timings are kept on the result object for profiling but excluded
@@ -246,17 +247,8 @@ def _job_key(identity: str, coords: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _grid_job_identity(config: RunConfig) -> str:
-    """The grid job reads the whole grid, and the data file the config names."""
-    identity = config_hash(config)
-    path = config.polariton.data_file
-    if path and os.path.isfile(path):
-        identity += " " + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    return identity
-
-
 def _plan(task: Task, config: RunConfig):
-    """Axes and job list for one task; the grid job, if any, comes last.
+    """Axes and cell jobs for one task.
 
     A cell job is keyed by the physics config without its grid plus its
     coordinates, so every grid holding the cell shares its cache entry.
@@ -270,9 +262,6 @@ def _plan(task: Task, config: RunConfig):
     cell_identity = config_hash(replace(config, grid=GridSpec()))
     jobs = [_Job(i, task.job, coords, rows, _job_key(cell_identity, coords))
             for i, (coords, rows) in enumerate(cells)]
-    if task.grid_job is not None and task.wants_grid_job(config):
-        jobs.append(_Job(len(jobs), task.grid_job, {}, (),
-                         _job_key(_grid_job_identity(config), {})))
     return axes, jobs
 
 
@@ -313,6 +302,23 @@ def _write_cache(path: Path, job: _Job, out: dict) -> None:
     os.replace(tmp, path)
 
 
+def _grid_step(task: Task, config: RunConfig, outputs: list, cache_dir: Path) -> dict:
+    """The whole-grid step's payload; keyed by the full config and the data file
+    it names, and not cached when a cell it read failed."""
+    identity = config_hash(config)
+    data_file = config.polariton.data_file
+    if data_file and os.path.isfile(data_file):
+        identity += " " + hashlib.sha256(Path(data_file).read_bytes()).hexdigest()
+    job = _Job(len(outputs), lambda cfg, _: task.grid_job(cfg, outputs), {}, (),
+               _job_key(identity, {}))
+    out = _load_cache(_cache_path(cache_dir, job), job, 0)
+    if out is None:
+        out = _execute(config, job)
+        if "error" not in out and not any("error" in cell for cell in outputs):
+            _write_cache(_cache_path(cache_dir, job), job, out)
+    return {task.grid_key: {"error": out["error"]}} if "error" in out else out["extra"]
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -322,10 +328,11 @@ def _write_cache(path: Path, job: _Job, out: dict) -> None:
 def run_sweep(config: RunConfig) -> SweepResult:
     """Evaluate the configured task over its grid.
 
-    Jobs already present in the cell cache are loaded instead of recomputed,
-    and computed jobs are cached within a second and whenever the sweep
+    Cells already present in the cell cache are loaded instead of recomputed,
+    and computed cells are cached within a second and whenever the sweep
     stops, so a sweep cut by Ctrl-C or a dead worker keeps its finished
-    cells.  Per-cell solver failures mask the
+    cells.  Once every cell has finished, the task's whole-grid step, if it
+    has one, runs here on their outputs.  Per-cell solver failures mask the
     affected rows with a reason and never abort the sweep.  Output directory
     I/O errors do abort.  The sweep runs OpenBLAS at one thread, in at most
     one worker process per usable core, and restores the caller's BLAS
@@ -394,24 +401,22 @@ def run_sweep(config: RunConfig) -> SweepResult:
     finally:  # also on Ctrl-C or a dead worker: finished cells are kept
         save()
 
-    extras: list[dict] = []  # in job order
-    for job in jobs:
-        out = results[job.jid]
-        secs = float(out.get("seconds", 0.0))
-        per_row = secs / max(len(job.row_indices), 1)
+    outputs = [results[job.jid] for job in jobs]  # in job order
+    for job, out in zip(jobs, outputs):
+        per_row = float(out.get("seconds", 0.0)) / len(job.row_indices)
         if "error" in out:
             for r in job.row_indices:
                 mask[r] = True
                 reasons[r] = out["error"]
                 timings[r] = per_row
-            if not job.row_indices:  # the grid job
-                extras.append({task.grid_key: {"error": out["error"]}})
             continue
         for r, vals in zip(job.row_indices, out["rows"]):
             data[r] = vals
             timings[r] = per_row
-        if out.get("extra") is not None:
-            extras.append(out["extra"])
+    if task.grid_job is not None:
+        extra = _grid_step(task, config, outputs, cache_dir)
+    else:
+        extra = {k: v for out in outputs for k, v in out.get("extra", {}).items()}
 
     return SweepResult(
         task=config.task,
@@ -421,8 +426,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
         rows=np.hstack([coords_mat, data]) if n_rows else np.empty((0, len(columns))),
         mask=mask,
         reasons=reasons,
-        extra=(task.finalize(config, extras) if task.finalize is not None
-               else {k: v for piece in extras for k, v in piece.items()}),
+        extra=extra,
         config_hash=config_hash(config),
         timings=timings,
     )

@@ -9,13 +9,13 @@ masks; jobs are module-level so they pickle into worker processes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .circuit import FluxBias, diagonalize_static, transition_spline
-from .decoherence import coherence_rates, find_sweet_spots, quasienergy_derivatives
+from .decoherence import _field_at, _refine_sweet_spots, coherence_rates
 from .errors import ConfigError
 from .floquet import DriveParams, FloquetSolution, solve_floquet
 from .polariton import (
@@ -55,14 +55,15 @@ class Task:
             It may read any config section but the grid: the cell cache is
             keyed on the grid-free config and the coords alone.
         axes: grid axes whose product gives the cells, one row per cell.
-        grid_job: job run once after the cells, when ``wants_grid_job``
-            holds; it has no rows, and its failure goes to ``extra[grid_key]``.
+        grid_job: whole-grid step ``(config, outputs) -> output``, run in
+            the sweep's own process once every cell has finished, on the
+            cells' outputs in job order.  Its ``extra`` is the result's
+            (without a step, the cells' extras are merged); its failure goes
+            to ``extra[grid_key]``.
         check: config check raising ConfigError; by default the one every
             task that solves the driven problem needs.
         plan: ``config -> (axes, [(coords, row_indices), ...])`` for a grid
             that is not the product of ``axes``.
-        finalize: ``(config, extras) -> extra`` from the jobs' extras in
-            job order; by default they are merged.
     """
 
     columns: tuple
@@ -70,10 +71,8 @@ class Task:
     axes: tuple = ("phi_dc", "xi", "omega")
     grid_job: Callable | None = None
     grid_key: str = ""
-    wants_grid_job: Callable = lambda config: True
     check: Callable = _check_floquet_levels
     plan: Callable | None = None
-    finalize: Callable | None = None
 
 
 def _plain(obj):
@@ -182,7 +181,9 @@ def _job_polariton(config: RunConfig, coords):
     return {"rows": [vals]}
 
 
-def _job_polariton_fit(config: RunConfig, coords):
+def _job_polariton_fit(config: RunConfig, outputs):
+    if not config.polariton.data_file:
+        return {"rows": [], "extra": {}}
     data = np.loadtxt(config.polariton.data_file, ndmin=2)
     if data.ndim != 2 or data.shape[1] not in (2, 3):
         raise ConfigError(
@@ -196,20 +197,7 @@ def _job_polariton_fit(config: RunConfig, coords):
         data, config.cavity, curve, float(config.grid.omega[0]),
         capture_window=config.polariton.capture_window,
     )
-    return {
-        "rows": [],
-        "extra": {
-            "fit": _plain({
-                "g_m": fit.g_m,
-                "delta_m": fit.delta_m,
-                "g_err": fit.g_err,
-                "residual": fit.residual,
-                "unidentifiable": list(fit.unidentifiable),
-                "n_evaluations": fit.n_evaluations,
-                "success": fit.success,
-            })
-        },
-    }
+    return {"rows": [], "extra": {"fit": _plain(asdict(fit))}}
 
 
 def _check_spectroscopy(config: RunConfig) -> None:
@@ -255,13 +243,15 @@ def _job_spectroscopy(config: RunConfig, coords):
     }
 
 
-def _finalize_spectroscopy(config: RunConfig, extras) -> dict:
+def _job_spectroscopy_branches(config: RunConfig, outputs):
     g = config.grid
     fixed = {"phi_dc": g.phi_dc[0], "xi": g.xi[0], "omega": g.omega[0]}
     fixed.pop(config.probe.sweep)
+    extras = [out["extra"] for out in outputs if "error" not in out]
     points = [{"value": e["value"], "freqs": e["branch_freqs"]} for e in extras]
     branch_k = extras[-1]["branch_k"] if extras else []
-    return {"fixed": _plain(fixed), "branches": {"k": branch_k, "points": points}}
+    return {"rows": [],
+            "extra": {"fixed": _plain(fixed), "branches": {"k": branch_k, "points": points}}}
 
 
 def _job_coherence(config: RunConfig, coords):
@@ -281,14 +271,21 @@ def _job_coherence(config: RunConfig, coords):
 
 
 def _job_sweetspot(config: RunConfig, coords):
-    # field evaluation matches find_sweet_spots' own scan (unchecked solve)
-    derivs = quasienergy_derivatives(_solved(config, coords, check_convergence=False))
-    return {"rows": [[derivs.flux_me, derivs.xi_me]]}
+    field = _field_at(config.circuit, config.floquet,
+                      coords["phi_dc"], coords["xi"], coords["omega"])
+    return {"rows": [list(field)]}
 
 
-def _job_sweetspot_scan(config: RunConfig, coords):
-    scan = find_sweet_spots(config.circuit, config.noise, config.grid, config.floquet,
-                            tol_d=config.sweetspot.tol_d)
+def _job_sweetspot_scan(config: RunConfig, outputs):
+    # the cells hold the scan's field; a failed one fails the scan
+    for out in outputs:
+        if "error" in out:
+            return {"error": out["error"]}
+    axes = tuple(tuple(sorted(float(v) for v in getattr(config.grid, a)))
+                 for a in ("phi_dc", "xi", "omega"))
+    scan = _refine_sweet_spots(config.circuit, config.noise, config.floquet, axes,
+                               np.array([out["rows"][0] for out in outputs]),
+                               config.sweetspot.tol_d)
     spots = [
         {
             "kind": s.kind,
@@ -370,7 +367,6 @@ REGISTRY = {
         job=_job_polariton,
         grid_job=_job_polariton_fit,
         grid_key="fit",
-        wants_grid_job=lambda config: bool(config.polariton.data_file),
         check=_check_polariton,
     ),
     "spectroscopy": Task(
@@ -378,7 +374,8 @@ REGISTRY = {
         job=_job_spectroscopy,
         check=_check_spectroscopy,
         plan=_plan_spectroscopy,
-        finalize=_finalize_spectroscopy,
+        grid_job=_job_spectroscopy_branches,
+        grid_key="branches",
     ),
     "coherence": Task(
         columns=(("gamma_up", "1/s"), ("gamma_down", "1/s"), ("gamma_phi", "1/s"),

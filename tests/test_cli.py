@@ -65,6 +65,24 @@ def test_non_finite_grid_exit_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("task,section,line,reason", [
+    ("coherence", "noise", "a_dc = nan", "a_dc must be finite and non-negative"),
+    ("coherence", "noise", "temperature = inf", "temperature must be finite and non-negative"),
+    ("coherence", "circuit", "e_j = nan", "e_j must be finite and non-negative"),
+    ("spectroscopy", "probe", "rabi = nan", "rabi must be finite"),
+    ("ramsey", "ramsey", "omega0 = nan", "omega0 must be finite"),
+])
+def test_non_finite_physics_setting_exit_one(tmp_path, capsys, monkeypatch,
+                                             task, section, line, reason):
+    # rejected at parse time by the record the section feeds, before any solve
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    cfg = _write(tmp_path, f'task = "{task}"\n[grid]\nphi_dc = 0.451\nxi = 0.05\n'
+                           f'omega = 0.7\n[{section}]\n{line}\n')
+    assert main([task, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid [{section}] settings: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task", sorted(set(floqlux.tasks.REGISTRY) - {"static-spectrum"}))
 def test_circuit_levels_below_floquet_levels_exit_one(tmp_path, capsys, monkeypatch, task):
     # the driven problem keeps 5 levels of a 4-level circuit: rejected before any solve

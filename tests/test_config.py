@@ -212,7 +212,44 @@ def test_every_record_field_is_a_config_key(section, key):
     ("grid", "xi = [0.0, nan]", "grid axis xi must be finite"),
     ("grid", "phi_dc = [0.45, inf]", "grid axis phi_dc must be finite"),
     ("grid", "omega = -inf", "grid axis omega must be finite"),
+    ("noise", "a_dc = nan", "a_dc must be finite and non-negative"),
+    ("noise", "a_ac = inf", "a_ac must be finite and non-negative"),
+    ("noise", "tan_delta_c = nan", "tan_delta_c must be finite and non-negative"),
+    ("noise", "temperature = inf", "temperature must be finite and non-negative"),
+    ("circuit", "e_c = inf", "e_c and e_l must be finite and strictly positive"),
+    ("circuit", "e_j = nan", "e_j must be finite and non-negative"),
+    ("circuit", "e_l = inf", "e_c and e_l must be finite and strictly positive"),
+    ("probe", "rabi = nan", "rabi must be finite"),
+    ("probe", "linewidth = inf", "linewidth must be finite"),
+    ("ramsey", "omega0 = nan", "omega0 must be finite"),
+    ("ramsey", "window = inf", "window must be finite"),
+    ("ramsey", "delays = [0.0, 2e-6, inf]", "delays must be finite"),
+    ("ramsey", "delays = [0.0, nan, 4e-6]", "delays must be finite"),
+    ("probe", "omega_p = [nan, 0.7]", "probe omega_p must be finite"),
+    ("sweetspot", "tol_d = inf", "tol_d must be finite"),
+    ("polariton", "span = inf", "span must be finite"),
+    ("polariton", "capture_window = inf", "capture_window must be finite"),
+    ("cavity", "omega_c = inf", "omega_c must be finite and positive, g_cap finite and non-negative"),
+    ("cavity", "g_cap = inf", "omega_c must be finite and positive, g_cap finite and non-negative"),
 ])
 def test_section_rejected_by_the_record_it_feeds(section, line, reason):
     with pytest.raises(ConfigError, match=rf"^invalid \[{section}\] settings: {reason}$"):
         parse_config(f'task = "ramsey"\n[{section}]\n{line}\n')
+
+
+# the config keys that hold a float or a list of floats
+NUMBER_FIELDS = [(s, k) for s, k in SECTION_FIELDS
+                 if isinstance(getattr(getattr(RunConfig, s), k), (float, tuple))]
+
+
+@pytest.mark.parametrize("section,key", NUMBER_FIELDS, ids=[f"{s}.{k}" for s, k in NUMBER_FIELDS])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_physics_value_must_be_finite(section, key, value):
+    # t2r_true = inf is the one exception: an undamped Ramsey signal
+    listed = isinstance(getattr(getattr(RunConfig, section), key), tuple)
+    text = f'task = "ramsey"\n[{section}]\n{key} = {f"[0.1, {value}]" if listed else value}\n'
+    if (key, value) == ("t2r_true", "inf"):
+        assert parse_config(text).ramsey.t2r_true == float("inf")
+    else:
+        with pytest.raises(ConfigError, match=rf"^invalid \[{section}\] settings: "):
+            parse_config(text)

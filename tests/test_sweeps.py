@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -40,9 +41,11 @@ from floqlux import (
     synth_polariton_data,
     transition_spline,
 )
+import floqlux.decoherence
+import floqlux.tasks
 from floqlux.cli import main
 from floqlux import sweeps
-from floqlux.tasks import REGISTRY
+from floqlux.tasks import REGISTRY, Task
 
 
 @pytest.fixture()
@@ -569,3 +572,108 @@ def test_spectroscopy_undefined_balance_masked(tmp_path, capsys):
     path.write_text(text)
     assert main(["spectroscopy", "--config", str(path), "--out", str(tmp_path / "cli")]) == 2
     assert "DiagnosticError" in capsys.readouterr().err
+
+
+def test_every_task_field_is_set_by_some_record():
+    # a Task field that every record leaves at its default is a hook no task needs
+    unset = [f.name for f in dataclasses.fields(Task) if f.default is not dataclasses.MISSING
+             and all(getattr(task, f.name) == f.default for task in REGISTRY.values())]
+    assert not unset, f"Task fields no REGISTRY record sets: {unset}"
+
+
+_SPOT_GRID = GridSpec(phi_dc=(0.451,), xi=(0.0, 0.06, 0.12), omega=(0.7, 0.8))
+
+
+def _solved_points(monkeypatch) -> list:
+    """Drive points of every solve the sweet-spot cells and scan run."""
+    points = []
+    for module in (floqlux.tasks, floqlux.decoherence):
+        def counting(params, drive, *args, _solve=module.solve_floquet, **kwargs):
+            points.append((drive.bias.phi_dc, drive.xi, drive.omega))
+            return _solve(params, drive, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_floquet", counting)
+    return points
+
+
+def _grid_step_files(cfg) -> list:
+    """The run's cache files that hold no cell: the whole-grid step's."""
+    _, jobs = sweeps._plan(REGISTRY[cfg.task], cfg)
+    return [p for p in _cell_files(cfg) if p.stem not in {job.key for job in jobs}]
+
+
+def test_sweetspot_run_solves_each_drive_point_once(tmp_path, monkeypatch):
+    # the scan refines the field its cells computed instead of solving the grid again
+    points = _solved_points(monkeypatch)
+    res = run_sweep(RunConfig(task="sweetspot", grid=_SPOT_GRID, output=str(tmp_path / "o")))
+    assert "double" in [s["kind"] for s in res.extra["spots"]]
+    assert set(itertools.product(*dataclasses.astuple(_SPOT_GRID))) <= set(points)
+    assert len(points) == len(set(points))
+
+
+def test_missing_grid_step_alone_is_recomputed(tmp_path, monkeypatch):
+    cfg = RunConfig(task="sweetspot", grid=_SPOT_GRID, output=str(tmp_path / "o"))
+    first = run_sweep(cfg)
+    (step_file,) = _grid_step_files(cfg)
+    step_file.unlink()
+    steps = []
+    task = REGISTRY["sweetspot"]
+    monkeypatch.setitem(REGISTRY, "sweetspot", dataclasses.replace(
+        task, grid_job=lambda config, outputs: steps.append(1) or task.grid_job(config, outputs)))
+    points = _solved_points(monkeypatch)
+    again = run_sweep(cfg)
+    assert again == first
+    assert _computed(again) == 0 and steps == [1]  # every cell came from the cache
+    assert points and not set(points) & set(itertools.product(*dataclasses.astuple(_SPOT_GRID)))
+    assert _grid_step_files(cfg) == [step_file]
+    run_sweep(cfg)
+    assert steps == [1]  # now the step is cached too
+
+
+def test_failed_field_cell_fails_the_scan_uncached(tmp_path):
+    cfg = RunConfig(task="sweetspot", grid=GridSpec(phi_dc=(0.451,), xi=(-0.05, 0.0, 0.1),
+                                                    omega=(0.7, 0.8)),
+                    output=str(tmp_path / "o"))
+    res = run_sweep(cfg)
+    reason = "ValueError: drive amplitude xi must be non-negative"
+    assert res.reasons == {0: reason, 1: reason}
+    assert res.extra == {"scan": {"error": reason}}
+    assert _cell_files(cfg) and not _grid_step_files(cfg)
+
+
+def test_grid_step_that_read_a_masked_cell_is_not_cached(tmp_path):
+    # the branch overlay skips the failed column; a rerun must recompute it
+    cfg = RunConfig(task="spectroscopy",
+                    grid=GridSpec(phi_dc=(0.45,), xi=(-0.05, 0.02), omega=(0.5,)),
+                    probe=ProbeSpec(omega_p=(0.70, 0.72), sweep="xi"),
+                    output=str(tmp_path / "o"))
+    res = run_sweep(cfg)
+    assert res.mask.tolist() == [True, True, False, False]
+    assert [p["value"] for p in res.extra["branches"]["points"]] == [0.02]
+    assert len(_cell_files(cfg)) == 1 and not _grid_step_files(cfg)
+
+
+@pytest.mark.parametrize("task", ["sweetspot", "spectroscopy", "polariton"])
+def test_grid_step_exports_ignore_workers_and_cache(task, tmp_path, monkeypatch):
+    # two usable cores whatever the host has, so two workers make a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base = {
+        "sweetspot": RunConfig(task="sweetspot", grid=_SPOT_GRID),
+        "spectroscopy": RunConfig(task="spectroscopy",
+                                  grid=GridSpec(phi_dc=(0.45, 0.46, 0.47), xi=(0.05,),
+                                                omega=(0.5,)),
+                                  probe=ProbeSpec(omega_p=(0.70, 0.72, 0.74))),
+        "polariton": RunConfig(task="polariton",
+                               grid=GridSpec(phi_dc=(0.3, 0.31), xi=(0.05,), omega=(0.2,)),
+                               polariton=PolaritonSpec(
+                                   data_file=_peak_file(tmp_path / "peaks.txt", 0.02))),
+    }[task]
+    exports = set()
+    for workers in (1, 2):
+        cfg = dataclasses.replace(base, output=str(tmp_path / f"w{workers}"), workers=workers)
+        for run in ("cold", "warm"):
+            res = run_sweep(cfg)
+            assert _computed(res) == (0 if run == "warm" else res.rows.shape[0])
+            exports.add(export(res, tmp_path / f"{workers}-{run}", "json")[0].read_bytes())
+    assert len(exports) == 1
+    assert json.loads(exports.pop())["extra"]
