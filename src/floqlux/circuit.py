@@ -236,9 +236,13 @@ def transition_spline(
     model).  The spline is built on a uniform grid; callers should keep their
     evaluations inside [phi_min, phi_max].
     """
+    return _spline_through(params, level_a, level_b, np.linspace(phi_min, phi_max, num))
+
+
+def _spline_through(params: CircuitParams, level_a: int, level_b: int, grid: np.ndarray):
+    """Cubic spline of the a->b transition frequency through the ascending fluxes ``grid``."""
     from scipy.interpolate import CubicSpline
 
-    grid = np.linspace(phi_min, phi_max, num)
     energies = np.array([diagonalize_static(params, FluxBias(float(phi))).energies
                          for phi in grid])
     return CubicSpline(grid, energies[:, level_b] - energies[:, level_a])

@@ -36,13 +36,19 @@ _OVERLAY_K = np.arange(-4, 5)  # sidebands k of the spectroscopy overlay eps01 +
 
 
 def _check_floquet_levels(config: RunConfig) -> None:
-    """Every task but static-spectrum drives [floquet] n_levels circuit levels."""
+    """Every task but static-spectrum drives [floquet] n_levels circuit levels,
+    at every grid xi and omega."""
     if config.circuit.n_levels < config.floquet.n_levels:
         raise ConfigError(
             f"the driven problem keeps [floquet] n_levels = {config.floquet.n_levels} levels; "
             f"set [circuit] n_levels >= {config.floquet.n_levels} "
             f"(got {config.circuit.n_levels})"
         )
+    g = config.grid
+    try:  # the drive's own rules, on the grid's lowest xi and omega
+        DriveParams(FluxBias(float(g.phi_dc[0])), float(min(g.xi)), float(min(g.omega)))
+    except ValueError as exc:
+        raise ConfigError(f"invalid [grid] settings: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,6 @@ def _job_spectroscopy(config: RunConfig, coords):
         "rows": [[float(p)] for p in p1],
         "extra": {
             "value": coords[config.probe.sweep],
-            "branch_k": _plain(_OVERLAY_K),
             "branch_freqs": _plain(sol.splitting(1, 0, "natural") + _OVERLAY_K * sol.drive.omega),
         },
     }
@@ -249,7 +254,7 @@ def _job_spectroscopy_branches(config: RunConfig, outputs):
     fixed.pop(config.probe.sweep)
     extras = [out["extra"] for out in outputs if "error" not in out]
     points = [{"value": e["value"], "freqs": e["branch_freqs"]} for e in extras]
-    branch_k = extras[-1]["branch_k"] if extras else []
+    branch_k = _plain(_OVERLAY_K) if extras else []
     return {"rows": [],
             "extra": {"fixed": _plain(fixed), "branches": {"k": branch_k, "points": points}}}
 

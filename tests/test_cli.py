@@ -94,6 +94,26 @@ def test_circuit_levels_below_floquet_levels_exit_one(tmp_path, capsys, monkeypa
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("task", sorted(set(floqlux.tasks.REGISTRY) - {"static-spectrum"}))
+@pytest.mark.parametrize("axes,reason", [
+    ("xi = [-0.05, 0.0]\nomega = 0.7", "drive amplitude xi must be non-negative"),
+    ("xi = 0.05\nomega = 0.0", "drive frequency omega must be strictly positive"),
+    ("xi = 0.05\nomega = [-0.3, 0.7]", "drive frequency omega must be strictly positive"),
+], ids=["xi", "omega_zero", "omega_negative"])
+def test_drive_outside_its_domain_exit_one(tmp_path, capsys, monkeypatch, task, axes, reason):
+    # rejected by the task's check before any solve, not masked cell by cell
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    cfg = _write(tmp_path, f'task = "{task}"\n[grid]\nphi_dc = 0.45\n{axes}\n')
+    assert main([task, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"invalid [grid] settings: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_static_spectrum_ignores_the_drive_axes(tmp_path):
+    cfg = _write(tmp_path, MINIMAL + "xi = [-0.05, 0.0]\nomega = 0.0\n")
+    assert main(["static-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_static_spectrum_needs_no_floquet_levels(tmp_path):
     cfg = _write(tmp_path, MINIMAL + "[circuit]\nn_levels = 4\n")
     assert main(["static-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

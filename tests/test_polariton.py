@@ -18,6 +18,7 @@ from floqlux import (
     FluxBias,
     OutOfWindowError,
     RWAParams,
+    diagonalize_static,
     fit_polariton,
     floquet_dipole_coupling,
     polariton_manifold_eigs,
@@ -247,15 +248,44 @@ def test_fit_rejects_malformed_data():
 
 
 def test_rwa_params_reuse_static_spectra(params, eigensolves):
-    # 41 spline biases plus 5 stencil biases (the centre one shared here),
+    # 42 lattice nodes plus 5 stencil biases (the centre is not a node here),
     # all functions of the bias only, so a second drive amplitude at the
     # same bias solves nothing new
     cavity = CavityParams()
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
     first = len(eigensolves)
-    assert first == len(set(eigensolves)) == 45
+    assert first == len(set(eigensolves)) == 47
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.1)
     assert len(eigensolves) == first
+
+
+def test_rwa_params_share_lattice_nodes_with_a_neighbour(params, eigensolves):
+    # the spline nodes sit on one flux lattice of step span/20 = 0.005, so a
+    # bias 0.011 further on adds at most 3 new nodes and its 5 stencil biases
+    cavity = CavityParams()
+    rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
+    first = len(eigensolves)
+    rwa_params_from_circuit(params, CROSSING_PHI + 0.011, cavity, 0.05)
+    assert 0 < len(eigensolves) - first <= 8
+
+
+def test_rwa_params_do_not_depend_on_the_memo(params, eigensolves):
+    # a cell's values are the same whether its neighbour warmed the memo or not
+    cavity = CavityParams()
+    bias, xi = CROSSING_PHI + 0.011, 0.05
+    dphi = np.linspace(-xi, xi, 41)
+
+    def sampled():
+        rwa = rwa_params_from_circuit(params, bias, cavity, xi)
+        return [rwa.omega3, rwa.g, rwa.g_prime, *rwa.zeta(dphi)]
+
+    cold = sampled()
+    diagonalize_static.cache_clear()
+    rwa_params_from_circuit(params, CROSSING_PHI, cavity, xi)
+    hits = diagonalize_static.cache_info().hits
+    warm = sampled()
+    assert diagonalize_static.cache_info().hits > hits
+    assert warm == cold
 
 
 def test_rwa_params_reject_a_drive_beyond_the_spline(params, eigensolves):

@@ -21,6 +21,7 @@ from floqlux import (
     CavityParams,
     CircuitParams,
     ConfigError,
+    DiagnosticError,
     DriveParams,
     ExportError,
     FluxBias,
@@ -42,6 +43,7 @@ from floqlux import (
     transition_spline,
 )
 import floqlux.decoherence
+import floqlux.spectroscopy
 import floqlux.tasks
 from floqlux.cli import main
 from floqlux import sweeps
@@ -140,6 +142,16 @@ def test_invalid_cell_recomputed(small_cfg, corrupt):
     again = run_sweep(small_cfg)
     assert again == first
     assert _computed(again) == 1
+
+
+def test_cell_of_another_package_version_recomputed(small_cfg, monkeypatch):
+    # a change to cell outputs bumps the version, so cells it wrote are never read back
+    first = run_sweep(small_cfg)
+    monkeypatch.setattr(sweeps, "__version__", sweeps.__version__ + ".other")
+    again = run_sweep(small_cfg)
+    assert _computed(again) == small_cfg.grid.size
+    assert again == first
+    assert len(_cell_files(small_cfg)) == 2 * small_cfg.grid.size
 
 
 def test_extended_axes_compute_only_new_cells(tmp_path):
@@ -503,10 +515,25 @@ def test_spectroscopy_axes_and_extra(tmp_path):
     assert np.all((res.column("p1") >= 0) & (res.column("p1") <= 1))
 
 
+def _fail_solves_at(monkeypatch, xi, *modules) -> str:
+    """Make ``solve_floquet`` fail at drive amplitude ``xi`` where ``modules``
+    call it; returns the masked cell's reason."""
+    for module in modules:
+        def failing(params, drive, *args, _solve=module.solve_floquet, **kwargs):
+            if drive.xi == xi:
+                raise DiagnosticError(f"no solution at xi={xi}")
+            return _solve(params, drive, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_floquet", failing)
+    return f"DiagnosticError: no solution at xi={xi}"
+
+
 @pytest.mark.parametrize("sweep,values", [("phi_dc", (0.45, 0.46, 0.47)),
-                                          ("xi", (-0.05, 0.02, 0.05))])
-def test_spectroscopy_task_matches_the_library_map(tmp_path, sweep, values):
-    # each column is the map's point, bit for bit; a negative xi fails in both
+                                          ("xi", (0.0, 0.02, 0.05))])
+def test_spectroscopy_task_matches_the_library_map(tmp_path, monkeypatch, sweep, values):
+    # each column is the map's point, bit for bit; a failed solve is masked in both
+    if sweep == "xi":
+        reason = _fail_solves_at(monkeypatch, 0.0, floqlux.tasks, floqlux.spectroscopy)
     fixed = {"phi_dc": 0.45, "xi": 0.05, "omega": 0.5}
     probe_freqs = (0.70, 0.72, 0.74, 0.9)
     res = run_sweep(RunConfig(
@@ -522,7 +549,7 @@ def test_spectroscopy_task_matches_the_library_map(tmp_path, sweep, values):
     assert np.array_equal(res.mask, np.repeat(m.mask, n_p))
     assert res.reasons == {i * n_p + j: m.failures[i] for i in m.failures for j in range(n_p)}
     if sweep == "xi":
-        assert m.failures == {0: "ValueError: drive amplitude xi must be non-negative"}
+        assert m.failures == {0: reason}
     points = res.extra["branches"]["points"]
     assert [p["value"] for p in points] == [v for v, bad in zip(values, m.mask) if not bad]
     k = np.array(res.extra["branches"]["k"])
@@ -630,21 +657,22 @@ def test_missing_grid_step_alone_is_recomputed(tmp_path, monkeypatch):
     assert steps == [1]  # now the step is cached too
 
 
-def test_failed_field_cell_fails_the_scan_uncached(tmp_path):
-    cfg = RunConfig(task="sweetspot", grid=GridSpec(phi_dc=(0.451,), xi=(-0.05, 0.0, 0.1),
+def test_failed_field_cell_fails_the_scan_uncached(tmp_path, monkeypatch):
+    reason = _fail_solves_at(monkeypatch, 0.0, floqlux.decoherence)
+    cfg = RunConfig(task="sweetspot", grid=GridSpec(phi_dc=(0.451,), xi=(0.0, 0.05, 0.1),
                                                     omega=(0.7, 0.8)),
                     output=str(tmp_path / "o"))
     res = run_sweep(cfg)
-    reason = "ValueError: drive amplitude xi must be non-negative"
     assert res.reasons == {0: reason, 1: reason}
     assert res.extra == {"scan": {"error": reason}}
     assert _cell_files(cfg) and not _grid_step_files(cfg)
 
 
-def test_grid_step_that_read_a_masked_cell_is_not_cached(tmp_path):
+def test_grid_step_that_read_a_masked_cell_is_not_cached(tmp_path, monkeypatch):
     # the branch overlay skips the failed column; a rerun must recompute it
+    _fail_solves_at(monkeypatch, 0.0, floqlux.tasks)
     cfg = RunConfig(task="spectroscopy",
-                    grid=GridSpec(phi_dc=(0.45,), xi=(-0.05, 0.02), omega=(0.5,)),
+                    grid=GridSpec(phi_dc=(0.45,), xi=(0.0, 0.02), omega=(0.5,)),
                     probe=ProbeSpec(omega_p=(0.70, 0.72), sweep="xi"),
                     output=str(tmp_path / "o"))
     res = run_sweep(cfg)
