@@ -12,12 +12,26 @@ matrix representation uses the number basis of the harmonic part
 (associated Laguerre polynomials), so the assembled matrix is the exact
 projection of H onto the truncated basis and eigenvalues converge
 variationally from above as ``basis_dim`` grows.
+
+This module also holds the BLAS thread policy.  The static, Sambe and
+monodromy eigensolves and the banded LUs all run inside
+``diagonalize_static``, ``floquet.solve_floquet`` or
+``floquet.monodromy_oracle``.  Each of the three runs the OpenBLAS builds
+that numpy and scipy load at one thread, then restores the caller's counts:
+on matrices of 5 to a few hundred rows more threads buy no speed, only
+spin, and they change the last bits of ``eigh``.  So their results depend
+neither on the core count nor on ``OPENBLAS_NUM_THREADS``.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import importlib
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +46,55 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize_static",
 ]
+
+
+# the OpenBLAS builds in the numpy wheel (used by np.linalg) and in the scipy
+# wheel (used by scipy.linalg): package, thread-count setter and getter
+_OPENBLAS = (
+    ("numpy", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(setter, getter) of each OpenBLAS build found, looked up once per process.
+
+    A build that is missing, or lacks a symbol, is skipped with one warning.
+    """
+    controls, missing = [], []
+    for package, set_name, get_name in _OPENBLAS:
+        libdir = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
+        found = sorted(libdir.glob("*openblas*"))
+        try:
+            if not found:
+                raise OSError(f"no OpenBLAS library in {libdir}")
+            lib = ctypes.CDLL(str(found[0]))
+            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+        except (OSError, AttributeError) as exc:
+            missing.append(f"{package} ({exc})")
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        controls.append((setter, getter))
+    if missing:
+        warnings.warn(f"cannot set the OpenBLAS thread count of {', '.join(missing)}; "
+                      "the solvers run it at its own count", RuntimeWarning)
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS at one thread, then restore each build's previous count."""
+    controls = _openblas_controls()
+    previous = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, previous):
+            setter(count)
 
 
 @dataclass(frozen=True)
@@ -181,11 +244,13 @@ class StaticSpectrum:
 
 
 @functools.lru_cache(maxsize=64)
+@_one_blas_thread()
 def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     """Diagonalize the static circuit and return the lowest ``n_levels`` states.
 
     Spectra are memoised per ``(params, bias)`` in a bounded, per-process
-    LRU memo shared by every caller; the returned spectrum is read-only.
+    LRU memo shared by every caller; the returned spectrum is read-only.  A
+    solve runs OpenBLAS at one thread; a memo hit leaves the count alone.
 
     Raises:
         DiagnosticError: if the eigensolver fails or returns non-finite data.

@@ -36,7 +36,8 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import CircuitParams, FluxBias, StaticSpectrum, diagonalize_static
+from .circuit import (CircuitParams, FluxBias, StaticSpectrum, _one_blas_thread,
+                      diagonalize_static)
 from .errors import ConvergenceError, DiagnosticError, OutOfWindowError
 
 __all__ = [
@@ -476,6 +477,7 @@ def _representatives(band, omega, d):
     return _solve_sambe(_band_to_dense(band), omega, d)
 
 
+@_one_blas_thread()
 def solve_floquet(
     params: CircuitParams,
     drive: DriveParams,
@@ -587,6 +589,7 @@ _ORACLE_STEPS = 2048
 _ORACLE_DOUBLINGS = 3
 
 
+@_one_blas_thread()
 def monodromy_oracle(
     params: CircuitParams,
     drive: DriveParams,

@@ -18,21 +18,18 @@ Wall-clock timings are kept on the result object for profiling but excluded
 from both equality and exports; everything else round-trips through the JSON
 export losslessly.
 
-A sweep runs every OpenBLAS build numpy and scipy load at one thread, and
-restores their previous counts when it ends: on the 205-225 row Sambe
-solves more threads buy no speed, cost CPU time, oversubscribe the cores
-under worker processes and change the bits of ``eigh``.  So exports depend
-neither on the core count nor on ``OPENBLAS_NUM_THREADS``.  Parallelism
-comes from cells across at most one worker process per usable core.
+Every solver runs OpenBLAS at one thread (``circuit._one_blas_thread``).  A
+sweep also holds that count for its whole length, so the steps between the
+solves (the polariton fit, the Ramsey estimator) run at it too, and every
+worker process pins it when it starts: more threads would oversubscribe the
+cores under the workers.  So exports depend neither on the core count nor
+on ``OPENBLAS_NUM_THREADS``.  Parallelism comes from cells across at most
+one worker process per usable core.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import hashlib
-import importlib
 import itertools
 import json
 import os
@@ -46,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .circuit import _one_blas_thread, _openblas_controls
 from .config import GridSpec, RunConfig, emit_config
 from .errors import ExportError
 from .tasks import REGISTRY, Task
@@ -139,57 +137,8 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads and worker count
+# worker count
 # ---------------------------------------------------------------------------
-
-
-# the OpenBLAS builds in the numpy wheel (used by np.linalg) and in the scipy
-# wheel (used by scipy.linalg): package, thread-count setter and getter
-_OPENBLAS = (
-    ("numpy", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy", "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_controls() -> tuple:
-    """(setter, getter) of each OpenBLAS build found, looked up once per process.
-
-    A build that is missing, or lacks a symbol, is skipped with one warning.
-    """
-    controls, missing = [], []
-    for package, set_name, get_name in _OPENBLAS:
-        libdir = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
-        found = sorted(libdir.glob("*openblas*"))
-        try:
-            if not found:
-                raise OSError(f"no OpenBLAS library in {libdir}")
-            lib = ctypes.CDLL(str(found[0]))
-            setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-        except (OSError, AttributeError) as exc:
-            missing.append(f"{package} ({exc})")
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        controls.append((setter, getter))
-    if missing:
-        warnings.warn(f"cannot set the OpenBLAS thread count of {', '.join(missing)}; "
-                      "sweeps run it at its own count", RuntimeWarning)
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS at one thread, then restore each build's previous count."""
-    controls = _openblas_controls()
-    previous = [getter() for _, getter in controls]
-    for setter, _ in controls:
-        setter(1)
-    try:
-        yield
-    finally:
-        for (setter, _), count in zip(controls, previous):
-            setter(count)
 
 
 def _usable_cores() -> int:
@@ -441,16 +390,27 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
+# csv rows joined into one block at a time: holds at most this many row
+# strings at once, not one per row of the table
+_CSV_BLOCK_ROWS = 4096
+
+
 def _render_csv(result: SweepResult) -> str:
-    lines = [
-        ",".join(result.header + ("mask",)),
-        ",".join(result.units + ("bool",)),
-    ]
-    for i in range(result.rows.shape[0]):
-        cells = [_fmt(v) for v in result.rows[i]]
-        cells.append(str(int(result.mask[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    n_axes = len(result.axes)
+    # each distinct axis value, told apart by its bits, is formatted once
+    axis_cells = []
+    for col in result.rows[:, :n_axes].T:
+        values, where = np.unique(col.view(np.uint64), return_inverse=True)
+        axis_cells.append(np.array([_fmt(v) for v in values.view(np.float64)], dtype=object)[where])
+    blocks = [",".join(result.header + ("mask",)), ",".join(result.units + ("bool",))]
+    for lo in range(0, result.rows.shape[0], _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        rows = zip(*(cells[lo:hi] for cells in axis_cells), result.rows[lo:hi, n_axes:].tolist(),
+                   result.mask[lo:hi].tolist())
+        blocks.append("\n".join(",".join([*coords, *map(_fmt, data), "1" if masked else "0"])
+                                for *coords, data, masked in rows))
+    blocks.append("")  # the final newline, without copying the text once more
+    return "\n".join(blocks)
 
 
 def _render_json(result: SweepResult) -> str:
@@ -509,6 +469,7 @@ def export(result: SweepResult, directory, fmt: str = "csv",
     csv carries two header rows (names, units) plus a mask column; json is a
     lossless document ``import_result`` reads back; plotdata is a long-form
     table for generic plotting tools.  Failure reasons appear only in json.
+    The file is written whole or not at all, also when the export is cut.
 
     Raises:
         ExportError: the target exists and ``overwrite`` is not set.
@@ -521,7 +482,14 @@ def export(result: SweepResult, directory, fmt: str = "csv",
     path = directory / filename.format(task=result.task)
     if path.exists() and not overwrite:
         raise ExportError(f"{path} exists; pass overwrite to replace it")
-    path.write_text(render(result), encoding="utf-8")
+    # written beside the target and renamed onto it, so an interrupted
+    # export leaves no truncated file there
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(render(result), encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return (path,)
 
 

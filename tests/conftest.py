@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference circuit and a few cached solutions."""
+"""Shared fixtures: the reference circuit, a few cached solutions and the
+OpenBLAS thread counts."""
 
 from __future__ import annotations
 
@@ -68,3 +69,22 @@ def eigensolves(monkeypatch):
                         lambda p, bias: biases.append(bias.phi_dc) or build(p, bias))
     diagonalize_static.cache_clear()
     return biases
+
+
+def _blas_threads() -> tuple:
+    """Thread counts of the OpenBLAS builds found: numpy's, then scipy's."""
+    return tuple(getter() for _, getter in floqlux.circuit._openblas_controls())
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """Both OpenBLAS builds at 2 threads, so that a pin to 1 shows; restored after."""
+    controls = floqlux.circuit._openblas_controls()
+    if len(controls) != 2:
+        pytest.skip("the numpy and scipy OpenBLAS builds were not both found")
+    before = _blas_threads()
+    for setter, _ in controls:
+        setter(2)
+    yield
+    for (setter, _), count in zip(controls, before):
+        setter(count)

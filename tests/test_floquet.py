@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import _blas_threads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +30,7 @@ from floqlux import (
     monodromy_oracle,
     solve_floquet,
 )
+import floqlux.circuit
 from floqlux import floquet
 from floqlux.errors import ConvergenceError, DiagnosticError
 from floqlux.floquet import _propagate_period, _select_representatives
@@ -542,6 +550,117 @@ def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_dri
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+# each solver, run cold at the spot with the library it reaches LAPACK
+# through, and a way to make it raise
+_SOLVERS = {
+    "diagonalize_static": (
+        scipy.linalg, lambda p, spec, drive, cfg: diagonalize_static(p, FluxBias(0.4375))),
+    "solve_floquet": (
+        scipy.linalg, lambda p, spec, drive, cfg: solve_floquet(p, drive, cfg, spectrum=spec)),
+    "monodromy_oracle": (
+        np.linalg, lambda p, spec, drive, cfg: monodromy_oracle(p, drive, spectrum=spec)),
+}
+
+
+def _record_eigh(monkeypatch, linalg, seen, fail=False):
+    """Record the BLAS thread counts at each ``linalg.eigh`` call; with
+    ``fail``, the call then raises instead of solving."""
+    eigh = linalg.eigh
+
+    def recorded(*args, **kwargs):
+        seen.append(_blas_threads())
+        if fail:
+            raise np.linalg.LinAlgError("injected failure")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", recorded)
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solvers_run_at_one_blas_thread(params, spec_451, spot_drive, two_blas_threads,
+                                        monkeypatch, solver):
+    linalg, run = _SOLVERS[solver]
+    seen = []
+    _record_eigh(monkeypatch, linalg, seen)
+    diagonalize_static.cache_clear()
+    run(params, spec_451, spot_drive, SambeConfig())
+    assert seen and set(seen) == {(1, 1)}
+    assert _blas_threads() == (2, 2)
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solvers_restore_blas_threads_when_they_raise(params, spec_451, spot_drive,
+                                                      two_blas_threads, monkeypatch, solver):
+    linalg, run = _SOLVERS[solver]
+    if solver == "solve_floquet":  # the Sambe cap raises before any eigensolve
+        config, error = SambeConfig(n_levels=5, sideband_cutoff=600), DiagnosticError
+    else:
+        _record_eigh(monkeypatch, linalg, [], fail=True)
+        config, error = SambeConfig(), (DiagnosticError, np.linalg.LinAlgError)
+    diagonalize_static.cache_clear()
+    with pytest.raises(error):
+        run(params, spec_451, spot_drive, config)
+    assert _blas_threads() == (2, 2)
+
+
+def test_static_memo_hit_leaves_blas_threads_alone(params, monkeypatch):
+    lookups = []
+    controls = floqlux.circuit._openblas_controls
+    monkeypatch.setattr(floqlux.circuit, "_openblas_controls",
+                        lambda: lookups.append(1) or controls())
+    diagonalize_static.cache_clear()
+    diagonalize_static(params, FluxBias(0.4375))
+    assert len(lookups) == 1
+    diagonalize_static(params, FluxBias(0.4375))
+    assert len(lookups) == 1
+
+
+_LIBRARY_RESULTS = """
+import json
+import numpy as np
+from floqlux import (CircuitParams, DriveParams, FluxBias, NoiseModel, SambeConfig,
+                     coherence_rates, monodromy_oracle, solve_floquet)
+
+def bits(*values):
+    return "".join(np.ascontiguousarray(v).tobytes().hex() for v in values)
+
+params = CircuitParams()
+spot = DriveParams(FluxBias(0.451), 0.0855831, 0.7743211)
+certify = solve_floquet(params, spot, SambeConfig(sideband_cutoff=28))
+whole = solve_floquet(params, DriveParams(FluxBias(0.451), 0.2, 0.5))
+rates = coherence_rates(params, spot, NoiseModel(), fd=True)
+d = rates.derivatives
+print(json.dumps({
+    "solve_floquet N_s 28": bits(certify.rep_energies, certify.fourier_blocks),
+    "monodromy_oracle": bits(monodromy_oracle(params, spot)),
+    "coherence_rates fd": bits([rates.gamma_up, rates.gamma_down, rates.gamma_phi,
+                                d.flux_me, d.xi_me, d.flux_fd, d.xi_fd]),
+    "dense whole window": bits(whole.rep_energies, whole.fourier_blocks),
+}))
+"""
+
+
+def test_library_results_ignore_the_blas_thread_setting():
+    # one interpreter per setting: OpenBLAS reads it when it loads.  The
+    # certify stage's N_s = 28 solve, the oracle, the finite differences at
+    # the double spot, and a drive whose ladder ends in the dense 205-row
+    # window, where 1 and 2 threads give different eigh bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    results = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _LIBRARY_RESULTS], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        results.append(json.loads(proc.stdout))
+    differ = sorted(case for case in results[0]
+                    if not results[0][case] == results[1][case] == results[2][case])
+    assert not differ, f"results that depend on OPENBLAS_NUM_THREADS: {differ}"
 
 
 def test_monodromy_oracle_unconverged_steps_raise(params, spec_451, monkeypatch):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _blas_threads
 from scipy.optimize import brentq
 
 from floqlux import (
@@ -31,6 +32,7 @@ from floqlux import (
     ProbeSpec,
     RamseyConfig,
     RunConfig,
+    SweepResult,
     config_hash,
     diagonalize_static,
     export,
@@ -42,6 +44,7 @@ from floqlux import (
     synth_polariton_data,
     transition_spline,
 )
+import floqlux.circuit
 import floqlux.decoherence
 import floqlux.spectroscopy
 import floqlux.tasks
@@ -258,24 +261,6 @@ def test_dead_worker_keeps_finished_cells(small_cfg, monkeypatch):
     assert _computed(run_sweep(cfg)) == 1
 
 
-def _blas_threads() -> tuple:
-    return tuple(getter() for _, getter in sweeps._openblas_controls())
-
-
-@pytest.fixture()
-def two_blas_threads():
-    """Both OpenBLAS builds at 2 threads, so that a pin to 1 shows; restored after."""
-    controls = sweeps._openblas_controls()
-    if len(controls) != 2:
-        pytest.skip("the numpy and scipy OpenBLAS builds were not both found")
-    before = _blas_threads()
-    for setter, _ in controls:
-        setter(2)
-    yield
-    for (setter, _), count in zip(controls, before):
-        setter(count)
-
-
 def _job_reporting_blas_threads(config, coords):
     numpy_threads, scipy_threads = _blas_threads()
     return {"rows": [[numpy_threads, scipy_threads, 0.0, 0.0, 0.0, 0.0, 0.0]]}
@@ -301,9 +286,10 @@ def test_blas_threads_restored_when_a_sweep_raises(small_cfg, two_blas_threads, 
 
 
 def test_missing_blas_symbol_warns_once(small_cfg, tmp_path, monkeypatch):
-    monkeypatch.setattr(sweeps, "_OPENBLAS",
-                        sweeps._OPENBLAS[:1] + (("scipy", "no_such_setter", "no_such_getter"),))
-    sweeps._openblas_controls.cache_clear()
+    circuit = floqlux.circuit
+    monkeypatch.setattr(circuit, "_OPENBLAS",
+                        circuit._OPENBLAS[:1] + (("scipy", "no_such_setter", "no_such_getter"),))
+    circuit._openblas_controls.cache_clear()
     try:
         with pytest.warns(RuntimeWarning) as caught:
             for name in ("a", "b"):
@@ -313,7 +299,7 @@ def test_missing_blas_symbol_warns_once(small_cfg, tmp_path, monkeypatch):
         assert len(blas) == 1 and "no_such_setter" in str(blas[0].message)
         assert (tmp_path / "b" / "floquet.csv").read_text().count("\n") == 2 + small_cfg.grid.size
     finally:
-        sweeps._openblas_controls.cache_clear()
+        circuit._openblas_controls.cache_clear()
 
 
 class _InlinePool:
@@ -424,6 +410,24 @@ def test_csv_layout(small_cfg, tmp_path):
     assert all(len(line.split(",")) == len(header) for line in lines[2:])
 
 
+def test_csv_formats_every_cell_as_its_own_value(monkeypatch):
+    # repeated, signed-zero, non-finite and masked values, over two row
+    # blocks; each cell must read as "%.17g" of its own value, as a per-cell
+    # loop writes it
+    monkeypatch.setattr(sweeps, "_CSV_BLOCK_ROWS", 4)
+    rows = np.array([[0.5, 0.0, 1.0 / 3.0], [0.5, -0.0, np.nan], [-0.0, 0.1, np.inf],
+                     [0.0, 0.1, -np.inf], [0.5, 0.1, 1.0 / 3.0], [1e-300, 0.1, -0.0]])
+    res = SweepResult(task="floquet", axes={"phi_dc": (-0.0, 0.0, 1e-300, 0.5), "xi": (0.0, 0.1)},
+                      columns=("eps",), units=("Phi0", "Phi0", "GHz"), rows=rows,
+                      mask=np.array([False, True, False, False, False, True]),
+                      reasons={}, extra={}, config_hash="")
+    text = sweeps._render_csv(res)
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    body = text.splitlines()[2:]
+    assert body == [",".join(["%.17g" % v for v in row] + [str(int(m))])
+                    for row, m in zip(rows, res.mask)]
+
+
 def test_json_roundtrip(small_cfg, tmp_path):
     res = run_sweep(small_cfg)
     path = export(res, tmp_path / "json", "json")[0]
@@ -449,6 +453,22 @@ def test_export_overwrite_refusal(small_cfg, tmp_path):
     with pytest.raises(ExportError, match="overwrite"):
         export(res, tmp_path / "once", "csv")
     export(res, tmp_path / "once", "csv", overwrite=True)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plotdata"])
+def test_interrupted_export_leaves_no_file(small_cfg, tmp_path, monkeypatch, fmt):
+    res = run_sweep(small_cfg)
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            export(res, tmp_path, fmt)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    path = export(res, tmp_path, fmt)[0]  # nothing to refuse without overwrite
+    assert path.read_bytes() == export(res, tmp_path / "again", fmt)[0].read_bytes()
 
 
 def test_masked_failure_rows(tmp_path):
