@@ -304,6 +304,20 @@ def transition_spline(
     return _spline_through(params, level_a, level_b, np.linspace(phi_min, phi_max, num))
 
 
+# the package's a->b splines take their nodes from one flux lattice, so
+# splines over nearby windows share static eigensolves through the memo
+_SPLINE_STEP = 0.005
+_SPLINE_MARGIN = 4  # lattice steps beyond the window on each side
+
+
+def _lattice_spline(params: CircuitParams, level_a: int, level_b: int, lo: float, hi: float):
+    """Cubic spline of the a->b transition frequency on [lo, hi], through the
+    multiples of ``_SPLINE_STEP`` that cover it plus ``_SPLINE_MARGIN`` steps."""
+    k = np.arange(math.floor(lo / _SPLINE_STEP) - _SPLINE_MARGIN,
+                  math.ceil(hi / _SPLINE_STEP) + _SPLINE_MARGIN + 1)
+    return _spline_through(params, level_a, level_b, k * _SPLINE_STEP)
+
+
 def _spline_through(params: CircuitParams, level_a: int, level_b: int, grid: np.ndarray):
     """Cubic spline of the a->b transition frequency through the ascending fluxes ``grid``."""
     from scipy.interpolate import CubicSpline

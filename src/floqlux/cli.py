@@ -3,7 +3,7 @@
 The subcommand must match the task declared in the config file; command-line
 options override the config's execution keys (never its physics).  Exit
 codes: 0 success, 1 config error (including usage errors), 2 the sweep ran
-but some cells failed, 3 fatal I/O or solver breakdown.
+but some cells or the grid step failed, 3 fatal I/O or solver breakdown.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 from .config import FORMATS, TASKS, emit_config, parse_config
 from .errors import ConfigError, ExportError, FloqluxError
 from .sweeps import export, run_sweep
+from .tasks import REGISTRY
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +112,11 @@ def main(argv=None) -> int:
               "(masked rows; reasons in the json export):", file=sys.stderr)
         for row in sorted(result.reasons)[:5]:
             print(f"  row {row}: {result.reasons[row]}", file=sys.stderr)
-        return 2
-    return 0
+    step = REGISTRY[config.task].grid_key
+    step_error = step and result.extra.get(step, {}).get("error")
+    if step_error:
+        print(f"the whole-grid step failed ({step}): {step_error}", file=sys.stderr)
+    return 2 if n_failed or step_error else 0
 
 
 if __name__ == "__main__":

@@ -93,14 +93,12 @@ class PolaritonSpec:
 
     data_file: str = ""
     capture_window: float = 0.12
-    span: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("capture_window", "span"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
+        if not self.capture_window > 0:
+            raise ValueError("capture_window must be positive")
+        if self.capture_window == math.inf:
+            raise ValueError("capture_window must be finite")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .circuit import CircuitParams, FluxBias, _spline_through, diagonalize_static
+from .circuit import CircuitParams, FluxBias, _lattice_spline, diagonalize_static
 from .decoherence import _five_point
 from .errors import ConvergenceError, FitError, OutOfWindowError
 from .floquet import FloquetSolution
@@ -220,31 +220,19 @@ def rwa_coupling(rwa: RWAParams, coeffs: PhaseCoefficients, n: int) -> complex:
     )
 
 
-def rwa_params_from_circuit(
-    params: CircuitParams,
-    bias0: float,
-    cavity: CavityParams,
-    xi: float,
-    span: float = 0.1,
-) -> RWAParams:
+def rwa_params_from_circuit(params: CircuitParams, bias0: float, cavity: CavityParams,
+                            xi: float) -> RWAParams:
     """Build the rotating-wave model of the 0 -> 3 transition at ``bias0``.
 
     omega3 and zeta come from a cubic-spline dispersion of the transition
-    through the fluxes k*span/20 (integer k) that cover ``bias0 +/- span``,
-    41 or 42 nodes; on this one lattice, cells at nearby biases share most
-    of their static eigensolves through the memo.  g = g_cap * |n_03| at
-    the bias point, and g' is the flux derivative of that coupling
-    (five-point stencil, step 1e-4) times the drive amplitude.
-
-    Raises:
-        ValueError: when ``xi > span``, since zeta would then be sampled
-            outside its spline.
+    over the flux the drive sweeps, ``bias0 +/- xi``, through the multiples
+    of 0.005 that cover it plus 4 more on each side; on this one lattice,
+    cells at nearby biases share most of their static eigensolves through
+    the memo.  g = g_cap * |n_03| at the bias point, and g' is the flux
+    derivative of that coupling (five-point stencil, step 1e-4) times the
+    drive amplitude.
     """
-    if xi > span:
-        raise ValueError(f"drive amplitude xi={xi} exceeds the spline half-width span={span}")
-    h = span / 20
-    nodes = np.arange(math.floor((bias0 - span) / h), math.ceil((bias0 + span) / h) + 1) * h
-    spline = _spline_through(params, 0, 3, nodes)
+    spline = _lattice_spline(params, 0, 3, bias0 - xi, bias0 + xi)
     omega3 = float(spline(bias0))
 
     def zeta(dphi):

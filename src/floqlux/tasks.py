@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .circuit import FluxBias, diagonalize_static, transition_spline
+from .circuit import FluxBias, _lattice_spline, diagonalize_static
 from .decoherence import _field_at, _refine_sweet_spots, coherence_rates
 from .errors import ConfigError
 from .floquet import DriveParams, FloquetSolution, solve_floquet
@@ -157,31 +157,31 @@ def _check_polariton(config: RunConfig) -> None:
             "polariton couplings address level 3; set floquet n_levels >= 4 "
             f"(got {config.floquet.n_levels})"
         )
-    # rwa_params_from_circuit samples zeta only within +-span of the bias
-    if max(config.grid.xi) > config.polariton.span:
-        raise ConfigError(
-            f"grid xi reaches {max(config.grid.xi)}, beyond the zeta spline half-width "
-            f"[polariton] span = {config.polariton.span}; raise span or lower xi"
-        )
-    if config.polariton.data_file:
+    path = config.polariton.data_file
+    if path:
         if len(config.grid.omega) != 1:
             raise ConfigError(
                 "the polariton fit uses a single drive frequency; grid omega "
                 f"must have one value when data_file is set (got {len(config.grid.omega)})"
             )
-        if not os.path.exists(config.polariton.data_file):
+        if not os.path.exists(path):
+            raise ConfigError(f"polariton data_file {path!r} not found")
+        try:
+            shape = np.loadtxt(path, ndmin=2).shape
+        except ValueError as exc:
+            raise ConfigError(f"polariton data file {path!r} is not numeric: {exc}") from None
+        if shape[1] not in (2, 3):
             raise ConfigError(
-                f"polariton data_file {config.polariton.data_file!r} not found"
+                f"polariton data file {path!r} must have columns "
+                f"phi_dc, freq_ghz[, sigma_ghz]; got shape {shape}"
             )
 
 
 def _job_polariton(config: RunConfig, coords):
     sol = _solved(config, coords)
     vals = [abs(floquet_dipole_coupling(sol, config.cavity, m)) for m in range(-2, 4)]
-    rwa = rwa_params_from_circuit(
-        sol.spectrum.params, sol.drive.bias.phi_dc, config.cavity, sol.drive.xi,
-        span=config.polariton.span,
-    )
+    rwa = rwa_params_from_circuit(sol.spectrum.params, sol.drive.bias.phi_dc,
+                                  config.cavity, sol.drive.xi)
     co = rwa_phase_coefficients(rwa, sol.drive)
     vals += [abs(rwa_coupling(rwa, co, m)) for m in range(-2, 4)]
     return {"rows": [vals]}
@@ -190,15 +190,8 @@ def _job_polariton(config: RunConfig, coords):
 def _job_polariton_fit(config: RunConfig, outputs):
     if not config.polariton.data_file:
         return {"rows": [], "extra": {}}
-    data = np.loadtxt(config.polariton.data_file, ndmin=2)
-    if data.ndim != 2 or data.shape[1] not in (2, 3):
-        raise ConfigError(
-            f"polariton data file {config.polariton.data_file!r} must have "
-            f"columns phi_dc, freq_ghz[, sigma_ghz]; got shape {data.shape}"
-        )
-    lo, hi = float(np.min(data[:, 0])), float(np.max(data[:, 0]))
-    pad = max(0.01, 0.05 * (hi - lo))
-    curve = transition_spline(config.circuit, 0, 3, lo - pad, hi + pad)
+    data = np.loadtxt(config.polariton.data_file, ndmin=2)  # shape checked by _check_polariton
+    curve = _lattice_spline(config.circuit, 0, 3, np.min(data[:, 0]), np.max(data[:, 0]))
     fit = fit_polariton(
         data, config.cavity, curve, float(config.grid.omega[0]),
         capture_window=config.polariton.capture_window,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import floqlux.tasks
@@ -47,13 +48,48 @@ def test_invalid_section_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_polariton_xi_beyond_span_exit_one(tmp_path, capsys, monkeypatch):
-    # the zeta spline covers +-span only, so the check rejects the grid before any solve
-    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+def test_polariton_wide_drive_exit_zero(tmp_path, capsys):
+    # each cell's zeta spline covers its own bias +- xi, so no drive is too wide
     cfg = _write(tmp_path, 'task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.15\nomega = 0.2\n')
+    assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    header, _units, row = (tmp_path / "o" / "polariton.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert np.isfinite([values[f"gR_abs_{m}"] for m in range(-2, 4)]).all()
+
+
+def test_polariton_span_key_is_gone(tmp_path, capsys):
+    cfg = _write(tmp_path, 'task = "polariton"\n[polariton]\nspan = 0.2\n')
     assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "[polariton] span = 0.1" in capsys.readouterr().err
+    assert "unknown key 'span' in [polariton]" in capsys.readouterr().err
+
+
+POLARITON_FIT = 'task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.05\nomega = 0.2\n[polariton]\n'
+
+
+@pytest.mark.parametrize("table,reason", [
+    ("1 2 3 4\n" * 6, "must have columns phi_dc, freq_ghz[, sigma_ghz]; got shape (6, 4)"),
+    ("0.30 7.3\n0.31 peak\n", "is not numeric"),
+], ids=["four_columns", "text"])
+def test_polariton_data_file_of_wrong_shape_exit_one(tmp_path, capsys, monkeypatch,
+                                                     table, reason):
+    # the data file is checked with the config, before any solve
+    monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
+    data = tmp_path / "peaks.txt"
+    data.write_text(table)
+    cfg = _write(tmp_path, POLARITON_FIT + f'data_file = "{data}"\n')
+    assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_failed_whole_grid_step_exit_two(tmp_path, capsys):
+    # every cell succeeds, but the fit cannot run on two points
+    data = tmp_path / "peaks.txt"
+    np.savetxt(data, [[0.30, 7.3], [0.31, 7.4]])
+    cfg = _write(tmp_path, POLARITON_FIT + f'data_file = "{data}"\n')
+    assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "ValueError: need at least 5 data points" in capsys.readouterr().err
 
 
 def test_non_finite_grid_exit_one(tmp_path, capsys, monkeypatch):

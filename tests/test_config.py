@@ -153,14 +153,14 @@ def test_emit_parse_roundtrip_random(workers, xi, fmt):
 # config_hash of each task's default config; a change here orphans every
 # existing cell cache
 DEFAULT_HASHES = {
-    "static-spectrum": "03f7786ae8a06862811a9b2febd831cac310a181c1f580241ef8c80998f51e34",
-    "floquet": "b4600a6204a30a8b2f1a7c03c1aa90cd06a0cca617971258dd6e3cc91a920807",
-    "spectral-function": "bc1443e5d9f1b6531fc5eb20b275e2c39d9c69961c6b0597281a529ecae02b12",
-    "polariton": "2b105730c3d16ba25ef34d3a3ed5ad90ea1884926e49d7771964a4af8f4820ad",
-    "spectroscopy": "853bdc8ffaa0449ac1b914c04fffe87a1f631b87e39b4376ba656da6dbe386f7",
-    "coherence": "6533542a4bde510952127950b7df41c7ef633ce7fa383dfdd4196009661f2857",
-    "sweetspot": "315ef28edb50937db88c37c0ba5c58dcdc160160dc1f4af3889faf063d23d7f3",
-    "ramsey": "a3f291e31346466c6d6ffc34351f8fe413b5efd6750d93bb046a0b9929d86b35",
+    "static-spectrum": "8a5835ca2ab5dd13b3c45e8514d6bb7c928c4a6c163e83f1da4772adba3dcdf4",
+    "floquet": "c44ef8f1e3a0a31d5d2be5f02fbb5807b1a44adf37f64d80ce1e148430298848",
+    "spectral-function": "fc002f013c337a5facb52a658960942d96a34a11d62d2f6a2540bdd5d4b7c415",
+    "polariton": "b14749223c08090ccce8266001805d82a0a00389756fc98040e7bde1ad1732c0",
+    "spectroscopy": "1f6c86d209d764338f4e15589a76e098953e9acaf950c324a56544a8b5b094cf",
+    "coherence": "c45d06c81594a6152632ae1e7ecad84a68491e15c21c36c93d069dcabf7ce151",
+    "sweetspot": "c8fded53791631b95248765521f8f1b5f880004e8386cea137a17341124a5c8b",
+    "ramsey": "18523d24be6b2f139d44d5fddb98ad7b454105d76f8860b0fbffaeb7ccab4892",
 }
 
 
@@ -207,7 +207,6 @@ def test_every_record_field_is_a_config_key(section, key):
     ("probe", "rabi = -1e-4", "rabi must be non-negative"),
     ("floquet", "sideband_cutoff = 1", "sideband_cutoff must be at least 2"),
     ("sweetspot", "tol_d = -1.0", "tol_d must be positive"),
-    ("polariton", "span = 0.0", "span must be positive"),
     ("polariton", "capture_window = -0.1", "capture_window must be positive"),
     ("grid", "xi = [0.0, nan]", "grid axis xi must be finite"),
     ("grid", "phi_dc = [0.45, inf]", "grid axis phi_dc must be finite"),
@@ -227,7 +226,6 @@ def test_every_record_field_is_a_config_key(section, key):
     ("ramsey", "delays = [0.0, nan, 4e-6]", "delays must be finite"),
     ("probe", "omega_p = [nan, 0.7]", "probe omega_p must be finite"),
     ("sweetspot", "tol_d = inf", "tol_d must be finite"),
-    ("polariton", "span = inf", "span must be finite"),
     ("polariton", "capture_window = inf", "capture_window must be finite"),
     ("cavity", "omega_c = inf", "omega_c must be finite and positive, g_cap finite and non-negative"),
     ("cavity", "g_cap = inf", "omega_c must be finite and positive, g_cap finite and non-negative"),

@@ -24,6 +24,9 @@ Solution lint: a public function that takes a Floquet solution takes no
 circuit, static spectrum, drive or Fourier element table beside it, since
 the solution carries the ones its Fourier blocks were built from and the
 tables are computed from it.
+
+README lint: every `` `[section] key` `` the README names is a key of the
+config schema, so the docs cannot keep a key that the parser rejects.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -271,3 +275,21 @@ def test_no_second_copy_beside_a_solution():
                                  for t in ("CircuitParams", "StaticSpectrum", "DriveParams",
                                            "FourierMatrixElements"))]
     assert not offenders, f"second copies beside a solution: {offenders}"
+
+
+def _unknown_config_keys(text: str) -> list[str]:
+    """The `` `[section] key` `` names in ``text`` that the config schema lacks."""
+    from floqlux.config import _SCHEMA
+
+    named = re.findall(r"`\[(\w+)\]\s+(\w+)", text)
+    return sorted({f"[{sec}] {key}" for sec, key in named if key not in _SCHEMA.get(sec, ())})
+
+
+def test_readme_names_only_config_keys():
+    unknown = _unknown_config_keys((ROOT / "README.md").read_text())
+    assert not unknown, f"README names config keys that do not exist: {unknown}"
+
+
+def test_lint_flags_a_readme_key_that_is_gone():
+    text = "`[grid] xi`, `[polariton]`, `[polariton] span = 0.1`, `[gird] xi`"
+    assert _unknown_config_keys(text) == ["[gird] xi", "[polariton] span"]

@@ -16,8 +16,11 @@ from floqlux import (
     DriveParams,
     FitError,
     FluxBias,
+    GridSpec,
     OutOfWindowError,
+    PolaritonSpec,
     RWAParams,
+    RunConfig,
     diagonalize_static,
     fit_polariton,
     floquet_dipole_coupling,
@@ -25,6 +28,7 @@ from floqlux import (
     rwa_coupling,
     rwa_params_from_circuit,
     rwa_phase_coefficients,
+    run_sweep,
     synth_polariton_data,
     transition_spline,
 )
@@ -248,25 +252,41 @@ def test_fit_rejects_malformed_data():
 
 
 def test_rwa_params_reuse_static_spectra(params, eigensolves):
-    # 42 lattice nodes plus 5 stencil biases (the centre is not a node here),
-    # all functions of the bias only, so a second drive amplitude at the
-    # same bias solves nothing new
+    # 30 lattice nodes (bias +- xi and 4 more on each side) plus 5 stencil
+    # biases (the centre is not a node here), all functions of the bias and
+    # the window only, so a smaller drive amplitude at the same bias solves
+    # nothing new
     cavity = CavityParams()
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
     first = len(eigensolves)
-    assert first == len(set(eigensolves)) == 47
-    rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.1)
+    assert first == len(set(eigensolves)) == 35
+    rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.02)
     assert len(eigensolves) == first
 
 
 def test_rwa_params_share_lattice_nodes_with_a_neighbour(params, eigensolves):
-    # the spline nodes sit on one flux lattice of step span/20 = 0.005, so a
-    # bias 0.011 further on adds at most 3 new nodes and its 5 stencil biases
+    # the spline nodes sit on one flux lattice of step 0.005, so a bias
+    # 0.011 further on adds at most 3 new nodes and its 5 stencil biases
     cavity = CavityParams()
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
     first = len(eigensolves)
     rwa_params_from_circuit(params, CROSSING_PHI + 0.011, cavity, 0.05)
     assert 0 < len(eigensolves) - first <= 8
+
+
+@pytest.mark.parametrize("xi", [0.01, 0.05, 0.15])
+def test_zeta_matches_direct_eigensolves_across_the_drive(params, xi):
+    # the spline covers bias +- xi whatever xi is; at the swept edges it
+    # interpolates between lattice nodes, within 2e-7 GHz here (at most
+    # 6.5e-8 measured, at xi = 0.15)
+    def omega03(phi):
+        return diagonalize_static(params, FluxBias(phi)).transition(0, 3)
+
+    rwa = rwa_params_from_circuit(params, CROSSING_PHI, CavityParams(), xi)
+    assert float(rwa.zeta(0.0)) == 0.0
+    for dphi in (-xi, xi):
+        direct = omega03(CROSSING_PHI + dphi) - omega03(CROSSING_PHI)
+        assert abs(float(rwa.zeta(dphi)) - direct) < 2e-7
 
 
 def test_rwa_params_do_not_depend_on_the_memo(params, eigensolves):
@@ -288,11 +308,22 @@ def test_rwa_params_do_not_depend_on_the_memo(params, eigensolves):
     assert warm == cold
 
 
-def test_rwa_params_reject_a_drive_beyond_the_spline(params, eigensolves):
-    # zeta at xi > span would extrapolate the spline without a warning
-    with pytest.raises(ValueError, match="span"):
-        rwa_params_from_circuit(params, CROSSING_PHI, CavityParams(), 0.05, span=0.04)
-    assert eigensolves == []
+def test_fit_step_reuses_the_cells_spline_nodes(params, eigensolves, tmp_path):
+    # the fit's spline sits on the cells' flux lattice, so peaks inside the
+    # cell's window bias +- xi cost the fit no static eigensolve of its own
+    _, data = _crossing_data(params, CavityParams(), {0: 0.0199}, 0.2)
+    np.savetxt(tmp_path / "peaks.txt", data)
+    grid = GridSpec(phi_dc=(CROSSING_PHI,), xi=(0.05,), omega=(0.2,))
+    solved = []
+    for data_file in ("", str(tmp_path / "peaks.txt")):
+        diagonalize_static.cache_clear()
+        eigensolves.clear()
+        result = run_sweep(RunConfig(task="polariton", grid=grid, output=str(tmp_path / "o"),
+                                     polariton=PolaritonSpec(data_file=data_file)))
+        assert not result.mask.any()
+        solved.append(sorted(eigensolves))
+    assert result.extra["fit"]["success"]
+    assert solved[1] == solved[0]
 
 
 G_SIX = {-2: 0.005, -1: 0.010, 0: 0.0199, 1: 0.010, 2: 0.005, 3: 0.0025}
