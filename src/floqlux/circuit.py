@@ -16,7 +16,8 @@ variationally from above as ``basis_dim`` grows.
 This module also holds the BLAS thread policy.  The static, Sambe and
 monodromy eigensolves and the banded LUs all run inside
 ``diagonalize_static``, ``floquet.solve_floquet`` or
-``floquet.monodromy_oracle``.  Each of the three runs the OpenBLAS builds
+``floquet.monodromy_oracle``, and the Sternheimer solves inside
+``_n_element_flux_derivative``.  Each of these runs the OpenBLAS builds
 that numpy and scipy load at one thread, then restores the caller's counts:
 on matrices of 5 to a few hundred rows more threads buy no speed, only
 spin, and they change the last bits of ``eigh``.  So their results depend
@@ -284,6 +285,31 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
         phi_elements=phi_el,
         n_elements=n_el,
     )
+
+
+@_one_blas_thread()
+def _n_element_flux_derivative(spectrum: StaticSpectrum, a: int, b: int) -> complex:
+    """d<a|n|b>/d phi_dc at the spectrum's bias, by first-order perturbation
+    theory on its eigenvectors (Sternheimer).
+
+    Each state's derivative solves (H - E_k + |k><k|) |dk> = -(1 - |k><k|) dH |k>
+    in the full basis, dH = -2 pi E_L phi (the identity part of dH/d phi_dc
+    drops out under the projector), so <k|dk> = 0.  States a and b must be
+    nondegenerate.
+    """
+    params = spectrum.params
+    h = build_hamiltonian(params, spectrum.bias)
+    _, phi_op, n_op, _ = _basis_matrices(params)
+
+    def d_state(k):
+        v = spectrum.eigenvectors[:, k]
+        dh_v = -2.0 * np.pi * params.e_l * (phi_op @ v)
+        lhs = h + np.outer(v, v)
+        lhs[np.diag_indices_from(lhs)] -= spectrum.energies[k]
+        return scipy.linalg.solve(lhs, (v @ dh_v) * v - dh_v, assume_a="sym")
+
+    va, vb = spectrum.eigenvectors[:, a], spectrum.eigenvectors[:, b]
+    return complex(d_state(a) @ n_op @ vb + va @ n_op @ d_state(b))
 
 
 def transition_spline(

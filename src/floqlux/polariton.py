@@ -27,8 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .circuit import CircuitParams, FluxBias, _lattice_spline, diagonalize_static
-from .decoherence import _five_point
+from .circuit import (
+    CircuitParams,
+    FluxBias,
+    _lattice_spline,
+    _n_element_flux_derivative,
+    diagonalize_static,
+)
 from .errors import ConvergenceError, FitError, OutOfWindowError
 from .floquet import FloquetSolution
 from .units import TWO_PI
@@ -229,8 +234,9 @@ def rwa_params_from_circuit(params: CircuitParams, bias0: float, cavity: CavityP
     of 0.005 that cover it plus 4 more on each side; on this one lattice,
     cells at nearby biases share most of their static eigensolves through
     the memo.  g = g_cap * |n_03| at the bias point, and g' is the flux
-    derivative of that coupling (five-point stencil, step 1e-4) times the
-    drive amplitude.
+    derivative of that coupling times the drive amplitude, exact to first
+    order in perturbation theory on the bias spectrum (one Sternheimer
+    solve per state), so the model costs the lattice nodes and the bias.
     """
     spline = _lattice_spline(params, 0, 3, bias0 - xi, bias0 + xi)
     omega3 = float(spline(bias0))
@@ -238,12 +244,12 @@ def rwa_params_from_circuit(params: CircuitParams, bias0: float, cavity: CavityP
     def zeta(dphi):
         return spline(bias0 + np.asarray(dphi)) - omega3
 
-    def g_of(phi: float) -> float:
-        spec = diagonalize_static(params, FluxBias(phi))
-        return cavity.g_cap * abs(spec.n_elements[0, 3])
-
-    return RWAParams(omega3=omega3, g=g_of(bias0),
-                     g_prime=xi * _five_point(g_of, bias0, 1e-4), zeta=zeta)
+    spec = diagonalize_static(params, FluxBias(bias0))
+    n03 = complex(spec.n_elements[0, 3])
+    # d|n_03| = Re(conj(n_03) d n_03) / |n_03|
+    dn03 = (n03.conjugate() * _n_element_flux_derivative(spec, 0, 3)).real / abs(n03)
+    return RWAParams(omega3=omega3, g=cavity.g_cap * abs(n03),
+                     g_prime=xi * cavity.g_cap * dn03, zeta=zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +366,22 @@ def _fit_problem(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
     eigenvalue nearest its peak.  With v the eigenvector of lambda_k,
     Hellmann-Feynman gives d lambda_k / d g_m = 2 v_0 v_m sign(g_m) and
     d lambda_k / d delta_m = v_m^2.  Both callbacks share one batched eigh,
-    cached for the most recent x.
+    cached for the most recent x, over one manifold per distinct transition
+    frequency: the peaks of one flux share theirs.
     """
     n_act = len(active)
     cols = np.array([_FIT_M_VALUES.index(m) + 1 for m in active])  # manifold rows
-    rows = np.arange(freqs.size)
+    distinct, which = np.unique(omega3s, return_inverse=True)
     last: dict = {}
 
     def decompose(x):
         key = x.tobytes()
         if key not in last:
-            h = _manifold(cavity, omega3s, drive_omega, *_unpack(x, active))
+            h = _manifold(cavity, distinct, drive_omega, *_unpack(x, active))
             eigs, vecs = np.linalg.eigh(h)
-            k = np.argmin(np.abs(eigs - freqs[:, None]), axis=1)
+            k = np.argmin(np.abs(eigs[which] - freqs[:, None]), axis=1)
             last.clear()
-            last[key] = (eigs[rows, k] - freqs, vecs[rows, :, k])
+            last[key] = (eigs[which, k] - freqs, vecs[which, :, k])
         return last[key]
 
     def residuals(x):
@@ -407,9 +414,10 @@ def fit_polariton(
 
     The Jacobian is exact (first-order perturbation theory on the
     eigendecomposition the residual already needs), so each least-squares
-    step costs one batched eigh and ``g_err`` comes from the exact
-    Jacobian at the optimum.  ``n_evaluations`` counts residual evaluations
-    over all restarts; Jacobian evaluations reuse them.
+    step costs one batched eigh, of one manifold per distinct flux in the
+    data, and ``g_err`` comes from the exact Jacobian at the optimum.
+    ``n_evaluations`` counts residual evaluations over all restarts;
+    Jacobian evaluations reuse them.
 
     Raises:
         FitError: when every restart fails to converge.

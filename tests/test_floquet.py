@@ -605,6 +605,17 @@ def test_solvers_restore_blas_threads_when_they_raise(params, spec_451, spot_dri
     assert _blas_threads() == (2, 2)
 
 
+def test_sternheimer_solves_run_at_one_blas_thread(params, spec_451, two_blas_threads,
+                                                   monkeypatch):
+    seen = []
+    solve = scipy.linalg.solve
+    monkeypatch.setattr(scipy.linalg, "solve",
+                        lambda *a, **kw: seen.append(_blas_threads()) or solve(*a, **kw))
+    floqlux.circuit._n_element_flux_derivative(spec_451, 0, 3)
+    assert seen == [(1, 1), (1, 1)]
+    assert _blas_threads() == (2, 2)
+
+
 def test_static_memo_hit_leaves_blas_threads_alone(params, monkeypatch):
     lookups = []
     controls = floqlux.circuit._openblas_controls
@@ -620,8 +631,9 @@ def test_static_memo_hit_leaves_blas_threads_alone(params, monkeypatch):
 _LIBRARY_RESULTS = """
 import json
 import numpy as np
-from floqlux import (CircuitParams, DriveParams, FluxBias, NoiseModel, SambeConfig,
-                     coherence_rates, monodromy_oracle, solve_floquet)
+from floqlux import (CavityParams, CircuitParams, DriveParams, FluxBias, NoiseModel,
+                     SambeConfig, coherence_rates, monodromy_oracle, rwa_params_from_circuit,
+                     solve_floquet)
 
 def bits(*values):
     return "".join(np.ascontiguousarray(v).tobytes().hex() for v in values)
@@ -638,6 +650,7 @@ print(json.dumps({
     "coherence_rates fd": bits([rates.gamma_up, rates.gamma_down, rates.gamma_phi,
                                 d.flux_me, d.xi_me, d.flux_fd, d.xi_fd]),
     "dense whole window": bits(whole.rep_energies, whole.fourier_blocks),
+    "rwa g'": bits(rwa_params_from_circuit(params, 0.303146, CavityParams(), 0.05).g_prime),
 }))
 """
 
@@ -645,8 +658,9 @@ print(json.dumps({
 def test_library_results_ignore_the_blas_thread_setting():
     # one interpreter per setting: OpenBLAS reads it when it loads.  The
     # certify stage's N_s = 28 solve, the oracle, the finite differences at
-    # the double spot, and a drive whose ladder ends in the dense 205-row
-    # window, where 1 and 2 threads give different eigh bits
+    # the double spot, a drive whose ladder ends in the dense 205-row
+    # window, where 1 and 2 threads give different eigh bits, and the
+    # Sternheimer solve behind the rotating-wave g'
     src = str(Path(__file__).resolve().parents[1] / "src")
     results = []
     for threads in (None, "1", "2"):

@@ -252,26 +252,44 @@ def test_fit_rejects_malformed_data():
 
 
 def test_rwa_params_reuse_static_spectra(params, eigensolves):
-    # 30 lattice nodes (bias +- xi and 4 more on each side) plus 5 stencil
-    # biases (the centre is not a node here), all functions of the bias and
-    # the window only, so a smaller drive amplitude at the same bias solves
-    # nothing new
+    # 30 lattice nodes (bias +- xi and 4 more on each side) plus the bias
+    # (not a node here), whose spectrum gives g and, by a Sternheimer solve,
+    # g'; all functions of the bias and the window only, so a smaller drive
+    # amplitude at the same bias solves nothing new
     cavity = CavityParams()
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
     first = len(eigensolves)
-    assert first == len(set(eigensolves)) == 35
+    assert first == len(set(eigensolves)) == 31
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.02)
     assert len(eigensolves) == first
 
 
 def test_rwa_params_share_lattice_nodes_with_a_neighbour(params, eigensolves):
     # the spline nodes sit on one flux lattice of step 0.005, so a bias
-    # 0.011 further on adds at most 3 new nodes and its 5 stencil biases
+    # 0.011 further on adds at most 3 new nodes and the bias itself
     cavity = CavityParams()
     rwa_params_from_circuit(params, CROSSING_PHI, cavity, 0.05)
     first = len(eigensolves)
     rwa_params_from_circuit(params, CROSSING_PHI + 0.011, cavity, 0.05)
-    assert 0 < len(eigensolves) - first <= 8
+    assert 0 < len(eigensolves) - first <= 4
+
+
+@pytest.mark.parametrize("bias", [0.23, 0.28, CROSSING_PHI, 0.37, 0.45])
+def test_rwa_g_prime_matches_five_point_stencil(params, bias):
+    # the Sternheimer derivative against a five-point stencil of g_cap*|n_03|
+    # at step 1e-4, whose truncation and rounding errors are near 1e-11 relative
+    cavity = CavityParams()
+    xi = 0.05
+
+    def g_of(phi):
+        return cavity.g_cap * abs(diagonalize_static(params, FluxBias(phi)).n_elements[0, 3])
+
+    h = 1e-4
+    stencil = (g_of(bias - 2 * h) - 8 * g_of(bias - h) + 8 * g_of(bias + h)
+               - g_of(bias + 2 * h)) / (12.0 * h)
+    rwa = rwa_params_from_circuit(params, bias, cavity, xi)
+    assert rwa.g == g_of(bias)
+    assert rwa.g_prime == pytest.approx(xi * stencil, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [0.01, 0.05, 0.15])
@@ -406,16 +424,45 @@ def test_exact_jacobian_fit_matches_finite_difference_fit(params):
 
 
 def test_fit_builds_one_manifold_per_residual_evaluation(params, monkeypatch):
-    # the Jacobian reuses the residual's eigendecomposition: no extra builds
+    # the Jacobian reuses the residual's eigendecomposition: no extra builds,
+    # and each build holds one manifold per distinct flux, not per peak
     cavity = CavityParams()
     curve, data = _six_crossings(params, cavity)
+    n_fluxes = np.unique(data[:, 0]).size
+    assert n_fluxes < data.shape[0]
     builds = []
     build = floqlux.polariton._manifold
     monkeypatch.setattr(floqlux.polariton, "_manifold",
-                        lambda *a: builds.append(1) or build(*a))
+                        lambda *a: builds.append(a[1].size) or build(*a))
     fit = fit_polariton(data, cavity, curve, 0.2)
     assert fit.success
     assert len(builds) == fit.n_evaluations
+    assert set(builds) == {n_fluxes}
+
+
+def test_fit_problem_matches_a_per_peak_reference(params):
+    # sharing one manifold among a flux's peaks changes no bit of the
+    # residual or the Jacobian, against one eigh per data row
+    cavity = CavityParams()
+    curve, data = _six_crossings(params, cavity, seed=2)
+    fit = fit_polariton(data, cavity, curve, 0.2)
+    fun, jac, omega3s, active = _callbacks(cavity, curve, data, fit)
+    n_act = len(active)
+    cols = [m + 3 for m in active]
+    fitted = np.array([fit.g_m[m] for m in active] + [fit.delta_m[m] for m in active])
+    for x in (_starts(n_act)[1], fitted):
+        g, d = floqlux.polariton._unpack(x, active)
+        want_fun, want_jac = [], []
+        for omega3, freq, sigma in zip(omega3s, data[:, 1], data[:, 2]):
+            eigs, vecs = np.linalg.eigh(floqlux.polariton._manifold(
+                cavity, np.array([omega3]), 0.2, g, d))
+            k = np.argmin(np.abs(eigs[0] - freq))
+            v, diff = vecs[0, :, k], eigs[0, k] - freq
+            want_fun.append(abs(diff) / sigma)
+            want_jac.append(np.sign(diff) / sigma * np.concatenate(
+                [2.0 * v[0] * v[cols] * np.sign(x[:n_act]), v[cols] * v[cols]]))
+        assert np.array_equal(fun(x), want_fun)
+        assert np.array_equal(jac(x), want_jac)
 
 
 def test_fit_does_not_hide_programming_errors(params, monkeypatch):
