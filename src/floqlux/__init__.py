@@ -24,10 +24,7 @@ from .circuit import (
 )
 from .config import (
     GridSpec,
-    PolaritonSpec,
-    ProbeSpec,
     RunConfig,
-    SweetSpotSpec,
     TASKS,
     emit_config,
     parse_config,
@@ -41,6 +38,7 @@ from .decoherence import (
     QuasienergyDerivatives,
     SweetSpot,
     SweetSpotScan,
+    SweetSpotSpec,
     charge_fourier_elements,
     coherence_rates,
     depolarization_rates,
@@ -77,10 +75,10 @@ from .polariton import (
     CavityParams,
     PhaseCoefficients,
     PolaritonFit,
+    PolaritonSpec,
     RWAParams,
     fit_polariton,
     floquet_dipole_coupling,
-    polariton_manifold_eigs,
     rwa_coupling,
     rwa_params_from_circuit,
     rwa_phase_coefficients,

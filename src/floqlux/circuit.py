@@ -244,6 +244,12 @@ class StaticSpectrum:
         return float(self.energies[b] - self.energies[a])
 
 
+def _signed_rows(vecs: np.ndarray) -> np.ndarray:
+    """The rows of ``vecs``, each signed so its largest-|.| component is positive."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    return vecs * np.where(lead < 0, -1.0, 1.0)[:, None]
+
+
 @functools.lru_cache(maxsize=64)
 @_one_blas_thread()
 def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
@@ -267,11 +273,7 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
         raise DiagnosticError(
             f"static eigensolver returned non-finite values at phi_dc={bias.phi_dc!r}"
         )
-    # fix each eigenvector's sign so its largest-|.| component is positive
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
+    vecs = _signed_rows(vecs.T).T
     _, phi_op, n_op, _ = _basis_matrices(params)
     phi_el = vecs.T @ phi_op @ vecs
     phi_el = 0.5 * (phi_el + phi_el.T)

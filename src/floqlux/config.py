@@ -22,18 +22,15 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .circuit import CircuitParams
-from .decoherence import NoiseModel
+from .decoherence import NoiseModel, SweetSpotSpec
 from .errors import ConfigError
 from .floquet import SambeConfig
-from .polariton import CavityParams
+from .polariton import CavityParams, PolaritonSpec
 from .spectroscopy import ProbeParams, RamseyConfig
 from .tasks import REGISTRY
 
 __all__ = [
     "GridSpec",
-    "ProbeSpec",
-    "PolaritonSpec",
-    "SweetSpotSpec",
     "RunConfig",
     "TASKS",
     "FORMATS",
@@ -68,53 +65,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class ProbeSpec:
-    """Spectroscopy probe axis and lineshape; sweep picks the map's x axis."""
-
-    omega_p: tuple = tuple(np.linspace(0.05, 2.0, 64))
-    rabi: float = ProbeParams.rabi
-    linewidth: float = ProbeParams.linewidth
-    sweep: str = "phi_dc"
-
-    def __post_init__(self) -> None:
-        if len(self.omega_p) == 0:
-            raise ValueError("probe omega_p must be non-empty")
-        if not np.all(np.isfinite(self.omega_p)):
-            raise ValueError("probe omega_p must be finite")
-        if self.sweep not in ("phi_dc", "xi"):
-            raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
-        # the lineshape rules live on the record this section feeds
-        ProbeParams(rabi=self.rabi, linewidth=self.linewidth)
-
-
-@dataclass(frozen=True)
-class PolaritonSpec:
-    """Polariton task inputs: optional peak-data file for the manifold fit."""
-
-    data_file: str = ""
-    capture_window: float = 0.12
-
-    def __post_init__(self) -> None:
-        if not self.capture_window > 0:
-            raise ValueError("capture_window must be positive")
-        if self.capture_window == math.inf:
-            raise ValueError("capture_window must be finite")
-
-
-@dataclass(frozen=True)
-class SweetSpotSpec:
-    """Sweet-spot scan settings."""
-
-    tol_d: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if not self.tol_d > 0:
-            raise ValueError("tol_d must be positive")
-        if self.tol_d == math.inf:  # every refined root would pass as a spot
-            raise ValueError("tol_d must be finite")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Validated input for one sweep run."""
 
@@ -124,7 +74,7 @@ class RunConfig:
     floquet: SambeConfig = SambeConfig()
     noise: NoiseModel = NoiseModel()
     cavity: CavityParams = CavityParams()
-    probe: ProbeSpec = ProbeSpec()
+    probe: ProbeParams = ProbeParams()
     polariton: PolaritonSpec = PolaritonSpec()
     ramsey: RamseyConfig = RamseyConfig()
     sweetspot: SweetSpotSpec = SweetSpotSpec()

@@ -67,6 +67,7 @@ __all__ = [
     "DepolarizationRates",
     "DephasingRate",
     "CoherenceRates",
+    "SweetSpotSpec",
     "SweetSpot",
     "SweetSpotScan",
     "s_dc",
@@ -183,9 +184,10 @@ class FourierMatrixElements:
     """Harmonic-resolved operator elements O_ab^(k) between Floquet states.
 
     O_ab^(k) = sum_n <phi_a^(n)| O |phi_b^(n-k)>, the coefficient of
-    e^{i k Omega t} in <Phi_a(t)| O |Phi_b(t)>, for the qubit pair a, b in
-    (0, 1).  Conjugation symmetry O_ab^(k) = conj(O_ba^(-k)) holds by
-    construction.
+    e^{-i k Omega t} in <Phi_a(t)| O |Phi_b(t)>, for the qubit pair a, b in
+    (0, 1): the Sambe diagonal +n*Omega makes the Floquet mode
+    Phi(t) = sum_n e^{+i n Omega t} |phi^(n)>.  Conjugation symmetry
+    O_ab^(k) = conj(O_ba^(-k)) holds by construction.
     """
 
     k_values: np.ndarray
@@ -303,7 +305,7 @@ def depolarization_rates(sol: FloquetSolution, model: NoiseModel) -> Depolarizat
     The phase elements and the circuit (E_L, E_C) are those of ``sol``.
     """
     elems = fourier_matrix_elements(sol)
-    eps01 = sol.splitting(1, 0, branch="natural")
+    eps01 = sol.splitting(1, 0)
     phi01 = elems.table[0, 1]
     w01 = np.abs(phi01) ** 2
     wac = 0.25 * np.abs(_neighbour_sum(phi01)) ** 2
@@ -563,6 +565,21 @@ def coherence_rates(
 
 
 @dataclass(frozen=True)
+class SweetSpotSpec:
+    """Sweet-spot scan settings, the ``[sweetspot]`` section of a run
+    configuration: a refined root is a spot where a derivative is below
+    ``tol_d`` GHz per flux quantum."""
+
+    tol_d: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not self.tol_d > 0:
+            raise ValueError("tol_d must be positive")
+        if self.tol_d == math.inf:  # every refined root would pass as a spot
+            raise ValueError("tol_d must be finite")
+
+
+@dataclass(frozen=True)
 class SweetSpot:
     """A refined zero of one or both quasienergy derivatives."""
 
@@ -603,8 +620,8 @@ def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpo
     derivatives change sign seed a joint two-dimensional root refinement
     (double sweet spots).  A refined spot is classified "double" only if
     the drive is actually on (xi > 0) and both residual derivatives are
-    below 1e-4 GHz per flux quantum.  The ``sweetspot`` task runs the same
-    refinement on the field its cells computed.
+    below the default ``SweetSpotSpec.tol_d``.  The ``sweetspot`` task runs
+    the same refinement on the field its cells computed.
 
     With no sign change anywhere the result has no spots and the diagnostics
     say what was scanned.  Each refined spot carries its coherence rates
@@ -616,7 +633,8 @@ def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpo
         for v in (grid.phi_dc, grid.xi, grid.omega)
     )
     field = [_field_at(params, config, *point) for point in itertools.product(*axes)]
-    return _refine_sweet_spots(params, noise, config, axes, np.array(field), tol_d=1e-4)
+    return _refine_sweet_spots(params, noise, config, axes, np.array(field),
+                               SweetSpotSpec.tol_d)
 
 
 def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeConfig,

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
 from .circuit import (CircuitParams, FluxBias, StaticSpectrum, _one_blas_thread,
-                      diagonalize_static)
+                      _signed_rows, diagonalize_static)
 from .errors import ConvergenceError, DiagnosticError, OutOfWindowError
 
 __all__ = [
@@ -273,19 +273,12 @@ class FloquetSolution:
         b = self.fourier_blocks[alpha]
         return np.real(np.sum(b * b.conj(), axis=1))
 
-    def splitting(self, alpha: int = 1, beta: int = 0, branch: str = "natural") -> float:
-        """Quasienergy difference eps_alpha - eps_beta in GHz.
-
-        branch="natural" (default) differences the representative Sambe
-        eigenvalues, which is the branch the matrix-element sums are built
-        on; "folded" folds that difference into the first zone.
-        """
-        raw = float(self.rep_energies[alpha] - self.rep_energies[beta])
-        if branch == "natural":
-            return raw
-        if branch == "folded":
-            return float(fold_quasienergy(raw, self.drive.omega))
-        raise ValueError(f"unknown branch {branch!r}")
+    def splitting(self, alpha: int = 1, beta: int = 0) -> float:
+        """Natural quasienergy difference eps_alpha - eps_beta in GHz: the
+        difference of the representative Sambe eigenvalues, which is the
+        branch the matrix-element sums are built on; ``fold_quasienergy``
+        folds it into the first zone."""
+        return float(self.rep_energies[alpha] - self.rep_energies[beta])
 
 
 def _profile(blocks):
@@ -359,8 +352,7 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
 def _gauged(vecs):
     """Fourier blocks (states, nb, levels) of real unit eigenvectors, one per
     level (rows of ``vecs``), each signed so its largest-|.| component is positive."""
-    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
-    return (vecs * np.sign(lead)[:, None]).reshape(len(vecs), -1, len(vecs)).astype(complex)
+    return _signed_rows(vecs).reshape(len(vecs), -1, len(vecs)).astype(complex)
 
 
 def _solve_sambe(h, omega, d):

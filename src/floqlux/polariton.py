@@ -40,6 +40,7 @@ from .units import TWO_PI
 
 __all__ = [
     "CavityParams",
+    "PolaritonSpec",
     "RWAParams",
     "PhaseCoefficients",
     "PolaritonFit",
@@ -47,7 +48,6 @@ __all__ = [
     "rwa_phase_coefficients",
     "rwa_coupling",
     "rwa_params_from_circuit",
-    "polariton_manifold_eigs",
     "fit_polariton",
     "synth_polariton_data",
 ]
@@ -69,6 +69,22 @@ class CavityParams:
     def __post_init__(self) -> None:
         if not (0 < self.omega_c < math.inf and 0 <= self.g_cap < math.inf):
             raise ValueError("omega_c must be finite and positive, g_cap finite and non-negative")
+
+
+@dataclass(frozen=True)
+class PolaritonSpec:
+    """Polariton task inputs, the ``[polariton]`` section of a run
+    configuration: an optional peak-data file for the manifold fit, and the
+    fit's ``capture_window`` (GHz, see ``fit_polariton``)."""
+
+    data_file: str = ""
+    capture_window: float = 0.12
+
+    def __post_init__(self) -> None:
+        if not self.capture_window > 0:
+            raise ValueError("capture_window must be positive")
+        if self.capture_window == math.inf:
+            raise ValueError("capture_window must be finite")
 
 
 def floquet_dipole_coupling(sol: FloquetSolution, cavity: CavityParams, m: int) -> complex:
@@ -281,24 +297,6 @@ def _manifold(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
     return h
 
 
-def polariton_manifold_eigs(
-    cavity: CavityParams,
-    omega3: float,
-    drive_omega: float,
-    g_m,
-    delta_m=None,
-) -> np.ndarray:
-    """Sorted eigenvalues of the one-excitation cavity/sideband manifold.
-
-    The 7x7 matrix couples the bare cavity at omega_c to the sideband images
-    of the 0 -> 3 transition at omega3 + m*Omega + delta_m for m = -2..3,
-    with coupling |g_m| between the cavity and image m.  ``g_m`` and
-    ``delta_m`` map m to the coupling and the shift.
-    """
-    h = _manifold(cavity, np.array([float(omega3)]), drive_omega, _by_m(g_m), _by_m(delta_m))
-    return np.linalg.eigvalsh(h)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class PolaritonFit:
     """Result of fitting sideband couplings to avoided-crossing data.
@@ -329,10 +327,13 @@ def synth_polariton_data(
 ):
     """Simulated transmission-peak data (phi, freq[, sigma]) near the cavity.
 
-    For each flux the manifold eigenvalues within 0.25 GHz of the cavity
-    are emitted in ascending order, optionally jittered by gaussian noise of
-    scale ``sigma`` (GHz).  ``g_m`` and ``delta_m`` are read as in
-    ``polariton_manifold_eigs``.
+    The 7x7 one-excitation manifold at each flux couples the bare cavity at
+    omega_c to the sideband images of the 0 -> 3 transition at
+    omega3 + m*Omega + delta_m for m = -2..3, with coupling |g_m| between
+    the cavity and image m; ``g_m`` and ``delta_m`` map m to the coupling
+    and the shift (a missing m reads 0).  Its eigenvalues within 0.25 GHz of
+    the cavity are emitted in ascending order, optionally jittered by
+    gaussian noise of scale ``sigma`` (GHz).
     """
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     omega3s = np.array([float(omega3_curve(phi)) for phi in phis])
@@ -401,7 +402,7 @@ def fit_polariton(
     cavity: CavityParams,
     omega3_curve,
     drive_omega: float,
-    capture_window: float = 0.12,
+    capture_window: float = PolaritonSpec.capture_window,
 ) -> PolaritonFit:
     """Fit sideband couplings g_m (m = -2..3) and detunings to peak data.
 

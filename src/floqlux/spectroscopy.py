@@ -49,16 +49,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Weak spectroscopy tone: Rabi amplitude and linewidth (GHz).
+    """Weak spectroscopy tone: probe frequencies, Rabi amplitude and linewidth
+    (GHz); also the ``[probe]`` section of a run configuration.
 
     ``linewidth`` is the phenomenological Lorentzian FWHM of each sideband
-    transition (default 5 MHz).
+    transition (default 5 MHz).  ``sweep`` names the spectroscopy task's map
+    axis, ``phi_dc`` or ``xi``.
     """
 
+    omega_p: tuple = tuple(np.linspace(0.05, 2.0, 64))
     rabi: float = 1e-4
     linewidth: float = 5e-3
+    sweep: str = "phi_dc"
 
     def __post_init__(self) -> None:
+        if len(self.omega_p) == 0:
+            raise ValueError("probe omega_p must be non-empty")
+        if not np.all(np.isfinite(self.omega_p)):
+            raise ValueError("probe omega_p must be finite")
+        if self.sweep not in ("phi_dc", "xi"):
+            raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
         for name in ("rabi", "linewidth"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -91,7 +101,7 @@ def probe_population(sol, noise: NoiseModel, probe: ProbeParams, probe_freqs) ->
     """
     pol = depolarization_rates(sol, noise)
     elems = charge_fourier_elements(sol)
-    peaks = sol.splitting(1, 0, branch="natural") + elems.k_values * sol.drive.omega
+    peaks = sol.splitting(1, 0) + elems.k_values * sol.drive.omega
     delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
     hw = 0.5 * ghz_to_angular(probe.linewidth)
     lor = hw / math.pi / (delta * delta + hw * hw)
@@ -127,8 +137,8 @@ def spectroscopy_map(
 
     ``sweep_name`` is "phi_dc" or "xi"; the other drive parameters come from
     ``drive_template``.  Each point is an unchecked default-truncation solve
-    probed by the default ``ProbeParams``.  Solver failures at a sweep point
-    mask its column and record the reason.
+    probed at ``probe_freqs`` with the default ``ProbeParams`` lineshape.
+    Solver failures at a sweep point mask its column and record the reason.
     """
     if sweep_name not in ("phi_dc", "xi"):
         raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
@@ -233,7 +243,7 @@ def synth_ramsey_signal(sol, config: RamseyConfig, weights=None) -> RamseySignal
     undamped signal; explicit ``weights`` (a mapping n -> c_n on the
     eps01 + n*Omega ladder) bypass the alignment.
     """
-    eps01 = sol.splitting(1, 0, branch="natural")
+    eps01 = sol.splitting(1, 0)
     if weights is None:
         w = sol.sideband_weights(1)
         full_ns = np.arange(-(w.size // 2), w.size // 2 + 1)

@@ -242,13 +242,23 @@ def _load_cache(path: Path, job: _Job, n_cols: int):
     return out
 
 
+def _write_whole(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: through a sibling
+    ``.tmp`` file renamed onto it, which is removed also when the write or
+    the rename is cut, so neither a truncated target nor the temp file stays."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_cache(path: Path, job: _Job, out: dict) -> None:
     payload = {"coords": job.coords, "rows": out["rows"]}
     if out.get("extra") is not None:
         payload["extra"] = out["extra"]
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
+    _write_whole(path, json.dumps(payload))
 
 
 def _grid_step(task: Task, config: RunConfig, outputs: list, cache_dir: Path) -> dict:
@@ -482,14 +492,7 @@ def export(result: SweepResult, directory, fmt: str = "csv",
     path = directory / filename.format(task=result.task)
     if path.exists() and not overwrite:
         raise ExportError(f"{path} exists; pass overwrite to replace it")
-    # written beside the target and renamed onto it, so an interrupted
-    # export leaves no truncated file there
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(render(result), encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_whole(path, render(result))
     return (path,)
 
 

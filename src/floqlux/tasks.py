@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import FluxBias, _lattice_spline, diagonalize_static
 from .decoherence import _field_at, _refine_sweet_spots, coherence_rates
 from .errors import ConfigError
-from .floquet import DriveParams, FloquetSolution, solve_floquet
+from .floquet import DriveParams, FloquetSolution, fold_quasienergy, solve_floquet
 from .polariton import (
     fit_polariton,
     floquet_dipole_coupling,
@@ -25,7 +25,7 @@ from .polariton import (
     rwa_params_from_circuit,
     rwa_phase_coefficients,
 )
-from .spectroscopy import ProbeParams, extract_t2r, probe_population, synth_ramsey_signal
+from .spectroscopy import extract_t2r, probe_population, synth_ramsey_signal
 from .units import HZ_PER_GHZ
 
 if TYPE_CHECKING:
@@ -127,9 +127,10 @@ def _job_static(config: RunConfig, coords):
 
 def _job_floquet(config: RunConfig, coords):
     sol = _solved(config, coords)
+    eps01 = sol.splitting(1, 0)
     vals = [
-        sol.splitting(1, 0, "natural"),
-        sol.splitting(1, 0, "folded"),
+        eps01,
+        float(fold_quasienergy(eps01, sol.drive.omega)),
         float(sol.quasienergies[0]),
         float(sol.quasienergies[1]),
         float(np.max(sol.sideband_weights(0))),
@@ -230,13 +231,12 @@ def _plan_spectroscopy(config: RunConfig):
 
 def _job_spectroscopy(config: RunConfig, coords):
     sol = _solved(config, coords, check_convergence=False)
-    probe = ProbeParams(rabi=config.probe.rabi, linewidth=config.probe.linewidth)
-    p1 = probe_population(sol, config.noise, probe, _probe_freqs(config))
+    p1 = probe_population(sol, config.noise, config.probe, _probe_freqs(config))
     return {
         "rows": [[float(p)] for p in p1],
         "extra": {
             "value": coords[config.probe.sweep],
-            "branch_freqs": _plain(sol.splitting(1, 0, "natural") + _OVERLAY_K * sol.drive.omega),
+            "branch_freqs": _plain(sol.splitting(1, 0) + _OVERLAY_K * sol.drive.omega),
         },
     }
 
@@ -320,7 +320,7 @@ def _job_ramsey(config: RunConfig, coords):
     est = extract_t2r(sig)
     vals = [
         rcfg.omega0,
-        sol.splitting(1, 0, "natural"),
+        sol.splitting(1, 0),
         sig.dominant_beat / HZ_PER_GHZ,
         rcfg.t2r_true,
         est.t2r,

@@ -85,6 +85,26 @@ def test_fourier_elements_conjugation(spot_solution):
             np.conj(elems.table[1, 0, kmax - k]), abs=1e-12)
 
 
+def test_fourier_elements_are_coefficients_of_negative_harmonics(spot_solution):
+    # the Sambe diagonal +n*Omega makes Phi_a(t) = sum_n e^{+i n Omega t} |phi_a^(n)>,
+    # so table[k] is the coefficient of e^{-i k Omega t} in <Phi_0(t)|phi|Phi_1(t)>
+    sol = spot_solution
+    d, n_side = sol.n_levels, sol.config.sideband_cutoff
+    m = 8 * n_side  # samples per period; the product holds harmonics |q| <= 2*N_s
+    theta = 2.0 * np.pi * np.arange(m) / m  # Omega*t over one period
+    phases = np.exp(1j * np.outer(theta, np.arange(-n_side, n_side + 1)))
+    modes = np.einsum("jn,ans->ajs", phases, sol.fourier_blocks)
+    signal = np.einsum("js,st,jt->j", modes[0].conj(), sol.spectrum.phi_elements[:d, :d],
+                       modes[1])
+    coeffs = np.fft.fft(signal) / m  # coeffs[q % m] multiplies e^{+i q Omega t}
+    elems = fourier_matrix_elements(sol)
+    kmax = int(elems.k_values[-1])
+    for k in (-2, -1, 1, 2):
+        assert elems.table[0, 1, kmax + k] == pytest.approx(coeffs[-k % m], abs=1e-12)
+        # the opposite sign would read another element
+        assert abs(elems.table[0, 1, kmax + k] - coeffs[k % m]) > 0.1
+
+
 def test_elements_built_once_per_solution(params, noise, spot_drive, spec_451, monkeypatch):
     tables = []
     build = floqlux.decoherence.fourier_operator_elements
@@ -117,7 +137,7 @@ def test_noise_channels_follow_the_module_formulas(params, noise, spot_solution)
     sol = spot_solution
     table = fourier_matrix_elements(sol).table
     kmax = table.shape[-1] // 2
-    om, eps01 = sol.drive.omega, sol.splitting(1, 0, "natural")
+    om, eps01 = sol.drive.omega, sol.splitting(1, 0)
     el2 = (2 * math.pi * 1e9 * params.e_l) ** 2
 
     def phi(a, b, k):  # out-of-window harmonics count as zero

@@ -53,7 +53,7 @@ def test_static_limit(params, spec_half):
     want = fold_quasienergy(spec_half.energies[:5], 0.4)
     assert np.max(np.abs(np.sort(sol.quasienergies) - np.sort(want))) < 1e-12
     # natural splitting is the bare transition, not its folded image
-    assert sol.splitting(1, 0, "natural") == pytest.approx(spec_half.transition(0, 1), abs=1e-12)
+    assert sol.splitting(1, 0) == pytest.approx(spec_half.transition(0, 1), abs=1e-12)
     for alpha in range(5):
         w = sol.sideband_weights(alpha)
         assert w[sol.config.sideband_cutoff] == pytest.approx(1.0, abs=1e-12)
@@ -65,13 +65,11 @@ def test_sideband_weights_normalized(spot_solution):
 
 
 def test_splitting_branches(spot_solution):
-    nat = spot_solution.splitting(1, 0, "natural")
-    fol = spot_solution.splitting(1, 0, "folded")
+    # the natural splitting differences the representatives; folding is the caller's
+    nat = spot_solution.splitting(1, 0)
+    assert nat == spot_solution.rep_energies[1] - spot_solution.rep_energies[0]
     om = spot_solution.drive.omega
-    assert fol == pytest.approx(float(fold_quasienergy(nat, om)), abs=1e-12)
-    assert -om / 2 < fol <= om / 2
-    with pytest.raises(ValueError):
-        spot_solution.splitting(1, 0, "sideways")
+    assert -om / 2 < float(fold_quasienergy(nat, om)) <= om / 2
 
 
 def test_sambe_matrix_structure(params, spec_half):
@@ -722,7 +720,7 @@ def _tracked_eps01(sols, min_overlap, max_step):
     d = sols[0].n_levels
     # branch a is state label[a] of the current solution, translated by shift[a]
     label, shift = np.arange(d), np.zeros(d, dtype=int)
-    eps01 = [sols[0].splitting(1, 0, "natural")]
+    eps01 = [sols[0].splitting(1, 0)]
     for prev, cur in zip(sols, sols[1:]):
         labels, shifts, overlaps = floquet._match_branches(prev, cur, d)
         assert np.all(overlaps > min_overlap)

@@ -27,11 +27,16 @@ tables are computed from it.
 
 README lint: every `` `[section] key` `` the README names is a key of the
 config schema, so the docs cannot keep a key that the parser rejects.
+
+Benchmark lint: every function that ``perfbench/tracer.py`` wraps by name,
+and every other name that ``perfbench/workloads.py`` reads, exists in the
+package, so a deletion that would break traced benchmark runs fails here.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -164,8 +169,6 @@ CALLER_FILES = [*sorted((ROOT / "scripts").glob("*.py")), ROOT / "tests" / "test
 
 # public without a caller, each for the reason given
 _UNCALLED_API = {
-    "polariton_manifold_eigs": "the per-point reference that synth_polariton_data's "
-                               "batched manifold is tested against",
     "import_result": "reads the json export back, so the round-trip test can show "
                      "that export loses nothing",
 }
@@ -293,3 +296,29 @@ def test_readme_names_only_config_keys():
 def test_lint_flags_a_readme_key_that_is_gone():
     text = "`[grid] xi`, `[polariton]`, `[polariton] span = 0.1`, `[gird] xi`"
     assert _unknown_config_keys(text) == ["[gird] xi", "[polariton] span"]
+
+
+def _tracer_targets() -> tuple:
+    """The ``(module, function)`` pairs of ``perfbench/tracer.py``'s ``TARGETS``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_benchmark_names_exist():
+    missing = [f"{mod}.{name}" for mod, name in _tracer_targets()
+               if not callable(getattr(importlib.import_module(f"floqlux.{mod}"), name, None))]
+    assert not missing, f"functions the benchmark tracer wraps are gone: {missing}"
+    # read by perfbench/workloads.py
+    from floqlux import config, decoherence, floquet
+
+    assert config.SweetSpotSpec().tol_d > 0
+    assert "fd" in inspect.signature(decoherence.coherence_rates).parameters
+    assert "tracking_break" in {f.name for f in dataclasses.fields(
+        decoherence.QuasienergyDerivatives)}
+    for fn in (floquet.solve_floquet, floquet.monodromy_oracle):
+        assert "spectrum" in inspect.signature(fn).parameters

@@ -24,7 +24,6 @@ from floqlux import (
     diagonalize_static,
     fit_polariton,
     floquet_dipole_coupling,
-    polariton_manifold_eigs,
     rwa_coupling,
     rwa_params_from_circuit,
     rwa_phase_coefficients,
@@ -145,6 +144,21 @@ def test_model_conventions_cancel_under_normalization(params):
     assert g_f == pytest.approx(0.0198990, abs=2e-6)
 
 
+def polariton_manifold_eigs(cavity, omega3, drive_omega, g_m, delta_m=None):
+    """Sorted eigenvalues of the one-excitation cavity/sideband manifold at one
+    transition frequency, by one 7x7 eigensolve: the per-point reference for
+    the package's batched manifold.  Row 0 is the bare cavity at omega_c; row
+    i holds sideband image m = i - 3 at omega3 + m*Omega + delta_m, coupled
+    to the cavity by |g_m|; a missing m reads 0."""
+    delta_m = delta_m or {}
+    h = np.zeros((7, 7))
+    h[0, 0] = cavity.omega_c
+    for i, m in enumerate(range(-2, 4), start=1):
+        h[i, i] = float(omega3) + m * drive_omega + float(delta_m.get(m, 0.0))
+        h[0, i] = h[i, 0] = abs(g_m.get(m, 0.0))
+    return np.linalg.eigvalsh(h)
+
+
 def test_manifold_eigs_limits():
     cavity = CavityParams(omega_c=7.3, g_cap=0.15)
     bare = polariton_manifold_eigs(cavity, 7.25, 0.2, {m: 0.0 for m in range(-2, 4)})
@@ -175,12 +189,8 @@ def _per_bias_reference(cavity, curve, drive_omega, g_m, delta_m, phis):
     """synth_polariton_data as one 7x7 eigensolve per bias (the reference)."""
     rows = []
     for phi in phis:
-        h = np.zeros((7, 7))
-        h[0, 0] = cavity.omega_c
-        for i, m in enumerate(range(-2, 4), start=1):
-            h[i, i] = float(curve(phi)) + m * drive_omega + float(delta_m.get(m, 0.0))
-            h[0, i] = h[i, 0] = abs(g_m.get(m, 0.0))
-        rows += [(float(phi), float(e)) for e in np.linalg.eigvalsh(h)
+        rows += [(float(phi), float(e))
+                 for e in polariton_manifold_eigs(cavity, curve(phi), drive_omega, g_m, delta_m)
                  if abs(e - cavity.omega_c) <= 0.25]
     return np.array(rows)
 

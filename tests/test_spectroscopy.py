@@ -38,7 +38,7 @@ def _spot_population(params, noise, spot_drive, probe_freqs, rabi=1e-4):
 
 
 def test_probe_rates_peak_on_resonance(params, noise, spot_drive, spot_solution, thermal):
-    eps01 = spot_solution.splitting(1, 0, "natural")
+    eps01 = spot_solution.splitting(1, 0)
     om = spot_solution.drive.omega
     target = abs(eps01 + 2 * om)
     # a weak probe moves P1 off thermal in proportion to its excitation rate
@@ -48,7 +48,7 @@ def test_probe_rates_peak_on_resonance(params, noise, spot_drive, spot_solution,
 
 def test_population_bounds_and_thermal_limit(params, noise, spot_drive, spot_solution,
                                              thermal):
-    eps01 = spot_solution.splitting(1, 0, "natural")
+    eps01 = spot_solution.splitting(1, 0)
     lo, hi = sorted((thermal, 0.5))
     p1 = _spot_population(params, noise, spot_drive, np.linspace(0.2, 2.0, 7))
     assert np.all((0.0 <= p1) & (p1 <= 1.0))
@@ -60,7 +60,7 @@ def test_population_bounds_and_thermal_limit(params, noise, spot_drive, spot_sol
 
 def test_population_response_linear_in_drive_power(params, noise, spot_drive, spot_solution,
                                                    thermal):
-    eps01 = spot_solution.splitting(1, 0, "natural")
+    eps01 = spot_solution.splitting(1, 0)
     om = spot_solution.drive.omega
     target = abs(eps01 + 2 * om)
 
@@ -191,7 +191,7 @@ def test_explicit_weights_bypass_alignment(spot_solution):
                        delays=tuple(float(i) * 2e-6 for i in range(6)))
     sig = synth_ramsey_signal(spot_solution, cfg, weights={0: 0.7, 1: 0.3})
     assert sig.component_weights == pytest.approx([0.7, 0.3])
-    eps01 = spot_solution.splitting(1, 0, "natural")
+    eps01 = spot_solution.splitting(1, 0)
     om = spot_solution.drive.omega
     want = np.abs((eps01 + np.array([0, 1]) * om - cfg.omega0) * 1e9)
     assert np.sort(np.abs(sig.component_freqs)) == pytest.approx(np.sort(want), rel=1e-12)

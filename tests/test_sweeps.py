@@ -29,7 +29,7 @@ from floqlux import (
     GridSpec,
     NoiseModel,
     PolaritonSpec,
-    ProbeSpec,
+    ProbeParams,
     RamseyConfig,
     RunConfig,
     SweepResult,
@@ -176,7 +176,7 @@ def test_extended_axes_compute_only_new_cells(tmp_path):
 def test_cell_jobs_ignore_the_grid(task, tmp_path):
     # a cell's output is a function of its coords and the grid-free config,
     # which is all its cache key holds
-    probe = ProbeSpec(omega_p=(0.6, 0.7, 0.8))
+    probe = ProbeParams(omega_p=(0.6, 0.7, 0.8))
     cfg = RunConfig(task=task, probe=probe, output=str(tmp_path / "o"))
     other = dataclasses.replace(
         cfg, grid=GridSpec(phi_dc=(0.45, 0.5), xi=(0.05, 0.0), omega=(0.6, 0.5)))
@@ -191,7 +191,7 @@ def test_spectroscopy_fixed_axis_change_recomputes(tmp_path):
     cfg = RunConfig(
         task="spectroscopy",
         grid=GridSpec(phi_dc=(0.45, 0.46), xi=(0.0,), omega=(0.5,)),
-        probe=ProbeSpec(omega_p=(0.70, 0.72, 0.74)),
+        probe=ProbeParams(omega_p=(0.70, 0.72, 0.74)),
         output=str(tmp_path / "o"),
     )
     first = run_sweep(cfg)
@@ -471,6 +471,19 @@ def test_interrupted_export_leaves_no_file(small_cfg, tmp_path, monkeypatch, fmt
     assert path.read_bytes() == export(res, tmp_path / "again", fmt)[0].read_bytes()
 
 
+def test_failed_cache_save_leaves_no_temp_file(small_cfg, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            run_sweep(small_cfg)
+    cells = Path(small_cfg.output) / ".cells"
+    assert not list(cells.glob("*.tmp")) and not _cell_files(small_cfg)
+    assert _computed(run_sweep(small_cfg)) == small_cfg.grid.size
+
+
 def test_masked_failure_rows(tmp_path):
     # a step too coarse for the beat leaves that cell masked with a reason
     cfg = RunConfig(
@@ -524,7 +537,7 @@ def test_spectroscopy_axes_and_extra(tmp_path):
     cfg = RunConfig(
         task="spectroscopy",
         grid=GridSpec(phi_dc=(0.49, 0.5), xi=(0.0,), omega=(0.5,)),
-        probe=ProbeSpec(omega_p=(0.70, 0.72, 0.74), sweep="phi_dc"),
+        probe=ProbeParams(omega_p=(0.70, 0.72, 0.74), sweep="phi_dc"),
         output=str(tmp_path / "o"),
     )
     res = run_sweep(cfg)
@@ -559,7 +572,7 @@ def test_spectroscopy_task_matches_the_library_map(tmp_path, monkeypatch, sweep,
     res = run_sweep(RunConfig(
         task="spectroscopy",
         grid=GridSpec(**{**{k: (v,) for k, v in fixed.items()}, sweep: values}),
-        probe=ProbeSpec(omega_p=probe_freqs, sweep=sweep),
+        probe=ProbeParams(omega_p=probe_freqs, sweep=sweep),
         output=str(tmp_path / "o"),
     ))
     m = spectroscopy_map(CircuitParams(), NoiseModel(), DriveParams(FluxBias(0.45), 0.05, 0.5),
@@ -693,7 +706,7 @@ def test_grid_step_that_read_a_masked_cell_is_not_cached(tmp_path, monkeypatch):
     _fail_solves_at(monkeypatch, 0.0, floqlux.tasks)
     cfg = RunConfig(task="spectroscopy",
                     grid=GridSpec(phi_dc=(0.45,), xi=(0.0, 0.02), omega=(0.5,)),
-                    probe=ProbeSpec(omega_p=(0.70, 0.72), sweep="xi"),
+                    probe=ProbeParams(omega_p=(0.70, 0.72), sweep="xi"),
                     output=str(tmp_path / "o"))
     res = run_sweep(cfg)
     assert res.mask.tolist() == [True, True, False, False]
@@ -710,7 +723,7 @@ def test_grid_step_exports_ignore_workers_and_cache(task, tmp_path, monkeypatch)
         "spectroscopy": RunConfig(task="spectroscopy",
                                   grid=GridSpec(phi_dc=(0.45, 0.46, 0.47), xi=(0.05,),
                                                 omega=(0.5,)),
-                                  probe=ProbeSpec(omega_p=(0.70, 0.72, 0.74))),
+                                  probe=ProbeParams(omega_p=(0.70, 0.72, 0.74))),
         "polariton": RunConfig(task="polariton",
                                grid=GridSpec(phi_dc=(0.3, 0.31), xi=(0.05,), omega=(0.2,)),
                                polariton=PolaritonSpec(
