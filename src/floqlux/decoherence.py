@@ -426,8 +426,11 @@ def _adaptive_fd(f, x0: float, h0: float, max_halvings: int = 5, rtol: float = 1
 
     Quasienergy branches can wiggle on fine parameter scales near sideband
     anticrossings, so the truncation error of a fixed step is untrustworthy;
-    halve until consecutive estimates agree (or stop improving) and return
-    the Richardson pair with the smallest error estimate |D(h/2) - D(h)|/15.
+    halve until consecutive estimates agree to ``rtol`` relative, at most
+    ``max_halvings`` times, and return the Richardson pair with the smallest
+    error estimate |D(h/2) - D(h)|/15.  There is no stop when the estimates
+    stop improving: where the derivative is zero to rounding, as at a sweet
+    spot, the relative test cannot pass and every halving runs.
     """
     cache: dict[float, float] = {}
 

@@ -545,22 +545,19 @@ _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _PROPAGATE_CHUNK = 256
 
 
-def _propagate_period(energies, phi_op, e_l, drive, n_steps):
-    """Monodromy matrix U(T) of the projected model via the CF4 integrator.
+def _cf4_product(h_static, amp, phi_op, dt, omega, start, stop):
+    """Product of CF4 steps ``start .. stop - 1``, the last step leftmost.
 
     Each chunk of steps builds its Gauss-node stage Hamiltonians at once,
     exponentiates them through one batched eigendecomposition and reduces
     them to stage[-1] @ ... @ stage[0] with a pairwise tree of batched
     matmuls; an odd count carries its last factor up one level.
     """
-    shift, amp = _drive_terms(e_l, drive.xi)
-    h_static = np.diag(energies + shift)
-    dt = drive.period / n_steps
-    u = np.eye(energies.size, dtype=complex)
-    for start in range(0, n_steps, _PROPAGATE_CHUNK):
-        t0 = np.arange(start, min(start + _PROPAGATE_CHUNK, n_steps)) * dt
+    u = np.eye(h_static.shape[0], dtype=complex)
+    for lo in range(start, stop, _PROPAGATE_CHUNK):
+        t0 = np.arange(lo, min(lo + _PROPAGATE_CHUNK, stop)) * dt
         h1, h2 = (
-            h_static + (amp * np.cos(2.0 * math.pi * drive.omega * t))[:, None, None] * phi_op
+            h_static + (amp * np.cos(2.0 * math.pi * omega * t))[:, None, None] * phi_op
             for t in (t0 + _GAUSS_C1 * dt, t0 + _GAUSS_C2 * dt)
         )
         # stages in time order, step by step: A2*h1 + A1*h2 acts before A1*h1 + A2*h2
@@ -573,6 +570,24 @@ def _propagate_period(energies, phi_op, e_l, drive, n_steps):
             expo = np.concatenate((expo[1:even:2] @ expo[0:even:2], expo[even:]))
         u = expo[0] @ u
     return u
+
+
+def _propagate_period(energies, phi_op, e_l, drive, n_steps):
+    """Monodromy matrix U(T) of the projected model via the CF4 integrator.
+
+    The drive is even about T/2 and the stage Hamiltonians are real
+    symmetric, so the step mirrored about T/2 swaps the two Gauss nodes and
+    is the transpose of the original step.  With A the product of the first
+    n_steps // 2 steps, U(T) = A^T A, or A^T M A with M the middle step
+    when the count is odd: the same discrete scheme at half the steps.
+    """
+    shift, amp = _drive_terms(e_l, drive.xi)
+    h_static = np.diag(energies + shift)
+    dt = drive.period / n_steps
+    half = n_steps // 2
+    a = _cf4_product(h_static, amp, phi_op, dt, drive.omega, 0, half)
+    middle = _cf4_product(h_static, amp, phi_op, dt, drive.omega, half, n_steps - half)
+    return a.T @ middle @ a
 
 
 # oracle truncation: circuit levels, initial CF4 steps per period, doublings

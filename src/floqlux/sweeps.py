@@ -8,11 +8,17 @@ where the key hashes exactly those (and the schema and package versions).
 Finished cells are written at least once a second and when the sweep stops
 for any reason, so reruns, refined or extended grids and interrupted
 sweeps recompute only what is missing or failed.  A task's optional
-whole-grid step then runs in this process on the cells' outputs (the
-sweet-spot scan refines the field its cells computed); its key takes the
-full config hash and the bytes of any data file it reads.  Aggregation is
-by row index and float formatting is fixed, which makes exports
-byte-identical regardless of worker count.
+whole-grid step then runs in this process on the result table and the
+cells' extras (the sweet-spot scan refines the field in the table's
+columns); its key takes the full config hash and the bytes of any data
+file it reads.  Aggregation is by row index and float formatting is
+fixed, which makes exports byte-identical regardless of worker count.
+
+A sweep's memory is bounded by its result table: jobs are planned and
+looked up in the cache one at a time, each finished cell is written into
+the preallocated table at once and kept otherwise only as its extra and
+its serialized cache file, at most two jobs per worker are in flight,
+and exports stream a block of rows at a time.
 
 Wall-clock timings are kept on the result object for profiling but excluded
 from both equality and exports; everything else round-trips through the JSON
@@ -32,10 +38,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -197,20 +204,21 @@ def _job_key(identity: str, coords: dict) -> str:
 
 
 def _plan(task: Task, config: RunConfig):
-    """Axes and cell jobs for one task.
+    """Axes and a lazy iterator of cell jobs for one task.
 
     A cell job is keyed by the physics config without its grid plus its
     coordinates, so every grid holding the cell shares its cache entry.
+    Jobs are drawn, and their keys hashed, one at a time.
     """
     if task.plan is not None:
         axes, cells = task.plan(config)
     else:
         axes = {a: tuple(sorted(float(v) for v in getattr(config.grid, a))) for a in task.axes}
-        cells = [(dict(zip(axes, point)), (i,))
-                 for i, point in enumerate(itertools.product(*axes.values()))]
+        cells = ((dict(zip(axes, point)), (i,))
+                 for i, point in enumerate(itertools.product(*axes.values())))
     cell_identity = config_hash(replace(config, grid=GridSpec()))
-    jobs = [_Job(i, task.job, coords, rows, _job_key(cell_identity, coords))
-            for i, (coords, rows) in enumerate(cells)]
+    jobs = (_Job(i, task.job, coords, rows, _job_key(cell_identity, coords))
+            for i, (coords, rows) in enumerate(cells))
     return axes, jobs
 
 
@@ -219,11 +227,12 @@ def _plan(task: Task, config: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _cache_path(cache_dir: Path, job: _Job) -> Path:
-    return cache_dir / f"{job.key}.json"
+def _cache_path(cache_dir: str, job: _Job) -> str:
+    # a plain string: pathlib would parse and intern every cell's file name
+    return os.path.join(cache_dir, f"{job.key}.json")
 
 
-def _load_cache(path: Path, job: _Job, n_cols: int):
+def _load_cache(path: str, job: _Job, n_cols: int):
     """The cached output of ``job``, or None if absent, unreadable or not its cell."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -242,45 +251,55 @@ def _load_cache(path: Path, job: _Job, n_cols: int):
     return out
 
 
-def _write_whole(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: through a sibling
-    ``.tmp`` file renamed onto it, which is removed also when the write or
-    the rename is cut, so neither a truncated target nor the temp file stays."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_whole(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` whole or not at all: through a
+    sibling ``.tmp`` file renamed onto it, which is removed also when the
+    write or the rename is cut, so neither a truncated target nor the temp
+    file stays."""
+    tmp = Path(f"{path}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _write_cache(path: Path, job: _Job, out: dict) -> None:
+def _cache_text(job: _Job, out: dict) -> str:
     payload = {"coords": job.coords, "rows": out["rows"]}
     if out.get("extra") is not None:
         payload["extra"] = out["extra"]
-    _write_whole(path, json.dumps(payload))
+    return json.dumps(payload)
 
 
-def _grid_step(task: Task, config: RunConfig, outputs: list, cache_dir: Path) -> dict:
+def _grid_step(task: Task, config: RunConfig, table: SweepResult, extras: list,
+               cache_dir: str) -> dict:
     """The whole-grid step's payload; keyed by the full config and the data file
     it names, and not cached when a cell it read failed."""
     identity = config_hash(config)
     data_file = config.polariton.data_file
     if data_file and os.path.isfile(data_file):
         identity += " " + hashlib.sha256(Path(data_file).read_bytes()).hexdigest()
-    job = _Job(len(outputs), lambda cfg, _: task.grid_job(cfg, outputs), {}, (),
+    job = _Job(0, lambda cfg, _: task.grid_job(cfg, table, extras), {}, (),
                _job_key(identity, {}))
-    out = _load_cache(_cache_path(cache_dir, job), job, 0)
+    path = _cache_path(cache_dir, job)
+    out = _load_cache(path, job, 0)
     if out is None:
         out = _execute(config, job)
-        if "error" not in out and not any("error" in cell for cell in outputs):
-            _write_cache(_cache_path(cache_dir, job), job, out)
+        if "error" not in out and not table.mask.any():
+            _write_whole(path, (_cache_text(job, out),))
     return {task.grid_key: {"error": out["error"]}} if "error" in out else out["extra"]
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+
+
+# jobs submitted to the pool per worker and not yet recorded: enough to keep
+# every worker busy while the parent records a result, and no more, so the
+# pending work does not grow with the grid
+_IN_FLIGHT_PER_WORKER = 2
 
 
 @_one_blas_thread()
@@ -290,12 +309,14 @@ def run_sweep(config: RunConfig) -> SweepResult:
     Cells already present in the cell cache are loaded instead of recomputed,
     and computed cells are cached within a second and whenever the sweep
     stops, so a sweep cut by Ctrl-C or a dead worker keeps its finished
-    cells.  Once every cell has finished, the task's whole-grid step, if it
-    has one, runs here on their outputs.  Per-cell solver failures mask the
-    affected rows with a reason and never abort the sweep.  Output directory
-    I/O errors do abort.  The sweep runs OpenBLAS at one thread, in at most
-    one worker process per usable core, and restores the caller's BLAS
-    thread counts when it returns or raises.
+    cells.  Each cell's rows go into the result table as the cell finishes;
+    the sweep keeps besides only the cells' extras and a bounded number of
+    jobs in flight.  Once every cell has finished, the task's whole-grid
+    step, if it has one, runs here on the table and the extras.  Per-cell
+    solver failures mask the affected rows with a reason and never abort
+    the sweep.  Output directory I/O errors do abort.  The sweep runs
+    OpenBLAS at one thread, in at most one worker process per usable core,
+    and restores the caller's BLAS thread counts when it returns or raises.
 
     Raises:
         ConfigError: the grid or sections do not fit the task.
@@ -305,90 +326,104 @@ def run_sweep(config: RunConfig) -> SweepResult:
     axes, jobs = _plan(task, config)
     columns = tuple(name for name, _ in task.columns)
     units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(unit for _, unit in task.columns)
-    cache_dir = Path(config.output) / ".cells"
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    cache_dir = os.path.join(config.output, ".cells")
+    os.makedirs(cache_dir, exist_ok=True)
 
-    coords_mat = np.array(list(itertools.product(*axes.values())), dtype=float)
-    n_rows = coords_mat.shape[0]
-
-    data = np.full((n_rows, len(columns)), np.nan)
-    mask = np.zeros(n_rows, dtype=bool)
+    n_axes = len(axes)
+    shape = tuple(len(values) for values in axes.values())
+    table = np.full((math.prod(shape), n_axes + len(columns)), np.nan)
+    for k, grid in enumerate(np.meshgrid(*axes.values(), indexing="ij", copy=False)):
+        table[:, k] = grid.ravel()
+    mask = np.zeros(table.shape[0], dtype=bool)
     reasons: dict = {}
-    timings = np.zeros(n_rows)
+    timings = np.zeros(table.shape[0])
+    extras: dict[int, dict] = {}  # jid -> extra, of the cells that return one
 
-    results: dict[int, dict] = {}  # jid -> output; cached outputs carry no seconds
-    pending: list[_Job] = []
-    for job in jobs:
-        cached = _load_cache(_cache_path(cache_dir, job), job, len(columns))
-        if cached is not None:
-            results[job.jid] = cached
+    def record(job: _Job, out: dict) -> None:
+        rows = list(job.row_indices)
+        if "error" in out:
+            mask[rows] = True
+            reasons.update(dict.fromkeys(rows, out["error"]))
         else:
-            pending.append(job)
+            table[rows, n_axes:] = out["rows"]
+            if "extra" in out:
+                extras[job.jid] = out["extra"]
+        timings[rows] = float(out.get("seconds", 0.0)) / len(rows)  # 0 for cache hits
 
-    unsaved: list[_Job] = []  # finished cells not yet on disk
+    def uncached():
+        for job in jobs:
+            cached = _load_cache(_cache_path(cache_dir, job), job, len(columns))
+            if cached is None:
+                yield job
+            else:
+                record(job, cached)
+
+    unsaved: list[tuple] = []  # (path, text) of finished cells not yet on disk
     saved_at = time.monotonic()
 
     def save() -> None:
         nonlocal saved_at
-        for job in unsaved:
-            _write_cache(_cache_path(cache_dir, job), job, results[job.jid])
+        for path, text in unsaved:
+            _write_whole(path, (text,))
         unsaved.clear()
         saved_at = time.monotonic()
 
     def finish(job: _Job, out: dict) -> None:
-        results[job.jid] = out
+        record(job, out)
         if "error" not in out:
-            unsaved.append(job)
+            unsaved.append((_cache_path(cache_dir, job), _cache_text(job, out)))
         if time.monotonic() - saved_at >= _SAVE_INTERVAL_S:
             save()
 
     try:
-        n_workers = min(config.workers, len(pending), _usable_cores())
-        if n_workers <= 1:
-            for job in pending:
+        todo = uncached()
+        n_max = min(config.workers, _usable_cores())
+        first = list(itertools.islice(todo, n_max))  # no more workers than cells to compute
+        todo = itertools.chain(first, todo)
+        if len(first) <= 1:
+            for job in todo:
                 finish(job, _execute(config, job))
         else:
+            n_workers = len(first)
             with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker,
                                      initargs=(config,)) as pool:
-                futures = {pool.submit(_execute_in_worker, job): job for job in pending}
+                in_flight: dict = {}  # future -> job; dropped once its result is recorded
+
+                def collect(limit: int) -> None:
+                    while len(in_flight) > limit:
+                        done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                        for fut in done:
+                            finish(in_flight.pop(fut), fut.result())
+
                 try:
-                    for fut in as_completed(futures):
-                        finish(futures[fut], fut.result())
+                    for job in todo:
+                        collect(_IN_FLIGHT_PER_WORKER * n_workers - 1)
+                        in_flight[pool.submit(_execute_in_worker, job)] = job
+                    collect(0)
                 except BaseException:
                     pool.shutdown(cancel_futures=True)
                     raise
     finally:  # also on Ctrl-C or a dead worker: finished cells are kept
         save()
 
-    outputs = [results[job.jid] for job in jobs]  # in job order
-    for job, out in zip(jobs, outputs):
-        per_row = float(out.get("seconds", 0.0)) / len(job.row_indices)
-        if "error" in out:
-            for r in job.row_indices:
-                mask[r] = True
-                reasons[r] = out["error"]
-                timings[r] = per_row
-            continue
-        for r, vals in zip(job.row_indices, out["rows"]):
-            data[r] = vals
-            timings[r] = per_row
-    if task.grid_job is not None:
-        extra = _grid_step(task, config, outputs, cache_dir)
-    else:
-        extra = {k: v for out in outputs for k, v in out.get("extra", {}).items()}
-
-    return SweepResult(
+    result = SweepResult(
         task=config.task,
         axes=axes,
         columns=columns,
         units=units,
-        rows=np.hstack([coords_mat, data]) if n_rows else np.empty((0, len(columns))),
+        rows=table,
         mask=mask,
         reasons=reasons,
-        extra=extra,
+        extra={},
         config_hash=config_hash(config),
         timings=timings,
     )
+    extras_in_order = [extras[jid] for jid in sorted(extras)]
+    if task.grid_job is not None:
+        extra = _grid_step(task, config, result, extras_in_order, cache_dir)
+    else:
+        extra = {k: v for e in extras_in_order for k, v in e.items()}
+    return replace(result, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -400,30 +435,31 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-# csv rows joined into one block at a time: holds at most this many row
-# strings at once, not one per row of the table
+# rows rendered into one text chunk at a time: an export holds at most this
+# many row strings at once, not one per row of the table
 _CSV_BLOCK_ROWS = 4096
 
 
-def _render_csv(result: SweepResult) -> str:
+def _render_csv(result: SweepResult):
     n_axes = len(result.axes)
     # each distinct axis value, told apart by its bits, is formatted once
-    axis_cells = []
+    axis_bits, axis_text = [], []
     for col in result.rows[:, :n_axes].T:
-        values, where = np.unique(col.view(np.uint64), return_inverse=True)
-        axis_cells.append(np.array([_fmt(v) for v in values.view(np.float64)], dtype=object)[where])
-    blocks = [",".join(result.header + ("mask",)), ",".join(result.units + ("bool",))]
+        bits = np.unique(col.view(np.uint64))
+        axis_bits.append(bits)
+        axis_text.append(np.array([_fmt(v) for v in bits.view(np.float64)], dtype=object))
+    yield ",".join(result.header + ("mask",)) + "\n" + ",".join(result.units + ("bool",)) + "\n"
     for lo in range(0, result.rows.shape[0], _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        rows = zip(*(cells[lo:hi] for cells in axis_cells), result.rows[lo:hi, n_axes:].tolist(),
-                   result.mask[lo:hi].tolist())
-        blocks.append("\n".join(",".join([*coords, *map(_fmt, data), "1" if masked else "0"])
-                                for *coords, data, masked in rows))
-    blocks.append("")  # the final newline, without copying the text once more
-    return "\n".join(blocks)
+        block = result.rows[lo:lo + _CSV_BLOCK_ROWS]
+        axis_cells = [text[np.searchsorted(bits, col.view(np.uint64))]
+                      for bits, text, col in zip(axis_bits, axis_text, block[:, :n_axes].T)]
+        rows = zip(*axis_cells, block[:, n_axes:].tolist(),
+                   result.mask[lo:lo + _CSV_BLOCK_ROWS].tolist())
+        yield "".join(",".join([*coords, *map(_fmt, data), "1\n" if masked else "0\n"])
+                      for *coords, data, masked in rows)
 
 
-def _render_json(result: SweepResult) -> str:
+def _render_json(result: SweepResult):
     doc = {
         "schema_version": result.schema_version,
         "task": result.task,
@@ -436,10 +472,15 @@ def _render_json(result: SweepResult) -> str:
         "reasons": {str(k): result.reasons[k] for k in sorted(result.reasons)},
         "extra": result.extra,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    # the chunks json.dump(doc, fh, indent=1) writes, which make the bytes of
+    # json.dumps; joined a few thousand at a time, as a write per chunk is slow
+    chunks = json.JSONEncoder(indent=1).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        yield batch
+    yield "\n"
 
 
-def _render_plotdata(result: SweepResult) -> str:
+def _render_plotdata(result: SweepResult):
     """Long-form x, y, value, series table; masked cells are dropped.
 
     With one axis y is 0; with more than two the trailing coordinates are
@@ -447,21 +488,19 @@ def _render_plotdata(result: SweepResult) -> str:
     """
     names = result.axis_names
     n_axes = len(names)
-    lines = ["x,y,value,series"]
+    yield "x,y,value,series\n"
     for ci, col in enumerate(result.columns):
-        for r in range(result.rows.shape[0]):
-            if result.mask[r]:
-                continue
-            x = result.rows[r, 0]
-            y = result.rows[r, 1] if n_axes > 1 else 0.0
-            series = col
-            if n_axes > 2:
-                tail = ";".join(
-                    f"{names[a]}={_fmt(result.rows[r, a])}" for a in range(2, n_axes)
-                )
-                series = f"{col}|{tail}"
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(result.rows[r, n_axes + ci])},{series}")
-    return "\n".join(lines) + "\n"
+        for lo in range(0, result.rows.shape[0], _CSV_BLOCK_ROWS):
+            block = result.rows[lo:lo + _CSV_BLOCK_ROWS][~result.mask[lo:lo + _CSV_BLOCK_ROWS]]
+            lines = []
+            for row in block.tolist():
+                y = row[1] if n_axes > 1 else 0.0
+                series = col
+                if n_axes > 2:
+                    tail = ";".join(f"{names[a]}={_fmt(row[a])}" for a in range(2, n_axes))
+                    series = f"{col}|{tail}"
+                lines.append(f"{_fmt(row[0])},{_fmt(y)},{_fmt(row[n_axes + ci])},{series}\n")
+            yield "".join(lines)
 
 
 # format -> (renderer, file name)

@@ -61,15 +61,19 @@ class Task:
             It may read any config section but the grid: the cell cache is
             keyed on the grid-free config and the coords alone.
         axes: grid axes whose product gives the cells, one row per cell.
-        grid_job: whole-grid step ``(config, outputs) -> output``, run in
-            the sweep's own process once every cell has finished, on the
-            cells' outputs in job order.  Its ``extra`` is the result's
-            (without a step, the cells' extras are merged); its failure goes
-            to ``extra[grid_key]``.
+        grid_job: whole-grid step ``(config, table, extras) -> output``, run
+            in the sweep's own process once every cell has finished.  It
+            reads ``table``, the ``SweepResult`` of the cells (rows, mask and
+            reasons, with an empty ``extra``), and ``extras``, the extras of
+            the cells that returned one, in job order; the sweep keeps no
+            other cell output.  Its ``extra`` is the result's (without a
+            step, the cells' extras are merged); its failure goes to
+            ``extra[grid_key]``.
         check: config check raising ConfigError; by default the one every
             task that solves the driven problem needs.
-        plan: ``config -> (axes, [(coords, row_indices), ...])`` for a grid
-            that is not the product of ``axes``.
+        plan: ``config -> (axes, iterable of (coords, row_indices))`` for a
+            grid that is not the product of ``axes``; the sweep draws the
+            cells one at a time.
     """
 
     columns: tuple
@@ -188,7 +192,7 @@ def _job_polariton(config: RunConfig, coords):
     return {"rows": [vals]}
 
 
-def _job_polariton_fit(config: RunConfig, outputs):
+def _job_polariton_fit(config: RunConfig, table, extras):
     if not config.polariton.data_file:
         return {"rows": [], "extra": {}}
     data = np.loadtxt(config.polariton.data_file, ndmin=2)  # shape checked by _check_polariton
@@ -224,8 +228,8 @@ def _plan_spectroscopy(config: RunConfig):
     svals = tuple(sorted(float(v) for v in getattr(g, sweep)))
     pvals = _probe_freqs(config)
     n_p = len(pvals)
-    cells = [({**fixed, sweep: v}, tuple(range(i * n_p, (i + 1) * n_p)))
-             for i, v in enumerate(svals)]
+    cells = (({**fixed, sweep: v}, tuple(range(i * n_p, (i + 1) * n_p)))
+             for i, v in enumerate(svals))
     return {sweep: svals, "omega_p": pvals}, cells
 
 
@@ -241,11 +245,11 @@ def _job_spectroscopy(config: RunConfig, coords):
     }
 
 
-def _job_spectroscopy_branches(config: RunConfig, outputs):
+def _job_spectroscopy_branches(config: RunConfig, table, extras):
+    # a failed column returned no extra, so it has no overlay point
     g = config.grid
     fixed = {"phi_dc": g.phi_dc[0], "xi": g.xi[0], "omega": g.omega[0]}
     fixed.pop(config.probe.sweep)
-    extras = [out["extra"] for out in outputs if "error" not in out]
     points = [{"value": e["value"], "freqs": e["branch_freqs"]} for e in extras]
     branch_k = _plain(_OVERLAY_K) if extras else []
     return {"rows": [],
@@ -274,15 +278,12 @@ def _job_sweetspot(config: RunConfig, coords):
     return {"rows": [list(field)]}
 
 
-def _job_sweetspot_scan(config: RunConfig, outputs):
-    # the cells hold the scan's field; a failed one fails the scan
-    for out in outputs:
-        if "error" in out:
-            return {"error": out["error"]}
-    axes = tuple(tuple(sorted(float(v) for v in getattr(config.grid, a)))
-                 for a in ("phi_dc", "xi", "omega"))
-    scan = _refine_sweet_spots(config.circuit, config.noise, config.floquet, axes,
-                               np.array([out["rows"][0] for out in outputs]),
+def _job_sweetspot_scan(config: RunConfig, table, extras):
+    # the table's columns hold the scan's field; the first failed cell fails the scan
+    if table.reasons:
+        return {"error": table.reasons[min(table.reasons)]}
+    scan = _refine_sweet_spots(config.circuit, config.noise, config.floquet,
+                               tuple(table.axes.values()), table.rows[:, len(table.axes):],
                                config.sweetspot.tol_d)
     spots = [
         {

@@ -499,6 +499,12 @@ def test_propagate_period_matches_per_step_loop(params, spec_451, spot_drive, un
     assert np.max(np.abs(_propagate_period(*args) - _cf4_loop(*args))) < 1e-12
 
 
+def test_propagate_period_odd_step_count_matches_per_step_loop(params, spec_451, spot_drive):
+    # the middle step sits between the first half-period product and its transpose
+    args = (spec_451.energies[:5], spec_451.phi_elements[:5, :5], params.e_l, spot_drive, 601)
+    assert np.max(np.abs(_propagate_period(*args) - _cf4_loop(*args))) < 1e-12
+
+
 def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
     args = (spec_451.energies[:5], spec_451.phi_elements[:5, :5], params.e_l, spot_drive)
     tracemalloc.start()

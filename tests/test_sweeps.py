@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -181,7 +182,7 @@ def test_cell_jobs_ignore_the_grid(task, tmp_path):
     other = dataclasses.replace(
         cfg, grid=GridSpec(phi_dc=(0.45, 0.5), xi=(0.05, 0.0), omega=(0.6, 0.5)))
     _, jobs = sweeps._plan(REGISTRY[task], cfg)
-    job = jobs[0]
+    job = next(iter(jobs))
     a, b = job.fn(cfg, job.coords), job.fn(other, job.coords)
     assert "error" not in a
     assert json.dumps(a) == json.dumps(b)
@@ -334,6 +335,76 @@ def test_pool_capped_at_usable_cores(small_cfg, monkeypatch, workers, cores, siz
     assert not res.mask.any()
 
 
+def _stub_job(config, coords):
+    return {"rows": [[coords["phi_dc"], coords["xi"], 0.0, 0.0, 0.0, 0.0, 0.0]]}
+
+
+def _stub_sweep(tmp_path, monkeypatch, n_phi, n_xi, workers=1, job=_stub_job) -> RunConfig:
+    """A floquet-shaped sweep of n_phi x n_xi cells whose job costs nothing."""
+    monkeypatch.setitem(REGISTRY, "floquet", dataclasses.replace(REGISTRY["floquet"], job=job))
+    grid = GridSpec(phi_dc=tuple(np.linspace(0.4, 0.5, n_phi)),
+                    xi=tuple(np.linspace(0.0, 0.1, n_xi)), omega=(0.4,))
+    return RunConfig(task="floquet", grid=grid, output=str(tmp_path / "o"), workers=workers)
+
+
+def test_pool_keeps_two_jobs_per_worker_in_flight(tmp_path, monkeypatch):
+    cfg = _stub_sweep(tmp_path, monkeypatch, 10, 3, workers=2)
+    unread, most_unread = [0], [0]
+
+    class CountedFuture(Future):
+        def result(self, timeout=None):
+            unread[0] -= 1
+            return super().result(timeout)
+
+    class CountingPool(_InlinePool):
+        def submit(self, fn, *args):
+            unread[0] += 1
+            most_unread[0] = max(most_unread[0], unread[0])
+            future = CountedFuture()
+            future.set_result(fn(*args))
+            return future
+
+    made = []
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor",
+                        lambda **kwargs: CountingPool(made, **kwargs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    res = run_sweep(cfg)
+    assert made == [2] and not res.mask.any()
+    assert np.array_equal(res.column("eps01_natural"), res.column("phi_dc"))
+    assert most_unread[0] == 2 * 2 and unread[0] == 0
+
+
+def test_sweep_plans_lazily(tmp_path, monkeypatch):
+    # the first job runs once its own key is hashed, not after every key
+    hashed, hashed_at_first_job = [], []
+    job_key = sweeps._job_key
+    monkeypatch.setattr(sweeps, "_job_key", lambda *args: hashed.append(1) or job_key(*args))
+
+    def job(config, coords):
+        hashed_at_first_job.append(len(hashed))
+        return _stub_job(config, coords)
+
+    run_sweep(_stub_sweep(tmp_path, monkeypatch, 10, 10, job=job))
+    assert hashed_at_first_job[0] == 1 and len(hashed) == 100
+
+
+def test_sweep_memory_is_bounded_by_its_table(tmp_path, monkeypatch):
+    # disk writes are stubbed out and each cell is saved as it finishes, so the
+    # traced peak is what the sweep itself holds: its table, the plan and the
+    # jobs in flight, not every cell's output
+    cfg = _stub_sweep(tmp_path, monkeypatch, 100, 100)
+    monkeypatch.setattr(sweeps, "_write_whole", lambda path, chunks: None)
+    monkeypatch.setattr(sweeps, "_SAVE_INTERVAL_S", 0.0)
+    tracemalloc.start()
+    try:
+        res = run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rows.shape == (10**4, 10) and not res.mask.any()
+    assert peak < 2 * res.rows.nbytes + 10**6
+
+
 _EXPORT_CSV_AND_JSON = """
 import sys
 from floqlux.cli import main
@@ -421,11 +492,67 @@ def test_csv_formats_every_cell_as_its_own_value(monkeypatch):
                       columns=("eps",), units=("Phi0", "Phi0", "GHz"), rows=rows,
                       mask=np.array([False, True, False, False, False, True]),
                       reasons={}, extra={}, config_hash="")
-    text = sweeps._render_csv(res)
+    text = "".join(sweeps._render_csv(res))
     assert text.endswith("\n") and not text.endswith("\n\n")
     body = text.splitlines()[2:]
     assert body == [",".join(["%.17g" % v for v in row] + [str(int(m))])
                     for row, m in zip(rows, res.mask)]
+
+
+def _csv_reference(result) -> str:
+    """The csv as one string, formatted one cell at a time."""
+    lines = [",".join(result.header + ("mask",)), ",".join(result.units + ("bool",))]
+    lines += [",".join(["%.17g" % v for v in row] + [str(int(m))])
+              for row, m in zip(result.rows.tolist(), result.mask)]
+    return "\n".join(lines) + "\n"
+
+
+def _plotdata_reference(result) -> str:
+    """The plotdata table as one string, one row of the table at a time."""
+    names = result.axis_names
+    lines = ["x,y,value,series"]
+    for ci, col in enumerate(result.columns):
+        for row, masked in zip(result.rows.tolist(), result.mask):
+            if not masked:
+                tail = ";".join(f"{names[a]}=%.17g" % row[a] for a in range(2, len(names)))
+                lines.append("%.17g,%.17g,%.17g,%s" % (row[0], row[1], row[len(names) + ci],
+                                                       f"{col}|{tail}"))
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_exports_match_one_string_renderings(tmp_path):
+    # more than two csv blocks plus a partial one, with repeated, masked and
+    # non-finite values
+    axes = {"phi_dc": tuple(np.linspace(0.4, 0.5, 41)), "xi": tuple(np.linspace(0.0, 0.1, 101)),
+            "omega": (0.4, 0.7)}
+    n = 41 * 101 * 2
+    assert 2 * sweeps._CSV_BLOCK_ROWS < n < 3 * sweeps._CSV_BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(n, 2))
+    data[rng.integers(0, n, 50), 0] = np.nan
+    data[rng.integers(0, n, 5), 1] = -np.inf
+    rows = np.hstack([np.array(list(itertools.product(*axes.values()))), data])
+    mask = rng.random(n) < 0.1
+    res = SweepResult(task="floquet", axes=axes, columns=("a", "b"),
+                      units=("Phi0", "Phi0", "GHz", "GHz", "1"), rows=rows, mask=mask,
+                      reasons={int(r): "DiagnosticError: masked" for r in np.flatnonzero(mask)},
+                      extra={"note": [1.5, None]}, config_hash="abc")
+    doc = {
+        "schema_version": res.schema_version,
+        "task": "floquet",
+        "config_hash": "abc",
+        "axes": {k: list(v) for k, v in axes.items()},
+        "columns": ["a", "b"],
+        "units": list(res.units),
+        "rows": rows.tolist(),
+        "mask": mask.tolist(),
+        "reasons": {str(r): res.reasons[r] for r in sorted(res.reasons)},
+        "extra": {"note": [1.5, None]},
+    }
+    want = {"csv": _csv_reference(res), "json": json.dumps(doc, indent=1) + "\n",
+            "plotdata": _plotdata_reference(res)}
+    for fmt, text in want.items():
+        assert export(res, tmp_path, fmt)[0].read_bytes() == text.encode(), fmt
 
 
 def test_json_roundtrip(small_cfg, tmp_path):
@@ -659,7 +786,8 @@ def _solved_points(monkeypatch) -> list:
 def _grid_step_files(cfg) -> list:
     """The run's cache files that hold no cell: the whole-grid step's."""
     _, jobs = sweeps._plan(REGISTRY[cfg.task], cfg)
-    return [p for p in _cell_files(cfg) if p.stem not in {job.key for job in jobs}]
+    keys = {job.key for job in jobs}
+    return [p for p in _cell_files(cfg) if p.stem not in keys]
 
 
 def test_sweetspot_run_solves_each_drive_point_once(tmp_path, monkeypatch):
@@ -679,7 +807,7 @@ def test_missing_grid_step_alone_is_recomputed(tmp_path, monkeypatch):
     steps = []
     task = REGISTRY["sweetspot"]
     monkeypatch.setitem(REGISTRY, "sweetspot", dataclasses.replace(
-        task, grid_job=lambda config, outputs: steps.append(1) or task.grid_job(config, outputs)))
+        task, grid_job=lambda *inputs: steps.append(1) or task.grid_job(*inputs)))
     points = _solved_points(monkeypatch)
     again = run_sweep(cfg)
     assert again == first
