@@ -275,9 +275,9 @@ def rwa_params_from_circuit(params: CircuitParams, bias0: float, cavity: CavityP
 _FIT_M_VALUES = tuple(range(-2, 4))
 
 
-def _by_m(values) -> dict:
-    """m -> float over m = -2..3 from a mapping (None or a missing m reads 0)."""
-    return {m: float((values or {}).get(m, 0.0)) for m in _FIT_M_VALUES}
+def _by_m(values, missing: float = 0.0) -> dict:
+    """m -> float over m = -2..3 from a mapping (None or a missing m reads ``missing``)."""
+    return {m: float((values or {}).get(m, missing)) for m in _FIT_M_VALUES}
 
 
 def _manifold(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
@@ -351,12 +351,7 @@ def synth_polariton_data(
 def _unpack(x: np.ndarray, active) -> tuple[dict, dict]:
     """(g_m, delta_m) over m = -2..3 from the fit vector; inactive m read 0."""
     n_act = len(active)
-    g = {m: 0.0 for m in _FIT_M_VALUES}
-    d = {m: 0.0 for m in _FIT_M_VALUES}
-    for i, m in enumerate(active):
-        g[m] = abs(x[i])
-        d[m] = x[n_act + i]
-    return g, d
+    return _by_m(dict(zip(active, np.abs(x[:n_act])))), _by_m(dict(zip(active, x[n_act:])))
 
 
 def _fit_problem(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
@@ -397,6 +392,21 @@ def _fit_problem(cavity: CavityParams, omega3s: np.ndarray, drive_omega: float,
     return residuals, jacobian
 
 
+def _peak_table(data) -> np.ndarray:
+    """``data`` as a float table that ``fit_polariton`` can fit, or a ValueError."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] not in (2, 3):
+        raise ValueError("peak table must have columns phi_dc, freq_ghz[, sigma_ghz]; "
+                         f"got shape {data.shape}")
+    if data.shape[0] < 5:
+        raise ValueError(f"peak table needs at least 5 rows; got {data.shape[0]}")
+    if not np.isfinite(data).all():
+        raise ValueError("peak table must hold finite values only")
+    if data.shape[1] == 3 and np.any(data[:, 2] <= 0):
+        raise ValueError("peak table sigma_ghz must be positive")
+    return data
+
+
 def fit_polariton(
     data: np.ndarray,
     cavity: CavityParams,
@@ -406,8 +416,9 @@ def fit_polariton(
 ) -> PolaritonFit:
     """Fit sideband couplings g_m (m = -2..3) and detunings to peak data.
 
-    ``data`` is an (N, 2) or (N, 3) array of (phi, freq_ghz[, sigma_ghz]);
-    each point contributes the distance to the nearest manifold eigenvalue.
+    ``data`` is an (N, 2) or (N, 3) array of (phi, freq_ghz[, sigma_ghz]),
+    N >= 5, finite, with positive sigmas; each point contributes the
+    distance to the nearest manifold eigenvalue.
     A sideband is identifiable only when some data point lies within
     ``capture_window`` (GHz) of its bare crossing; the rest are pinned at
     g_m = 0, delta_m = 0.  Initialization and restarts are deterministic, so
@@ -421,18 +432,13 @@ def fit_polariton(
     Jacobian evaluations reuse them.
 
     Raises:
+        ValueError: ``data`` breaks one of these rules.
         FitError: when every restart fails to converge.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[1] not in (2, 3):
-        raise ValueError("data must be (N, 2) or (N, 3): phi, freq[, sigma]")
-    if data.shape[0] < 5:
-        raise ValueError("need at least 5 data points")
+    data = _peak_table(data)
     phis = data[:, 0]
     freqs = data[:, 1]
     sigmas = data[:, 2] if data.shape[1] == 3 else np.ones_like(freqs)
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be positive")
     omega3s = np.array([float(omega3_curve(p)) for p in phis])
 
     active = []
@@ -483,9 +489,7 @@ def fit_polariton(
         perr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         perr = np.full(2 * n_act, np.inf)
-    g_err = {m: math.inf for m in _FIT_M_VALUES}
-    for i, m in enumerate(active):
-        g_err[m] = float(perr[i])
+    g_err = _by_m(dict(zip(active, perr)), math.inf)
     rms = float(np.sqrt(np.mean((best.fun * sigmas) ** 2)))
     return PolaritonFit(
         g_m=g_fit,

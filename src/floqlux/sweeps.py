@@ -8,11 +8,12 @@ where the key hashes exactly those (and the schema and package versions).
 Finished cells are written at least once a second and when the sweep stops
 for any reason, so reruns, refined or extended grids and interrupted
 sweeps recompute only what is missing or failed.  A task's optional
-whole-grid step then runs in this process on the result table and the
+whole-grid step then runs in this process on the result table, the
 cells' extras (the sweet-spot scan refines the field in the table's
-columns); its key takes the full config hash and the bytes of any data
-file it reads.  Aggregation is by row index and float formatting is
-fixed, which makes exports byte-identical regardless of worker count.
+columns) and the array its check read (the polariton peak table); its
+key takes the full config hash and that array's shape and bytes.
+Aggregation is by row index and float formatting is fixed, which makes
+exports byte-identical regardless of worker count.
 
 A sweep's memory is bounded by its result table: jobs are planned and
 looked up in the cache one at a time, each finished cell is written into
@@ -273,14 +274,13 @@ def _cache_text(job: _Job, out: dict) -> str:
 
 
 def _grid_step(task: Task, config: RunConfig, table: SweepResult, extras: list,
-               cache_dir: str) -> dict:
-    """The whole-grid step's payload; keyed by the full config and the data file
-    it names, and not cached when a cell it read failed."""
+               data: np.ndarray | None, cache_dir: str) -> dict:
+    """The whole-grid step's payload; keyed by the full config and ``data``'s
+    shape and bytes, and not cached when a cell it read failed."""
     identity = config_hash(config)
-    data_file = config.polariton.data_file
-    if data_file and os.path.isfile(data_file):
-        identity += " " + hashlib.sha256(Path(data_file).read_bytes()).hexdigest()
-    job = _Job(0, lambda cfg, _: task.grid_job(cfg, table, extras), {}, (),
+    if data is not None:
+        identity += f" {data.shape} " + hashlib.sha256(data.tobytes()).hexdigest()
+    job = _Job(0, lambda cfg, _: task.grid_job(cfg, table, extras, data), {}, (),
                _job_key(identity, {}))
     path = _cache_path(cache_dir, job)
     out = _load_cache(path, job, 0)
@@ -312,17 +312,18 @@ def run_sweep(config: RunConfig) -> SweepResult:
     cells.  Each cell's rows go into the result table as the cell finishes;
     the sweep keeps besides only the cells' extras and a bounded number of
     jobs in flight.  Once every cell has finished, the task's whole-grid
-    step, if it has one, runs here on the table and the extras.  Per-cell
-    solver failures mask the affected rows with a reason and never abort
-    the sweep.  Output directory I/O errors do abort.  The sweep runs
-    OpenBLAS at one thread, in at most one worker process per usable core,
-    and restores the caller's BLAS thread counts when it returns or raises.
+    step, if it has one, runs here on the table, the extras and what the
+    task's check returned.  Per-cell solver failures mask the affected rows
+    with a reason and never abort the sweep.  Output directory I/O errors
+    do abort.  The sweep runs OpenBLAS at one thread, in at most one worker
+    process per usable core, and restores the caller's BLAS thread counts
+    when it returns or raises.
 
     Raises:
         ConfigError: the grid or sections do not fit the task.
     """
     task = REGISTRY[config.task]
-    task.check(config)
+    data = task.check(config)
     axes, jobs = _plan(task, config)
     columns = tuple(name for name, _ in task.columns)
     units = tuple(_AXIS_UNITS[a] for a in axes) + tuple(unit for _, unit in task.columns)
@@ -420,7 +421,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
     )
     extras_in_order = [extras[jid] for jid in sorted(extras)]
     if task.grid_job is not None:
-        extra = _grid_step(task, config, result, extras_in_order, cache_dir)
+        extra = _grid_step(task, config, result, extras_in_order, data, cache_dir)
     else:
         extra = {k: v for e in extras_in_order for k, v in e.items()}
     return replace(result, extra=extra)

@@ -8,7 +8,6 @@ masks; jobs are module-level so they pickle into worker processes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -19,6 +18,8 @@ from .decoherence import _field_at, _refine_sweet_spots, coherence_rates
 from .errors import ConfigError
 from .floquet import DriveParams, FloquetSolution, fold_quasienergy, solve_floquet
 from .polariton import (
+    _FIT_M_VALUES,
+    _peak_table,
     fit_polariton,
     floquet_dipole_coupling,
     rwa_coupling,
@@ -32,6 +33,7 @@ if TYPE_CHECKING:
     from .config import RunConfig
 
 _SPECTRAL_N = 8  # sideband window exported by the spectral-function task
+_DRIVE_AXES = ("phi_dc", "xi", "omega")
 _OVERLAY_K = np.arange(-4, 5)  # sidebands k of the spectroscopy overlay eps01 + k*Omega
 
 
@@ -51,6 +53,13 @@ def _check_floquet_levels(config: RunConfig) -> None:
         raise ConfigError(f"invalid [grid] settings: {exc}") from None
 
 
+def _check_single(config: RunConfig, names, why: str) -> None:
+    """Each grid axis in ``names`` must hold one value, for the reason ``why``."""
+    for name in names:
+        if (n := len(getattr(config.grid, name))) != 1:
+            raise ConfigError(f"{why}; grid {name} must have one value (got {n})")
+
+
 @dataclass(frozen=True)
 class Task:
     """What the sweep runner needs to know about one task.
@@ -61,16 +70,16 @@ class Task:
             It may read any config section but the grid: the cell cache is
             keyed on the grid-free config and the coords alone.
         axes: grid axes whose product gives the cells, one row per cell.
-        grid_job: whole-grid step ``(config, table, extras) -> output``, run
-            in the sweep's own process once every cell has finished.  It
+        grid_job: whole-grid step ``(config, table, extras, data) -> output``,
+            run in the sweep's own process once every cell has finished.  It
             reads ``table``, the ``SweepResult`` of the cells (rows, mask and
-            reasons, with an empty ``extra``), and ``extras``, the extras of
-            the cells that returned one, in job order; the sweep keeps no
-            other cell output.  Its ``extra`` is the result's (without a
-            step, the cells' extras are merged); its failure goes to
-            ``extra[grid_key]``.
-        check: config check raising ConfigError; by default the one every
-            task that solves the driven problem needs.
+            reasons, with an empty ``extra``), ``extras``, the extras of the
+            cells that returned one, in job order, and ``data``, what
+            ``check`` returned; the sweep keeps no other cell output.  Its
+            ``extra`` is the result's (without a step, the cells' extras are
+            merged); its failure goes to ``extra[grid_key]``.
+        check: config check raising ConfigError (by default every driven
+            task's); returns the file data the step reads, validated, or None.
         plan: ``config -> (axes, iterable of (coords, row_indices))`` for a
             grid that is not the product of ``axes``; the sweep draws the
             cells one at a time.
@@ -78,7 +87,7 @@ class Task:
 
     columns: tuple
     job: Callable
-    axes: tuple = ("phi_dc", "xi", "omega")
+    axes: tuple = _DRIVE_AXES
     grid_job: Callable | None = None
     grid_key: str = ""
     check: Callable = _check_floquet_levels
@@ -155,7 +164,7 @@ def _job_spectral(config: RunConfig, coords):
     return {"rows": [vals]}
 
 
-def _check_polariton(config: RunConfig) -> None:
+def _check_polariton(config: RunConfig) -> np.ndarray | None:
     _check_floquet_levels(config)
     if config.floquet.n_levels < 4:
         raise ConfigError(
@@ -163,39 +172,34 @@ def _check_polariton(config: RunConfig) -> None:
             f"(got {config.floquet.n_levels})"
         )
     path = config.polariton.data_file
-    if path:
-        if len(config.grid.omega) != 1:
-            raise ConfigError(
-                "the polariton fit uses a single drive frequency; grid omega "
-                f"must have one value when data_file is set (got {len(config.grid.omega)})"
-            )
-        if not os.path.exists(path):
-            raise ConfigError(f"polariton data_file {path!r} not found")
-        try:
-            shape = np.loadtxt(path, ndmin=2).shape
-        except ValueError as exc:
-            raise ConfigError(f"polariton data file {path!r} is not numeric: {exc}") from None
-        if shape[1] not in (2, 3):
-            raise ConfigError(
-                f"polariton data file {path!r} must have columns "
-                f"phi_dc, freq_ghz[, sigma_ghz]; got shape {shape}"
-            )
+    if not path:
+        return None
+    _check_single(config, ("omega",), "the polariton fit uses a single drive frequency")
+    try:
+        data = np.loadtxt(path, ndmin=2)
+    except FileNotFoundError:
+        raise ConfigError(f"polariton data_file {path!r} not found") from None
+    except ValueError as exc:
+        raise ConfigError(f"polariton data file {path!r} is not numeric: {exc}") from None
+    try:
+        return _peak_table(data)
+    except ValueError as exc:
+        raise ConfigError(f"polariton data file {path!r}: {exc}") from None
 
 
 def _job_polariton(config: RunConfig, coords):
     sol = _solved(config, coords)
-    vals = [abs(floquet_dipole_coupling(sol, config.cavity, m)) for m in range(-2, 4)]
+    vals = [abs(floquet_dipole_coupling(sol, config.cavity, m)) for m in _FIT_M_VALUES]
     rwa = rwa_params_from_circuit(sol.spectrum.params, sol.drive.bias.phi_dc,
                                   config.cavity, sol.drive.xi)
     co = rwa_phase_coefficients(rwa, sol.drive)
-    vals += [abs(rwa_coupling(rwa, co, m)) for m in range(-2, 4)]
+    vals += [abs(rwa_coupling(rwa, co, m)) for m in _FIT_M_VALUES]
     return {"rows": [vals]}
 
 
-def _job_polariton_fit(config: RunConfig, table, extras):
-    if not config.polariton.data_file:
+def _job_polariton_fit(config: RunConfig, table, extras, data):
+    if data is None:
         return {"rows": [], "extra": {}}
-    data = np.loadtxt(config.polariton.data_file, ndmin=2)  # shape checked by _check_polariton
     curve = _lattice_spline(config.circuit, 0, 3, np.min(data[:, 0]), np.max(data[:, 0]))
     fit = fit_polariton(
         data, config.cavity, curve, float(config.grid.omega[0]),
@@ -204,16 +208,14 @@ def _job_polariton_fit(config: RunConfig, table, extras):
     return {"rows": [], "extra": {"fit": _plain(asdict(fit))}}
 
 
+def _fixed_drive(config: RunConfig) -> dict:
+    """Every drive axis but the spectroscopy sweep's, at its first grid value."""
+    return {a: float(getattr(config.grid, a)[0]) for a in _DRIVE_AXES if a != config.probe.sweep}
+
+
 def _check_spectroscopy(config: RunConfig) -> None:
     _check_floquet_levels(config)
-    g = config.grid
-    fixed = ("xi", "omega") if config.probe.sweep == "phi_dc" else ("phi_dc", "omega")
-    for name in fixed:
-        if len(getattr(g, name)) != 1:
-            raise ConfigError(
-                f"spectroscopy sweeps {config.probe.sweep}; grid {name} must "
-                f"have one value (got {len(getattr(g, name))})"
-            )
+    _check_single(config, _fixed_drive(config), f"spectroscopy sweeps {config.probe.sweep}")
 
 
 def _probe_freqs(config: RunConfig) -> tuple:
@@ -222,14 +224,14 @@ def _probe_freqs(config: RunConfig) -> tuple:
 
 def _plan_spectroscopy(config: RunConfig):
     # a column's coords are its whole drive point, so its job never reads the grid
-    g = config.grid
     sweep = config.probe.sweep
-    fixed = {"phi_dc": float(g.phi_dc[0]), "xi": float(g.xi[0]), "omega": float(g.omega[0])}
-    svals = tuple(sorted(float(v) for v in getattr(g, sweep)))
+    fixed = _fixed_drive(config)
+    svals = tuple(sorted(float(v) for v in getattr(config.grid, sweep)))
     pvals = _probe_freqs(config)
     n_p = len(pvals)
-    cells = (({**fixed, sweep: v}, tuple(range(i * n_p, (i + 1) * n_p)))
-             for i, v in enumerate(svals))
+    # coords in drive-axis order, which the cell's cache key hashes
+    points = ({a: fixed.get(a, v) for a in _DRIVE_AXES} for v in svals)
+    cells = ((p, tuple(range(i * n_p, (i + 1) * n_p))) for i, p in enumerate(points))
     return {sweep: svals, "omega_p": pvals}, cells
 
 
@@ -245,15 +247,12 @@ def _job_spectroscopy(config: RunConfig, coords):
     }
 
 
-def _job_spectroscopy_branches(config: RunConfig, table, extras):
+def _job_spectroscopy_branches(config: RunConfig, table, extras, data):
     # a failed column returned no extra, so it has no overlay point
-    g = config.grid
-    fixed = {"phi_dc": g.phi_dc[0], "xi": g.xi[0], "omega": g.omega[0]}
-    fixed.pop(config.probe.sweep)
     points = [{"value": e["value"], "freqs": e["branch_freqs"]} for e in extras]
     branch_k = _plain(_OVERLAY_K) if extras else []
-    return {"rows": [],
-            "extra": {"fixed": _plain(fixed), "branches": {"k": branch_k, "points": points}}}
+    return {"rows": [], "extra": {"fixed": _fixed_drive(config),
+                                  "branches": {"k": branch_k, "points": points}}}
 
 
 def _job_coherence(config: RunConfig, coords):
@@ -278,7 +277,7 @@ def _job_sweetspot(config: RunConfig, coords):
     return {"rows": [list(field)]}
 
 
-def _job_sweetspot_scan(config: RunConfig, table, extras):
+def _job_sweetspot_scan(config: RunConfig, table, extras, data):
     # the table's columns hold the scan's field; the first failed cell fails the scan
     if table.reasons:
         return {"error": table.reasons[min(table.reasons)]}
@@ -304,12 +303,7 @@ def _job_sweetspot_scan(config: RunConfig, table, extras):
 
 def _check_ramsey(config: RunConfig) -> None:
     _check_floquet_levels(config)
-    g = config.grid
-    if g.size != 1:
-        raise ConfigError(
-            "ramsey runs at a single drive point; grid must be 1x1x1 "
-            f"(got {len(g.phi_dc)} phi_dc x {len(g.xi)} xi x {len(g.omega)} omega)"
-        )
+    _check_single(config, _DRIVE_AXES, "ramsey runs at a single drive point")
 
 
 def _job_ramsey(config: RunConfig, coords):
@@ -361,8 +355,8 @@ REGISTRY = {
         job=_job_spectral,
     ),
     "polariton": Task(
-        columns=tuple((f"gF_abs_{m}", "GHz") for m in range(-2, 4))
-        + tuple((f"gR_abs_{m}", "GHz") for m in range(-2, 4)),
+        columns=tuple((f"gF_abs_{m}", "GHz") for m in _FIT_M_VALUES)
+        + tuple((f"gR_abs_{m}", "GHz") for m in _FIT_M_VALUES),
         job=_job_polariton,
         grid_job=_job_polariton_fit,
         grid_key="fit",

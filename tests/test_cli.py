@@ -70,7 +70,10 @@ POLARITON_FIT = 'task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.05\nomega = 0.
 @pytest.mark.parametrize("table,reason", [
     ("1 2 3 4\n" * 6, "must have columns phi_dc, freq_ghz[, sigma_ghz]; got shape (6, 4)"),
     ("0.30 7.3\n0.31 peak\n", "is not numeric"),
-], ids=["four_columns", "text"])
+    ("0.30 7.3\n" * 3, "peak table needs at least 5 rows; got 3"),
+    ("0.30 7.3\n" * 5 + "0.31 nan\n", "peak table must hold finite values only"),
+    ("0.30 7.3 0.01\n" * 5 + "0.31 7.3 -0.01\n", "peak table sigma_ghz must be positive"),
+], ids=["four_columns", "text", "three_rows", "nan", "negative_sigma"])
 def test_polariton_data_file_of_wrong_shape_exit_one(tmp_path, capsys, monkeypatch,
                                                      table, reason):
     # the data file is checked with the config, before any solve
@@ -84,12 +87,12 @@ def test_polariton_data_file_of_wrong_shape_exit_one(tmp_path, capsys, monkeypat
 
 
 def test_failed_whole_grid_step_exit_two(tmp_path, capsys):
-    # every cell succeeds, but the fit cannot run on two points
+    # every cell succeeds, but the well-formed peaks cover no sideband crossing
     data = tmp_path / "peaks.txt"
-    np.savetxt(data, [[0.30, 7.3], [0.31, 7.4]])
+    np.savetxt(data, [[phi, 7.3] for phi in np.linspace(0.450, 0.455, 6)])
     cfg = _write(tmp_path, POLARITON_FIT + f'data_file = "{data}"\n')
     assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "ValueError: need at least 5 data points" in capsys.readouterr().err
+    assert "FitError: no sideband crossing is covered by the data" in capsys.readouterr().err
 
 
 def test_non_finite_grid_exit_one(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,11 @@ circuit, static spectrum, drive or Fourier element table beside it, since
 the solution carries the ones its Fourier blocks were built from and the
 tables are computed from it.
 
+Runner lint: ``sweeps.py`` and ``cli.py`` read no task section of a
+``RunConfig`` (no attribute load of a section-valued field but ``grid``),
+so the generic runner names no task and a task stays one record in
+``floqlux.tasks``.
+
 README lint: every `` `[section] key` `` the README names is a key of the
 config schema, so the docs cannot keep a key that the parser rejects.
 
@@ -278,6 +283,29 @@ def test_no_second_copy_beside_a_solution():
                                  for t in ("CircuitParams", "StaticSpectrum", "DriveParams",
                                            "FourierMatrixElements"))]
     assert not offenders, f"second copies beside a solution: {offenders}"
+
+
+def _task_section_reads(tree: ast.Module) -> list[str]:
+    """The attribute loads in ``tree`` of a ``RunConfig`` task section."""
+    from floqlux.config import RunConfig
+
+    sections = {f.name for f in dataclasses.fields(RunConfig)
+                if dataclasses.is_dataclass(f.default)} - {"grid"}
+    return [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in sections]
+
+
+@pytest.mark.parametrize("name", ["sweeps.py", "cli.py"])
+def test_runner_reads_no_task_section(name):
+    reads = _task_section_reads(PACKAGE[name])
+    assert not reads, f"{name} reads task sections of the config: {reads}"
+
+
+def test_lint_flags_a_task_section_read():
+    tree = ast.parse("from .circuit import x\nconfig.grid.xi\nconfig.output\n"
+                     "path = config.polariton.data_file\nconfig.noise = None\n")
+    assert _task_section_reads(tree) == ["polariton (line 4)"]
 
 
 def _unknown_config_keys(text: str) -> list[str]:

@@ -13,6 +13,7 @@ import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -458,6 +459,54 @@ def test_polariton_fit_follows_data_file_contents(tmp_path):
     second = run_sweep(cfg).extra["fit"]
     assert first["g_m"]["0"] == pytest.approx(0.02, rel=1e-2)
     assert second["g_m"]["0"] == pytest.approx(0.04, rel=1e-2)
+
+
+def test_polariton_run_reads_its_data_file_once(tmp_path, monkeypatch, capsys):
+    # the check reads and validates the peak table; the fit and its key use that copy
+    data = _peak_file(tmp_path / "peaks.txt", 0.02)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.05\nomega = 0.2\n'
+                   f'[polariton]\ndata_file = "{data}"\n')
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append(a[0]) or loadtxt(*a, **k))
+    assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert reads == [data]
+
+
+def test_polariton_fit_cache_ignores_comments_and_whitespace(tmp_path, monkeypatch):
+    # the fit's key hashes the parsed table, not the file's bytes
+    data = tmp_path / "peaks.txt"
+    cfg = RunConfig(
+        task="polariton",
+        grid=GridSpec(phi_dc=(0.3,), xi=(0.05,), omega=(0.2,)),
+        polariton=PolaritonSpec(data_file=_peak_file(data, 0.02)),
+        output=str(tmp_path / "o"),
+    )
+    first = run_sweep(cfg)
+    rows = data.read_text().splitlines()
+    data.write_text("# phi_dc freq_ghz\n\n"
+                    + "".join("  " + "\t".join(r.split()) + "  # peak\n" for r in rows))
+    monkeypatch.setattr(floqlux.tasks, "fit_polariton", lambda *a, **k: pytest.fail("refit"))
+    assert run_sweep(cfg) == first
+
+
+def test_grid_step_key_covers_the_table_shape(tmp_path):
+    # a (6, 2) and a (4, 3) table of the same 12 floats are different inputs
+    shapes = []
+
+    def step(config, table, extras, data):
+        shapes.append(data.shape)
+        return {"rows": [], "extra": {}}
+
+    task = Task(columns=(), job=None, grid_job=step, grid_key="step")
+    table = SimpleNamespace(mask=np.zeros(0, dtype=bool))
+    values = np.arange(12.0)
+    for shape in ((6, 2), (4, 3), (6, 2)):
+        sweeps._grid_step(task, RunConfig(task="polariton"), table, [],
+                          values.reshape(shape), str(tmp_path))
+    assert shapes == [(6, 2), (4, 3)]  # the third step came from the cache
 
 
 def test_config_hash_ignores_execution_keys(small_cfg):
