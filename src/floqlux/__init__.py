@@ -12,7 +12,7 @@ Submodules:
 from __future__ import annotations
 
 # set before the submodule imports: sweeps keys its cell cache on it
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 from .circuit import (
     CircuitParams,

@@ -98,6 +98,12 @@ def _one_blas_thread():
             setter(count)
 
 
+# static levels a diagonalization keeps by default: eigh(subset_by_index=[0, k-1])
+# moves the lowest four eigenvalues by up to 3.5e-14 GHz as k runs over 4..12, so
+# the depth is one constant, and 6 keeps the default exports of 0.1.3 bit-identical
+_STATIC_LEVELS = 6
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Fluxonium circuit energies (GHz) and basis truncation.
@@ -107,25 +113,21 @@ class CircuitParams:
         e_j: junction energy E_J/h in GHz.  Zero is allowed (harmonic limit);
             negative values are rejected.
         e_l: inductive energy E_L/h in GHz, strictly positive.
-        basis_dim: number of oscillator basis states kept when assembling H.
-        n_levels: number of eigenstates retained by diagonalization.
+        basis_dim: number of oscillator basis states kept when assembling H, at least 6.
     """
 
     e_c: float = 1.17
     e_j: float = 2.65
     e_l: float = 0.54
     basis_dim: int = 80
-    n_levels: int = 6
 
     def __post_init__(self) -> None:
         if not (0 < self.e_c < math.inf and 0 < self.e_l < math.inf):
             raise ValueError("e_c and e_l must be finite and strictly positive")
         if not 0 <= self.e_j < math.inf:
             raise ValueError("e_j must be finite and non-negative")
-        if self.basis_dim < 2:
-            raise ValueError("basis_dim must be at least 2")
-        if not (1 <= self.n_levels <= self.basis_dim):
-            raise ValueError("n_levels must lie in [1, basis_dim]")
+        if self.basis_dim < _STATIC_LEVELS:
+            raise ValueError(f"basis_dim must be at least {_STATIC_LEVELS}")
 
     @property
     def plasma_frequency(self) -> float:
@@ -221,7 +223,7 @@ class StaticSpectrum:
     """Lowest eigenstates of the static circuit at one flux bias.
 
     Attributes:
-        energies: eigenvalues in GHz, ascending, length ``n_levels``.
+        energies: eigenvalues in GHz, ascending, length ``n_levels`` (6 by default).
         eigenvectors: basis_dim x n_levels matrix of real eigenvectors; the
             largest-magnitude component of each column is made positive.
         phi_elements: <a|phi|b> in radians (real symmetric).
@@ -252,11 +254,13 @@ def _signed_rows(vecs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 @_one_blas_thread()
-def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
+def diagonalize_static(params: CircuitParams, bias: FluxBias,
+                       n_levels: int = _STATIC_LEVELS) -> StaticSpectrum:
     """Diagonalize the static circuit and return the lowest ``n_levels`` states.
 
-    Spectra are memoised per ``(params, bias)`` in a bounded, per-process
-    LRU memo shared by every caller; the returned spectrum is read-only.  A
+    Spectra are memoised per call in a bounded, per-process LRU memo shared by
+    every caller, so a default-depth call passes two arguments (the memo keys
+    ``(params, bias, 6)`` apart); the returned spectrum is read-only.  A
     solve runs OpenBLAS at one thread; a memo hit leaves the count alone.
 
     Raises:
@@ -264,7 +268,7 @@ def diagonalize_static(params: CircuitParams, bias: FluxBias) -> StaticSpectrum:
     """
     h = build_hamiltonian(params, bias)
     try:
-        energies, vecs = scipy.linalg.eigh(h, subset_by_index=[0, params.n_levels - 1])
+        energies, vecs = scipy.linalg.eigh(h, subset_by_index=[0, n_levels - 1])
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise DiagnosticError(
             f"static eigensolver failed at phi_dc={bias.phi_dc!r} for {params!r}: {exc}"

@@ -36,8 +36,8 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import (CircuitParams, FluxBias, StaticSpectrum, _one_blas_thread,
-                      _signed_rows, diagonalize_static)
+from .circuit import (_STATIC_LEVELS, CircuitParams, FluxBias, StaticSpectrum,
+                      _one_blas_thread, _signed_rows, diagonalize_static)
 from .errors import ConvergenceError, DiagnosticError, OutOfWindowError
 
 __all__ = [
@@ -196,20 +196,22 @@ def _band_to_dense(band: np.ndarray) -> np.ndarray:
 
 
 def _resolve_spectrum(params, drive, spectrum, n_levels: int) -> StaticSpectrum:
-    """The static spectrum of ``params`` at the drive's bias, with enough levels.
-
-    A given ``spectrum`` must be that spectrum: a second copy of the circuit
-    or the bias would otherwise build the Sambe matrix in a foreign basis.
+    """The static spectrum of ``params`` at the drive's bias, with at least
+    ``n_levels`` levels: the one place that sets how deep a driven solve
+    diagonalizes.  A given ``spectrum`` must be that spectrum: a second copy
+    of the circuit or the bias would build the Sambe matrix in a foreign basis.
     """
     if spectrum is None:
-        spectrum = diagonalize_static(params, drive.bias)
-    elif spectrum.params != params or spectrum.bias != drive.bias:
+        if n_levels > _STATIC_LEVELS:
+            return diagonalize_static(params, drive.bias, n_levels)
+        return diagonalize_static(params, drive.bias)  # every default-depth caller's memo key
+    if spectrum.params != params or spectrum.bias != drive.bias:
         raise ValueError(
             f"static spectrum of {spectrum.params!r} at {spectrum.bias!r} does not belong "
             f"to {params!r} at the drive bias {drive.bias!r}"
         )
     if spectrum.energies.size < n_levels:
-        raise ValueError(f"CircuitParams.n_levels={params.n_levels} < {n_levels} levels needed")
+        raise ValueError(f"static spectrum has {spectrum.energies.size} levels; {n_levels} needed")
     return spectrum
 
 
@@ -489,12 +491,12 @@ def solve_floquet(
     eigenvalue of the N_s + 2 matrix that it continues into in the same way;
     the flag and the largest zone distance land on the returned solution.
 
-    ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``; a
-    given one must be that spectrum, since the solution carries it as the
-    basis of its Fourier blocks.
+    ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``, deep
+    enough for ``config.n_levels``; a given one must be that spectrum, since
+    the solution carries it as the basis of its Fourier blocks.
 
     Raises:
-        ValueError: when ``spectrum`` is of another circuit or bias.
+        ValueError: when ``spectrum`` is of another circuit or bias, or too shallow.
     """
     d, n_side = config.n_levels, config.sideband_cutoff
     spectrum = _resolve_spectrum(params, drive, spectrum, d)
@@ -614,7 +616,7 @@ def monodromy_oracle(
     ``spectrum`` must be that of ``params`` at ``drive.bias``.
 
     Raises:
-        ValueError: when ``spectrum`` is of another circuit or bias.
+        ValueError: when ``spectrum`` is of another circuit or bias, or too shallow.
         DiagnosticError: if the propagator drifts from unitarity beyond 1e-8.
         ConvergenceError: if step doubling fails to stabilize the result.
     """

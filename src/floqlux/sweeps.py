@@ -276,7 +276,7 @@ def _cache_text(job: _Job, out: dict) -> str:
 def _grid_step(task: Task, config: RunConfig, table: SweepResult, extras: list,
                data: np.ndarray | None, cache_dir: str) -> dict:
     """The whole-grid step's payload; keyed by the full config and ``data``'s
-    shape and bytes, and not cached when a cell it read failed."""
+    shape and bytes, and cached only when non-empty and every cell it read ran."""
     identity = config_hash(config)
     if data is not None:
         identity += f" {data.shape} " + hashlib.sha256(data.tobytes()).hexdigest()
@@ -286,7 +286,7 @@ def _grid_step(task: Task, config: RunConfig, table: SweepResult, extras: list,
     out = _load_cache(path, job, 0)
     if out is None:
         out = _execute(config, job)
-        if "error" not in out and not table.mask.any():
+        if out.get("extra") and not table.mask.any():
             _write_whole(path, (_cache_text(job, out),))
     return {task.grid_key: {"error": out["error"]}} if "error" in out else out["extra"]
 

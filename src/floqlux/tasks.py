@@ -40,11 +40,10 @@ _OVERLAY_K = np.arange(-4, 5)  # sidebands k of the spectroscopy overlay eps01 +
 def _check_floquet_levels(config: RunConfig) -> None:
     """Every task but static-spectrum drives [floquet] n_levels circuit levels,
     at every grid xi and omega."""
-    if config.circuit.n_levels < config.floquet.n_levels:
+    if config.floquet.n_levels > config.circuit.basis_dim:
         raise ConfigError(
-            f"the driven problem keeps [floquet] n_levels = {config.floquet.n_levels} levels; "
-            f"set [circuit] n_levels >= {config.floquet.n_levels} "
-            f"(got {config.circuit.n_levels})"
+            f"[floquet] n_levels = {config.floquet.n_levels} must not exceed "
+            f"[circuit] basis_dim = {config.circuit.basis_dim}"
         )
     g = config.grid
     try:  # the drive's own rules, on the grid's lowest xi and omega
@@ -116,14 +115,6 @@ def _solved(config: RunConfig, coords, check_convergence: bool = True) -> Floque
                          check_convergence=check_convergence)
 
 
-def _check_levels(config: RunConfig) -> None:
-    if config.circuit.n_levels < 4:
-        raise ConfigError(
-            f"task {config.task!r} reads levels up to 3; set circuit "
-            f"n_levels >= 4 (got {config.circuit.n_levels})"
-        )
-
-
 def _job_static(config: RunConfig, coords):
     spec = diagonalize_static(config.circuit, FluxBias(float(coords["phi_dc"])))
     e = spec.energies
@@ -179,6 +170,8 @@ def _check_polariton(config: RunConfig) -> np.ndarray | None:
         data = np.loadtxt(path, ndmin=2)
     except FileNotFoundError:
         raise ConfigError(f"polariton data_file {path!r} not found") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"polariton data_file {path!r} cannot be read: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError(f"polariton data file {path!r} is not numeric: {exc}") from None
     try:
@@ -340,7 +333,7 @@ REGISTRY = {
                  ("n01_abs", "1"), ("n03_abs", "1"), ("phi01_abs", "rad")),
         job=_job_static,
         axes=("phi_dc",),
-        check=_check_levels,
+        check=lambda config: None,  # it reads no drive axis and no [floquet] key
     ),
     "floquet": Task(
         columns=(("eps01_natural", "GHz"), ("eps01_folded", "GHz"),

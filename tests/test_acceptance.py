@@ -103,7 +103,7 @@ def test_02_static_limit(params, capsys):
 
 
 def test_03_derivative_relations(capsys):
-    params = CircuitParams(n_levels=10)
+    params = CircuitParams()
     config = SambeConfig(n_levels=9)
     rng = np.random.default_rng(7)
     worst = 0.0

@@ -30,7 +30,7 @@ def test_reference_transitions(spec_half, spec_451):
 
 def test_harmonic_limit_is_plasma_ladder():
     # e_j = 0 leaves a displaced oscillator: uniform spacing sqrt(8 e_c e_l)
-    p = CircuitParams(e_j=0.0, n_levels=6)
+    p = CircuitParams(e_j=0.0)
     spec = diagonalize_static(p, FluxBias(0.37))
     gaps = np.diff(spec.energies)
     assert gaps == pytest.approx(np.full(5, p.plasma_frequency), rel=1e-10)
@@ -75,7 +75,7 @@ def test_mirror_symmetry_about_half(params):
 
 
 def test_basis_truncation_converged(params):
-    wide = CircuitParams(basis_dim=140, n_levels=params.n_levels)
+    wide = CircuitParams(basis_dim=140)
     a = diagonalize_static(params, FluxBias(0.451)).energies
     b = diagonalize_static(wide, FluxBias(0.451)).energies
     assert a == pytest.approx(b, abs=1e-10)
@@ -86,10 +86,10 @@ def test_param_validation():
         CircuitParams(e_c=0.0)
     with pytest.raises(ValueError):
         CircuitParams(e_j=-0.1)
-    with pytest.raises(ValueError):
-        CircuitParams(n_levels=0)
-    with pytest.raises(ValueError):
-        CircuitParams(basis_dim=1)
+    for dim in (1, 5):  # below the 6 levels a diagonalization keeps
+        with pytest.raises(ValueError, match="basis_dim must be at least 6"):
+            CircuitParams(basis_dim=dim)
+    assert diagonalize_static(CircuitParams(basis_dim=6), FluxBias(0.5)).energies.size == 6
 
 
 def test_dispersion_sweep_matches_pointwise(params):
@@ -115,13 +115,13 @@ def test_transition_spline_interpolates(params):
     phi=st.floats(0.0, 1.0),
 )
 def test_spectrum_properties_random_circuits(e_c, e_l, e_j, phi):
-    p = CircuitParams(e_c=e_c, e_l=e_l, e_j=e_j, basis_dim=60, n_levels=4)
+    p = CircuitParams(e_c=e_c, e_l=e_l, e_j=e_j, basis_dim=60)
     spec = diagonalize_static(p, FluxBias(phi))
     assert np.all(np.diff(spec.energies) >= -1e-12)
     assert np.allclose(spec.phi_elements, spec.phi_elements.T, atol=1e-9)
     # eigenvectors orthonormal
     g = spec.eigenvectors.T @ spec.eigenvectors
-    assert np.allclose(g, np.eye(4), atol=1e-9)
+    assert np.allclose(g, np.eye(6), atol=1e-9)
 
 
 def test_diagonalize_rejects_bad_input(params):

@@ -58,6 +58,13 @@ def test_polariton_wide_drive_exit_zero(tmp_path, capsys):
     assert np.isfinite([values[f"gR_abs_{m}"] for m in range(-2, 4)]).all()
 
 
+def test_circuit_n_levels_key_is_gone(tmp_path, capsys):
+    # a diagonalization keeps as many static levels as the driven problem needs
+    cfg = _write(tmp_path, MINIMAL + "[circuit]\nn_levels = 10\n")
+    assert main(["static-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key 'n_levels' in [circuit]" in capsys.readouterr().err
+
+
 def test_polariton_span_key_is_gone(tmp_path, capsys):
     cfg = _write(tmp_path, 'task = "polariton"\n[polariton]\nspan = 0.2\n')
     assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -73,13 +80,17 @@ POLARITON_FIT = 'task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.05\nomega = 0.
     ("0.30 7.3\n" * 3, "peak table needs at least 5 rows; got 3"),
     ("0.30 7.3\n" * 5 + "0.31 nan\n", "peak table must hold finite values only"),
     ("0.30 7.3 0.01\n" * 5 + "0.31 7.3 -0.01\n", "peak table sigma_ghz must be positive"),
-], ids=["four_columns", "text", "three_rows", "nan", "negative_sigma"])
+    (None, "cannot be read: Is a directory"),
+], ids=["four_columns", "text", "three_rows", "nan", "negative_sigma", "directory"])
 def test_polariton_data_file_of_wrong_shape_exit_one(tmp_path, capsys, monkeypatch,
                                                      table, reason):
     # the data file is checked with the config, before any solve
     monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
     data = tmp_path / "peaks.txt"
-    data.write_text(table)
+    if table is None:
+        data.mkdir()
+    else:
+        data.write_text(table)
     cfg = _write(tmp_path, POLARITON_FIT + f'data_file = "{data}"\n')
     assert main(["polariton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert reason in capsys.readouterr().err
@@ -124,12 +135,13 @@ def test_non_finite_physics_setting_exit_one(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("task", sorted(set(floqlux.tasks.REGISTRY) - {"static-spectrum"}))
 def test_circuit_levels_below_floquet_levels_exit_one(tmp_path, capsys, monkeypatch, task):
-    # the driven problem keeps 5 levels of a 4-level circuit: rejected before any solve
+    # the driven problem keeps 7 levels of a 6-state basis: rejected before any solve
     monkeypatch.setattr(floqlux.tasks, "solve_floquet", lambda *a, **k: pytest.fail("solved"))
-    cfg = _write(tmp_path, f'task = "{task}"\n[circuit]\nn_levels = 4\n'
+    cfg = _write(tmp_path, f'task = "{task}"\n[circuit]\nbasis_dim = 6\n[floquet]\nn_levels = 7\n'
                            '[grid]\nphi_dc = 0.45\nxi = 0.05\nomega = 0.7\n')
     assert main([task, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "[circuit] n_levels >= 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[floquet] n_levels = 7 must not exceed [circuit] basis_dim = 6" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -154,7 +166,7 @@ def test_static_spectrum_ignores_the_drive_axes(tmp_path):
 
 
 def test_static_spectrum_needs_no_floquet_levels(tmp_path):
-    cfg = _write(tmp_path, MINIMAL + "[circuit]\nn_levels = 4\n")
+    cfg = _write(tmp_path, MINIMAL + "[floquet]\nn_levels = 100\n")
     assert main(["static-spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 

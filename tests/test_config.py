@@ -153,14 +153,14 @@ def test_emit_parse_roundtrip_random(workers, xi, fmt):
 # config_hash of each task's default config; a change here orphans every
 # existing cell cache
 DEFAULT_HASHES = {
-    "static-spectrum": "8a5835ca2ab5dd13b3c45e8514d6bb7c928c4a6c163e83f1da4772adba3dcdf4",
-    "floquet": "c44ef8f1e3a0a31d5d2be5f02fbb5807b1a44adf37f64d80ce1e148430298848",
-    "spectral-function": "fc002f013c337a5facb52a658960942d96a34a11d62d2f6a2540bdd5d4b7c415",
-    "polariton": "b14749223c08090ccce8266001805d82a0a00389756fc98040e7bde1ad1732c0",
-    "spectroscopy": "1f6c86d209d764338f4e15589a76e098953e9acaf950c324a56544a8b5b094cf",
-    "coherence": "c45d06c81594a6152632ae1e7ecad84a68491e15c21c36c93d069dcabf7ce151",
-    "sweetspot": "c8fded53791631b95248765521f8f1b5f880004e8386cea137a17341124a5c8b",
-    "ramsey": "18523d24be6b2f139d44d5fddb98ad7b454105d76f8860b0fbffaeb7ccab4892",
+    "static-spectrum": "3a31f61688f5a00af40dd96354d8f7c181a7ced1e031ad46443d99c03ca54e14",
+    "floquet": "799852d64ce73a531abe3c6add082a9bef4be76351d4283a2ca5bce495ce9797",
+    "spectral-function": "0bbb89aca71e1073696a6d30022523f42fd58611e06d0232b23542b5d243b187",
+    "polariton": "f7d3ca95878029bbe9eee96caff2956778da0b8a7765d4ba0e99ab3d90f3f300",
+    "spectroscopy": "569ee384ed311d67bc65e605c6ae04ab251b63954c47a596a54778252819b05d",
+    "coherence": "7261c2e2842aa865b1f36de0963782bae99c32822525b209ae5d8f65c94143cd",
+    "sweetspot": "26cabb7e4d00de4301e0bfaf60eb02c6861fda1f7a1092aaca4e75e3b5da1596",
+    "ramsey": "8e30ee0057d580004da017d5916ff1b07c01c6894a0fec4f4fbd251693288d87",
 }
 
 

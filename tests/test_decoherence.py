@@ -225,9 +225,8 @@ def test_dephasing_positive_when_detuned(params, noise):
 
 def test_derivative_forms_agree_at_one_point():
     # a taller level stack keeps the perturbative identities tight
-    deep = CircuitParams(n_levels=10)
     drive = DriveParams(FluxBias(0.451), 0.05, 0.6)
-    sol = solve_floquet(deep, drive, SambeConfig(n_levels=9), check_convergence=False)
+    sol = solve_floquet(CircuitParams(), drive, SambeConfig(n_levels=9), check_convergence=False)
     d = quasienergy_derivatives(sol, fd=True)
     assert not d.tracking_break
     assert d.flux_fd == pytest.approx(d.flux_me, rel=1e-6, abs=1e-9)

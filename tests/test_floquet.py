@@ -20,7 +20,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floqlux import (
-    CircuitParams,
     DriveParams,
     FluxBias,
     SambeConfig,
@@ -188,23 +187,26 @@ def _nearest_eigenvalue_delta(rep_e, wide, omega):
     return float(np.max(floquet._zone_distance(rep_e, near, omega)))
 
 
+# static levels of the spectra that the tests below hand to solves of up to 9
+_DEEP_LEVELS = 10
+
+
 @pytest.mark.parametrize("d", [2, 4, 9])
-def test_banded_check_matches_full_spectrum_and_labelled_resolve(d):
-    deep = CircuitParams(n_levels=10)
+def test_banded_check_matches_full_spectrum_and_labelled_resolve(d, params):
     # under-truncated cutoffs, then cutoffs at and past the 1e-8 threshold
     cells = list(itertools.chain(itertools.product((2, 4), (0.12, 0.2), (0.5, 1.2)),
                                  itertools.product((10, 14, 18), (0.086, 0.16), (0.5, 1.2))))
     flags, in_band = [], 0
     for phi in (0.40, 0.451, 0.5):
-        spec = diagonalize_static(deep, FluxBias(phi))
+        spec = diagonalize_static(params, FluxBias(phi), _DEEP_LEVELS)
         energies, phi_op = spec.energies[:d], spec.phi_elements[:d, :d]
         for n_side, xi, omega in cells:
             try:
-                sol = solve_floquet(deep, DriveParams(FluxBias(phi), xi, omega),
+                sol = solve_floquet(params, DriveParams(FluxBias(phi), xi, omega),
                                     SambeConfig(n_levels=d, sideband_cutoff=n_side), spectrum=spec)
             except ConvergenceError:
                 continue
-            wide = _loop_sambe(energies, phi_op, deep.e_l, xi, omega, n_side + 2)
+            wide = _loop_sambe(energies, phi_op, params.e_l, xi, omega, n_side + 2)
             labelled = floquet._solve_sambe(wide, omega, d)[0]
             refs = (_nearest_eigenvalue_delta(sol.rep_energies, wide, omega),
                     float(np.max(floquet._zone_distance(sol.rep_energies, labelled, omega))))
@@ -219,9 +221,8 @@ def test_banded_check_matches_full_spectrum_and_labelled_resolve(d):
 
 
 @pytest.mark.parametrize("d", [2, 5, 9])
-def test_undriven_check_takes_the_singular_path(d):
-    deep = CircuitParams(n_levels=10)
-    sol = solve_floquet(deep, DriveParams(FluxBias(0.451), 0.0, 0.7), SambeConfig(n_levels=d))
+def test_undriven_check_takes_the_singular_path(d, params):
+    sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.0, 0.7), SambeConfig(n_levels=d))
     # the Sambe matrix is diagonal, so every shifted banded solve is singular
     assert sol.converged is True
     assert sol.convergence_delta == 0.0
@@ -316,8 +317,7 @@ def _agreement_drives(rng, count):
 
 
 @pytest.mark.parametrize("d", [2, 5, 9])
-def test_windowed_solve_matches_full_window(d, monkeypatch):
-    deep = CircuitParams(n_levels=10)
+def test_windowed_solve_matches_full_window(d, params, monkeypatch):
     windows, starts = [], []
     solve, cont = floquet._solve_sambe, floquet._continue
     monkeypatch.setattr(floquet, "_solve_sambe",
@@ -332,14 +332,14 @@ def test_windowed_solve_matches_full_window(d, monkeypatch):
     monkeypatch.setattr(floquet, "_continue", record)
     fired = wrong_start = raised = 0
     for phi, xi, omega, n_side in _agreement_drives(np.random.default_rng(1700 + d), 48):
-        spec = diagonalize_static(deep, FluxBias(phi))
+        spec = diagonalize_static(params, FluxBias(phi), _DEEP_LEVELS)
         drive = DriveParams(FluxBias(phi), xi, omega)
         cell = (phi, xi, omega, n_side)
         for checked in (False, True):
-            ref = _outcome(lambda: _full_window_solve(deep, spec, drive, d, n_side, checked))
+            ref = _outcome(lambda: _full_window_solve(params, spec, drive, d, n_side, checked))
             windows.clear()
             starts.clear()
-            got = _outcome(lambda: solve_floquet(deep, drive, SambeConfig(d, n_side),
+            got = _outcome(lambda: solve_floquet(params, drive, SambeConfig(d, n_side),
                                                  spectrum=spec, check_convergence=checked))
             if isinstance(ref, type):
                 raised += 1
@@ -374,35 +374,33 @@ _CUT_OFF_CELLS = [
 
 
 @pytest.mark.parametrize("phi,xi,omega,d", _CUT_OFF_CELLS)
-def test_edge_weight_guard_defers_cut_off_states_to_the_full_window(phi, xi, omega, d,
+def test_edge_weight_guard_defers_cut_off_states_to_the_full_window(phi, xi, omega, d, params,
                                                                     monkeypatch):
-    deep = CircuitParams(n_levels=10)
-    spec = diagonalize_static(deep, FluxBias(phi))
+    spec = diagonalize_static(params, FluxBias(phi), _DEEP_LEVELS)
     drive = DriveParams(FluxBias(phi), xi, omega)
-    ref_e, ref_blocks, _ = _full_window_solve(deep, spec, drive, d, 10, False)
+    ref_e, ref_blocks, _ = _full_window_solve(params, spec, drive, d, 10, False)
     windows = []
     solve = floquet._solve_sambe
     monkeypatch.setattr(floquet, "_solve_sambe",
                         lambda h, omega, d: windows.append(h.shape[0] // d // 2)
                         or solve(h, omega, d))
-    sol = solve_floquet(deep, drive, SambeConfig(d, 10), spectrum=spec, check_convergence=False)
+    sol = solve_floquet(params, drive, SambeConfig(d, 10), spectrum=spec, check_convergence=False)
     assert windows == [8, 10]
     assert np.max(np.abs(sol.rep_energies - ref_e)) <= 1e-13
     overlaps = np.abs(np.sum(sol.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
     assert np.min(overlaps) >= 1 - 1e-9
 
 
-def test_copies_under_truncation_are_flagged():
+def test_copies_under_truncation_are_flagged(params):
     # at N_s = 12 the representatives hold two copies one Omega apart (1.2025
     # and 1.6769 GHz) and miss the 5.0989 GHz state; the truncation check flags
     # the cell (delta 1.1e-4, then 1.3e-5 at N_s = 16) until N_s = 20 holds
     # five states distinct modulo Omega
     phi, xi, omega, d = _CUT_OFF_CELLS[0]
-    deep = CircuitParams(n_levels=10)
     drive = DriveParams(FluxBias(phi), xi, omega)
     for n_side in (12, 16):
-        assert solve_floquet(deep, drive, SambeConfig(d, n_side)).converged is False
-    sol = solve_floquet(deep, drive, SambeConfig(d, 20))
+        assert solve_floquet(params, drive, SambeConfig(d, n_side)).converged is False
+    sol = solve_floquet(params, drive, SambeConfig(d, 20))
     assert sol.converged is True
     gaps = floquet._zone_distance(sol.rep_energies[:, None], sol.rep_energies[None], omega)
     assert np.min(gaps[np.triu_indices(d, 1)]) > 0.01
@@ -524,14 +522,15 @@ _ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("foreign", [
-    (None, 0.5),  # the circuit at another bias
-    (2.6, 0.451),  # another circuit at the drive's bias
-], ids=["other_bias", "other_circuit"])
+    (None, 0.5, (), "does not belong"),  # the circuit at another bias
+    (2.6, 0.451, (), "does not belong"),  # another circuit at the drive's bias
+    (None, 0.451, (4,), "has 4 levels; 5 needed"),  # too shallow for both
+], ids=["other_bias", "other_circuit", "too_few_levels"])
 def test_foreign_spectrum_is_rejected(params, spot_drive, entry, foreign):
-    e_j, phi = foreign
+    e_j, phi, depth, reason = foreign
     circuit = params if e_j is None else replace(params, e_j=e_j)
-    spectrum = diagonalize_static(circuit, FluxBias(phi))
-    with pytest.raises(ValueError, match="does not belong"):
+    spectrum = diagonalize_static(circuit, FluxBias(phi), *depth)
+    with pytest.raises(ValueError, match=reason):
         _ENTRY_POINTS[entry](params, spot_drive, spectrum=spectrum)
 
 
@@ -541,6 +540,22 @@ def test_equal_spectrum_is_accepted(params, spot_drive, spot_solution):
     sol = solve_floquet(params, spot_drive, spectrum=fresh)
     assert sol.spectrum is fresh
     assert np.array_equal(sol.rep_energies, spot_solution.rep_energies)
+
+
+def test_driven_solve_sets_the_static_depth(params, spot_drive):
+    # at the default depth a solve shares the memo entry of a plain diagonalization
+    diagonalize_static.cache_clear()
+    default = solve_floquet(params, spot_drive, check_convergence=False)
+    assert diagonalize_static(params, spot_drive.bias) is default.spectrum
+    assert diagonalize_static.cache_info().misses == 1
+    # a deeper problem diagonalizes as deep as it needs, with no circuit setting
+    deep = solve_floquet(params, spot_drive, SambeConfig(n_levels=9))
+    given = solve_floquet(params, spot_drive, SambeConfig(n_levels=9),
+                          spectrum=diagonalize_static(params, spot_drive.bias, 9))
+    assert deep.spectrum.energies.size == 9
+    assert np.array_equal(deep.rep_energies, given.rep_energies)
+    assert np.array_equal(deep.fourier_blocks, given.fourier_blocks)
+    assert deep.convergence_delta == given.convergence_delta
 
 
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):

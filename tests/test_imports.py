@@ -36,6 +36,10 @@ config schema, so the docs cannot keep a key that the parser rejects.
 Benchmark lint: every function that ``perfbench/tracer.py`` wraps by name,
 and every other name that ``perfbench/workloads.py`` reads, exists in the
 package, so a deletion that would break traced benchmark runs fails here.
+
+Version lint: ``floqlux.__version__``, which keys the cell cache, is the
+``version`` of ``pyproject.toml``, so a bump cannot move one without the
+other.
 """
 
 from __future__ import annotations
@@ -350,3 +354,12 @@ def test_benchmark_names_exist():
         decoherence.QuasienergyDerivatives)}
     for fn in (floquet.solve_floquet, floquet.monodromy_oracle):
         assert "spectrum" in inspect.signature(fn).parameters
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10, which lacks it
+    import floqlux
+
+    found = re.search(r'^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert found, "pyproject.toml states no version"
+    assert found.group(1) == floqlux.__version__

@@ -34,6 +34,7 @@ from floqlux import (
     ProbeParams,
     RamseyConfig,
     RunConfig,
+    SambeConfig,
     SweepResult,
     config_hash,
     diagonalize_static,
@@ -475,6 +476,20 @@ def test_polariton_run_reads_its_data_file_once(tmp_path, monkeypatch, capsys):
     assert reads == [data]
 
 
+def test_polariton_run_without_data_file_caches_only_its_cell(tmp_path, capsys):
+    # with no peak table the whole-grid step has nothing to keep
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text('task = "polariton"\n[grid]\nphi_dc = 0.3\nxi = 0.05\nomega = 0.2\n')
+    out = tmp_path / "o"
+    assert main(["polariton", "--config", str(cfg), "--out", str(out)]) == 0
+    first = (out / "polariton.csv").read_bytes()
+    assert len(list((out / ".cells").glob("*.json"))) == 1
+    assert main(["polariton", "--config", str(cfg), "--out", str(out), "--overwrite"]) == 0
+    capsys.readouterr()
+    assert (out / "polariton.csv").read_bytes() == first
+    assert len(list((out / ".cells").glob("*.json"))) == 1
+
+
 def test_polariton_fit_cache_ignores_comments_and_whitespace(tmp_path, monkeypatch):
     # the fit's key hashes the parsed table, not the file's bytes
     data = tmp_path / "peaks.txt"
@@ -498,7 +513,7 @@ def test_grid_step_key_covers_the_table_shape(tmp_path):
 
     def step(config, table, extras, data):
         shapes.append(data.shape)
-        return {"rows": [], "extra": {}}
+        return {"rows": [], "extra": {"shape": list(data.shape)}}
 
     task = Task(columns=(), job=None, grid_job=step, grid_key="step")
     table = SimpleNamespace(mask=np.zeros(0, dtype=bool))
@@ -695,9 +710,9 @@ def test_spectroscopy_grid_validation(tmp_path):
 
 
 def test_polariton_level_validation(tmp_path):
-    cfg = RunConfig(task="polariton", circuit=CircuitParams(n_levels=3),
+    cfg = RunConfig(task="polariton", floquet=SambeConfig(n_levels=3),
                     output=str(tmp_path / "o"))
-    with pytest.raises(ConfigError, match="n_levels"):
+    with pytest.raises(ConfigError, match="address level 3"):
         run_sweep(cfg)
 
 
