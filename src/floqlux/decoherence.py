@@ -402,7 +402,7 @@ def _matched_eps01(drive: DriveParams, ref: FloquetSolution) -> float:
     translations and the change of static eigenbasis), so the returned
     splitting continues the reference branch instead of jumping zones.
     """
-    sol = solve_floquet(ref.spectrum.params, drive, ref.config, check_convergence=False)
+    sol = solve_floquet(ref.spectrum.params, drive, ref.config)
     labels, shifts, overlaps = _match_branches(ref, sol, 2)
     if np.any(overlaps <= _TRACKING_BREAK):
         a = int(np.argmax(overlaps <= _TRACKING_BREAK))  # first lost level
@@ -604,11 +604,10 @@ class SweetSpotScan:
 
 
 def _field_at(params: CircuitParams, config: SambeConfig, phi, xi, om) -> tuple[float, float]:
-    """The scan's field (d eps01/d phi_dc, d eps01/d xi) at one drive point,
-    on an unchecked solve; the ``sweetspot`` task's cells evaluate it."""
+    """The scan's field (d eps01/d phi_dc, d eps01/d xi) at one drive point;
+    the ``sweetspot`` task's cells evaluate it, and read no truncation check."""
     drive = DriveParams(FluxBias(phi), xi, om)
-    return _matrix_element_derivatives(solve_floquet(params, drive, config,
-                                                     check_convergence=False))
+    return _matrix_element_derivatives(solve_floquet(params, drive, config))
 
 
 def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpotScan:
@@ -655,8 +654,7 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
     # on, and the few most recent solutions are kept; memory stays bounded
     @functools.lru_cache(maxsize=4)
     def solved(phi: float, xi: float, om: float) -> FloquetSolution:
-        drive = DriveParams(FluxBias(phi), xi, om)
-        return solve_floquet(params, drive, config, check_convergence=False)
+        return solve_floquet(params, DriveParams(FluxBias(phi), xi, om), config)
 
     derivs = dict(zip(itertools.product(*axes), map(tuple, d.reshape(-1, 2).tolist())))
 

@@ -28,6 +28,7 @@ the window grows, up to N_s itself).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +94,8 @@ class DriveParams:
     omega: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.xi) and math.isfinite(self.omega)):
+            raise ValueError("drive amplitude xi and frequency omega must be finite")
         if self.xi < 0:
             raise ValueError("drive amplitude xi must be non-negative")
         if not self.omega > 0:
@@ -220,7 +223,6 @@ class FloquetSolution:
     """Representative Floquet states of the driven circuit.
 
     Attributes:
-        quasienergies: folded to (-Omega/2, Omega/2], ordered by level label.
         rep_energies: raw Sambe eigenvalues of the chosen representatives;
             differences of these are the natural (unfolded) quasienergy
             splittings that the rate formulas use.
@@ -231,27 +233,49 @@ class FloquetSolution:
         spectrum: the static spectrum of the circuit at ``drive.bias`` whose
             eigenbasis the blocks are expressed in; derived quantities read
             the circuit and its matrix elements from here.
-        converged: True when ``convergence_delta`` < 1e-8 GHz (see
-            ``solve_floquet(check_convergence=...)``); None when unchecked.
-        convergence_delta: largest zone distance from a representative
-            energy (a certified eigenvalue of the N_s Sambe matrix) to the
-            eigenvalue of the N_s + 2 matrix that the zero-padded
-            representative continues into by banded Rayleigh-quotient
-            iteration.
     """
 
     drive: DriveParams
     config: SambeConfig
-    quasienergies: np.ndarray
     rep_energies: np.ndarray
     fourier_blocks: np.ndarray
     spectrum: StaticSpectrum
-    converged: bool | None = None
-    convergence_delta: float | None = None
 
     def __post_init__(self) -> None:
-        for arr in (self.quasienergies, self.rep_energies, self.fourier_blocks):
+        for arr in (self.rep_energies, self.fourier_blocks):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def quasienergies(self) -> np.ndarray:
+        """The representative energies folded to (-Omega/2, Omega/2], by level label."""
+        folded = fold_quasienergy(self.rep_energies, self.drive.omega)
+        folded.setflags(write=False)
+        return folded
+
+    @functools.cached_property
+    def convergence_delta(self) -> float:
+        """The truncation check, run on first read: the largest zone distance
+        from a representative energy to the eigenvalue of the N_s + 2 Sambe
+        matrix it continues into by banded Rayleigh-quotient iteration, or a
+        DiagnosticError when that eigenvalue is not certified."""
+        d, spec = self.n_levels, self.spectrum
+        band = _sambe_band(spec.energies[:d], spec.phi_elements[:d, :d], spec.params.e_l,
+                           self.drive.xi, self.drive.omega, self.config.sideband_cutoff + 2)
+        # the blocks' real rows are +- the eigenvectors that the solve continued,
+        # and a negated right-hand side negates each banded solve exactly
+        with _one_blas_thread():
+            wide_e, _, certified = _continue(band, self.rep_energies,
+                                             self.fourier_blocks.real.reshape(d, -1))
+        if not certified.all():
+            raise DiagnosticError(f"truncation check: representatives "
+                                  f"{np.flatnonzero(~certified).tolist()} did not reach a certified "
+                                  f"wide eigenvalue in {_MAX_RQI_STEPS} Rayleigh-quotient steps")
+        return float(np.max(_zone_distance(self.rep_energies, wide_e, self.drive.omega)))
+
+    @functools.cached_property
+    def converged(self) -> bool:
+        """Whether ``convergence_delta`` < 1e-8 GHz; reading it runs the check."""
+        return self.convergence_delta < 1e-8
 
     @property
     def n_levels(self) -> int:
@@ -477,19 +501,15 @@ def solve_floquet(
     drive: DriveParams,
     config: SambeConfig = SambeConfig(),
     spectrum: StaticSpectrum | None = None,
-    check_convergence: bool = True,
 ) -> FloquetSolution:
     """Solve the driven problem and return labeled representative states.
 
-    The Sambe matrix is assembled once, in band storage, with the sideband
-    window widened by 2 when ``check_convergence`` is set; its central
-    2*N_s + 1 blocks are the solved problem.  No dense matrix of that size
-    is diagonalized unless the ladder reaches it: representatives are
-    selected and labelled in the central 8 harmonics of the band and
+    The Sambe matrix is assembled once, in band storage.  No dense matrix of
+    that size is diagonalized unless the ladder reaches it: representatives
+    are selected and labelled in the central 8 harmonics of the band and
     continued into the N_s matrix by banded Rayleigh-quotient iteration (see
-    ``_representatives``).  The check compares each representative with the
-    eigenvalue of the N_s + 2 matrix that it continues into in the same way;
-    the flag and the largest zone distance land on the returned solution.
+    ``_representatives``).  The truncation check runs on the first read of
+    the solution's ``converged`` or ``convergence_delta``, and only then.
 
     ``spectrum`` defaults to ``diagonalize_static(params, drive.bias)``, deep
     enough for ``config.n_levels``; a given one must be that spectrum, since
@@ -498,37 +518,16 @@ def solve_floquet(
     Raises:
         ValueError: when ``spectrum`` is of another circuit or bias, or too shallow.
     """
-    d, n_side = config.n_levels, config.sideband_cutoff
+    d = config.n_levels
     spectrum = _resolve_spectrum(params, drive, spectrum, d)
-    margin = 2 if check_convergence else 0
     band = _sambe_band(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
-                       drive.xi, drive.omega, n_side + margin)
+                       drive.xi, drive.omega, config.sideband_cutoff)
     try:
-        rep_e, vecs = _representatives(band[:, margin * d:band.shape[1] - margin * d],
-                                       drive.omega, d)
+        rep_e, vecs = _representatives(band, drive.omega, d)
     except scipy.linalg.LinAlgError as exc:
         raise DiagnosticError(f"Sambe eigensolver failed for drive={drive!r}: {exc}") from exc
-    converged = delta = None
-    if check_convergence:
-        wide_e, _, certified = _continue(band, rep_e, vecs)
-        if not certified.all():
-            raise DiagnosticError(
-                f"truncation check: representatives {np.flatnonzero(~certified).tolist()} "
-                f"did not reach a certified wide eigenvalue in {_MAX_RQI_STEPS} "
-                "Rayleigh-quotient steps"
-            )
-        delta = float(np.max(_zone_distance(rep_e, wide_e, drive.omega)))
-        converged = delta < 1e-8
-    return FloquetSolution(
-        drive=drive,
-        config=config,
-        quasienergies=np.asarray(fold_quasienergy(rep_e, drive.omega)),
-        rep_energies=rep_e,
-        fourier_blocks=_gauged(vecs),
-        spectrum=spectrum,
-        converged=converged,
-        convergence_delta=delta,
-    )
+    return FloquetSolution(drive=drive, config=config, rep_energies=rep_e,
+                           fourier_blocks=_gauged(vecs), spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ class ProbeParams:
             raise ValueError("probe omega_p must be non-empty")
         if not np.all(np.isfinite(self.omega_p)):
             raise ValueError("probe omega_p must be finite")
+        if not np.all(np.asarray(self.omega_p) > 0):
+            raise ValueError("probe omega_p must be positive")
         if self.sweep not in ("phi_dc", "xi"):
             raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
         for name in ("rabi", "linewidth"):
@@ -136,9 +138,9 @@ def spectroscopy_map(
     """Steady-state population map over phi_dc or xi versus probe frequency.
 
     ``sweep_name`` is "phi_dc" or "xi"; the other drive parameters come from
-    ``drive_template``.  Each point is an unchecked default-truncation solve
-    probed at ``probe_freqs`` with the default ``ProbeParams`` lineshape.
-    Solver failures at a sweep point mask its column and record the reason.
+    ``drive_template``.  Each point is a default-truncation solve, its check
+    never read, probed at ``probe_freqs`` with the default ``ProbeParams``
+    lineshape.  Solver failures at a sweep point mask its column and record the reason.
     """
     if sweep_name not in ("phi_dc", "xi"):
         raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
@@ -157,7 +159,7 @@ def spectroscopy_map(
                 drive = replace(drive_template, bias=bias)
             else:
                 drive = replace(drive_template, xi=float(val))
-            sol = solve_floquet(params, drive, check_convergence=False)
+            sol = solve_floquet(params, drive)
             pop[i] = probe_population(sol, noise, ProbeParams(), probe_freqs)
         except Exception as exc:  # masked cell, not a crash: maps keep going
             mask[i] = True

@@ -106,13 +106,12 @@ def _plain(obj):
     return str(obj)
 
 
-def _solved(config: RunConfig, coords, check_convergence: bool = True) -> FloquetSolution:
+def _solved(config: RunConfig, coords) -> FloquetSolution:
     """The cell's Floquet solution; jobs read its drive and static spectrum
-    (the ``diagonalize_static`` memo entry) from it."""
+    (the ``diagonalize_static`` memo entry) from it; only the floquet job reads its check."""
     drive = DriveParams(FluxBias(float(coords["phi_dc"])), float(coords["xi"]),
                         float(coords["omega"]))
-    return solve_floquet(config.circuit, drive, config.floquet,
-                         check_convergence=check_convergence)
+    return solve_floquet(config.circuit, drive, config.floquet)
 
 
 def _job_static(config: RunConfig, coords):
@@ -229,7 +228,7 @@ def _plan_spectroscopy(config: RunConfig):
 
 
 def _job_spectroscopy(config: RunConfig, coords):
-    sol = _solved(config, coords, check_convergence=False)
+    sol = _solved(config, coords)
     p1 = probe_population(sol, config.noise, config.probe, _probe_freqs(config))
     return {
         "rows": [[float(p)] for p in p1],

@@ -136,7 +136,7 @@ def test_04_weight_conservation(params, capsys):
     for xi in np.linspace(0.0, 0.12, 10):
         for omega in np.linspace(0.3, 0.9, 10):
             drive = DriveParams(FluxBias(0.451), xi, omega)
-            sol = solve_floquet(params, drive, config, check_convergence=False)
+            sol = solve_floquet(params, drive, config)
             t = fourier_matrix_elements(sol).table
             values.append(2.0 * np.sum(np.abs(t[0, 1, :]) ** 2)
                           + 0.5 * np.sum(np.abs(t[1, 1, :] - t[0, 0, :]) ** 2))

@@ -58,6 +58,20 @@ def test_polariton_wide_drive_exit_zero(tmp_path, capsys):
     assert np.isfinite([values[f"gR_abs_{m}"] for m in range(-2, 4)]).all()
 
 
+@pytest.mark.parametrize("cutoff,flag", [("3", 0.0), (None, 1.0)], ids=["cutoff_3", "default"])
+def test_floquet_exports_the_truncation_flag(tmp_path, capsys, cutoff, flag):
+    # the converged column is the one export that reads the truncation check
+    text = 'task = "floquet"\n[grid]\nphi_dc = 0.451\nxi = 0.12\nomega = 0.25\n'
+    if cutoff:
+        text += f"[floquet]\nsideband_cutoff = {cutoff}\n"
+    cfg = _write(tmp_path, text)
+    assert main(["floquet", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    header, _units, row = (tmp_path / "o" / "floquet.csv").read_text().splitlines()
+    values = dict(zip(header.split(","), map(float, row.split(","))))
+    assert (values["converged"], values["mask"]) == (flag, 0.0)
+
+
 def test_circuit_n_levels_key_is_gone(tmp_path, capsys):
     # a diagonalization keeps as many static levels as the driven problem needs
     cfg = _write(tmp_path, MINIMAL + "[circuit]\nn_levels = 10\n")

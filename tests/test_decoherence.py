@@ -226,7 +226,7 @@ def test_dephasing_positive_when_detuned(params, noise):
 def test_derivative_forms_agree_at_one_point():
     # a taller level stack keeps the perturbative identities tight
     drive = DriveParams(FluxBias(0.451), 0.05, 0.6)
-    sol = solve_floquet(CircuitParams(), drive, SambeConfig(n_levels=9), check_convergence=False)
+    sol = solve_floquet(CircuitParams(), drive, SambeConfig(n_levels=9))
     d = quasienergy_derivatives(sol, fd=True)
     assert not d.tracking_break
     assert d.flux_fd == pytest.approx(d.flux_me, rel=1e-6, abs=1e-9)
@@ -237,7 +237,7 @@ def test_filter_weights_conservation(params):
     # in the two-level model the sideband-summed filter weight
     # 2*depolarization + dephasing equals its static reference exactly
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.07, 0.5),
-                        SambeConfig(n_levels=2, sideband_cutoff=40), check_convergence=False)
+                        SambeConfig(n_levels=2, sideband_cutoff=40))
     t = fourier_matrix_elements(sol).table
     total = float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                   + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))

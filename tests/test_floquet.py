@@ -58,6 +58,16 @@ def test_static_limit(params, spec_half):
         assert w[sol.config.sideband_cutoff] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_quasienergies_follow_the_representative_energies(spot_solution):
+    # derived on read, so a copy with other energies folds its own, read-only
+    omega = spot_solution.drive.omega
+    moved = replace(spot_solution, rep_energies=spot_solution.rep_energies + 0.3 * omega)
+    for sol in (spot_solution, moved):
+        assert np.array_equal(sol.quasienergies, fold_quasienergy(sol.rep_energies, omega))
+        assert not sol.quasienergies.flags.writeable
+    assert not np.allclose(moved.quasienergies, spot_solution.quasienergies)
+
+
 def test_sideband_weights_normalized(spot_solution):
     for alpha in range(spot_solution.n_levels):
         assert float(np.sum(spot_solution.sideband_weights(alpha))) == pytest.approx(1.0, abs=1e-10)
@@ -141,13 +151,16 @@ def test_checked_solve_assembles_and_diagonalizes_once(params, spec_451, spot_dr
                         lambda h, **kw: eigh_calls.append((h.shape[0], kw.get("eigvals_only")))
                         or eigh(h, **kw))
     sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
-    assert sol.converged is True
-    # one band at N_s + 2, whose central columns are the solved matrix; one dense
-    # matrix, the 8-harmonic start window cut from that band, and one
-    # eigendecomposition of it, with eigenvectors; N_s and N_s + 2 are reached
-    # by banded solves only, and the representatives are gauged once, at the end
+    # one band at N_s; one dense matrix, the 8-harmonic start window cut from
+    # that band, and one eigendecomposition of it, with eigenvectors; N_s is
+    # reached by banded solves only, and the representatives are gauged once,
+    # at the end
     n_side = SambeConfig().sideband_cutoff
-    assert bands == [n_side + 2]
+    assert bands == [n_side]
+    # the first read of the flag assembles the N_s + 2 band, and no later read does
+    assert sol.converged is True
+    assert sol.convergence_delta < 1e-8
+    assert bands == [n_side, n_side + 2]
     assert dense == [5 * (2 * 8 + 1)]
     assert eigh_calls == [(5 * (2 * 8 + 1), None)]
     assert gauged == [(5, 5 * (2 * n_side + 1))]
@@ -243,7 +256,7 @@ def test_banded_check_returns_only_wide_eigenvalues(params, spec_451, monkeypatc
         cell.update(xi=xi, omega=omega, n_side=n_side)
         try:
             solve_floquet(params, DriveParams(FluxBias(0.451), xi, omega),
-                          SambeConfig(sideband_cutoff=n_side), spectrum=spec_451)
+                          SambeConfig(sideband_cutoff=n_side), spectrum=spec_451).converged
         except ConvergenceError:
             continue
     kinds = []
@@ -266,17 +279,22 @@ def test_uncertified_check_raises(params, spec_451, monkeypatch):
     # this under-truncated cell needs a second Rayleigh-quotient step
     monkeypatch.setattr(floquet, "_MAX_RQI_STEPS", 1)
     strong = DriveParams(FluxBias(0.451), 0.12, 0.25)
+    sol = solve_floquet(params, strong, SambeConfig(sideband_cutoff=3), spectrum=spec_451)
+    # the solve returns; the check runs, and raises, when the flag is read
     with pytest.raises(DiagnosticError, match="certified"):
-        solve_floquet(params, strong, SambeConfig(sideband_cutoff=3), spectrum=spec_451)
+        sol.converged
 
 
 @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
 def test_sambe_solve_peak_within_stated_factor(params, spec_451, spot_drive, checked):
-    # the assembled matrix has dimension 5 * 201 = 1005 either way
+    # the widest matrix assembled has dimension 5 * 201 = 1005 either way: the
+    # solved one, or the one that reading the truncation check assembles
     cfg = SambeConfig(sideband_cutoff=98 if checked else 100)
     tracemalloc.start()
     try:
-        solve_floquet(params, spot_drive, cfg, spectrum=spec_451, check_convergence=checked)
+        sol = solve_floquet(params, spot_drive, cfg, spectrum=spec_451)
+        if checked:
+            sol.convergence_delta
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -339,8 +357,14 @@ def test_windowed_solve_matches_full_window(d, params, monkeypatch):
             ref = _outcome(lambda: _full_window_solve(params, spec, drive, d, n_side, checked))
             windows.clear()
             starts.clear()
-            got = _outcome(lambda: solve_floquet(params, drive, SambeConfig(d, n_side),
-                                                 spectrum=spec, check_convergence=checked))
+
+            def solved():
+                sol = solve_floquet(params, drive, SambeConfig(d, n_side), spectrum=spec)
+                if checked:
+                    sol.convergence_delta  # the check runs on this first read
+                return sol
+
+            got = _outcome(solved)
             if isinstance(ref, type):
                 raised += 1
                 assert got is ref, cell
@@ -350,8 +374,8 @@ def test_windowed_solve_matches_full_window(d, params, monkeypatch):
             # same label, same state: a translated copy would overlap by ~0
             overlaps = np.abs(np.sum(got.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
             assert np.min(overlaps) >= 1 - 1e-9, cell
-            assert got.converged == (None if ref_delta is None else ref_delta < 1e-8), cell
             if checked:
+                assert got.converged == (ref_delta < 1e-8), cell
                 assert got.convergence_delta == pytest.approx(ref_delta, abs=1e-12), cell
                 continue
             fired += len(windows) > 1
@@ -384,7 +408,7 @@ def test_edge_weight_guard_defers_cut_off_states_to_the_full_window(phi, xi, ome
     monkeypatch.setattr(floquet, "_solve_sambe",
                         lambda h, omega, d: windows.append(h.shape[0] // d // 2)
                         or solve(h, omega, d))
-    sol = solve_floquet(params, drive, SambeConfig(d, 10), spectrum=spec, check_convergence=False)
+    sol = solve_floquet(params, drive, SambeConfig(d, 10), spectrum=spec)
     assert windows == [8, 10]
     assert np.max(np.abs(sol.rep_energies - ref_e)) <= 1e-13
     overlaps = np.abs(np.sum(sol.fourier_blocks.conj() * ref_blocks, axis=(1, 2)))
@@ -436,7 +460,7 @@ def test_continued_vectors_reach_the_dense_solver_floor(params, spec_451):
     worst = 0.0
     for xi, omega in itertools.product(np.linspace(0.0, 0.12, 10), np.linspace(0.3, 0.9, 10)):
         sol = solve_floquet(params, DriveParams(FluxBias(0.451), xi, omega),
-                            SambeConfig(d, n_side), spectrum=spec_451, check_convergence=False)
+                            SambeConfig(d, n_side), spectrum=spec_451)
         h = _loop_sambe(spec_451.energies[:d], spec_451.phi_elements[:d, :d], params.e_l,
                         xi, omega, n_side)
         vecs = sol.fourier_blocks.real.reshape(d, -1)
@@ -446,16 +470,20 @@ def test_continued_vectors_reach_the_dense_solver_floor(params, spec_451):
 
 
 def test_checked_and_unchecked_solves_agree_bitwise(params):
-    # the N_s + 2 band's central columns are the N_s band, so both paths
-    # select and continue on the same numbers
+    # the truncation check's N_s + 2 band holds the N_s band as its central
+    # columns, so representatives found in those columns are the solve's bits
     rng = np.random.default_rng(1717)
+    d, n_side = SambeConfig().n_levels, SambeConfig().sideband_cutoff
     for _ in range(30):
         phi, xi, omega = rng.uniform(0.40, 0.55), rng.uniform(0, 0.2), rng.uniform(0.3, 1.3)
-        drive = DriveParams(FluxBias(phi), xi, omega)
-        checked = solve_floquet(params, drive)
-        unchecked = solve_floquet(params, drive, check_convergence=False)
-        assert np.array_equal(checked.rep_energies, unchecked.rep_energies)
-        assert np.array_equal(checked.fourier_blocks, unchecked.fourier_blocks)
+        sol = solve_floquet(params, DriveParams(FluxBias(phi), xi, omega))
+        spec = sol.spectrum
+        wide = floquet._sambe_band(spec.energies[:d], spec.phi_elements[:d, :d], params.e_l,
+                                   xi, omega, n_side + 2)
+        with floqlux.circuit._one_blas_thread():
+            rep_e, vecs = floquet._representatives(wide[:, 2 * d:wide.shape[1] - 2 * d], omega, d)
+        assert np.array_equal(sol.rep_energies, rep_e)
+        assert np.array_equal(sol.fourier_blocks, floquet._gauged(vecs))
 
 
 def test_monodromy_oracle_agreement(params, spec_451):
@@ -545,7 +573,7 @@ def test_equal_spectrum_is_accepted(params, spot_drive, spot_solution):
 def test_driven_solve_sets_the_static_depth(params, spot_drive):
     # at the default depth a solve shares the memo entry of a plain diagonalization
     diagonalize_static.cache_clear()
-    default = solve_floquet(params, spot_drive, check_convergence=False)
+    default = solve_floquet(params, spot_drive)
     assert diagonalize_static(params, spot_drive.bias) is default.spectrum
     assert diagonalize_static.cache_info().misses == 1
     # a deeper problem diagonalizes as deep as it needs, with no circuit setting
@@ -559,7 +587,7 @@ def test_driven_solve_sets_the_static_depth(params, spot_drive):
 
 
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
-    # the checked solve assembles 5 * 1205 = 6025 rows, over the cap
+    # the solve assembles 5 * 1201 = 6005 rows, over the cap
     tracemalloc.start()
     try:
         with pytest.raises(DiagnosticError, match="GB"):
@@ -635,6 +663,19 @@ def test_sternheimer_solves_run_at_one_blas_thread(params, spec_451, two_blas_th
     assert _blas_threads() == (2, 2)
 
 
+def test_truncation_check_runs_at_one_blas_thread(params, spec_451, spot_drive, two_blas_threads,
+                                                  monkeypatch):
+    # the check runs on the first read of the flag, after solve_floquet returned
+    sol = solve_floquet(params, spot_drive, spectrum=spec_451)
+    seen = []
+    gbsv = floquet._gbsv
+    monkeypatch.setattr(floquet, "_gbsv",
+                        lambda *a, **kw: seen.append(_blas_threads()) or gbsv(*a, **kw))
+    assert sol.convergence_delta < 1e-8
+    assert seen and set(seen) == {(1, 1)}
+    assert _blas_threads() == (2, 2)
+
+
 def test_static_memo_hit_leaves_blas_threads_alone(params, monkeypatch):
     lookups = []
     controls = floqlux.circuit._openblas_controls
@@ -670,6 +711,7 @@ print(json.dumps({
                                 d.flux_me, d.xi_me, d.flux_fd, d.xi_fd]),
     "dense whole window": bits(whole.rep_energies, whole.fourier_blocks),
     "rwa g'": bits(rwa_params_from_circuit(params, 0.303146, CavityParams(), 0.05).g_prime),
+    "convergence_delta": bits(certify.convergence_delta, whole.convergence_delta),
 }))
 """
 
@@ -678,8 +720,9 @@ def test_library_results_ignore_the_blas_thread_setting():
     # one interpreter per setting: OpenBLAS reads it when it loads.  The
     # certify stage's N_s = 28 solve, the oracle, the finite differences at
     # the double spot, a drive whose ladder ends in the dense 205-row
-    # window, where 1 and 2 threads give different eigh bits, and the
-    # Sternheimer solve behind the rotating-wave g'
+    # window, where 1 and 2 threads give different eigh bits, the
+    # Sternheimer solve behind the rotating-wave g', and the truncation
+    # check of both solves
     src = str(Path(__file__).resolve().parents[1] / "src")
     results = []
     for threads in (None, "1", "2"):
@@ -720,16 +763,17 @@ def test_convergence_flag(params, spec_451):
     assert low.convergence_delta >= 1e-8
     high = solve_floquet(params, strong, SambeConfig(sideband_cutoff=30), spectrum=spec_451)
     assert high.converged is True
-    unchecked = solve_floquet(params, strong, SambeConfig(), spectrum=spec_451,
-                              check_convergence=False)
-    assert unchecked.converged is None
 
 
 def test_drive_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="xi must be non-negative"):
         DriveParams(FluxBias(0.5), -0.01, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="omega must be strictly positive"):
         DriveParams(FluxBias(0.5), 0.05, 0.0)
+    for xi, omega in ((math.nan, 0.5), (math.inf, 0.5), (0.05, math.nan), (0.05, math.inf),
+                      (0.05, -math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            DriveParams(FluxBias(0.5), xi, omega)
     with pytest.raises(ValueError):
         SambeConfig(n_levels=0)
     with pytest.raises(ValueError):
@@ -757,7 +801,7 @@ def test_track_states_continuity(params, spec_451):
     xis = np.linspace(0.0, 0.08, 17)
     sols = [
         solve_floquet(params, DriveParams(FluxBias(0.451), float(x), 0.7743211),
-                      SambeConfig(), spectrum=spec_451, check_convergence=False)
+                      SambeConfig(), spectrum=spec_451)
         for x in xis
     ]
     # the tracked splitting starts at the static transition and moves smoothly
@@ -769,7 +813,7 @@ def test_track_states_continuity_across_flux(params):
     # each step changes the static eigenbasis, which the matcher rotates away
     sols = [
         solve_floquet(params, DriveParams(FluxBias(float(phi)), 0.05, 0.7743211),
-                      SambeConfig(), check_convergence=False)
+                      SambeConfig())
         for phi in np.linspace(0.44, 0.47, 13)
     ]
     _tracked_eps01(sols, 0.7, 0.03)
@@ -799,8 +843,7 @@ _TWO_LEVEL = SambeConfig(n_levels=2, sideband_cutoff=40)
 
 
 def _two_level(params, xi):
-    return solve_floquet(params, DriveParams(FluxBias(0.451), xi, 0.5), _TWO_LEVEL,
-                         check_convergence=False)
+    return solve_floquet(params, DriveParams(FluxBias(0.451), xi, 0.5), _TWO_LEVEL)
 
 
 def test_two_level_conservation_single_point(params):

@@ -30,8 +30,10 @@ Runner lint: ``sweeps.py`` and ``cli.py`` read no task section of a
 so the generic runner names no task and a task stays one record in
 ``floqlux.tasks``.
 
-README lint: every `` `[section] key` `` the README names is a key of the
-config schema, so the docs cannot keep a key that the parser rejects.
+README lints: every `` `[section] key` `` the README names is a key of the
+config schema, and every keyword of a `` `fn(key=...)` `` call in a code span
+that parses as Python is a parameter of the package function ``fn``, so the
+docs cannot keep a key that the parser rejects or an option that is gone.
 
 Benchmark lint: every function that ``perfbench/tracer.py`` wraps by name,
 and every other name that ``perfbench/workloads.py`` reads, exists in the
@@ -328,6 +330,43 @@ def test_readme_names_only_config_keys():
 def test_lint_flags_a_readme_key_that_is_gone():
     text = "`[grid] xi`, `[polariton]`, `[polariton] span = 0.1`, `[gird] xi`"
     assert _unknown_config_keys(text) == ["[gird] xi", "[polariton] span"]
+
+
+def _unknown_readme_options(text: str) -> list[str]:
+    """The `` `fn(key=...)` `` keywords in the code spans of ``text`` that are
+    not parameters of the package's public function ``fn``; spans that do not
+    parse as Python, and calls of other functions, are skipped."""
+    functions = _public_functions()
+    gone = set()
+    for span in re.findall(r"`+([^`]+)`+", text):
+        try:
+            tree = ast.parse(span)
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in functions:
+                continue
+            params = inspect.signature(functions[name]).parameters
+            gone.update(f"{name}({k.arg}=)" for k in node.keywords
+                        if k.arg is not None and k.arg not in params)
+    return sorted(gone)
+
+
+def test_readme_names_only_existing_options():
+    gone = _unknown_readme_options((ROOT / "README.md").read_text())
+    assert not gone, f"README passes options that the package functions lack: {gone}"
+
+
+def test_lint_flags_a_readme_option_that_is_gone():
+    text = ("`solve_floquet(params, drive, tol=1e-8)`, `coherence_rates(fd=True)`,"
+            " `[grid] xi`, `phi(t) = xi cos(Omega t)`\n```python\n"
+            "rates = coherence_rates(params, drive, NoiseModel(), fdd=True, **kw)\n"
+            "m = sol.splitting(alpha=1)\n```\n```sh\nff coherence --config run.cfg\n```\n")
+    assert _unknown_readme_options(text) == ["coherence_rates(fdd=)",
+                                             "solve_floquet(tol=)"]
 
 
 def _tracer_targets() -> tuple:

@@ -33,7 +33,7 @@ def thermal(noise, spot_solution):
 def _spot_population(params, noise, spot_drive, probe_freqs, rabi=1e-4):
     """P1 over ``probe_freqs`` at the double sweet spot, on an unchecked solve
     like the ones the map and the spectroscopy task probe."""
-    sol = solve_floquet(params, spot_drive, check_convergence=False)
+    sol = solve_floquet(params, spot_drive)
     return probe_population(sol, noise, ProbeParams(rabi=rabi), probe_freqs)
 
 

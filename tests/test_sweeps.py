@@ -49,6 +49,7 @@ from floqlux import (
 )
 import floqlux.circuit
 import floqlux.decoherence
+import floqlux.floquet
 import floqlux.spectroscopy
 import floqlux.tasks
 from floqlux.cli import main
@@ -781,8 +782,30 @@ def test_spectroscopy_task_matches_the_library_map(tmp_path, monkeypatch, sweep,
     for p in points:
         d = {**fixed, sweep: p["value"]}
         drive = DriveParams(FluxBias(d["phi_dc"]), d["xi"], d["omega"])
-        sol = solve_floquet(CircuitParams(), drive, check_convergence=False)
+        sol = solve_floquet(CircuitParams(), drive)
         assert p["freqs"] == (sol.splitting(1, 0) + k * sol.drive.omega).tolist()
+
+
+def test_only_the_floquet_task_runs_the_truncation_check(tmp_path, monkeypatch):
+    # a solve whose flag no job reads assembles no N_s + 2 band and runs no
+    # unpolished continuation; the floquet task's converged column reads it once a cell
+    bands, polished = [], []
+    band, cont = floqlux.floquet._sambe_band, floqlux.floquet._continue
+    monkeypatch.setattr(floqlux.floquet, "_sambe_band",
+                        lambda *a: bands.append(a[-1]) or band(*a))
+    monkeypatch.setattr(floqlux.floquet, "_continue",
+                        lambda *a, polish=False: polished.append(polish)
+                        or cont(*a, polish=polish))
+    grid = GridSpec(phi_dc=(0.30, 0.451), xi=(0.05, 0.12), omega=(0.25,))
+    wide = SambeConfig().sideband_cutoff + 2
+    for task in ("coherence", "polariton", "floquet"):
+        bands.clear()
+        polished.clear()
+        res = run_sweep(RunConfig(task=task, grid=grid, output=str(tmp_path / task)))
+        assert not res.mask.any(), (task, res.reasons)
+        checks = 4 if task == "floquet" else 0
+        assert (bands.count(wide), polished.count(False)) == (checks, checks), task
+        assert bands.count(wide - 2) == 4 and polished.count(True) >= 4, task
 
 
 def test_every_task_runs_with_defaults(tmp_path):
