@@ -339,16 +339,14 @@ def pure_dephasing_rate(sol: FloquetSolution, model: NoiseModel) -> DephasingRat
     quasienergy derivatives.
     """
     elems = fourier_matrix_elements(sol)
-    d_flux, d_xi = _matrix_element_derivatives(sol)
+    (d_flux, d_xi), dz, dpair = _diagonal_differences(sol)
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
         + model.a_ac**2 * ghz_to_angular(d_xi) ** 2
     )
     off_zero = elems.k_values != 0  # the k = 0 content is the low-frequency term
-    diag = elems.table[[0, 1], [0, 1]]  # phi_00^(k), phi_11^(k)
-    wz = 0.5 * np.abs(diag[1] - diag[0]) ** 2 * off_zero
-    pair = _neighbour_sum(diag)
-    wac = np.abs(pair[0] - pair[1]) ** 2 / 8.0 * off_zero
+    wz = 0.5 * np.abs(dz) ** 2 * off_zero
+    wac = np.abs(dpair) ** 2 / 8.0 * off_zero
     freq = elems.k_values * sol.drive.omega
     chans = _noise_channels(sol.spectrum.params, model, wz, wac, freq)
     breakdown = {"low_frequency": first, **{name: float(v) for name, v in chans.items()}}
@@ -376,18 +374,25 @@ class QuasienergyDerivatives:
     tracking_break: bool = False
 
 
+def _diagonal_differences(sol: FloquetSolution):
+    """dz = phi_11^(k) - phi_00^(k) and dpair, the same difference of
+    phi^(k+1) + phi^(k-1), from the phase elements of ``sol``; returned after
+    their k = 0 terms' closed-form (d eps01/d phi_dc, d eps01/d xi)."""
+    elems = fourier_matrix_elements(sol)
+    k0 = int(elems.k_values[-1])  # index of k = 0
+    diag = elems.table[[0, 1], [0, 1]]  # phi_00^(k), phi_11^(k)
+    pair = _neighbour_sum(diag)
+    dz, dpair = diag[1] - diag[0], pair[1] - pair[0]
+    e_l = sol.spectrum.params.e_l
+    flux = -2.0 * math.pi * e_l * dz[k0].real
+    xi = -math.pi * e_l * dpair[k0].real
+    return (float(flux), float(xi)), dz, dpair
+
+
 def _matrix_element_derivatives(sol: FloquetSolution) -> tuple[float, float]:
     """(d eps01/d phi_dc, d eps01/d xi) in closed form from the phase elements
     of ``sol``."""
-    elems = fourier_matrix_elements(sol)
-    e_l = sol.spectrum.params.e_l
-    kmax = int(elems.k_values[-1])
-    diag = elems.table[[0, 1], [0, 1]]
-    d = diag[:, kmax].real
-    x = (diag[:, kmax + 1] + diag[:, kmax - 1]).real
-    flux = -2.0 * math.pi * e_l * (d[1] - d[0])
-    xi = -math.pi * e_l * (x[1] - x[0])
-    return float(flux), float(xi)
+    return _diagonal_differences(sol)[0]
 
 
 # a branch whose best overlap with the reference is at or below this is lost

@@ -1,8 +1,9 @@
 """Steady-state two-tone spectroscopy and Ramsey-type signal analysis.
 
-``probe_population`` is one solved cell's probe response: the ``spectroscopy``
-task takes it per map column, ``spectroscopy_map`` loops it over a sweep.  It
-replaces a full driven master equation with a documented rate-equation model:
+``probe_population`` is one solved cell's response to a ``ProbeParams`` tone:
+the ``spectroscopy`` task takes it per map column, ``spectroscopy_map`` loops
+it over the tone's ``sweep``.  It replaces a full driven master equation with
+a documented rate-equation model:
 golden-rule excitation rates through each sideband,
 Gamma_k = (1/2) * Omega_k^2 * L(omega_p - (eps_01 + k*Omega)), with
 Omega_k the probe Rabi rate scaled by the charge Fourier element |n_01^(k)|
@@ -52,12 +53,12 @@ class ProbeParams:
     """Weak spectroscopy tone: probe frequencies, Rabi amplitude and linewidth
     (GHz); also the ``[probe]`` section of a run configuration.
 
-    ``linewidth`` is the phenomenological Lorentzian FWHM of each sideband
-    transition (default 5 MHz).  ``sweep`` names the spectroscopy task's map
-    axis, ``phi_dc`` or ``xi``.
+    ``omega_p`` is positive and strictly ascending.  ``linewidth`` is the
+    phenomenological Lorentzian FWHM of each sideband transition (default
+    5 MHz).  ``sweep`` is the map axis of both probe paths, ``phi_dc`` or ``xi``.
     """
 
-    omega_p: tuple = tuple(np.linspace(0.05, 2.0, 64))
+    omega_p: tuple = tuple(np.linspace(0.05, 2.0, 64).tolist())
     rabi: float = 1e-4
     linewidth: float = 5e-3
     sweep: str = "phi_dc"
@@ -69,6 +70,8 @@ class ProbeParams:
             raise ValueError("probe omega_p must be finite")
         if not np.all(np.asarray(self.omega_p) > 0):
             raise ValueError("probe omega_p must be positive")
+        if np.any(np.diff(self.omega_p) <= 0):
+            raise ValueError("probe omega_p must be strictly ascending")
         if self.sweep not in ("phi_dc", "xi"):
             raise ValueError("probe sweep must be 'phi_dc' or 'xi'")
         for name in ("rabi", "linewidth"):
@@ -92,8 +95,8 @@ def _balance(g_up, g_down, total):
     return (g_up + total) / denom
 
 
-def probe_population(sol, noise: NoiseModel, probe: ProbeParams, probe_freqs) -> np.ndarray:
-    """P1 of the driven cell ``sol`` at each probe frequency (GHz).
+def probe_population(sol, noise: NoiseModel, probe: ProbeParams) -> np.ndarray:
+    """P1 of the driven cell ``sol`` at each probe frequency ``probe.omega_p`` (GHz).
 
     Gamma_k = 0.5*amp2_k*L_k (1/s), amp2_k = (2*pi*1e9 * rabi * |n_01^(k)|)^2,
     L_k unit-area in angular frequency at the resonance eps_01 + k*Omega.
@@ -104,7 +107,7 @@ def probe_population(sol, noise: NoiseModel, probe: ProbeParams, probe_freqs) ->
     pol = depolarization_rates(sol, noise)
     elems = charge_fourier_elements(sol)
     peaks = sol.splitting(1, 0) + elems.k_values * sol.drive.omega
-    delta = GHZ_TO_ANGULAR * (np.asarray(probe_freqs, dtype=float)[:, None] - peaks[None, :])
+    delta = GHZ_TO_ANGULAR * (np.asarray(probe.omega_p, dtype=float)[:, None] - peaks[None, :])
     hw = 0.5 * ghz_to_angular(probe.linewidth)
     lor = hw / math.pi / (delta * delta + hw * hw)
     amp2 = (ghz_to_angular(probe.rabi) * np.abs(elems.table[0, 1])) ** 2
@@ -131,21 +134,17 @@ def spectroscopy_map(
     params: CircuitParams,
     noise: NoiseModel,
     drive_template: DriveParams,
-    sweep_name: str,
+    probe: ProbeParams,
     sweep_values,
-    probe_freqs,
 ) -> SpectroscopyMap:
-    """Steady-state population map over phi_dc or xi versus probe frequency.
+    """Steady-state population map over ``probe.sweep`` versus ``probe.omega_p``.
 
-    ``sweep_name`` is "phi_dc" or "xi"; the other drive parameters come from
-    ``drive_template``.  Each point is a default-truncation solve, its check
-    never read, probed at ``probe_freqs`` with the default ``ProbeParams``
+    The other drive parameters come from ``drive_template``.  Each point is
+    a default-truncation solve, its check never read, probed with ``probe``'s
     lineshape.  Solver failures at a sweep point mask its column and record the reason.
     """
-    if sweep_name not in ("phi_dc", "xi"):
-        raise ValueError("sweep_name must be 'phi_dc' or 'xi'")
     sweep_values = np.asarray(sweep_values, dtype=float)
-    probe_freqs = np.asarray(probe_freqs, dtype=float)
+    probe_freqs = np.asarray(probe.omega_p, dtype=float)
     pop = np.full((sweep_values.size, probe_freqs.size), np.nan)
     mask = np.zeros(sweep_values.size, dtype=bool)
     failures: dict = {}
@@ -154,13 +153,13 @@ def spectroscopy_map(
         try:
             # invalid sweep values (rejected by the dataclass validators)
             # mask the cell like any other per-point failure
-            if sweep_name == "phi_dc":
+            if probe.sweep == "phi_dc":
                 bias = replace(drive_template.bias, phi_dc=float(val))
                 drive = replace(drive_template, bias=bias)
             else:
                 drive = replace(drive_template, xi=float(val))
             sol = solve_floquet(params, drive)
-            pop[i] = probe_population(sol, noise, ProbeParams(), probe_freqs)
+            pop[i] = probe_population(sol, noise, probe)
         except Exception as exc:  # masked cell, not a crash: maps keep going
             mask[i] = True
             failures[int(i)] = f"{type(exc).__name__}: {exc}"

@@ -210,26 +210,21 @@ def _check_spectroscopy(config: RunConfig) -> None:
     _check_single(config, _fixed_drive(config), f"spectroscopy sweeps {config.probe.sweep}")
 
 
-def _probe_freqs(config: RunConfig) -> tuple:
-    return tuple(sorted(float(v) for v in config.probe.omega_p))
-
-
 def _plan_spectroscopy(config: RunConfig):
     # a column's coords are its whole drive point, so its job never reads the grid
     sweep = config.probe.sweep
     fixed = _fixed_drive(config)
     svals = tuple(sorted(float(v) for v in getattr(config.grid, sweep)))
-    pvals = _probe_freqs(config)
-    n_p = len(pvals)
+    n_p = len(config.probe.omega_p)
     # coords in drive-axis order, which the cell's cache key hashes
     points = ({a: fixed.get(a, v) for a in _DRIVE_AXES} for v in svals)
     cells = ((p, tuple(range(i * n_p, (i + 1) * n_p))) for i, p in enumerate(points))
-    return {sweep: svals, "omega_p": pvals}, cells
+    return {sweep: svals, "omega_p": config.probe.omega_p}, cells
 
 
 def _job_spectroscopy(config: RunConfig, coords):
     sol = _solved(config, coords)
-    p1 = probe_population(sol, config.noise, config.probe, _probe_freqs(config))
+    p1 = probe_population(sol, config.noise, config.probe)
     return {
         "rows": [[float(p)] for p in p1],
         "extra": {

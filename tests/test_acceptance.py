@@ -22,6 +22,7 @@ from floqlux import (
     FluxBias,
     GridSpec,
     NoiseModel,
+    ProbeParams,
     RWAParams,
     RamseyConfig,
     RunConfig,
@@ -300,7 +301,8 @@ def test_10_spectroscopy_structure(params, noise, capsys):
 
     phis = np.arange(0.45, 0.5501, 0.005)
     m = spectroscopy_map(params, noise, DriveParams(FluxBias(0.5), 0.0, 0.4),
-                         "phi_dc", phis, np.linspace(0.70, 1.05, 141))
+                         ProbeParams(omega_p=tuple(np.linspace(0.70, 1.05, 141)), sweep="phi_dc"),
+                         phis)
     ridge = m.probe_freqs[np.argmax(m.population, axis=1)]
     star = m.sweep_values[np.argmin(ridge)]
     ok = increasing and abs(star - 0.5) <= 0.005 and not m.mask.any()

@@ -226,6 +226,8 @@ def test_every_record_field_is_a_config_key(section, key):
     ("ramsey", "delays = [0.0, nan, 4e-6]", "delays must be finite"),
     ("probe", "omega_p = [nan, 0.7]", "probe omega_p must be finite"),
     ("probe", "omega_p = [-0.3, 0.0, 0.3]", "probe omega_p must be positive"),
+    ("probe", "omega_p = [0.7, 0.9, 0.8]", "probe omega_p must be strictly ascending"),
+    ("probe", "omega_p = [0.7, 0.8, 0.8]", "probe omega_p must be strictly ascending"),
     ("sweetspot", "tol_d = inf", "tol_d must be finite"),
     ("polariton", "capture_window = inf", "capture_window must be finite"),
     ("cavity", "omega_c = inf", "omega_c must be finite and positive, g_cap finite and non-negative"),

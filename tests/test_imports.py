@@ -334,8 +334,9 @@ def test_lint_flags_a_readme_key_that_is_gone():
 
 def _unknown_readme_options(text: str) -> list[str]:
     """The `` `fn(key=...)` `` keywords in the code spans of ``text`` that are
-    not parameters of the package's public function ``fn``; spans that do not
-    parse as Python, and calls of other functions, are skipped."""
+    not parameters of the package's public function ``fn``, and the calls
+    that pass ``fn`` more positional arguments than it takes; spans that do
+    not parse as Python, and calls of other functions, are skipped."""
     functions = _public_functions()
     gone = set()
     for span in re.findall(r"`+([^`]+)`+", text):
@@ -352,6 +353,12 @@ def _unknown_readme_options(text: str) -> list[str]:
             params = inspect.signature(functions[name]).parameters
             gone.update(f"{name}({k.arg}=)" for k in node.keywords
                         if k.arg is not None and k.arg not in params)
+            kinds = [p.kind for p in params.values()]
+            takes = sum(k <= inspect.Parameter.POSITIONAL_OR_KEYWORD for k in kinds)
+            open_ended = inspect.Parameter.VAR_POSITIONAL in kinds or any(
+                isinstance(a, ast.Starred) for a in node.args)
+            if len(node.args) > takes and not open_ended:
+                gone.add(f"{name}({len(node.args)} positional, takes {takes})")
     return sorted(gone)
 
 
@@ -364,8 +371,11 @@ def test_lint_flags_a_readme_option_that_is_gone():
     text = ("`solve_floquet(params, drive, tol=1e-8)`, `coherence_rates(fd=True)`,"
             " `[grid] xi`, `phi(t) = xi cos(Omega t)`\n```python\n"
             "rates = coherence_rates(params, drive, NoiseModel(), fdd=True, **kw)\n"
-            "m = sol.splitting(alpha=1)\n```\n```sh\nff coherence --config run.cfg\n```\n")
+            "m = sol.splitting(alpha=1)\n```\n```sh\nff coherence --config run.cfg\n```\n"
+            "`probe_population(sol, noise, probe, probe_freqs)`, `probe_population(*args)`,"
+            " `depolarization_rates(sol, noise)`")
     assert _unknown_readme_options(text) == ["coherence_rates(fdd=)",
+                                             "probe_population(4 positional, takes 3)",
                                              "solve_floquet(tol=)"]
 
 

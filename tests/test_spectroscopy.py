@@ -34,7 +34,7 @@ def _spot_population(params, noise, spot_drive, probe_freqs, rabi=1e-4):
     """P1 over ``probe_freqs`` at the double sweet spot, on an unchecked solve
     like the ones the map and the spectroscopy task probe."""
     sol = solve_floquet(params, spot_drive)
-    return probe_population(sol, noise, ProbeParams(rabi=rabi), probe_freqs)
+    return probe_population(sol, noise, ProbeParams(omega_p=tuple(probe_freqs), rabi=rabi))
 
 
 def test_probe_rates_peak_on_resonance(params, noise, spot_drive, spot_solution, thermal):
@@ -75,7 +75,7 @@ def test_map_mirror_symmetry(params, noise):
     phis = np.round(np.arange(0.47, 0.5301, 0.005), 4)
     probe_freqs = np.linspace(0.70, 0.95, 26)
     m = spectroscopy_map(params, noise, DriveParams(FluxBias(0.5), 0.0, 0.5),
-                         "phi_dc", phis, probe_freqs)
+                         ProbeParams(omega_p=tuple(probe_freqs), sweep="phi_dc"), phis)
     assert not m.mask.any()
     assert m.population.shape == (phis.size, probe_freqs.size)
     # the undriven map is symmetric under phi -> 1 - phi
@@ -85,7 +85,8 @@ def test_map_mirror_symmetry(params, noise):
 def test_map_failure_masking(params, noise):
     # an unsolvable point (nan bias) is masked with a reason, not raised
     m = spectroscopy_map(params, noise, DriveParams(FluxBias(0.5), 0.0, 0.5),
-                         "phi_dc", [0.5, float("nan")], np.linspace(0.7, 0.8, 5))
+                         ProbeParams(omega_p=tuple(np.linspace(0.7, 0.8, 5)), sweep="phi_dc"),
+                         [0.5, float("nan")])
     assert not m.mask[0]
     assert m.mask[1]
     assert 1 in m.failures and m.failures[1]

@@ -753,22 +753,28 @@ def _fail_solves_at(monkeypatch, xi, *modules) -> str:
     return f"DiagnosticError: no solution at xi={xi}"
 
 
-@pytest.mark.parametrize("sweep,values", [("phi_dc", (0.45, 0.46, 0.47)),
-                                          ("xi", (0.0, 0.02, 0.05))])
-def test_spectroscopy_task_matches_the_library_map(tmp_path, monkeypatch, sweep, values):
-    # each column is the map's point, bit for bit; a failed solve is masked in both
+@pytest.mark.parametrize("sweep,values,lineshape", [
+    ("phi_dc", (0.45, 0.46, 0.47), {}),
+    ("xi", (0.0, 0.02, 0.05), {}),
+    ("phi_dc", (0.45, 0.46), {"rabi": 3e-4, "linewidth": 0.02}),
+], ids=["phi_dc-values0", "xi-values1", "phi_dc-lineshape"])
+def test_spectroscopy_task_matches_the_library_map(tmp_path, monkeypatch, sweep, values,
+                                                  lineshape):
+    # each column is the map's point, bit for bit, with the record's lineshape;
+    # a failed solve is masked in both
     if sweep == "xi":
         reason = _fail_solves_at(monkeypatch, 0.0, floqlux.tasks, floqlux.spectroscopy)
     fixed = {"phi_dc": 0.45, "xi": 0.05, "omega": 0.5}
     probe_freqs = (0.70, 0.72, 0.74, 0.9)
+    probe = ProbeParams(omega_p=probe_freqs, sweep=sweep, **lineshape)
     res = run_sweep(RunConfig(
         task="spectroscopy",
         grid=GridSpec(**{**{k: (v,) for k, v in fixed.items()}, sweep: values}),
-        probe=ProbeParams(omega_p=probe_freqs, sweep=sweep),
+        probe=probe,
         output=str(tmp_path / "o"),
     ))
     m = spectroscopy_map(CircuitParams(), NoiseModel(), DriveParams(FluxBias(0.45), 0.05, 0.5),
-                         sweep, values, probe_freqs)
+                         probe, values)
     n_p = len(probe_freqs)
     assert np.array_equal(res.column("p1"), m.population.ravel(), equal_nan=True)
     assert np.array_equal(res.mask, np.repeat(m.mask, n_p))
