@@ -2,7 +2,8 @@
 
 Submodules:
     circuit: static fluxonium Hamiltonian, spectra, matrix elements.
-    floquet: Sambe-space quasienergies, sideband weights, time-domain oracle.
+    floquet: Sambe-space quasienergies, sideband weights, Fourier operator
+        tables, time-domain oracle.
     decoherence: flux/dielectric noise rates, sweet-spot location.
     polariton: cavity sideband couplings, rotating-wave model, manifold fits.
     spectroscopy: steady-state probe maps and windowed Ramsey estimation.
@@ -33,18 +34,14 @@ from .decoherence import (
     CoherenceRates,
     DephasingRate,
     DepolarizationRates,
-    FourierMatrixElements,
     NoiseModel,
     QuasienergyDerivatives,
     SweetSpot,
     SweetSpotScan,
     SweetSpotSpec,
-    charge_fourier_elements,
     coherence_rates,
     depolarization_rates,
     find_sweet_spots,
-    fourier_matrix_elements,
-    fourier_operator_elements,
     pure_dephasing_rate,
     quasienergy_derivatives,
     s_ac,
@@ -66,8 +63,10 @@ from .errors import (
 from .floquet import (
     DriveParams,
     FloquetSolution,
+    FourierMatrixElements,
     SambeConfig,
     fold_quasienergy,
+    fourier_operator_elements,
     monodromy_oracle,
     solve_floquet,
 )

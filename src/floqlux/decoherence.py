@@ -3,7 +3,8 @@
 Rates are computed in 1/s from golden-rule sums over the drive harmonics.
 With eps01 the natural quasienergy splitting (difference of representative
 Sambe eigenvalues, GHz) and phi_ab^(k) the Fourier matrix elements of the
-phase operator between Floquet states,
+phase operator between Floquet states (``sol.phi_elements``, whose table
+the floquet module builds),
 
     gamma_-/+ = sum_k |phi_01^(k)|^2 [ S_diel(k*Om +/- eps01)
                                        + E_L^2 * S~_dc(k*Om +/- eps01) ]
@@ -41,7 +42,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +55,13 @@ from .floquet import (
     FloquetSolution,
     SambeConfig,
     _match_branches,
-    _shifted_products,
+    fourier_operator_elements,
     solve_floquet,
 )
 from .units import ghz_to_angular
 
 __all__ = [
     "NoiseModel",
-    "FourierMatrixElements",
     "QuasienergyDerivatives",
     "DepolarizationRates",
     "DephasingRate",
@@ -73,8 +72,8 @@ __all__ = [
     "s_dc",
     "s_ac",
     "s_diel",
-    "fourier_matrix_elements",
-    "charge_fourier_elements",
+    # from floquet: perfbench/tracer.py wraps it under this name (test_benchmark_names_exist)
+    "fourier_operator_elements",
     "depolarization_rates",
     "pure_dephasing_rate",
     "quasienergy_derivatives",
@@ -175,68 +174,6 @@ def s_diel(omega, params: CircuitParams, model: NoiseModel):
 
 
 # ---------------------------------------------------------------------------
-# Fourier matrix elements between Floquet states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FourierMatrixElements:
-    """Harmonic-resolved operator elements O_ab^(k) between Floquet states.
-
-    O_ab^(k) = sum_n <phi_a^(n)| O |phi_b^(n-k)>, the coefficient of
-    e^{-i k Omega t} in <Phi_a(t)| O |Phi_b(t)>, for the qubit pair a, b in
-    (0, 1): the Sambe diagonal +n*Omega makes the Floquet mode
-    Phi(t) = sum_n e^{+i n Omega t} |phi^(n)>.  Conjugation symmetry
-    O_ab^(k) = conj(O_ba^(-k)) holds by construction.
-    """
-
-    k_values: np.ndarray
-    table: np.ndarray  # (2, 2, n_k) complex, table[a, b, k + kmax]
-
-    def __post_init__(self) -> None:
-        self.k_values.setflags(write=False)
-        self.table.setflags(write=False)
-
-
-def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
-    """Tabulate O_ab^(k) of the qubit pair for an operator (static-eigenbasis matrix)."""
-    d = sol.n_levels
-    bras = sol.fourier_blocks[:2]
-    kmax = bras.shape[1] - 1
-    return FourierMatrixElements(
-        k_values=np.arange(-kmax, kmax + 1),
-        table=_shifted_products(bras, bras @ np.asarray(op)[:d, :d].T, kmax),
-    )
-
-
-# tables per solution object and static-spectrum operator: the rates, the
-# derivatives and the coherence summary of one solution share one table, and
-# an entry goes with its solution
-_SOLUTION_ELEMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _solution_elements(sol: FloquetSolution, operator: str) -> FourierMatrixElements:
-    tables = _SOLUTION_ELEMENTS.setdefault(sol, {})
-    if operator not in tables:
-        tables[operator] = fourier_operator_elements(sol, getattr(sol.spectrum, operator))
-    return tables[operator]
-
-
-def fourier_matrix_elements(sol: FloquetSolution) -> FourierMatrixElements:
-    """Phase-operator elements phi_ab^(k) for the qubit pair (0, 1), from the
-    phase matrix of the static spectrum the solution was built on; built
-    once per solution object."""
-    return _solution_elements(sol, "phi_elements")
-
-
-def charge_fourier_elements(sol: FloquetSolution) -> FourierMatrixElements:
-    """Charge-operator elements n_ab^(k) for the qubit pair (0, 1), from the
-    charge matrix of the static spectrum the solution was built on; built
-    once per solution object."""
-    return _solution_elements(sol, "n_elements")
-
-
-# ---------------------------------------------------------------------------
 # golden-rule rates
 # ---------------------------------------------------------------------------
 
@@ -304,7 +241,7 @@ def depolarization_rates(sol: FloquetSolution, model: NoiseModel) -> Depolarizat
 
     The phase elements and the circuit (E_L, E_C) are those of ``sol``.
     """
-    elems = fourier_matrix_elements(sol)
+    elems = sol.phi_elements
     eps01 = sol.splitting(1, 0)
     phi01 = elems.table[0, 1]
     w01 = np.abs(phi01) ** 2
@@ -338,7 +275,7 @@ def pure_dephasing_rate(sol: FloquetSolution, model: NoiseModel) -> DephasingRat
     low-frequency term uses the closed matrix-element forms of the
     quasienergy derivatives.
     """
-    elems = fourier_matrix_elements(sol)
+    elems = sol.phi_elements
     (d_flux, d_xi), dz, dpair = _diagonal_differences(sol)
     first = model.ir_log_factor * math.sqrt(
         model.a_dc**2 * ghz_to_angular(d_flux) ** 2
@@ -378,7 +315,7 @@ def _diagonal_differences(sol: FloquetSolution):
     """dz = phi_11^(k) - phi_00^(k) and dpair, the same difference of
     phi^(k+1) + phi^(k-1), from the phase elements of ``sol``; returned after
     their k = 0 terms' closed-form (d eps01/d phi_dc, d eps01/d xi)."""
-    elems = fourier_matrix_elements(sol)
+    elems = sol.phi_elements
     k0 = int(elems.k_values[-1])  # index of k = 0
     diag = elems.table[[0, 1], [0, 1]]  # phi_00^(k), phi_11^(k)
     pair = _neighbour_sum(diag)

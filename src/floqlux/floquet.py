@@ -45,7 +45,9 @@ __all__ = [
     "DriveParams",
     "SambeConfig",
     "FloquetSolution",
+    "FourierMatrixElements",
     "fold_quasienergy",
+    "fourier_operator_elements",
     "solve_floquet",
     "monodromy_oracle",
 ]
@@ -114,6 +116,8 @@ class SambeConfig:
     Attributes:
         n_levels: circuit levels retained in the driven problem.
         sideband_cutoff: N_s; harmonic blocks n = -N_s..N_s are kept.
+
+    The Sambe dimension n_levels * (2*N_s + 1) may not exceed _MAX_SAMBE_DIM.
     """
 
     n_levels: int = 5
@@ -125,6 +129,10 @@ class SambeConfig:
         # representatives need |dominant harmonic| < N_s - 1, which N_s = 1 never admits
         if self.sideband_cutoff < 2:
             raise ValueError("sideband_cutoff must be at least 2")
+        dim = self.n_levels * (2 * self.sideband_cutoff + 1)
+        if dim > _MAX_SAMBE_DIM:
+            raise ValueError(f"Sambe dimension {dim} exceeds the safety cap {_MAX_SAMBE_DIM}; "
+                             "reduce n_levels or sideband_cutoff")
 
 
 def fold_quasienergy(eps, omega: float):
@@ -233,6 +241,9 @@ class FloquetSolution:
         spectrum: the static spectrum of the circuit at ``drive.bias`` whose
             eigenbasis the blocks are expressed in; derived quantities read
             the circuit and its matrix elements from here.
+
+    ``phi_elements`` and ``n_elements``, the harmonic-resolved counterparts
+    of the spectrum's matrices of the same names, are built on first read.
     """
 
     drive: DriveParams
@@ -271,6 +282,16 @@ class FloquetSolution:
                                   f"{np.flatnonzero(~certified).tolist()} did not reach a certified "
                                   f"wide eigenvalue in {_MAX_RQI_STEPS} Rayleigh-quotient steps")
         return float(np.max(_zone_distance(self.rep_energies, wide_e, self.drive.omega)))
+
+    @functools.cached_property
+    def phi_elements(self) -> FourierMatrixElements:
+        """Phase-operator elements phi_ab^(k) of the qubit pair (0, 1)."""
+        return fourier_operator_elements(self, self.spectrum.phi_elements)
+
+    @functools.cached_property
+    def n_elements(self) -> FourierMatrixElements:
+        """Charge-operator elements n_ab^(k) of the qubit pair (0, 1)."""
+        return fourier_operator_elements(self, self.spectrum.n_elements)
 
     @functools.cached_property
     def converged(self) -> bool:
@@ -373,6 +394,36 @@ def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarr
     padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
     shifted = sliding_window_view(padded, nb, axis=1)[:, ::-1]  # (b, k, s, n)
     return np.einsum("ans,bksn->abk", bras.conj(), shifted)
+
+
+@dataclass(frozen=True, eq=False)
+class FourierMatrixElements:
+    """Harmonic-resolved operator elements O_ab^(k) between Floquet states.
+
+    O_ab^(k) = sum_n <phi_a^(n)| O |phi_b^(n-k)>, the coefficient of
+    e^{-i k Omega t} in <Phi_a(t)| O |Phi_b(t)>, for the qubit pair a, b in
+    (0, 1): the Sambe diagonal +n*Omega makes the Floquet mode
+    Phi(t) = sum_n e^{+i n Omega t} |phi^(n)>.  Conjugation symmetry
+    O_ab^(k) = conj(O_ba^(-k)) holds by construction.
+    """
+
+    k_values: np.ndarray
+    table: np.ndarray  # (2, 2, n_k) complex, table[a, b, k + kmax]
+
+    def __post_init__(self) -> None:
+        self.k_values.setflags(write=False)
+        self.table.setflags(write=False)
+
+
+def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
+    """Tabulate O_ab^(k) of the qubit pair for an operator (static-eigenbasis matrix)."""
+    d = sol.n_levels
+    bras = sol.fourier_blocks[:2]
+    kmax = bras.shape[1] - 1
+    return FourierMatrixElements(
+        k_values=np.arange(-kmax, kmax + 1),
+        table=_shifted_products(bras, bras @ np.asarray(op)[:d, :d].T, kmax),
+    )
 
 
 def _gauged(vecs):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import curve_fit, minimize_scalar
 
 from .circuit import CircuitParams
-from .decoherence import NoiseModel, charge_fourier_elements, depolarization_rates
+from .decoherence import NoiseModel, depolarization_rates
 from .errors import AliasingError, DiagnosticError, FitError
 from .floquet import DriveParams, solve_floquet
 from .units import GHZ_TO_ANGULAR, HZ_PER_GHZ, TWO_PI, ghz_to_angular
@@ -105,7 +105,7 @@ def probe_population(sol, noise: NoiseModel, probe: ProbeParams) -> np.ndarray:
         DiagnosticError: every rate vanishes, the balance is undefined.
     """
     pol = depolarization_rates(sol, noise)
-    elems = charge_fourier_elements(sol)
+    elems = sol.n_elements
     peaks = sol.splitting(1, 0) + elems.k_values * sol.drive.omega
     delta = GHZ_TO_ANGULAR * (np.asarray(probe.omega_p, dtype=float)[:, None] - peaks[None, :])
     hw = 0.5 * ghz_to_angular(probe.linewidth)
@@ -178,9 +178,10 @@ class RamseyConfig:
 
     ``delays`` are the window offsets, at least 3 and ascending (default 26
     windows 2 us apart); within each window the delay is swept densely with
-    ``step`` over ``window``.  ``omega0`` is the demodulation reference (the
-    bare qubit frequency set by the pulse carrier); the ramsey task reads
-    ``omega0 = 0`` as the static 0 -> 1 transition at the cell bias.
+    ``step`` over ``window``, both positive.  ``omega0 >= 0`` is the
+    demodulation reference (the bare qubit frequency set by the pulse
+    carrier); the ramsey task reads ``omega0 = 0`` as the static 0 -> 1
+    transition at the cell bias.
     ``t2r_true`` is the decay constant used for synthesis.
     """
 
@@ -194,6 +195,11 @@ class RamseyConfig:
         for name in ("omega0", "window", "step"):  # t2r_true = inf: undamped
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("window", "step"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.omega0 < 0:
+            raise ValueError("omega0 must be non-negative")
         if not self.step < self.window:
             raise ValueError("step must be smaller than window")
         d = np.asarray(self.delays, dtype=float)

@@ -296,7 +296,7 @@ def _check_ramsey(config: RunConfig) -> None:
 def _job_ramsey(config: RunConfig, coords):
     sol = _solved(config, coords)
     rcfg = config.ramsey
-    if not rcfg.omega0 > 0:  # 0 stands for the static 0 -> 1 transition
+    if rcfg.omega0 == 0:  # 0 stands for the static 0 -> 1 transition
         rcfg = replace(rcfg, omega0=sol.spectrum.transition(0, 1))
     sig = synth_ramsey_signal(sol, rcfg)
     est = extract_t2r(sig)

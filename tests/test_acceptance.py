@@ -27,7 +27,6 @@ from floqlux import (
     RamseyConfig,
     RunConfig,
     SambeConfig,
-    charge_fourier_elements,
     coherence_rates,
     diagonalize_static,
     export,
@@ -36,7 +35,6 @@ from floqlux import (
     fit_polariton,
     floquet_dipole_coupling,
     fold_quasienergy,
-    fourier_matrix_elements,
     monodromy_oracle,
     quasienergy_derivatives,
     run_sweep,
@@ -138,7 +136,7 @@ def test_04_weight_conservation(params, capsys):
         for omega in np.linspace(0.3, 0.9, 10):
             drive = DriveParams(FluxBias(0.451), xi, omega)
             sol = solve_floquet(params, drive, config)
-            t = fourier_matrix_elements(sol).table
+            t = sol.phi_elements.table
             values.append(2.0 * np.sum(np.abs(t[0, 1, :]) ** 2)
                           + 0.5 * np.sum(np.abs(t[1, 1, :] - t[0, 0, :]) ** 2))
     values = np.asarray(values)
@@ -290,7 +288,7 @@ def test_10_spectroscopy_structure(params, noise, capsys):
     for xi in (0.0, 0.01, 0.05, 0.1):
         drive = DriveParams(FluxBias(0.47), xi, 0.2)
         sol = solve_floquet(params, drive)
-        elems = charge_fourier_elements(sol)
+        elems = sol.n_elements
         cutoff = elems.table.shape[2] // 2
         ks = np.arange(-cutoff, cutoff + 1)
         weights = np.abs(elems.table[0, 1, :]) ** 2

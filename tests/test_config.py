@@ -201,11 +201,17 @@ def test_every_record_field_is_a_config_key(section, key):
 
 @pytest.mark.parametrize("section,line,reason", [
     ("ramsey", "step = 1e-7", "step must be smaller than window"),
+    ("ramsey", "step = 0.0", "step must be positive"),
+    ("ramsey", "step = -1e-9", "step must be positive"),
+    ("ramsey", "window = -2e-8\nstep = -4e-8", "window must be positive"),
+    ("ramsey", "omega0 = -0.5", "omega0 must be non-negative"),
     ("ramsey", "delays = [2e-6, 1e-6]", "delays must be non-empty and strictly ascending"),
     ("ramsey", "delays = [0.0, 2e-6]", "delays must hold at least 3 windows"),
     ("probe", "linewidth = 0.0", "linewidth must be positive"),
     ("probe", "rabi = -1e-4", "rabi must be non-negative"),
     ("floquet", "sideband_cutoff = 1", "sideband_cutoff must be at least 2"),
+    ("floquet", "sideband_cutoff = 600",
+     "Sambe dimension 6005 exceeds the safety cap 5200; reduce n_levels or sideband_cutoff"),
     ("sweetspot", "tol_d = -1.0", "tol_d must be positive"),
     ("polariton", "capture_window = -0.1", "capture_window must be positive"),
     ("grid", "xi = [0.0, nan]", "grid axis xi must be finite"),

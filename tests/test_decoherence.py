@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import floqlux.decoherence
+import floqlux.floquet
 from floqlux import (
     CircuitParams,
     CoherenceRates,
@@ -21,7 +22,6 @@ from floqlux import (
     coherence_rates,
     depolarization_rates,
     find_sweet_spots,
-    fourier_matrix_elements,
     pure_dephasing_rate,
     quasienergy_derivatives,
     s_ac,
@@ -78,7 +78,7 @@ def test_noise_model_validation():
 
 
 def test_fourier_elements_conjugation(spot_solution):
-    elems = fourier_matrix_elements(spot_solution)
+    elems = spot_solution.phi_elements
     kmax = int(elems.k_values[-1])
     for k in (-3, -1, 0, 2):
         assert elems.table[0, 1, kmax + k] == pytest.approx(
@@ -97,7 +97,7 @@ def test_fourier_elements_are_coefficients_of_negative_harmonics(spot_solution):
     signal = np.einsum("js,st,jt->j", modes[0].conj(), sol.spectrum.phi_elements[:d, :d],
                        modes[1])
     coeffs = np.fft.fft(signal) / m  # coeffs[q % m] multiplies e^{+i q Omega t}
-    elems = fourier_matrix_elements(sol)
+    elems = sol.phi_elements
     kmax = int(elems.k_values[-1])
     for k in (-2, -1, 1, 2):
         assert elems.table[0, 1, kmax + k] == pytest.approx(coeffs[-k % m], abs=1e-12)
@@ -107,12 +107,12 @@ def test_fourier_elements_are_coefficients_of_negative_harmonics(spot_solution):
 
 def test_elements_built_once_per_solution(params, noise, spot_drive, spec_451, monkeypatch):
     tables = []
-    build = floqlux.decoherence.fourier_operator_elements
-    monkeypatch.setattr(floqlux.decoherence, "fourier_operator_elements",
+    build = floqlux.floquet.fourier_operator_elements
+    monkeypatch.setattr(floqlux.floquet, "fourier_operator_elements",
                         lambda sol, op: tables.append(sol) or build(sol, op))
     sol = solve_floquet(params, spot_drive, SambeConfig(), spectrum=spec_451)
     coherence_rates(params, spot_drive, noise, sol=sol)
-    assert fourier_matrix_elements(sol) is fourier_matrix_elements(sol)
+    assert sol.phi_elements is sol.phi_elements
     assert tables == [sol]
     # a copy with the same blocks is another solution with its own table
     twin = dataclasses.replace(sol)
@@ -135,7 +135,7 @@ def test_noise_channels_follow_the_module_formulas(params, noise, spot_solution)
     # each channel rebuilt term by term from the module docstring: the 1/f
     # densities carry E_L^2 and (2 pi)^2, the flux-to-phase conversion
     sol = spot_solution
-    table = fourier_matrix_elements(sol).table
+    table = sol.phi_elements.table
     kmax = table.shape[-1] // 2
     om, eps01 = sol.drive.omega, sol.splitting(1, 0)
     el2 = (2 * math.pi * 1e9 * params.e_l) ** 2
@@ -238,7 +238,7 @@ def test_filter_weights_conservation(params):
     # 2*depolarization + dephasing equals its static reference exactly
     sol = solve_floquet(params, DriveParams(FluxBias(0.451), 0.07, 0.5),
                         SambeConfig(n_levels=2, sideband_cutoff=40))
-    t = fourier_matrix_elements(sol).table
+    t = sol.phi_elements.table
     total = float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                   + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))
     phi_bar = sol.spectrum.phi_elements[:2, :2]

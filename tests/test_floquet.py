@@ -25,7 +25,6 @@ from floqlux import (
     SambeConfig,
     diagonalize_static,
     fold_quasienergy,
-    fourier_matrix_elements,
     monodromy_oracle,
     solve_floquet,
 )
@@ -586,13 +585,22 @@ def test_driven_solve_sets_the_static_depth(params, spot_drive):
     assert deep.convergence_delta == given.convergence_delta
 
 
+def test_sambe_config_holds_the_dimension_cap():
+    # 5 * 1039 = 5195 rows is within the cap of 5200, 5 * 1041 = 5205 is over it
+    assert SambeConfig(n_levels=5, sideband_cutoff=519).sideband_cutoff == 519
+    with pytest.raises(ValueError, match="Sambe dimension 5205 exceeds the safety cap 5200"):
+        SambeConfig(n_levels=5, sideband_cutoff=520)
+
+
 def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_drive):
-    # the solve assembles 5 * 1201 = 6005 rows, over the cap
+    # a solve at the cap is allowed; its truncation check assembles the
+    # N_s + 2 band of 5 * 1043 = 5215 rows, over the cap
+    sol = solve_floquet(params, spot_drive, SambeConfig(n_levels=5, sideband_cutoff=519),
+                        spectrum=spec_451)
     tracemalloc.start()
     try:
         with pytest.raises(DiagnosticError, match="GB"):
-            solve_floquet(params, spot_drive, SambeConfig(n_levels=5, sideband_cutoff=600),
-                          spectrum=spec_451)
+            sol.convergence_delta
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -641,14 +649,10 @@ def test_solvers_run_at_one_blas_thread(params, spec_451, spot_drive, two_blas_t
 def test_solvers_restore_blas_threads_when_they_raise(params, spec_451, spot_drive,
                                                       two_blas_threads, monkeypatch, solver):
     linalg, run = _SOLVERS[solver]
-    if solver == "solve_floquet":  # the Sambe cap raises before any eigensolve
-        config, error = SambeConfig(n_levels=5, sideband_cutoff=600), DiagnosticError
-    else:
-        _record_eigh(monkeypatch, linalg, [], fail=True)
-        config, error = SambeConfig(), (DiagnosticError, np.linalg.LinAlgError)
+    _record_eigh(monkeypatch, linalg, [], fail=True)
     diagonalize_static.cache_clear()
-    with pytest.raises(error):
-        run(params, spec_451, spot_drive, config)
+    with pytest.raises((DiagnosticError, np.linalg.LinAlgError)):
+        run(params, spec_451, spot_drive, SambeConfig())
     assert _blas_threads() == (2, 2)
 
 
@@ -848,7 +852,7 @@ def _two_level(params, xi):
 
 def test_two_level_conservation_single_point(params):
     def combined(sol):
-        t = fourier_matrix_elements(sol).table
+        t = sol.phi_elements.table
         return float(2 * np.sum(np.abs(t[0, 1]) ** 2)
                      + 0.5 * np.sum(np.abs(t[1, 1] - t[0, 0]) ** 2))
 

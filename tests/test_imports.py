@@ -25,6 +25,10 @@ circuit, static spectrum, drive or Fourier element table beside it, since
 the solution carries the ones its Fourier blocks were built from and the
 tables are computed from it.
 
+Fourier-block lint: no package module but ``floquet.py`` reads a
+solution's ``fourier_blocks``; the tables built from them are properties of
+the solution, so their layout is a decision of one module.
+
 Runner lint: ``sweeps.py`` and ``cli.py`` read no task section of a
 ``RunConfig`` (no attribute load of a section-valued field but ``grid``),
 so the generic runner names no task and a task stays one record in
@@ -291,6 +295,27 @@ def test_no_second_copy_beside_a_solution():
     assert not offenders, f"second copies beside a solution: {offenders}"
 
 
+def _fourier_block_reads(tree: ast.Module) -> list[str]:
+    """The attribute loads of ``fourier_blocks`` in ``tree``."""
+    return [f"fourier_blocks (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr == "fourier_blocks"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "floquet.py"],
+                         ids=lambda p: p.name)
+def test_only_floquet_reads_fourier_blocks(path):
+    reads = _fourier_block_reads(PACKAGE[path.name])
+    assert not reads, f"{path.name} reads the Fourier-block layout: {reads}"
+
+
+def test_lint_flags_a_fourier_block_read():
+    tree = ast.parse("bras = sol.fourier_blocks[:2]\nsol.phi_elements.table\n"
+                     "fourier_blocks = 1\nx = getattr(sol, 'fourier_blocks')\n"
+                     "replace(sol, fourier_blocks=b)\nn = a.b.fourier_blocks.shape\n")
+    assert _fourier_block_reads(tree) == ["fourier_blocks (line 1)", "fourier_blocks (line 6)"]
+
+
 def _task_section_reads(tree: ast.Module) -> list[str]:
     """The attribute loads in ``tree`` of a ``RunConfig`` task section."""
     from floqlux.config import RunConfig
@@ -403,6 +428,9 @@ def test_benchmark_names_exist():
         decoherence.QuasienergyDerivatives)}
     for fn in (floquet.solve_floquet, floquet.monodromy_oracle):
         assert "spectrum" in inspect.signature(fn).parameters
+    # the tracer wraps every binding of one function object: a second
+    # definition in decoherence would leave the traced table count at 0
+    assert decoherence.fourier_operator_elements is floquet.fourier_operator_elements
 
 
 def test_version_matches_pyproject():
