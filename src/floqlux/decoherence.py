@@ -54,7 +54,7 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     SambeConfig,
-    _match_branches,
+    _continue_branches,
     fourier_operator_elements,
     solve_floquet,
 )
@@ -337,22 +337,23 @@ _TRACKING_BREAK = 0.5
 
 
 def _matched_eps01(drive: DriveParams, ref: FloquetSolution) -> float:
-    """eps01 at a shifted drive point of ``ref``'s circuit, branch-matched to ``ref``.
+    """eps01 at a shifted drive point of ``ref``'s circuit, along ``ref``'s branches.
 
-    Floquet representatives at the shifted point are matched to the
-    reference levels 0 and 1 through block overlaps (including harmonic
-    translations and the change of static eigenbasis), so the returned
-    splitting continues the reference branch instead of jumping zones.
+    The reference levels 0 and 1 are continued into the Sambe matrix of the
+    shifted point (``floquet._continue_branches``, which rotates them into
+    its static eigenbasis), so the returned splitting follows the reference
+    branch and copy instead of jumping zones.  A level whose continuation is
+    not certified, or overlaps its seed by at most _TRACKING_BREAK, is lost.
     """
-    sol = solve_floquet(ref.spectrum.params, drive, ref.config)
-    labels, shifts, overlaps = _match_branches(ref, sol, 2)
-    if np.any(overlaps <= _TRACKING_BREAK):
-        a = int(np.argmax(overlaps <= _TRACKING_BREAK))  # first lost level
+    energies, overlaps, certified = _continue_branches(ref, drive, 2)
+    lost = ~certified | (overlaps <= _TRACKING_BREAK)
+    if lost.any():
+        a = int(np.argmax(lost))  # first lost level
         raise TrackingBreakError(
-            f"branch tracking lost level {a} at drive={drive!r} (best overlap {overlaps[a]:.3f})"
+            f"branch tracking lost level {a} at drive={drive!r} (overlap {overlaps[a]:.3f}, "
+            f"certified {bool(certified[a])})"
         )
-    matched = sol.rep_energies[labels] - shifts * drive.omega
-    return float(matched[1] - matched[0])
+    return float(energies[1] - energies[0])
 
 
 # initial finite-difference step in phi_dc and xi (flux quanta), before halving
@@ -403,9 +404,11 @@ def quasienergy_derivatives(sol: FloquetSolution, fd: bool = False) -> Quasiener
     The matrix-element forms are always computed, from the phase elements
     of ``sol``.  With ``fd=True`` the five-point central differences of the
     solution's circuit and truncation start from a step of 1e-4 flux quanta
-    and are halved and Richardson-combined; a branch-tracking break inside
-    either stencil leaves the finite-difference fields None and sets
-    ``tracking_break``.
+    and are halved and Richardson-combined.  Each stencil continues the
+    solution's levels 0 and 1 to its points (``_matched_eps01``) and solves
+    no Sambe problem.  A branch-tracking break inside one stencil leaves
+    that stencil's field None and sets ``tracking_break``; the other
+    stencil still runs.
     """
     flux_me, xi_me = _matrix_element_derivatives(sol)
     if not fd:

@@ -61,9 +61,6 @@ __all__ = [
 _SAMBE_PEAK_ARRAYS = 4.1
 _MAX_SAMBE_DIM = 5200
 
-# branch matching tries harmonic translations |k| <= this between parameter steps
-_MATCH_SHIFTS = 3
-
 # a continued Rayleigh quotient counts as an eigenvalue of the band's Sambe
 # matrix once its residual norm is below this fraction of max|diag|, a lower
 # bound on the matrix 2-norm; over 180 seeded drives (phi_dc 0.40/0.451/0.5,
@@ -597,15 +594,42 @@ _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 _PROPAGATE_CHUNK = 256
 
 
+def _cos_sin(x):
+    """(cos x, sin x) of a batch of real symmetric matrices x: Taylor series
+    in x^2 of x scaled by 2^-q to a largest absolute row sum theta <= 1/2,
+    up to the first term whose bound theta^(2j)/(2j)! is below 1e-17, then
+    q double-angle steps.  The terms past the leading I and x are summed
+    first and added to them once, which leaves cos x correctly rounded
+    where adding each term to I would round at every term."""
+    theta = float(np.max(np.sum(np.abs(x), axis=-1), initial=0.0))
+    q = math.ceil(math.log2(2.0 * theta)) if theta > 0.5 else 0
+    x, theta = x * 0.5**q, theta * 0.5**q
+    x2 = x @ x
+    eye = np.eye(x.shape[-1])
+    term, j = np.broadcast_to(eye, x.shape), 1
+    dc, ds = np.zeros(x.shape), np.zeros(x.shape)  # cos x = I + dc, sin x = x + x @ ds
+    while theta ** (2 * j) / math.factorial(2 * j) >= 1e-17:
+        term = term @ x2 * (-1.0 / ((2 * j - 1) * 2 * j))  # (-x^2)^j / (2j)!
+        dc += term
+        ds += term / (2 * j + 1)
+        j += 1
+    c, s = eye + dc, x + x @ ds
+    for _ in range(q):
+        c, s = c @ c - s @ s, 2.0 * (s @ c)
+    return c, s
+
+
 def _cf4_product(h_static, amp, phi_op, dt, omega, start, stop):
     """Product of CF4 steps ``start .. stop - 1``, the last step leftmost.
 
-    Each chunk of steps builds its Gauss-node stage Hamiltonians at once,
-    exponentiates them through one batched eigendecomposition and reduces
-    them to stage[-1] @ ... @ stage[0] with a pairwise tree of batched
-    matmuls; an odd count carries its last factor up one level.
+    Each chunk of steps builds its Gauss-node stage Hamiltonians at once.
+    Their exponentials exp(-i x), x = 2*pi*dt*stage, are the real pairs
+    (cos x, sin x) of ``_cos_sin``, reduced to stage[-1] @ ... @ stage[0]
+    by a pairwise tree of batched real matmuls on the pairs; an odd count
+    carries its last factor up one level.  Returns the complex c - i s.
     """
-    u = np.eye(h_static.shape[0], dtype=complex)
+    d = h_static.shape[0]
+    c, s = np.eye(d), np.zeros((d, d))
     for lo in range(start, stop, _PROPAGATE_CHUNK):
         t0 = np.arange(lo, min(lo + _PROPAGATE_CHUNK, stop)) * dt
         h1, h2 = (
@@ -614,14 +638,15 @@ def _cf4_product(h_static, amp, phi_op, dt, omega, start, stop):
         )
         # stages in time order, step by step: A2*h1 + A1*h2 acts before A1*h1 + A2*h2
         stages = np.stack((_CF4_A2 * h1 + _CF4_A1 * h2, _CF4_A1 * h1 + _CF4_A2 * h2), axis=1)
-        w, q = np.linalg.eigh(stages.reshape(-1, *h_static.shape))
-        # -i * 2*pi converts GHz*ns phase
-        expo = (q * np.exp(-2j * math.pi * dt * w)[:, None, :]) @ q.swapaxes(1, 2)
-        while expo.shape[0] > 1:
-            even = expo.shape[0] // 2 * 2
-            expo = np.concatenate((expo[1:even:2] @ expo[0:even:2], expo[even:]))
-        u = expo[0] @ u
-    return u
+        # 2*pi converts GHz*ns to phase
+        cs, ss = _cos_sin(2.0 * math.pi * dt * stages.reshape(-1, d, d))
+        while cs.shape[0] > 1:
+            even = cs.shape[0] // 2 * 2
+            c1, s1, c2, s2 = cs[1:even:2], ss[1:even:2], cs[0:even:2], ss[0:even:2]
+            cs = np.concatenate((c1 @ c2 - s1 @ s2, cs[even:]))
+            ss = np.concatenate((c1 @ s2 + s1 @ c2, ss[even:]))
+        c, s = cs[0] @ c - ss[0] @ s, cs[0] @ s + ss[0] @ c
+    return c - 1j * s
 
 
 def _propagate_period(energies, phi_op, e_l, drive, n_steps):
@@ -631,7 +656,8 @@ def _propagate_period(energies, phi_op, e_l, drive, n_steps):
     symmetric, so the step mirrored about T/2 swaps the two Gauss nodes and
     is the transpose of the original step.  With A the product of the first
     n_steps // 2 steps, U(T) = A^T A, or A^T M A with M the middle step
-    when the count is odd: the same discrete scheme at half the steps.
+    when the count is odd: the same discrete scheme at half the steps.  A
+    and M are built from (cos, sin) pairs by ``_cf4_product``.
     """
     shift, amp = _drive_terms(e_l, drive.xi)
     h_static = np.diag(energies + shift)
@@ -660,7 +686,9 @@ def monodromy_oracle(
     identity-proportional second-harmonic drive term is dropped there, so it
     is dropped here too): this pits the two numerical routes against each
     other without a modeling difference.  The integrator is a fourth-order
-    commutator-free exponential scheme; results are accepted only once
+    commutator-free exponential scheme (Alvermann & Fehske, J. Comput.
+    Phys. 230, 5930 (2011)) whose stage exponentials are real Taylor
+    series for their cosine and sine; results are accepted only once
     doubling the step count (from 2048 per period, at most three times)
     moves the quasienergies of the lowest 5 levels by < 1e-9 GHz.  A given
     ``spectrum`` must be that of ``params`` at ``drive.bias``.
@@ -700,26 +728,27 @@ def monodromy_oracle(
 
 
 # ---------------------------------------------------------------------------
-# branch matching between solutions at neighbouring parameters
+# branch continuation to a neighbouring drive
 # ---------------------------------------------------------------------------
 
 
-def _match_branches(ref: FloquetSolution, sol: FloquetSolution, levels: int):
-    """Match the first ``levels`` branches of ``ref`` to the states of ``sol``.
+@_one_blas_thread()
+def _continue_branches(ref: FloquetSolution, drive: DriveParams, levels: int):
+    """Continue the first ``levels`` representatives of ``ref`` to ``drive``:
+    (eigenvalues, overlaps, certified flags).
 
-    ref's Fourier blocks are rotated into sol's static eigenbasis and compared
-    through |sum_n <ref_a^(n)|sol_b^(n+k)>| for |k| <= 3; each pair keeps its
-    best k, and labels come from maximum-weight matching.  Returns
-    (labels, shifts, overlaps): branch a continues as sol state labels[a]
-    translated by shifts[a] harmonics, with that overlap.
+    ref's real Fourier rows are rotated into the static eigenbasis at the
+    drive's bias and continued, by the banded Rayleigh-quotient iteration
+    of ``_continue``, into the Sambe matrix of ``drive`` at ref's circuit
+    and truncation.  The overlaps are |<seed|continued>| of each rotated
+    row with its unit continued vector.  No window is diagonalized, so a
+    continued state keeps ref's harmonic copy and label.
     """
-    d = sol.n_levels
-    rot = ref.spectrum.eigenvectors[:, :d].T @ sol.spectrum.eigenvectors[:, :d]
-    bras = ref.fourier_blocks[:levels] @ rot
-    # overlap[a, b, j] for harmonic shift k = j - _MATCH_SHIFTS
-    overlap = np.abs(_shifted_products(bras, sol.fourier_blocks, _MATCH_SHIFTS))[..., ::-1]
-    best_j = np.argmax(overlap, axis=2)
-    best = np.take_along_axis(overlap, best_j[..., None], axis=2)[..., 0]
-    rows, labels = linear_sum_assignment(-best)
-    return labels, best_j[rows, labels] - _MATCH_SHIFTS, best[rows, labels]
-
+    d, params = ref.n_levels, ref.spectrum.params
+    spectrum = _resolve_spectrum(params, drive, None, d)
+    rot = ref.spectrum.eigenvectors[:, :d].T @ spectrum.eigenvectors[:, :d]
+    seeds = (ref.fourier_blocks[:levels].real @ rot).reshape(levels, -1)
+    band = _sambe_band(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
+                       drive.xi, drive.omega, ref.config.sideband_cutoff)
+    energies, vecs, certified = _continue(band, ref.rep_energies[:levels], seeds, polish=True)
+    return energies, np.abs(np.sum(seeds * vecs, axis=1)), certified

@@ -233,6 +233,21 @@ def test_derivative_forms_agree_at_one_point():
     assert d.xi_fd == pytest.approx(d.xi_me, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("module,name,value", [
+    (floqlux.decoherence, "_TRACKING_BREAK", 1.0),  # every overlap counts as lost
+    (floqlux.floquet, "_MAX_RQI_STEPS", 0),  # no continuation is certified
+], ids=["overlap", "uncertified"])
+def test_lost_branches_leave_finite_differences_unset(params, noise, spot_drive, spot_solution,
+                                                      monkeypatch, module, name, value):
+    monkeypatch.setattr(module, name, value)  # after the reference solve
+    d = quasienergy_derivatives(spot_solution, fd=True)
+    assert d.flux_fd is None and d.xi_fd is None and d.tracking_break
+    assert (d.flux_me, d.xi_me) == floqlux.decoherence._matrix_element_derivatives(spot_solution)
+    rates = coherence_rates(params, spot_drive, noise, sol=spot_solution, fd=True)
+    assert rates.derivatives == d
+    assert all(math.isfinite(t) for t in (rates.t1, rates.tphi, rates.t2r))
+
+
 def test_filter_weights_conservation(params):
     # in the two-level model the sideband-summed filter weight
     # 2*depolarization + dephasing equals its static reference exactly

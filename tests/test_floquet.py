@@ -18,6 +18,7 @@ import scipy.linalg
 from conftest import _blas_threads
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from floqlux import (
     DriveParams,
@@ -26,11 +27,12 @@ from floqlux import (
     diagonalize_static,
     fold_quasienergy,
     monodromy_oracle,
+    quasienergy_derivatives,
     solve_floquet,
 )
 import floqlux.circuit
-from floqlux import floquet
-from floqlux.errors import ConvergenceError, DiagnosticError
+from floqlux import decoherence, floquet
+from floqlux.errors import ConvergenceError, DiagnosticError, TrackingBreakError
 from floqlux.floquet import _propagate_period, _select_representatives
 
 
@@ -541,6 +543,57 @@ def test_propagate_period_memory_is_bounded(params, spec_451, spot_drive):
     assert peak < 4e6
 
 
+def _eigh_cf4_product(h_static, amp, phi_op, dt, omega, start, stop):
+    """The chunked CF4 product with each stage exponentiated through one
+    batched eigendecomposition: the reference for the (cos, sin) kernel."""
+    u = np.eye(h_static.shape[0], dtype=complex)
+    for lo in range(start, stop, floquet._PROPAGATE_CHUNK):
+        t0 = np.arange(lo, min(lo + floquet._PROPAGATE_CHUNK, stop)) * dt
+        h1, h2 = (
+            h_static + (amp * np.cos(2.0 * math.pi * omega * t))[:, None, None] * phi_op
+            for t in (t0 + floquet._GAUSS_C1 * dt, t0 + floquet._GAUSS_C2 * dt)
+        )
+        stages = np.stack((floquet._CF4_A2 * h1 + floquet._CF4_A1 * h2,
+                           floquet._CF4_A1 * h1 + floquet._CF4_A2 * h2), axis=1)
+        w, q = np.linalg.eigh(stages.reshape(-1, *h_static.shape))
+        expo = (q * np.exp(-2j * math.pi * dt * w)[:, None, :]) @ q.swapaxes(1, 2)
+        while expo.shape[0] > 1:
+            even = expo.shape[0] // 2 * 2
+            expo = np.concatenate((expo[1:even:2] @ expo[0:even:2], expo[even:]))
+        u = expo[0] @ u
+    return u
+
+
+@pytest.mark.parametrize("phi,xi,omega,n_steps", [
+    (0.451, 0.0855831, 0.7743211, 2048),
+    (0.45, 0.12, 0.6, 2048),
+    (0.40, 0.05, 0.2, 2048),
+    (0.451, 0.12, 0.25, 4),  # stage norms above 1/2: the series runs on a scaled x
+], ids=["double_spot", "strong", "slow", "scaled"])
+def test_cf4_kernel_matches_eigendecomposition(params, phi, xi, omega, n_steps, monkeypatch):
+    drive = DriveParams(FluxBias(phi), xi, omega)
+    spec = diagonalize_static(params, drive.bias)
+    args = (spec.energies[:5], spec.phi_elements[:5, :5], params.e_l, drive, n_steps)
+    thetas = []
+    cos_sin = floquet._cos_sin
+
+    def recorded(x):
+        thetas.append(np.max(np.sum(np.abs(x), axis=-1)))
+        return cos_sin(x)
+
+    monkeypatch.setattr(floquet, "_cos_sin", recorded)
+    got = _propagate_period(*args)
+    # the scaling runs only where the largest row sum exceeds 1/2
+    assert (max(thetas) > 0.5) == (n_steps == 4)
+    assert np.linalg.norm(got.conj().T @ got - np.eye(5), 2) <= 1e-13
+    quasi = None if n_steps == 4 else monodromy_oracle(params, drive, spectrum=spec)
+    monkeypatch.setattr(floquet, "_cf4_product", _eigh_cf4_product)
+    assert np.max(np.abs(got - _propagate_period(*args))) <= 1e-12
+    if quasi is not None:
+        want = monodromy_oracle(params, drive, spectrum=spec)
+        assert np.max(floquet._zone_distance(quasi, want, omega)) <= 1e-14
+
+
 _ENTRY_POINTS = {
     "solve_floquet": solve_floquet,
     "monodromy_oracle": monodromy_oracle,
@@ -607,38 +660,42 @@ def test_sambe_dimension_cap_raises_before_allocating(params, spec_451, spot_dri
     assert peak < 1e6
 
 
-# each solver, run cold at the spot with the library it reaches LAPACK
-# through, and a way to make it raise
+# each solver, run cold at the spot with the library call it reaches LAPACK
+# through, and a way to make it raise; the oracle's stage exponentials are
+# real Taylor series, so its one eigensolve is the eigvals of U(T)
 _SOLVERS = {
     "diagonalize_static": (
-        scipy.linalg, lambda p, spec, drive, cfg: diagonalize_static(p, FluxBias(0.4375))),
+        scipy.linalg, "eigh",
+        lambda p, spec, drive, cfg: diagonalize_static(p, FluxBias(0.4375))),
     "solve_floquet": (
-        scipy.linalg, lambda p, spec, drive, cfg: solve_floquet(p, drive, cfg, spectrum=spec)),
+        scipy.linalg, "eigh",
+        lambda p, spec, drive, cfg: solve_floquet(p, drive, cfg, spectrum=spec)),
     "monodromy_oracle": (
-        np.linalg, lambda p, spec, drive, cfg: monodromy_oracle(p, drive, spectrum=spec)),
+        np.linalg, "eigvals",
+        lambda p, spec, drive, cfg: monodromy_oracle(p, drive, spectrum=spec)),
 }
 
 
-def _record_eigh(monkeypatch, linalg, seen, fail=False):
-    """Record the BLAS thread counts at each ``linalg.eigh`` call; with
+def _record_lapack(monkeypatch, linalg, name, seen, fail=False):
+    """Record the BLAS thread counts at each ``linalg.<name>`` call; with
     ``fail``, the call then raises instead of solving."""
-    eigh = linalg.eigh
+    solve = getattr(linalg, name)
 
     def recorded(*args, **kwargs):
         seen.append(_blas_threads())
         if fail:
             raise np.linalg.LinAlgError("injected failure")
-        return eigh(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "eigh", recorded)
+    monkeypatch.setattr(linalg, name, recorded)
 
 
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_solvers_run_at_one_blas_thread(params, spec_451, spot_drive, two_blas_threads,
                                         monkeypatch, solver):
-    linalg, run = _SOLVERS[solver]
+    linalg, name, run = _SOLVERS[solver]
     seen = []
-    _record_eigh(monkeypatch, linalg, seen)
+    _record_lapack(monkeypatch, linalg, name, seen)
     diagonalize_static.cache_clear()
     run(params, spec_451, spot_drive, SambeConfig())
     assert seen and set(seen) == {(1, 1)}
@@ -648,8 +705,8 @@ def test_solvers_run_at_one_blas_thread(params, spec_451, spot_drive, two_blas_t
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_solvers_restore_blas_threads_when_they_raise(params, spec_451, spot_drive,
                                                       two_blas_threads, monkeypatch, solver):
-    linalg, run = _SOLVERS[solver]
-    _record_eigh(monkeypatch, linalg, [], fail=True)
+    linalg, name, run = _SOLVERS[solver]
+    _record_lapack(monkeypatch, linalg, name, [], fail=True)
     diagonalize_static.cache_clear()
     with pytest.raises((DiagnosticError, np.linalg.LinAlgError)):
         run(params, spec_451, spot_drive, SambeConfig())
@@ -784,14 +841,42 @@ def test_drive_params_validation():
         SambeConfig(sideband_cutoff=-1)
 
 
+# the matcher tries harmonic translations |k| <= this between parameter steps
+_MATCH_SHIFTS = 3
+
+
+def _match_branches(ref, sol, levels):
+    """Match the first ``levels`` branches of ``ref`` to the states of ``sol``.
+
+    ref's Fourier blocks are rotated into sol's static eigenbasis and compared
+    through |sum_n <ref_a^(n)|sol_b^(n+k)>| for |k| <= 3; each pair keeps its
+    best k, and labels come from maximum-weight matching.  Returns
+    (labels, shifts, overlaps): branch a continues as sol state labels[a]
+    translated by shifts[a] harmonics, with that overlap.
+    """
+    d = sol.n_levels
+    rot = ref.spectrum.eigenvectors[:, :d].T @ sol.spectrum.eigenvectors[:, :d]
+    bras = ref.fourier_blocks[:levels] @ rot
+    # overlap[a, b, j] for harmonic shift k = j - _MATCH_SHIFTS
+    overlap = np.abs(floquet._shifted_products(bras, sol.fourier_blocks, _MATCH_SHIFTS))[..., ::-1]
+    best_j = np.argmax(overlap, axis=2)
+    best = np.take_along_axis(overlap, best_j[..., None], axis=2)[..., 0]
+    rows, labels = linear_sum_assignment(-best)
+    return labels, best_j[rows, labels] - _MATCH_SHIFTS, best[rows, labels]
+
+
 def _tracked_eps01(sols, min_overlap, max_step):
-    """eps01 along the branches that chained ``_match_branches`` steps follow."""
+    """eps01 along the branches that chained ``_match_branches`` steps follow.
+
+    The chain needs the matcher: a solve's own labels swap at hybridized
+    cells (xi 0.05, Omega 0.774, phi 0.4575 and 0.4675), and continuing from
+    each chain solution follows the swapped label."""
     d = sols[0].n_levels
     # branch a is state label[a] of the current solution, translated by shift[a]
     label, shift = np.arange(d), np.zeros(d, dtype=int)
     eps01 = [sols[0].splitting(1, 0)]
     for prev, cur in zip(sols, sols[1:]):
-        labels, shifts, overlaps = floquet._match_branches(prev, cur, d)
+        labels, shifts, overlaps = _match_branches(prev, cur, d)
         assert np.all(overlaps > min_overlap)
         label, shift = labels[label], shift + shifts[label]
         rep = cur.rep_energies[label] - shift * cur.drive.omega
@@ -821,6 +906,43 @@ def test_track_states_continuity_across_flux(params):
         for phi in np.linspace(0.44, 0.47, 13)
     ]
     _tracked_eps01(sols, 0.7, 0.03)
+
+
+def _solved_eps01(drive, ref):
+    """eps01 at a shifted drive from a full solve, branch-matched to ``ref``:
+    the reference for the continuation that the finite differences run."""
+    sol = solve_floquet(ref.spectrum.params, drive, ref.config)
+    labels, shifts, overlaps = _match_branches(ref, sol, 2)
+    if np.any(overlaps <= decoherence._TRACKING_BREAK):
+        raise TrackingBreakError(f"lost a level at {drive!r}")
+    matched = sol.rep_energies[labels] - shifts * drive.omega
+    return float(matched[1] - matched[0])
+
+
+def test_finite_differences_by_continuation_match_solve_and_match(params, monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return solve_floquet(*args, **kwargs)
+
+    for module in (floquet, decoherence):
+        monkeypatch.setattr(module, "solve_floquet", counted)
+    rng = np.random.default_rng(3303)
+    for _ in range(20):
+        drive = DriveParams(FluxBias(rng.uniform(0.40, 0.50)), rng.uniform(0.0, 0.15),
+                            rng.uniform(0.25, 1.3))
+        sol = solve_floquet(params, drive)
+        got = quasienergy_derivatives(sol, fd=True)
+        assert solves == [], drive
+        with monkeypatch.context() as m:
+            m.setattr(decoherence, "_matched_eps01", _solved_eps01)
+            want = quasienergy_derivatives(sol, fd=True)
+        assert got.tracking_break == want.tracking_break, drive
+        for a, b in ((got.flux_fd, want.flux_fd), (got.xi_fd, want.xi_fd)):
+            assert (a is None) == (b is None), drive
+            if a is not None:
+                assert abs(a - b) <= 1e-8, drive
 
 
 def test_select_representatives_rejects_copies_only():
