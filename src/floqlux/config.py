@@ -45,7 +45,8 @@ FORMATS = ("csv", "json", "plotdata")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sweep axes over bias, drive amplitude, and drive frequency."""
+    """Sweep axes over bias, drive amplitude, and drive frequency; no axis
+    may repeat a value."""
 
     phi_dc: tuple = (0.5,)
     xi: tuple = (0.0,)
@@ -58,6 +59,8 @@ class GridSpec:
                 raise ValueError(f"grid axis {name} must be non-empty")
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"grid axis {name} must be finite")
+            if np.any(np.diff(np.sort(vals)) == 0):
+                raise ValueError(f"grid axis {name} repeats a value")
 
     @property
     def size(self) -> int:

@@ -321,8 +321,8 @@ def _diagonal_differences(sol: FloquetSolution):
     pair = _neighbour_sum(diag)
     dz, dpair = diag[1] - diag[0], pair[1] - pair[0]
     e_l = sol.spectrum.params.e_l
-    flux = -2.0 * math.pi * e_l * dz[k0].real
-    xi = -math.pi * e_l * dpair[k0].real
+    flux = -2.0 * math.pi * e_l * dz[k0]
+    xi = -math.pi * e_l * dpair[k0]
     return (float(flux), float(xi)), dz, dpair
 
 

@@ -231,10 +231,10 @@ class FloquetSolution:
         rep_energies: raw Sambe eigenvalues of the chosen representatives;
             differences of these are the natural (unfolded) quasienergy
             splittings that the rate formulas use.
-        fourier_blocks: complex array (n_levels, 2*N_s+1, n_levels); entry
+        fourier_blocks: float64 array (n_levels, 2*N_s+1, n_levels); entry
             [a, j, :] is the Fourier component |phi_a^(n)> with n = j - N_s,
-            expressed in the static eigenbasis.  Blocks of one state are
-            jointly normalized to 1.
+            in the static eigenbasis.  The Sambe matrix is real symmetric, so
+            a state's blocks are one real unit vector; complex ones raise TypeError.
         spectrum: the static spectrum of the circuit at ``drive.bias`` whose
             eigenbasis the blocks are expressed in; derived quantities read
             the circuit and its matrix elements from here.
@@ -250,6 +250,8 @@ class FloquetSolution:
     spectrum: StaticSpectrum
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.fourier_blocks):
+            raise TypeError("Floquet Fourier blocks must be real")
         for arr in (self.rep_energies, self.fourier_blocks):
             arr.setflags(write=False)
 
@@ -269,11 +271,11 @@ class FloquetSolution:
         d, spec = self.n_levels, self.spectrum
         band = _sambe_band(spec.energies[:d], spec.phi_elements[:d, :d], spec.params.e_l,
                            self.drive.xi, self.drive.omega, self.config.sideband_cutoff + 2)
-        # the blocks' real rows are +- the eigenvectors that the solve continued,
+        # the blocks' rows are +- the eigenvectors that the solve continued,
         # and a negated right-hand side negates each banded solve exactly
         with _one_blas_thread():
             wide_e, _, certified = _continue(band, self.rep_energies,
-                                             self.fourier_blocks.real.reshape(d, -1))
+                                             self.fourier_blocks.reshape(d, -1))
         if not certified.all():
             raise DiagnosticError(f"truncation check: representatives "
                                   f"{np.flatnonzero(~certified).tolist()} did not reach a certified "
@@ -300,7 +302,7 @@ class FloquetSolution:
         return self.config.n_levels
 
     def block(self, alpha: int, n: int) -> np.ndarray:
-        """Fourier component |phi_alpha^(n)> in the static eigenbasis.
+        """Fourier component |phi_alpha^(n)> in the static eigenbasis (real).
 
         Raises:
             OutOfWindowError: when |n| exceeds the sideband cutoff.
@@ -315,13 +317,16 @@ class FloquetSolution:
     def sideband_weights(self, alpha: int) -> np.ndarray:
         """Weights <phi_a^(n)|phi_a^(n)> over n = -N_s..N_s (sum to 1)."""
         b = self.fourier_blocks[alpha]
-        return np.real(np.sum(b * b.conj(), axis=1))
+        return np.sum(b * b, axis=1)
 
     def splitting(self, alpha: int = 1, beta: int = 0) -> float:
         """Natural quasienergy difference eps_alpha - eps_beta in GHz: the
         difference of the representative Sambe eigenvalues, which is the
         branch the matrix-element sums are built on; ``fold_quasienergy``
-        folds it into the first zone."""
+        folds it into the first zone.  Where levels hybridize, neighbouring
+        drives can pick representatives of other harmonic copies, so the
+        natural difference can jump between them by whole multiples of
+        Omega; its folded value does not."""
         return float(self.rep_energies[alpha] - self.rep_energies[beta])
 
 
@@ -349,7 +354,7 @@ def _select_representatives(evals, blocks_all, omega):
     Omega *and* the block-shifted overlap exceeds 0.5 (the overlap test keeps
     accidental quasienergy coincidences of distinct states apart).
     """
-    n_states = blocks_all.shape[2]
+    nb, n_states = blocks_all.shape[1:]
     _, interior, centroids = _profile(blocks_all)
     order = np.lexsort((np.abs(evals), np.abs(centroids)))
     accepted: list[int] = []
@@ -357,17 +362,16 @@ def _select_representatives(evals, blocks_all, omega):
     for idx in order:
         if not interior[idx]:
             continue
-        is_copy = False
         for acc in accepted:
             k = int(round((evals[idx] - evals[acc]) / omega))
             if abs(evals[idx] - evals[acc] - k * omega) > shifts_tol:
                 continue
-            # sum_n <acc^(n)|idx^(n+k)> is entry kmax - k of a window kmax = |k|
-            pair = _shifted_products(blocks_all[acc][None], blocks_all[idx][None], abs(k))
-            if abs(pair[0, 0, abs(k) - k]) > 0.5:
-                is_copy = True
-                break
-        if not is_copy:
+            # sum_n <acc^(n)|idx^(n+k)> over the harmonics both windows hold
+            lo, hi = max(0, -k), nb - max(0, k)
+            if hi > lo and abs(np.sum(blocks_all[acc][lo:hi]
+                                      * blocks_all[idx][lo + k:hi + k])) > 0.5:
+                break  # a copy of acc
+        else:
             accepted.append(int(idx))
             if len(accepted) == n_states:
                 break
@@ -382,15 +386,15 @@ def _select_representatives(evals, blocks_all, omega):
 def _shifted_products(bras: np.ndarray, kets: np.ndarray, kmax: int) -> np.ndarray:
     """sum_n <bra_a^(n)|ket_b^(n-k)> for |k| <= kmax, shape (a, b, 2*kmax+1).
 
-    One contraction over harmonic n and static level s: the kets are
-    zero-padded by kmax blocks on both sides, so the window of nb blocks
-    starting at kmax - k holds ket^(n-k) for every n at once, and blocks
-    shifted out of the window count as zero.
+    One contraction over harmonic n and static level s, with real bras: the
+    kets are zero-padded by kmax blocks on both sides, so the window of nb
+    blocks starting at kmax - k holds ket^(n-k) for every n at once, and
+    blocks shifted out of the window count as zero.
     """
     nb = kets.shape[1]
     padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
     shifted = sliding_window_view(padded, nb, axis=1)[:, ::-1]  # (b, k, s, n)
-    return np.einsum("ans,bksn->abk", bras.conj(), shifted)
+    return np.einsum("ans,bksn->abk", bras, shifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +409,7 @@ class FourierMatrixElements:
     """
 
     k_values: np.ndarray
-    table: np.ndarray  # (2, 2, n_k) complex, table[a, b, k + kmax]
+    table: np.ndarray  # (2, 2, n_k), table[a, b, k + kmax]
 
     def __post_init__(self) -> None:
         self.k_values.setflags(write=False)
@@ -413,7 +417,8 @@ class FourierMatrixElements:
 
 
 def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMatrixElements:
-    """Tabulate O_ab^(k) of the qubit pair for an operator (static-eigenbasis matrix)."""
+    """Tabulate O_ab^(k) of the qubit pair for an operator (static-eigenbasis
+    matrix); the Fourier blocks are real, so a real operator's table is real."""
     d = sol.n_levels
     bras = sol.fourier_blocks[:2]
     kmax = bras.shape[1] - 1
@@ -426,7 +431,7 @@ def fourier_operator_elements(sol: FloquetSolution, op: np.ndarray) -> FourierMa
 def _gauged(vecs):
     """Fourier blocks (states, nb, levels) of real unit eigenvectors, one per
     level (rows of ``vecs``), each signed so its largest-|.| component is positive."""
-    return _signed_rows(vecs).reshape(len(vecs), -1, len(vecs)).astype(complex)
+    return _signed_rows(vecs).reshape(len(vecs), -1, len(vecs))
 
 
 def _solve_sambe(h, omega, d):
@@ -737,7 +742,7 @@ def _continue_branches(ref: FloquetSolution, drive: DriveParams, levels: int):
     """Continue the first ``levels`` representatives of ``ref`` to ``drive``:
     (eigenvalues, overlaps, certified flags).
 
-    ref's real Fourier rows are rotated into the static eigenbasis at the
+    ref's Fourier rows are rotated into the static eigenbasis at the
     drive's bias and continued, by the banded Rayleigh-quotient iteration
     of ``_continue``, into the Sambe matrix of ``drive`` at ref's circuit
     and truncation.  The overlaps are |<seed|continued>| of each rotated
@@ -747,7 +752,7 @@ def _continue_branches(ref: FloquetSolution, drive: DriveParams, levels: int):
     d, params = ref.n_levels, ref.spectrum.params
     spectrum = _resolve_spectrum(params, drive, None, d)
     rot = ref.spectrum.eigenvectors[:, :d].T @ spectrum.eigenvectors[:, :d]
-    seeds = (ref.fourier_blocks[:levels].real @ rot).reshape(levels, -1)
+    seeds = (ref.fourier_blocks[:levels] @ rot).reshape(levels, -1)
     band = _sambe_band(spectrum.energies[:d], spectrum.phi_elements[:d, :d], params.e_l,
                        drive.xi, drive.omega, ref.config.sideband_cutoff)
     energies, vecs, certified = _continue(band, ref.rep_energies[:levels], seeds, polish=True)

@@ -100,11 +100,8 @@ def floquet_dipole_coupling(sol: FloquetSolution, cavity: CavityParams, m: int) 
     """
     if sol.n_levels <= 3:
         raise ValueError(f"solution holds levels < {sol.n_levels}, asked for 3")
-    d = sol.n_levels
-    n_op = sol.spectrum.n_elements[:d, :d]
-    bra = sol.block(3, m)
-    ket = sol.block(0, 0)
-    return complex(cavity.g_cap * (bra.conj() @ n_op @ ket))
+    n_op = sol.spectrum.n_elements[:sol.n_levels, :sol.n_levels]
+    return complex(cavity.g_cap * (sol.block(3, m) @ n_op @ sol.block(0, 0)))
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,9 @@ def _fmt(value: float) -> str:
 # rows rendered into one text chunk at a time: an export holds at most this
 # many row strings at once, not one per row of the table
 _CSV_BLOCK_ROWS = 4096
+# json's encoder holds about 150 bytes per value of the block it encodes
+# (its list of chunks), so json rows go in smaller blocks
+_JSON_BLOCK_ROWS = 1024
 
 
 def _render_csv(result: SweepResult):
@@ -468,17 +471,31 @@ def _render_json(result: SweepResult):
         "axes": {k: list(v) for k, v in result.axes.items()},
         "columns": list(result.columns),
         "units": list(result.units),
-        "rows": result.rows.tolist(),
-        "mask": result.mask.tolist(),
+        "rows": [],
+        "mask": [],
         "reasons": {str(k): result.reasons[k] for k in sorted(result.reasons)},
         "extra": result.extra,
     }
-    # the chunks json.dump(doc, fh, indent=1) writes, which make the bytes of
-    # json.dumps; joined a few thousand at a time, as a write per chunk is slow
-    chunks = json.JSONEncoder(indent=1).iterencode(doc)
-    while batch := "".join(itertools.islice(chunks, 8192)):
-        yield batch
-    yield "\n"
+    # the bytes of json.dumps(doc, indent=1) with the table streamed in; a raw
+    # newline occurs only between items, never inside a string
+    head, _, tail = json.dumps(doc, indent=1).partition('\n "rows": [],\n "mask": []')
+    yield head + '\n "rows": '
+    yield from _json_list(result.rows)
+    yield ',\n "mask": '
+    yield from _json_list(result.mask)
+    yield tail + "\n"
+
+
+def _json_list(table):
+    """``table.tolist()`` as json.dumps(doc, indent=1) writes a value of doc,
+    a block of rows at a time: each block is dumped as such a value itself."""
+    if not len(table):
+        yield "[]"
+        return
+    for lo in range(0, len(table), _JSON_BLOCK_ROWS):
+        text = json.dumps({"": table[lo:lo + _JSON_BLOCK_ROWS].tolist()}, indent=1)
+        yield ("," if lo else "[") + text[len('{\n "": ['):-len('\n ]\n}')]
+    yield "\n ]"
 
 
 def _render_plotdata(result: SweepResult):

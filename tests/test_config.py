@@ -141,7 +141,7 @@ def test_linspace_endpoints_exact():
 @settings(max_examples=30, deadline=None)
 @given(
     workers=st.integers(1, 32),
-    xi=st.lists(st.floats(0, 0.2, allow_nan=False), min_size=1, max_size=5),
+    xi=st.lists(st.floats(0, 0.2, allow_nan=False), min_size=1, max_size=5, unique=True),
     fmt=st.sampled_from(["csv", "json", "plotdata"]),
 )
 def test_emit_parse_roundtrip_random(workers, xi, fmt):
@@ -217,6 +217,9 @@ def test_every_record_field_is_a_config_key(section, key):
     ("grid", "xi = [0.0, nan]", "grid axis xi must be finite"),
     ("grid", "phi_dc = [0.45, inf]", "grid axis phi_dc must be finite"),
     ("grid", "omega = -inf", "grid axis omega must be finite"),
+    ("grid", "phi_dc = [0.451, 0.451]", "grid axis phi_dc repeats a value"),
+    ("grid", "omega = [0.7, 0.5, 0.7]", "grid axis omega repeats a value"),
+    ("grid", 'xi = "0.4:0.4:3"', "grid axis xi repeats a value"),
     ("noise", "a_dc = nan", "a_dc must be finite and non-negative"),
     ("noise", "a_ac = inf", "a_ac must be finite and non-negative"),
     ("noise", "tan_delta_c = nan", "tan_delta_c must be finite and non-negative"),

@@ -992,3 +992,118 @@ def test_two_level_frame_is_unitary(params, xi):
     u = np.einsum("tn,jns->tjs", phases, sol.fourier_blocks)
     defect = np.abs(np.einsum("tjs,tjr->tsr", u.conj(), u) - np.eye(2))
     assert float(np.max(defect)) < 1e-10
+
+
+def test_select_representatives_keeps_states_a_window_apart():
+    # eigenvalues that match modulo Omega at a shift of more harmonics than
+    # the window holds share no harmonic, so neither state is a copy
+    n_side, omega = 4, 0.5
+    blocks = np.zeros((2, 2 * n_side + 1, 2))
+    blocks[0, n_side, 0] = blocks[1, n_side, 1] = 1.0
+    for shift in (-12, 12):
+        assert _select_representatives(np.array([0.1, 0.1 + shift * omega]), blocks,
+                                       omega) == [0, 1]
+
+
+def test_fourier_blocks_are_real_on_every_path(params, spec_451, spot_drive, monkeypatch):
+    sol = solve_floquet(params, spot_drive, spectrum=spec_451)  # start window
+    assert sol.fourier_blocks.dtype == np.float64
+    assert sol.convergence_delta < 1e-8
+    assert sol.fourier_blocks.dtype == np.float64
+    with pytest.raises(TypeError, match="must be real"):
+        replace(sol, fourier_blocks=sol.fourier_blocks.astype(complex))
+    # no continuation takes a step, so the ladder ends in the dense whole band
+    widths = []
+    to_dense = floquet._band_to_dense
+    monkeypatch.setattr(floquet, "_band_to_dense",
+                        lambda band: widths.append(band.shape[1]) or to_dense(band))
+    monkeypatch.setattr(floquet, "_MAX_RQI_STEPS", 0)
+    dense = solve_floquet(params, spot_drive, spectrum=spec_451)
+    assert widths[-1] == sol.n_levels * (2 * sol.config.sideband_cutoff + 1) > widths[0]
+    assert dense.fourier_blocks.dtype == np.float64
+    assert np.abs(np.sum(dense.fourier_blocks * sol.fourier_blocks, axis=(1, 2))) == (
+        pytest.approx(1.0, abs=1e-12))
+
+
+def _complex_table(sol, op):
+    """O_ab^(k) in complex arithmetic, conjugated complex bras against shifted
+    complex kets: the reference for the tables' contraction of real bras."""
+    d = sol.n_levels
+    bras = sol.fourier_blocks[:2].astype(complex)
+    kets = bras @ np.asarray(op)[:d, :d].T
+    nb = bras.shape[1]
+    kmax = nb - 1
+    padded = np.pad(kets, ((0, 0), (kmax, kmax), (0, 0)))
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, nb, axis=1)[:, ::-1]
+    return np.einsum("ans,bksn->abk", bras.conj(), shifted)
+
+
+def test_operator_tables_match_the_complex_formula(params):
+    # the phase table is contracted in real arithmetic, which sums in another
+    # order; the charge operator is imaginary, so its table is the same sum
+    rng = np.random.default_rng(3535)
+    drives = [(rng.uniform(0.40, 0.50), rng.uniform(0.0, 0.15), rng.uniform(0.25, 1.3))
+              for _ in range(20)] + [(0.451, 0.0, 0.7743211)]
+    for phi, xi, omega in drives:
+        sol = solve_floquet(params, DriveParams(FluxBias(phi), xi, omega))
+        spec = sol.spectrum
+        assert sol.phi_elements.table.dtype == np.float64
+        assert np.max(np.abs(sol.phi_elements.table
+                             - _complex_table(sol, spec.phi_elements))) <= 1e-14, (phi, xi, omega)
+        assert np.array_equal(sol.n_elements.table, _complex_table(sol, spec.n_elements))
+
+
+def _probe_population_0(sol, op, amp_p, omega_p, n_periods, steps=128):
+    """|<Phi_0(t)|psi(t)>|^2 at the end of each drive period, from psi(0) =
+    Phi_1(0), under the projected model of ``sol`` plus amp_p*cos(2*pi*omega_p*t)*op.
+
+    CF4 steps of the tableau of ``floquet._propagate_period``; each stage
+    exponential by eigendecomposition, since the charge operator makes the
+    stages complex Hermitian.  Each period's steps are multiplied by a
+    pairwise tree, the periods then one after the other.
+    """
+    d, drive = sol.n_levels, sol.drive
+    shift, amp = floquet._drive_terms(sol.spectrum.params.e_l, drive.xi)
+    h_static = np.diag(sol.spectrum.energies[:d] + shift)
+    phi_op = sol.spectrum.phi_elements[:d, :d]
+    dt = drive.period / steps
+    t0 = np.arange(n_periods * steps) * dt
+    h1, h2 = (h_static + (amp * np.cos(2 * math.pi * drive.omega * t))[:, None, None] * phi_op
+              + (amp_p * np.cos(2 * math.pi * omega_p * t))[:, None, None] * op[:d, :d]
+              for t in (t0 + floquet._GAUSS_C1 * dt, t0 + floquet._GAUSS_C2 * dt))
+    stages = np.stack((floquet._CF4_A2 * h1 + floquet._CF4_A1 * h2,
+                       floquet._CF4_A1 * h1 + floquet._CF4_A2 * h2), axis=1)
+    w, v = np.linalg.eigh(stages.reshape(-1, d, d))
+    u = np.einsum("xij,xj,xkj->xik", v, np.exp(-2j * math.pi * dt * w), v.conj())
+    u = u.reshape(n_periods, 2 * steps, d, d)
+    while u.shape[1] > 1:
+        u = u[:, 1::2] @ u[:, 0::2]
+    # at whole periods Phi_a(t) = Phi_a(0) = sum_n |phi_a^(n)>
+    mode0, psi = sol.fourier_blocks[:2].sum(axis=1).astype(complex)
+    pop = []
+    for period in u[:, 0]:
+        psi = period @ psi
+        pop.append(abs(mode0 @ psi) ** 2)
+    return np.array(pop)
+
+
+@pytest.mark.parametrize("operator,k", [("phi", -1), ("phi", 1), ("n", -1)],
+                         ids=["phase-k-1", "phase-k+1", "charge-k-1"])
+def test_line_strengths_by_propagation(spot_solution, operator, k):
+    # a weak probe a*cos(2*pi*w_p*t)*O at w_p = |eps01 + k*Omega| drives
+    # Floquet state 1 into state 0 at the rate a*|O_01^(k)| (P0 = sin^2(pi*rate*t));
+    # at the double spot the reversed |O_01^(-k)| is 7.96, 0.126 and 2.88 times it
+    sol = spot_solution
+    elems = getattr(sol, f"{operator}_elements")
+    kmax = int(elems.k_values[-1])
+    forward, reverse = (abs(elems.table[0, 1, kmax + s]) for s in (k, -k))
+    n_periods = 300
+    t = sol.drive.period * np.arange(1, n_periods + 1)
+    amp_p = 0.25 / (t[-1] * forward)  # a quarter turn: P0 reaches 1/2
+    omega_p = abs(sol.splitting(1, 0) + k * sol.drive.omega)
+    pop = _probe_population_0(sol, getattr(sol.spectrum, f"{operator}_elements"), amp_p,
+                              omega_p, n_periods)
+    angle = np.arcsin(np.sqrt(np.clip(pop, 0.0, 1.0)))  # pi*rate*t
+    rate = float(np.sum(t * angle) / np.sum(t * t)) / math.pi
+    assert rate / (amp_p * forward) == pytest.approx(1.0, abs=0.05)
+    assert not 0.5 <= rate / (amp_p * reverse) <= 2.0

@@ -585,6 +585,23 @@ def _plotdata_reference(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_reference(result) -> str:
+    """The json export as one string: the whole document dumped at once."""
+    doc = {
+        "schema_version": result.schema_version,
+        "task": result.task,
+        "config_hash": result.config_hash,
+        "axes": {k: list(v) for k, v in result.axes.items()},
+        "columns": list(result.columns),
+        "units": list(result.units),
+        "rows": result.rows.tolist(),
+        "mask": result.mask.tolist(),
+        "reasons": {str(k): result.reasons[k] for k in sorted(result.reasons)},
+        "extra": result.extra,
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
 def test_streamed_exports_match_one_string_renderings(tmp_path):
     # more than two csv blocks plus a partial one, with repeated, masked and
     # non-finite values
@@ -602,22 +619,66 @@ def test_streamed_exports_match_one_string_renderings(tmp_path):
                       units=("Phi0", "Phi0", "GHz", "GHz", "1"), rows=rows, mask=mask,
                       reasons={int(r): "DiagnosticError: masked" for r in np.flatnonzero(mask)},
                       extra={"note": [1.5, None]}, config_hash="abc")
-    doc = {
-        "schema_version": res.schema_version,
-        "task": "floquet",
-        "config_hash": "abc",
-        "axes": {k: list(v) for k, v in axes.items()},
-        "columns": ["a", "b"],
-        "units": list(res.units),
-        "rows": rows.tolist(),
-        "mask": mask.tolist(),
-        "reasons": {str(r): res.reasons[r] for r in sorted(res.reasons)},
-        "extra": {"note": [1.5, None]},
-    }
-    want = {"csv": _csv_reference(res), "json": json.dumps(doc, indent=1) + "\n",
+    want = {"csv": _csv_reference(res), "json": _json_reference(res),
             "plotdata": _plotdata_reference(res)}
     for fmt, text in want.items():
         assert export(res, tmp_path, fmt)[0].read_bytes() == text.encode(), fmt
+
+
+def _json_table(n_rows, n_data, reasons=False, extra=None):
+    rng = np.random.default_rng(n_rows)
+    axes = {"phi_dc": tuple(np.linspace(0.4, 0.5, max(n_rows, 1))), "xi": (0.05,)}
+    rows = np.hstack([np.array(list(itertools.product(*axes.values())))[:n_rows],
+                      rng.normal(size=(n_rows, n_data))])
+    rows[rng.random(rows.shape) < 0.1] = np.nan
+    rows[rng.random(rows.shape) < 0.05] = np.inf
+    rows[rng.random(rows.shape) < 0.05] = -np.inf
+    mask = rng.random(n_rows) < 0.3
+    return SweepResult(task="floquet", axes=axes, columns=tuple(f"c{i}" for i in range(n_data)),
+                       units=("Phi0", "Phi0") + ("GHz",) * n_data, rows=rows, mask=mask,
+                       reasons={int(r): f"DiagnosticError: row {r}\n\"rows\": []"
+                                for r in np.flatnonzero(mask)} if reasons else {},
+                       extra=extra or {}, config_hash="abc")
+
+
+@pytest.mark.parametrize("result", [
+    _json_table(11, 3),
+    _json_table(11, 3, reasons=True),
+    _json_table(7, 2, extra={"spots": [{"phi_dc": 0.451, "d": [1e-15, None, -0.0]}],
+                             "rows": [], "fit": {"g": {"1": 0.5, "-1": float("-inf")}}}),
+    _json_table(0, 3),
+    _json_table(0, 1, extra={"note": "empty"}),
+    _json_table(9, 1),
+    _json_table(3, 1, reasons=True),
+], ids=["non-finite", "masked-reasons", "nested-extra", "zero-rows", "zero-rows-extra",
+        "one-column", "one-block"])
+def test_json_export_is_the_document_json_dumps_writes(result, tmp_path, monkeypatch):
+    # rows and mask stream in blocks of 3 rows, so most tables span several
+    monkeypatch.setattr(sweeps, "_JSON_BLOCK_ROWS", 3)
+    path = export(result, tmp_path, "json")[0]
+    assert path.read_bytes() == _json_reference(result).encode()
+    assert import_result(path) == result
+
+
+def test_json_export_streams_its_rows(tmp_path):
+    # the stub sweep's table: 2e4 rows of 3 axes and 7 columns (1.6 MB);
+    # the document dumped whole peaked at 8.6 MB, the csv export at 2.6 MB
+    axes = {"phi_dc": tuple(np.linspace(0.4, 0.5, 200)), "xi": tuple(np.linspace(0.0, 0.1, 100)),
+            "omega": (0.4,)}
+    coords = np.array(list(itertools.product(*axes.values())))
+    rows = np.hstack([coords, coords[:, :2], np.zeros((len(coords), 5))])
+    res = SweepResult(task="floquet", axes=axes, columns=tuple(f"c{i}" for i in range(7)),
+                      units=("Phi0",) * 10, rows=rows, mask=np.zeros(len(rows), dtype=bool),
+                      reasons={}, extra={}, config_hash="")
+    assert res.rows.nbytes == 1.6e6
+    tracemalloc.start()
+    try:
+        path = export(res, tmp_path, "json")[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
+    assert path.read_bytes() == _json_reference(res).encode()
 
 
 def test_json_roundtrip(small_cfg, tmp_path):
