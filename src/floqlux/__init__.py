@@ -13,7 +13,7 @@ Submodules:
 from __future__ import annotations
 
 # set before the submodule imports: sweeps keys its cell cache on it
-__version__ = "0.1.5"
+__version__ = "0.1.6"
 
 from .circuit import (
     CircuitParams,

@@ -45,11 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_boltzmann
-from scipy.optimize import brentq, root
 
 from .circuit import CircuitParams, FluxBias
-from .errors import InfraredDivergenceError, TrackingBreakError
+from .errors import ConvergenceError, InfraredDivergenceError, TrackingBreakError
 from .floquet import (
     DriveParams,
     FloquetSolution,
@@ -58,7 +56,7 @@ from .floquet import (
     fourier_operator_elements,
     solve_floquet,
 )
-from .units import ghz_to_angular
+from .units import HBAR, K_BOLTZMANN, ghz_to_angular
 
 __all__ = [
     "NoiseModel",
@@ -167,7 +165,7 @@ def s_diel(omega, params: CircuitParams, model: NoiseModel):
     if model.temperature == 0.0:
         bracket = np.where(w > 0, 2.0, 0.0)
     else:
-        x = hbar * w / (k_boltzmann * model.temperature)
+        x = HBAR * w / (K_BOLTZMANN * model.temperature)
         bracket = np.divide(2.0 * np.exp(np.minimum(x, 0.0)), -np.expm1(-np.abs(x)),
                             out=np.zeros_like(x), where=x != 0.0)
     return w * w * model.tan_delta_c / (8.0 * ghz_to_angular(params.e_c)) * bracket
@@ -548,6 +546,109 @@ class SweetSpotScan:
     diagnostics: dict
 
 
+# Brent's relative tolerance, as scipy.optimize.brentq's default: 4 * eps
+_BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def _brentq(f, a: float, b: float, xtol: float = 1e-12, maxiter: int = 100) -> float:
+    """A zero of ``f`` in the bracket [a, b], over which it changes sign.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy.optimize.brentq runs it, step for step and with
+    its relative tolerance, so it evaluates the same points and returns the
+    same root to the bit.
+
+    Raises:
+        ValueError: f(a) and f(b) have the same sign.
+        ConvergenceError: no convergence in ``maxiter`` steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(f"Brent's method did not converge in {maxiter} steps (x = {xcur!r})")
+
+
+def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of ``f`` at ``x``, with step sqrt(eps)*|x_j|
+    (sqrt(eps) where x_j = 0), as MINPACK's fdjac1 takes it."""
+    jac = np.empty((fx.size, x.size))
+    for j in range(x.size):
+        h = math.sqrt(np.finfo(float).eps) * abs(x[j]) or math.sqrt(np.finfo(float).eps)
+        step = x.copy()
+        step[j] += h
+        jac[:, j] = (np.asarray(f(step)) - fx) / h
+    return jac
+
+
+def _newton(f, x0, xtol: float = 1e-12, maxiter: int = 100) -> np.ndarray | None:
+    """A zero of ``f``: R^n -> R^n reached from ``x0``, or None.
+
+    Newton steps on a forward-difference Jacobian (``_fd_jacobian``), which
+    Broyden rank-one updates move between refreshes (Broyden, Math. Comp.
+    19, 577 (1965)).  It is refreshed where a step does not reduce |f|, and
+    before a step with |dx| <= xtol*|x| is accepted, so the last step is a
+    Newton step on a fresh Jacobian.  None when a step is singular or not
+    finite, or after ``maxiter`` steps.
+    """
+    x = np.asarray(x0, dtype=float)
+    fx = np.asarray(f(x), dtype=float)
+    jac = None
+    for _ in range(maxiter):
+        if jac is None:
+            jac, fresh = _fd_jacobian(f, x, fx), True
+        try:
+            dx = np.linalg.solve(jac, -fx)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(dx)):
+            return None
+        if np.linalg.norm(dx) <= xtol * np.linalg.norm(x):
+            if fresh:
+                return x + dx
+            jac = None
+            continue
+        f_new = np.asarray(f(x + dx), dtype=float)
+        if not fresh and not np.linalg.norm(f_new) < np.linalg.norm(fx):
+            jac = None
+            continue
+        jac = jac + np.outer(f_new - fx - jac @ dx, dx) / (dx @ dx)
+        x, fx, fresh = x + dx, f_new, False
+    return None
+
+
 def _field_at(params: CircuitParams, config: SambeConfig, phi, xi, om) -> tuple[float, float]:
     """The scan's field (d eps01/d phi_dc, d eps01/d xi) at one drive point;
     the ``sweetspot`` task's cells evaluate it, and read no truncation check."""
@@ -647,7 +748,7 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
             def at(x):
                 return fixed[:axis] + [x] + fixed[axis:]
 
-            x_star = brentq(lambda x: derivs_at(*at(x))[axis], vals[i], vals[i + 1], xtol=1e-12)
+            x_star = _brentq(lambda x: derivs_at(*at(x))[axis], vals[i], vals[i + 1])
             spot = classify(*(float(v) for v in at(x_star)))
             if spot is not None:
                 spots.append(spot)
@@ -668,16 +769,11 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
                         0.5 * (grid_xi[j] + grid_xi[j + 1]),
                         0.5 * (grid_om[l] + grid_om[l + 1]),
                     ]
-                    res = root(
-                        lambda v: derivs_at(phi, abs(v[0]), abs(v[1])),
-                        x0,
-                        method="hybr",
-                        tol=1e-12,
-                    )
-                    if not res.success:
+                    v_star = _newton(lambda v: derivs_at(phi, abs(v[0]), abs(v[1])), x0)
+                    if v_star is None:
                         diags["refine_failures"] += 1
                         continue
-                    xi_star, om_star = abs(res.x[0]), abs(res.x[1])
+                    xi_star, om_star = abs(v_star[0]), abs(v_star[1])
                     # a root that escaped its seeding cell belongs to some
                     # other basin; discard rather than report a stray point
                     wx = grid_xi[j + 1] - grid_xi[j]

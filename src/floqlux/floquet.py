@@ -29,13 +29,13 @@ the window grows, up to N_s itself).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import linear_sum_assignment
 
 from .circuit import (_STATIC_LEVELS, CircuitParams, FluxBias, StaticSpectrum,
                       _one_blas_thread, _signed_rows, diagonalize_static)
@@ -340,10 +340,31 @@ def _profile(blocks):
     return weights, interior, weights @ np.arange(-n_side, n_side + 1)
 
 
+# labels of up to this many levels are assigned by enumerating every
+# permutation (8! = 40320 rows); a larger assignment loads scipy.optimize
+_MAX_ENUMERATED_LEVELS = 8
+
+
+@functools.cache
+def _permutations(d: int) -> np.ndarray:
+    """Every permutation of range(d), one per row, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(d))))
+
+
 def _labels(blocks):
     """The static level of each state (Fourier blocks (levels, nb, levels)):
-    the assignment of maximum total weight per circuit level."""
-    return linear_sum_assignment(-np.sum(blocks * blocks, axis=1))[1]
+    the exact assignment of maximum total weight per circuit level.  Up to
+    _MAX_ENUMERATED_LEVELS levels it is the best of every permutation, so
+    no optimizer is loaded; two states may share their heaviest level, so
+    per-state maxima alone do not decide it."""
+    w = np.sum(blocks * blocks, axis=1)
+    d = len(w)
+    if d > _MAX_ENUMERATED_LEVELS:
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment(-w)[1]
+    perms = _permutations(d)
+    return perms[np.argmax(w[np.arange(d), perms].sum(axis=1))]
 
 
 def _select_representatives(evals, blocks_all, omega):

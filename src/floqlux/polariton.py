@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .circuit import (
     CircuitParams,
@@ -432,6 +431,8 @@ def fit_polariton(
         ValueError: ``data`` breaks one of these rules.
         FitError: when every restart fails to converge.
     """
+    from scipy.optimize import least_squares  # loaded where a fit runs
+
     data = _peak_table(data)
     phis = data[:, 0]
     freqs = data[:, 1]

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize_scalar
 
 from .circuit import CircuitParams
 from .decoherence import NoiseModel, depolarization_rates
@@ -333,6 +332,8 @@ def _fit_decay(offs: np.ndarray, amps: np.ndarray) -> tuple[float, float]:
     Raises:
         FitError: the amplitudes are all zero or the fit failed.
     """
+    from scipy.optimize import curve_fit  # loaded where a fit runs
+
     scale = float(np.max(amps))
     if scale <= 0:
         raise FitError("all window amplitudes are zero")
@@ -368,6 +369,8 @@ def extract_t2r(signal: RamseySignal) -> T2REstimate:
             at most 1/(4*f_beat)).
         FitError: the amplitude decay fit failed.
     """
+    from scipy.optimize import minimize_scalar  # loaded where a fit runs
+
     f_beat = signal.dominant_beat
     if signal.times.shape[0] < 3:
         raise ValueError("need at least 3 windows")

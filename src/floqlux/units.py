@@ -20,6 +20,10 @@ HZ_PER_GHZ = 1e9
 # rad/s per GHz of ordinary frequency
 GHZ_TO_ANGULAR = TWO_PI * HZ_PER_GHZ
 
+# exact SI values (2019): reduced Planck constant in J s, Boltzmann constant in J/K
+HBAR = 6.62607015e-34 / TWO_PI
+K_BOLTZMANN = 1.380649e-23
+
 
 def ghz_to_angular(freq_ghz: float) -> float:
     """Convert an ordinary frequency in GHz to an angular frequency in rad/s.
