@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.constants
+import scipy.optimize
 
 import floqlux.decoherence
 import floqlux.floquet
@@ -19,6 +23,7 @@ from floqlux import (
     InfraredDivergenceError,
     NoiseModel,
     SambeConfig,
+    SweetSpotSpec,
     coherence_rates,
     depolarization_rates,
     find_sweet_spots,
@@ -287,8 +292,8 @@ def test_double_sweet_spot_location(params, noise, eigensolves):
 
 
 def test_sweet_spot_scan_solves_each_point_once(params, noise, monkeypatch):
-    # brentq's bracket ends are grid points, hybr re-reads its seed, and
-    # classify re-reads the root: each is a drive point solved before
+    # _brentq's bracket ends are grid points, and classify re-reads the root
+    # _brentq evaluated last: each is a drive point solved before
     points = []
     solve = floqlux.decoherence.solve_floquet
 
@@ -301,6 +306,109 @@ def test_sweet_spot_scan_solves_each_point_once(params, noise, monkeypatch):
     scan = find_sweet_spots(params, noise, grid)
     assert "double" in [s.kind for s in scan.spots]
     assert len(points) == len(set(points))
+
+
+@functools.cache
+def _certify_grid(seed: int):
+    """The axes of the sweetspot-certify benchmark at ``seed`` (its seed
+    shifts the omega lines, perfbench/workloads.py) and their field."""
+    shift = np.random.default_rng(seed).uniform(-0.002, 0.002)
+    axes = ((0.451,), tuple(np.linspace(0.0, 0.12, 5)), tuple(np.linspace(0.70, 0.80, 4) + shift))
+    field = [floqlux.decoherence._field_at(CircuitParams(), SambeConfig(), *point)
+             for point in itertools.product(*axes)]
+    return axes, np.array(field)
+
+
+def test_sweet_spot_refinement_solves_no_more_than_hybr(params, noise, monkeypatch):
+    # scipy's root(method="hybr") refined these grids in 64 + 56 + 57 solves
+    grids = [_certify_grid(seed) for seed in (1, 2, 3)]
+    points = []
+    solve = floqlux.decoherence.solve_floquet
+
+    def counting(p, drive, *args, **kwargs):
+        points.append((drive.bias.phi_dc, drive.xi, drive.omega))
+        return solve(p, drive, *args, **kwargs)
+
+    monkeypatch.setattr(floqlux.decoherence, "solve_floquet", counting)
+    for axes, field in grids:
+        scan = floqlux.decoherence._refine_sweet_spots(params, noise, SambeConfig(), axes, field,
+                                                       SweetSpotSpec.tol_d)
+        assert scan.diagnostics["double_seeds"] == 3 and scan.diagnostics["refine_failures"] == 1
+        (spot,) = [s for s in scan.spots if s.kind == "double"]
+        assert max(abs(spot.d_flux), abs(spot.d_xi)) < 1e-13  # 1.0e-14 at most, measured
+    assert len(points) <= 177
+
+
+def _recorded(f):
+    """``f`` and the list of the points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _smooth_functions():
+    """Seeded smooth functions, each with a bracket over which it changes sign."""
+    rng = np.random.default_rng(36)
+    for _ in range(10):
+        a, b, c, r = rng.uniform(0.2, 5.0), rng.uniform(0.5, 20.0), rng.uniform(0, 3), rng.normal()
+        lo, hi = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+        yield (lambda x, a=a, b=b, c=c, r=r: a * math.tanh(b * (x - r)) + c * (x - r) ** 3), lo, hi
+        yield (lambda x, b=b, r=r: math.exp(b * (x - r)) - 1.0 - 0.1 * math.sin(x)), lo, hi
+        yield (lambda x, a=a, r=r: (x - r) * (1.0 + a * math.cos(3 * x) ** 2) + 1e-3), lo, hi
+
+
+def test_brentq_takes_scipys_steps():
+    bracketed = [(f, lo, hi) for f, lo, hi in _smooth_functions() if f(lo) * f(hi) < 0]
+    assert len(bracketed) >= 20
+    for f, lo, hi in bracketed:
+        ours, our_calls = _recorded(f)
+        theirs, their_calls = _recorded(f)
+        root = floqlux.decoherence._brentq(ours, lo, hi)
+        assert root == scipy.optimize.brentq(theirs, lo, hi, xtol=1e-12)
+        assert our_calls == their_calls
+    with pytest.raises(ValueError, match="different signs"):
+        floqlux.decoherence._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(floqlux.errors.ConvergenceError):
+        floqlux.decoherence._brentq(math.tanh, -1.0, 2.0, maxiter=3)
+
+
+def test_brentq_takes_scipys_steps_on_the_benchmark_brackets(params):
+    # the amplitude brackets of the sweetspot-certify grid at seed 1
+    axes, field = _certify_grid(1)
+    d_xi = field[:, 1].reshape(len(axes[1]), len(axes[2]))
+    cfg = SambeConfig()
+    brackets = 0
+    for l, om in enumerate(axes[2]):
+        for j in np.flatnonzero(d_xi[:-1, l] * d_xi[1:, l] < 0):
+            @functools.cache
+            def field_xi(x, om=om):
+                return floqlux.decoherence._field_at(params, cfg, 0.451, x, om)[1]
+
+            ours, our_calls = _recorded(field_xi)
+            theirs, their_calls = _recorded(field_xi)
+            root = floqlux.decoherence._brentq(ours, axes[1][j], axes[1][j + 1])
+            assert root == scipy.optimize.brentq(theirs, axes[1][j], axes[1][j + 1], xtol=1e-12)
+            assert our_calls == their_calls
+            brackets += 1
+    assert brackets == 4
+
+
+def test_newton_finds_a_root_or_none():
+    def circle_line(v):
+        return np.array([v[0] ** 2 + v[1] ** 2 - 1.0, v[0] - 2.0 * v[1]])
+
+    root = floqlux.decoherence._newton(circle_line, [1.0, 1.0])
+    assert root == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], rel=1e-15)
+    assert floqlux.decoherence._newton(lambda v: v * v + 1.0, [0.3, -0.2]) is None
+
+
+def test_physical_constants_are_the_exact_si_values():
+    assert floqlux.units.HBAR == scipy.constants.hbar
+    assert floqlux.units.K_BOLTZMANN == scipy.constants.k
 
 
 def test_sweet_spot_scan_ignores_axis_order(params, noise):

@@ -964,6 +964,30 @@ def test_select_representatives_rejects_copies_only():
     assert select([(0, 0), (1, 1)], [0.1, 0.1 + omega]) == [0, 1]
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_labels_are_the_optimal_assignment(d):
+    # in half the cases several states share their heaviest level, so the
+    # per-state maxima do not decide the labels
+    rng = np.random.default_rng(d)
+    for case in range(40):
+        w = rng.random((d, d))
+        if case % 2:
+            shared = rng.permutation(d)[:rng.integers(2, d + 1)]
+            w[shared, rng.integers(d)] = w[shared].max(axis=1) + rng.random(len(shared))
+        blocks = np.sqrt(w)[:, None, :] * rng.choice([-1.0, 1.0], (d, 3, d)) / math.sqrt(3)
+        want = linear_sum_assignment(-np.sum(blocks * blocks, axis=1))[1]
+        assert np.array_equal(floquet._labels(blocks), want), (d, case)
+
+
+def test_labels_of_more_levels_take_scipys_assignment(monkeypatch):
+    monkeypatch.setattr(floquet, "_permutations", None)  # enumeration would fail
+    w = np.random.default_rng(9).random((9, 9))
+    w[:4, 2] += 1.0
+    blocks = np.sqrt(w)[:, None, :]
+    want = linear_sum_assignment(-np.sum(blocks * blocks, axis=1))[1]
+    assert np.array_equal(floquet._labels(blocks), want)
+
+
 # the two-level projected model, with a window wide enough for xi up to 0.12
 _TWO_LEVEL = SambeConfig(n_levels=2, sideband_cutoff=40)
 

@@ -46,6 +46,11 @@ package, so a deletion that would break traced benchmark runs fails here.
 Version lint: ``floqlux.__version__``, which keys the cell cache, is the
 ``version`` of ``pyproject.toml``, so a bump cannot move one without the
 other.
+
+Lazy-import lint: no package module imports ``scipy.optimize`` or
+``scipy.interpolate`` outside a function body, so ``import floqlux`` loads
+neither; a subprocess test checks that every task that runs no fit leaves
+``scipy.optimize`` unloaded.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -440,3 +448,87 @@ def test_version_matches_pyproject():
     found = re.search(r'^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text(), re.M)
     assert found, "pyproject.toml states no version"
     assert found.group(1) == floqlux.__version__
+
+
+# loaded only inside the functions that fit: importing scipy.optimize takes
+# about 17 MB and 0.1-0.2 s, which a sweep that runs no fit does not need
+_LAZY_MODULES = ("scipy.optimize", "scipy.interpolate")
+
+
+def _eager_imports(tree: ast.Module) -> list[str]:
+    """The imports of a ``_LAZY_MODULES`` module in ``tree`` that run when it is
+    imported: every one outside a function body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if any(n == m or n.startswith(m + ".") for n in names for m in _LAZY_MODULES):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_optimizer_import(path):
+    eager = _eager_imports(PACKAGE[path.name])
+    assert not eager, f"{path.name} imports at module level: {eager}"
+
+
+def test_lint_flags_a_module_level_optimizer_import():
+    tree = ast.parse(
+        "import scipy.linalg\nfrom scipy.optimize import linear_sum_assignment\n"
+        "from scipy import optimize, special\nimport scipy.interpolate as si\n"
+        "from .optimize import x\ntry:\n    from scipy.optimize._zeros_py import brentq\n"
+        "except ImportError:\n    pass\nclass Fit:\n    from scipy.optimize import root\n"
+        "def fit():\n    from scipy.optimize import least_squares\n"
+        "key = lambda: __import__('scipy.optimize')\n")
+    assert [f.rsplit(" ", 1)[-1] for f in _eager_imports(tree)] == [
+        "2)", "3)", "4)", "7)", "11)"]
+
+
+_NO_FIT_RUNS = r"""
+import dataclasses, sys
+import floqlux, floqlux.cli
+assert "scipy.optimize" not in sys.modules, "loaded by import floqlux"
+spot = "xi = [0.0855831]\nomega = [0.7743211]\n"
+grids = {
+    "static-spectrum": "phi_dc = [0.45, 0.451]\n",
+    "floquet": "phi_dc = [0.451]\n" + spot,
+    "spectral-function": "phi_dc = [0.451]\n" + spot,
+    "spectroscopy": "phi_dc = [0.45, 0.451]\n" + spot + '[probe]\nomega_p = "0.3:1.2:4"\n',
+    "coherence": "phi_dc = [0.451]\n" + spot,
+    "sweetspot": "phi_dc = [0.451]\nxi = [0.0, 0.06, 0.12]\nomega = [0.7, 0.8]\n",
+    "ramsey": "phi_dc = [0.451]\n" + spot,
+}
+for task, grid in grids.items():
+    config = floqlux.parse_config(f'task = "{task}"\n[grid]\n{grid}')
+    result = floqlux.run_sweep(dataclasses.replace(config, output=sys.argv[1] + "/" + task))
+    assert not result.mask.any(), (task, result.reasons)
+    loaded = "scipy.optimize" in sys.modules
+    print(task, loaded, result.extra.get("diagnostics", {}).get("double_seeds"))
+"""
+
+
+def test_only_fitting_tasks_load_the_optimizers(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_FIT_RUNS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = [line.split() for line in proc.stdout.splitlines()]
+    # the sweetspot run reached the joint (Newton) refinement; ramsey's fits
+    # load scipy.optimize, and only they do
+    assert runs[-2] == ["sweetspot", "False", "1"]
+    assert [(task, loaded) for task, loaded, _ in runs] == [
+        (task, str(task == "ramsey")) for task in ("static-spectrum", "floquet", "spectral-function",
+                                                    "spectroscopy", "coherence", "sweetspot", "ramsey")]
