@@ -663,10 +663,11 @@ def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpo
     order; axes are sorted before the scan).  The matrix-element derivative
     field, evaluated at every grid point at the default truncation, is
     scanned for sign changes along axes of length > 1; 1D scans are refined
-    by bracketing (flux-sweet spots along phi_dc, amplitude-sweet spots
-    along xi), and when both xi and omega vary, cells where both
-    derivatives change sign seed a joint two-dimensional root refinement
-    (double sweet spots).  A refined spot is classified "double" only if
+    by Brent's bracketing method (flux-sweet spots along phi_dc,
+    amplitude-sweet spots along xi), and when both xi and omega vary, cells
+    where both derivatives change sign seed a joint two-dimensional Newton
+    refinement (double sweet spots); both root finders are in-package code
+    (``_brentq``, ``_newton``).  A refined spot is classified "double" only if
     the drive is actually on (xi > 0) and both residual derivatives are
     below the default ``SweetSpotSpec.tol_d``.  The ``sweetspot`` task runs
     the same refinement on the field its cells computed.
@@ -688,16 +689,25 @@ def find_sweet_spots(params: CircuitParams, noise: NoiseModel, grid) -> SweetSpo
 def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeConfig,
                         axes: tuple, field: np.ndarray, tol_d: float) -> SweetSpotScan:
     """Sweet spots from ``field``, ``_field_at`` at each point of the ascending
-    (phi_dc, xi, omega) ``axes`` in row-major order; only refinement solves."""
+    (phi_dc, xi, omega) ``axes`` in row-major order; only refinement solves.
+
+    A sign change of one derivative between neighbours along its axis is a
+    bracket for ``_brentq`` (xtol 1e-12).  A cell where both change sign
+    seeds ``_newton`` at its centre, on (xi, omega) -> the field at (|xi|,
+    |omega|); a seed that does not converge, converges outside its cell
+    widened by one cell, or reaches a point that is not a double spot counts
+    in ``refine_failures``, and a root within 1e-6 of a double spot found
+    before is dropped.
+    """
     grid_phi, grid_xi, grid_om = axes
     # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
     d = np.asarray(field, dtype=float).reshape(*(len(a) for a in axes), 2)
     d1, d2 = d[..., 0], d[..., 1]
 
-    # root finders revisit drive points (bracket ends, hybr's seed, and the
-    # root classify reads, which brentq may have evaluated one step before
-    # its last), so derivatives are memoised on the exact point from the grid
-    # on, and the few most recent solutions are kept; memory stays bounded
+    # root finders revisit drive points (bracket ends, and the root classify
+    # reads, which _brentq may have evaluated one step before its last), so
+    # derivatives are memoised on the exact point from the grid on, and the
+    # few most recent solutions are kept; memory stays bounded
     @functools.lru_cache(maxsize=4)
     def solved(phi: float, xi: float, om: float) -> FloquetSolution:
         return solve_floquet(params, DriveParams(FluxBias(phi), xi, om), config)
