@@ -601,12 +601,15 @@ def _brentq(f, a: float, b: float, xtol: float = 1e-12, maxiter: int = 100) -> f
     raise ConvergenceError(f"Brent's method did not converge in {maxiter} steps (x = {xcur!r})")
 
 
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
 def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian of ``f`` at ``x``, with step sqrt(eps)*|x_j|
     (sqrt(eps) where x_j = 0), as MINPACK's fdjac1 takes it."""
     jac = np.empty((fx.size, x.size))
     for j in range(x.size):
-        h = math.sqrt(np.finfo(float).eps) * abs(x[j]) or math.sqrt(np.finfo(float).eps)
+        h = _SQRT_EPS * abs(x[j]) or _SQRT_EPS
         step = x.copy()
         step[j] += h
         jac[:, j] = (np.asarray(f(step)) - fx) / h
