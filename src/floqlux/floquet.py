@@ -347,8 +347,11 @@ _MAX_ENUMERATED_LEVELS = 8
 
 @functools.cache
 def _permutations(d: int) -> np.ndarray:
-    """Every permutation of range(d), one per row, in lexicographic order."""
-    return np.array(list(itertools.permutations(range(d))))
+    """Every permutation of range(d), one per row, in lexicographic order;
+    read-only, since every caller shares it."""
+    perms = np.array(list(itertools.permutations(range(d))))
+    perms.setflags(write=False)
+    return perms
 
 
 def _labels(blocks):

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+import floqlux as fl
+
 HERE = Path(__file__).resolve().parent
 
 SPOT = "phi_dc = [0.451]\nxi = [0.0855831]\nomega = [0.7743211]\n"
@@ -52,7 +54,7 @@ def config_text(task: str) -> str:
     return f'task = "{task}"\nformat = "json"\nworkers = 1\n\n[grid]\n{CONFIGS[task]}'
 
 
-def write_peaks(fl, path: Path) -> None:
+def write_peaks(path: Path) -> None:
     """Noisy peaks of the 0 -> 3 line's sideband images m = -2..3 at
     Omega = 0.2 GHz, 7 fluxes around each crossing with the cavity."""
     params, cavity = fl.CircuitParams(), fl.CavityParams()
@@ -70,7 +72,7 @@ def write_peaks(fl, path: Path) -> None:
     np.savetxt(path, data, fmt="%.17g")
 
 
-def run(fl, task: str, cfg_dir: Path, out_dir: Path):
+def run(task: str, cfg_dir: Path, out_dir: Path):
     """The sweep of ``<task>.cfg`` in ``cfg_dir``, caching under ``out_dir``;
     the config's relative paths are read from ``cfg_dir``."""
     config = fl.parse_config((cfg_dir / f"{task}.cfg").read_text())
@@ -82,13 +84,11 @@ def run(fl, task: str, cfg_dir: Path, out_dir: Path):
 
 
 def main() -> int:
-    import floqlux as fl
-
-    write_peaks(fl, HERE / "polariton_peaks.txt")
+    write_peaks(HERE / "polariton_peaks.txt")
     with tempfile.TemporaryDirectory() as tmp:
         for task in CONFIGS:
             (HERE / f"{task}.cfg").write_text(config_text(task))
-            result = run(fl, task, HERE, Path(tmp))
+            result = run(task, HERE, Path(tmp))
             if result.mask.any():
                 print(f"{task}: masked rows {result.reasons}", file=sys.stderr)
                 return 1

@@ -129,7 +129,7 @@ def test_corpus_covers_every_task():
 
 @pytest.mark.parametrize("task", sorted(REGISTRY))
 def test_golden_corpus(task, tmp_path):
-    got = _regenerate().run(floqlux, task, GOLDEN, tmp_path)
+    got = _regenerate().run(task, GOLDEN, tmp_path)
     want = floqlux.import_result(GOLDEN / f"{task}.json")
     problems = _compare(got, want)
     assert not problems, f"{task} moved from its pinned export: {problems}"
