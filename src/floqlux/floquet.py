@@ -29,7 +29,6 @@ the window grows, up to N_s itself).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -340,34 +339,56 @@ def _profile(blocks):
     return weights, interior, weights @ np.arange(-n_side, n_side + 1)
 
 
-# labels of up to this many levels are assigned by enumerating every
-# permutation (8! = 40320 rows); a larger assignment loads scipy.optimize
-_MAX_ENUMERATED_LEVELS = 8
-
-
-@functools.cache
-def _permutations(d: int) -> np.ndarray:
-    """Every permutation of range(d), one per row, in lexicographic order;
-    read-only, since every caller shares it."""
-    perms = np.array(list(itertools.permutations(range(d))))
-    perms.setflags(write=False)
-    return perms
-
-
 def _labels(blocks):
     """The static level of each state (Fourier blocks (levels, nb, levels)):
-    the exact assignment of maximum total weight per circuit level.  Up to
-    _MAX_ENUMERATED_LEVELS levels it is the best of every permutation, so
-    no optimizer is loaded; two states may share their heaviest level, so
-    per-state maxima alone do not decide it."""
+    the exact assignment of maximum total weight per circuit level.  Where no
+    two states share their heaviest level, those levels are that assignment;
+    otherwise ``_max_weight_assignment`` solves it."""
     w = np.sum(blocks * blocks, axis=1)
-    d = len(w)
-    if d > _MAX_ENUMERATED_LEVELS:
-        from scipy.optimize import linear_sum_assignment
+    heaviest = np.argmax(w, axis=1)
+    if len(set(heaviest.tolist())) == len(w):
+        return heaviest
+    return _max_weight_assignment(w)
 
-        return linear_sum_assignment(-w)[1]
-    perms = _permutations(d)
-    return perms[np.argmax(w[np.arange(d), perms].sum(axis=1))]
+
+def _max_weight_assignment(w: np.ndarray) -> np.ndarray:
+    """Column of each row in the assignment of largest total weight of the
+    square matrix ``w``: the Hungarian method by shortest augmenting paths
+    (Jonker and Volgenant, Computing 38, 325 (1987)) on costs -w, O(d^3).
+    Column slot 0 holds the row being inserted; slot j is column j - 1."""
+    cost = (-w).tolist()
+    d = len(cost)
+    u, v = [0.0] * d, [0.0] * (d + 1)  # row and column potentials
+    owner = [-1] * (d + 1)  # the row each column slot holds
+    way = [0] * (d + 1)  # the slot before each one on the shortest path
+    for i in range(d):
+        owner[0], j0 = i, 0
+        dist = [math.inf] * (d + 1)
+        done = [False] * (d + 1)
+        while owner[j0] != -1:
+            done[j0] = True
+            row, u_row = cost[owner[j0]], u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, d + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - u_row - v[j]
+                    if reduced < dist[j]:
+                        dist[j], way[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(d + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to slot 0
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(d, dtype=np.intp)
+    cols[owner[1:]] = np.arange(d)
+    return cols
 
 
 def _select_representatives(evals, blocks_all, omega):
