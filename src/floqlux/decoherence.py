@@ -616,15 +616,18 @@ def _fd_jacobian(f, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _newton(f, x0, xtol: float = 1e-12, maxiter: int = 100) -> np.ndarray | None:
-    """A zero of ``f``: R^n -> R^n reached from ``x0``, or None.
+def _newton(f, x0, inside, xtol: float = 1e-12, maxiter: int = 100) -> np.ndarray | None:
+    """A zero of ``f``: R^n -> R^n reached from ``x0`` without leaving the
+    region where ``inside(x)`` holds, or None.
 
     Newton steps on a forward-difference Jacobian (``_fd_jacobian``), which
     Broyden rank-one updates move between refreshes (Broyden, Math. Comp.
-    19, 577 (1965)).  It is refreshed where a step does not reduce |f|, and
-    before a step with |dx| <= xtol*|x| is accepted, so the last step is a
-    Newton step on a fresh Jacobian.  None when a step is singular or not
-    finite, or after ``maxiter`` steps.
+    19, 577 (1965)).  It is refreshed where a step leaves the region or does
+    not reduce |f|, and before a step with |dx| <= xtol*|x| is accepted, so
+    the last step is a Newton step on a fresh Jacobian.  None when a step on
+    a fresh Jacobian leaves the region, is singular or is not finite, or
+    after ``maxiter`` steps; ``f`` is read only inside the region (and a
+    difference step beside it).
     """
     x = np.asarray(x0, dtype=float)
     fx = np.asarray(f(x), dtype=float)
@@ -638,6 +641,11 @@ def _newton(f, x0, xtol: float = 1e-12, maxiter: int = 100) -> np.ndarray | None
             return None
         if not np.all(np.isfinite(dx)):
             return None
+        if not inside(x + dx):
+            if fresh:
+                return None
+            jac = None
+            continue
         if np.linalg.norm(dx) <= xtol * np.linalg.norm(x):
             if fresh:
                 return x + dx
@@ -697,10 +705,11 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
     A sign change of one derivative between neighbours along its axis is a
     bracket for ``_brentq`` (xtol 1e-12).  A cell where both change sign
     seeds ``_newton`` at its centre, on (xi, omega) -> the field at (|xi|,
-    |omega|); a seed that does not converge, converges outside its cell
-    widened by one cell, or reaches a point that is not a double spot counts
-    in ``refine_failures``, and a root within 1e-6 of a double spot found
-    before is dropped.
+    |omega|), kept inside the cell widened by one cell; a seed that does not
+    converge, whose Newton step on a fresh Jacobian leaves that region, or
+    that reaches a point that is not a double spot counts in
+    ``refine_failures``, so no drive outside the region is solved; a root
+    within 1e-6 of a double spot found before is dropped.
     """
     grid_phi, grid_xi, grid_om = axes
     # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)
@@ -782,21 +791,20 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
                         0.5 * (grid_xi[j] + grid_xi[j + 1]),
                         0.5 * (grid_om[l] + grid_om[l + 1]),
                     ]
-                    v_star = _newton(lambda v: derivs_at(phi, abs(v[0]), abs(v[1])), x0)
+                    wx = grid_xi[j + 1] - grid_xi[j]
+                    wo = grid_om[l + 1] - grid_om[l]
+
+                    # a root that escapes its seeding cell widened by one cell
+                    # belongs to some other basin, and so does a path there
+                    def in_cell(v):
+                        return (grid_xi[j] - wx <= abs(v[0]) <= grid_xi[j + 1] + wx
+                                and grid_om[l] - wo <= abs(v[1]) <= grid_om[l + 1] + wo)
+
+                    v_star = _newton(lambda v: derivs_at(phi, abs(v[0]), abs(v[1])), x0, in_cell)
                     if v_star is None:
                         diags["refine_failures"] += 1
                         continue
                     xi_star, om_star = abs(v_star[0]), abs(v_star[1])
-                    # a root that escaped its seeding cell belongs to some
-                    # other basin; discard rather than report a stray point
-                    wx = grid_xi[j + 1] - grid_xi[j]
-                    wo = grid_om[l + 1] - grid_om[l]
-                    if not (
-                        grid_xi[j] - wx <= xi_star <= grid_xi[j + 1] + wx
-                        and grid_om[l] - wo <= om_star <= grid_om[l + 1] + wo
-                    ):
-                        diags["refine_failures"] += 1
-                        continue
                     if any(
                         s.kind == "double"
                         and abs(s.xi - xi_star) < 1e-6

@@ -401,9 +401,49 @@ def test_newton_finds_a_root_or_none():
     def circle_line(v):
         return np.array([v[0] ** 2 + v[1] ** 2 - 1.0, v[0] - 2.0 * v[1]])
 
-    root = floqlux.decoherence._newton(circle_line, [1.0, 1.0])
+    def anywhere(v):
+        return True
+
+    root = floqlux.decoherence._newton(circle_line, [1.0, 1.0], anywhere)
     assert root == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], rel=1e-15)
-    assert floqlux.decoherence._newton(lambda v: v * v + 1.0, [0.3, -0.2]) is None
+    assert floqlux.decoherence._newton(lambda v: v * v + 1.0, [0.3, -0.2], anywhere) is None
+
+
+def test_newton_reads_f_only_inside_its_region():
+    # from x = 1 the Newton step on tanh overshoots to x = -3.5 and beyond
+    # (the unbounded iteration diverges); the box [-2, 2] stops it
+    def f(v):
+        assert np.all(np.abs(v) <= 2.0 + 1e-7), v
+        return np.tanh(2.0 * v)
+
+    def in_box(v):
+        return bool(np.all(np.abs(v) <= 2.0))
+
+    assert floqlux.decoherence._newton(f, [1.0, 0.1], in_box) is None
+    assert floqlux.decoherence._newton(f, [0.3, 0.1], in_box) == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+def test_a_seed_whose_newton_step_leaves_its_cell_is_a_refine_failure(params, noise, monkeypatch):
+    # a steep field with both signs in the one (xi, omega) cell: from the cell
+    # centre the first Newton step lands about 1.9 away, where the solver is
+    # made to reject the drive; the seed counts in refine_failures
+    def field(xi, om):
+        return math.tanh(400.0 * (xi - 0.04)), math.tanh(400.0 * (om - 0.69))
+
+    def solve(p, drive, *args, **kwargs):
+        if not (drive.xi <= 0.2 and 0.5 <= drive.omega <= 0.9):  # the widened cell
+            raise floqlux.errors.OutOfWindowError(f"drive {drive} was solved")
+        return drive
+
+    monkeypatch.setattr(floqlux.decoherence, "solve_floquet", solve)
+    monkeypatch.setattr(floqlux.decoherence, "_matrix_element_derivatives",
+                        lambda drive: field(drive.xi, drive.omega))
+    axes = ((0.451,), (0.0, 0.1), (0.6, 0.8))
+    grid = np.array([field(xi, om) for _, xi, om in itertools.product(*axes)])
+    scan = floqlux.decoherence._refine_sweet_spots(params, noise, SambeConfig(), axes, grid,
+                                                   SweetSpotSpec.tol_d)
+    assert scan.spots == ()
+    assert scan.diagnostics["double_seeds"] == 1 and scan.diagnostics["refine_failures"] == 1
 
 
 def test_physical_constants_are_the_exact_si_values():
