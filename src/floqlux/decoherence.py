@@ -626,8 +626,8 @@ def _newton(f, x0, inside, xtol: float = 1e-12, maxiter: int = 100) -> np.ndarra
     not reduce |f|, and before a step with |dx| <= xtol*|x| is accepted, so
     the last step is a Newton step on a fresh Jacobian.  None when a step on
     a fresh Jacobian leaves the region, is singular or is not finite, or
-    after ``maxiter`` steps; ``f`` is read only inside the region (and a
-    difference step beside it).
+    after ``maxiter`` steps.  ``f`` is read only inside the region and at
+    difference steps from its points.
     """
     x = np.asarray(x0, dtype=float)
     fx = np.asarray(f(x), dtype=float)
@@ -705,11 +705,11 @@ def _refine_sweet_spots(params: CircuitParams, noise: NoiseModel, config: SambeC
     A sign change of one derivative between neighbours along its axis is a
     bracket for ``_brentq`` (xtol 1e-12).  A cell where both change sign
     seeds ``_newton`` at its centre, on (xi, omega) -> the field at (|xi|,
-    |omega|), kept inside the cell widened by one cell; a seed that does not
-    converge, whose Newton step on a fresh Jacobian leaves that region, or
-    that reaches a point that is not a double spot counts in
-    ``refine_failures``, so no drive outside the region is solved; a root
-    within 1e-6 of a double spot found before is dropped.
+    |omega|), inside its cell widened by one cell, so no drive far from the
+    cell is solved.  A seed that does not converge, whose Newton step on a
+    fresh Jacobian leaves that region, or that reaches a point that is not a
+    double spot counts in ``refine_failures``; a root within 1e-6 of a
+    double spot found before is dropped.
     """
     grid_phi, grid_xi, grid_om = axes
     # d[i, j, l] = (d eps01/d phi_dc, d eps01/d xi) at grid point (phi_i, xi_j, om_l)

@@ -408,19 +408,18 @@ def test_newton_finds_a_root_or_none():
     assert root == pytest.approx([2 / math.sqrt(5), 1 / math.sqrt(5)], rel=1e-15)
     assert floqlux.decoherence._newton(lambda v: v * v + 1.0, [0.3, -0.2], anywhere) is None
 
-
-def test_newton_reads_f_only_inside_its_region():
-    # from x = 1 the Newton step on tanh overshoots to x = -3.5 and beyond
-    # (the unbounded iteration diverges); the box [-2, 2] stops it
-    def f(v):
+    # from x = 1 the Newton step on tanh overshoots to x = -5.8, and the
+    # unbounded iteration diverges; the box [-2, 2] stops it unread
+    def tanh_in_box(v):
         assert np.all(np.abs(v) <= 2.0 + 1e-7), v
         return np.tanh(2.0 * v)
 
     def in_box(v):
         return bool(np.all(np.abs(v) <= 2.0))
 
-    assert floqlux.decoherence._newton(f, [1.0, 0.1], in_box) is None
-    assert floqlux.decoherence._newton(f, [0.3, 0.1], in_box) == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert floqlux.decoherence._newton(tanh_in_box, [1.0, 0.1], in_box) is None
+    root = floqlux.decoherence._newton(tanh_in_box, [0.3, 0.1], in_box)
+    assert root == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
 def test_a_seed_whose_newton_step_leaves_its_cell_is_a_refine_failure(params, noise, monkeypatch):
